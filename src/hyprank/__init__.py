@@ -16,7 +16,7 @@ from .construction import (
     solve_coefficients,
     to_monic_model,
 )
-from .curves import HyperFamily, Specialization, hasse_weil_bound, specialize, trace, trace_row
+from .curves import HyperFamily, hasse_weil_bound, trace_of_poly, trace_row
 from .finite_field import (
     PrimeCtx,
     PrimeRange,
@@ -55,7 +55,6 @@ from .polynomials import (
     RatPoly,
     degree_pattern_mod,
     disc_t_quarter,
-    eval_mod,
     mod_gcd,
     parse_bipoly,
     parse_int_poly,

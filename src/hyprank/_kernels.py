@@ -1,7 +1,8 @@
-"""Vectorised inner loops for the O(p^2) character-sum computations.
+"""The dense O(p^2) character-sum engine and its vectorised helpers.
 
-All kernels take residues already reduced into [0, p) with p < 2^31, so
-every intermediate product fits in int64.  Results are exact integers.
+Every exact trace and second moment in the package is a sum of chi(F(x, t))
+over the (t, x) grid, and :func:`trace_row_vec` is the one place that sum
+runs.  Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.
 """
 
 from __future__ import annotations
@@ -10,8 +11,17 @@ import numpy as np
 
 from .finite_field import TABLE_LIMIT, PrimeCtx
 
-# Rows of t processed per block; keeps peak memory near CHUNK * p * 8 bytes.
+# Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
+
+# Nonzero T-coefficient rows the engine accepts; see trace_row_vec.
+MAX_ROWS = 1 << 11
+
+
+def check_dense(p: int) -> None:
+    """Refuse p >= TABLE_LIMIT before anything of length p is allocated."""
+    if p >= TABLE_LIMIT:
+        raise ValueError(f"p = {p} too large for the dense kernel (limit 2^26)")
 
 
 def horner_vec(coeffs, xs: np.ndarray, p: int) -> np.ndarray:
@@ -36,32 +46,39 @@ def powmod_vec(xs: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def legendre_sum(coeffs, ctx: PrimeCtx) -> int:
-    """Sum of the Legendre character of f(x) over x = 0..p-1."""
-    p = ctx.p
-    if p >= TABLE_LIMIT:
-        raise ValueError(f"p = {p} too large for the vectorised kernel")
-    xs = np.arange(p, dtype=np.int64)
-    vals = horner_vec([c % p for c in coeffs], xs, p)
-    return int(ctx.chi[vals].sum(dtype=np.int64))
-
-
 def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
-    """Traces -sum_x chi(f(x, t)) for all t = 0..p-1.
+    """Traces -sum_x chi(F(x, t)) for all t = 0..p-1.
 
-    ``t_coeff_rows`` lists, for j = 0..deg_T, the values of the coefficient
-    polynomial of T^j at every x, as int64 arrays of length p.
+    ``t_coeff_rows[j]`` holds the values at every x of the coefficient of
+    T^j, as an int64 array of length p with entries in [0, p), or None when
+    that coefficient vanishes mod p.  For each block of t the engine forms
+    sum_j row_j(x) * (t^j mod p) over the nonzero rows and reduces mod p
+    once.  This is exact in int64: p < 2^26 makes every product < 2^52, and
+    fewer than 2^11 of them sum to less than 2^63.
     """
     p = ctx.p
     chi = ctx.chi
+    terms = [(j, row) for j, row in enumerate(t_coeff_rows) if row is not None]
+    if len(terms) >= MAX_ROWS:
+        raise ValueError(
+            f"{len(terms)} nonzero T-coefficient rows; the dense kernel is exact "
+            f"only below {MAX_ROWS}"
+        )
+    if not terms:
+        return [0] * p
+    ts = np.arange(p, dtype=np.int64)
+    tpows = [powmod_vec(ts, j, p)[:, None] for j, _ in terms]
+    rows = [row for _, row in terms]
+    acc = np.empty((CHUNK, p), dtype=np.int64)
+    tmp = np.empty((CHUNK, p), dtype=np.int64)
     out = np.empty(p, dtype=np.int64)
-    top = t_coeff_rows[-1]
-    rest = t_coeff_rows[:-1]
     for lo in range(0, p, CHUNK):
         hi = min(lo + CHUNK, p)
-        tb = np.arange(lo, hi, dtype=np.int64)[:, None]
-        acc = np.broadcast_to(top, (hi - lo, p)).copy()
-        for row in reversed(rest):
-            acc = (acc * tb + row) % p
-        out[lo:hi] = -chi[acc].sum(axis=1, dtype=np.int64)
-    return out.tolist()
+        a, b = acc[: hi - lo], tmp[: hi - lo]
+        np.multiply(rows[0], tpows[0][lo:hi], out=a)
+        for row, tj in zip(rows[1:], tpows[1:]):
+            np.multiply(row, tj[lo:hi], out=b)
+            a += b
+        np.remainder(a, p, out=a)
+        out[lo:hi] = chi[a].sum(axis=1, dtype=np.int64)
+    return np.negative(out).tolist()

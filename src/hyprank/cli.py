@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from ._kernels import check_dense
 from .construction import InternalCheckError, RootData, build_family, to_monic_model
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .moments import (
@@ -44,6 +45,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise RangeConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -74,7 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="upper prime bound (inclusive)",
         )
         p.add_argument("--skip", default="", help="comma-separated primes to exclude")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="worker processes (>= 1, capped at the CPU count)",
+        )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -260,6 +266,8 @@ def cmd_nagao(args) -> int:
     if args.pmax is None or args.pmax < 3:
         raise RangeConfigError(f"nagao needs --pmax >= 3, got {args.pmax}")
     prange = _prime_range(args)
+    if prange is None:
+        raise RangeConfigError("empty prime range for the Nagao sum")
     predictor = None
     if args.predicted:
         if bf.kind not in ("shift_square", "linear_twist", "big_rank"):
@@ -289,7 +297,7 @@ def cmd_construct(args) -> int:
             {"x": str(x), "y": [str(c) for c in y.coeffs]} for x, y in cr.points
         ]
     if args.monic:
-        obj["monic_F"] = to_monic_model(cr.F, rd.genus, cr.A).to_json()
+        obj["monic_F"] = to_monic_model(cr.F, rd.genus).to_json()
     _emit(_dump(obj), args.out)
     return 0
 
@@ -323,6 +331,8 @@ def cmd_second_moment(args) -> int:
 
     header = "p,pA2_brute,pA2_closed,applicable,c2,c1"
     primes = [] if prange is None else primes_in(prange)
+    if primes:
+        check_dense(primes[-1])  # refuse the whole scan before any work
     rows = []
     for p in primes:
         ctx = PrimeCtx(p)

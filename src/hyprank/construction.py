@@ -242,7 +242,7 @@ def _trial_factor(m: int) -> list[int]:
     return out
 
 
-def to_monic_model(F: BiPoly, genus: int, A: int | None = None) -> BiPoly:
+def to_monic_model(F: BiPoly, genus: int) -> BiPoly:
     """Rewrite the family as monic in x by absorbing the leading unit.
 
     Writing F = sum g_i(T) x^i with n = 2g+1 and unit u(T) = g_n(T), the

@@ -13,7 +13,7 @@ from math import isqrt
 import numpy as np
 
 from . import _kernels
-from .finite_field import TABLE_LIMIT, PrimeCtx, legendre
+from .finite_field import PrimeCtx
 from .polynomials import BiPoly, IntPoly, rat_gcd, reduce_mod
 
 
@@ -81,59 +81,32 @@ def _generic_fiber_squarefree(F: BiPoly) -> bool:
     return False
 
 
-@dataclass(frozen=True, eq=False)
-class Specialization:
-    """The fiber of a family at an integer parameter value."""
-
-    family: HyperFamily
-    t: int
-    fx: IntPoly
-
-    def __post_init__(self):
-        if self.fx != self.family.F.specialize_t(self.t):
-            raise ValueError("fx does not equal F(x, t)")
-
-
-def specialize(fam: HyperFamily, t: int) -> Specialization:
-    return Specialization(fam, t, fam.F.specialize_t(t))
-
-
-def trace(spec: Specialization, ctx: PrimeCtx) -> int:
-    """Trace of Frobenius a(p) = p + 1 - #points = -sum_x (f(x)/p).
-
-    Uses the naive affine character sum for every fiber, including singular
-    ones and fibers whose reduction drops degree.
-    """
-    _check_prime(spec.family, ctx)
-    return trace_of_poly(spec.fx, ctx)
-
-
 def trace_of_poly(fx: IntPoly, ctx: PrimeCtx) -> int:
-    """Negated Legendre sum of a single integer polynomial mod p."""
+    """Trace -sum_x (f(x)/p) of one fiber, by the naive affine character sum.
+
+    Used for every fiber, including singular ones and fibers whose reduction
+    drops degree.
+    """
     p = ctx.p
-    if p < TABLE_LIMIT:
-        return -_kernels.legendre_sum(fx.coeffs, ctx)
-    fbar = reduce_mod(fx, ctx)
-    return -sum(legendre(fbar.evaluate(x), ctx) for x in range(p))
+    _kernels.check_dense(p)
+    vals = _kernels.horner_vec(fx.coeffs, np.arange(p, dtype=np.int64), p)
+    return -int(ctx.chi[vals].sum(dtype=np.int64))
 
 
 def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
     """Traces of every specialization t = 0..p-1 at one prime.
 
-    F is reduced mod p once; the double loop over (t, x) then runs entirely
-    on residue tables.
+    F is reduced mod p once; each nonzero coefficient of T^j becomes one row
+    of values over x, and the dense engine sums over (t, x).
     """
     _check_prime(fam, ctx)
     p = ctx.p
+    _kernels.check_dense(p)
     Fbar = reduce_mod(fam.F, ctx)
-    if p >= TABLE_LIMIT:
-        return [trace_of_poly(fam.F.specialize_t(t), ctx) for t in range(p)]
     xs = np.arange(p, dtype=np.int64)
-    deg_t = max(Fbar.deg_t, 0)
-    rows = [
-        _kernels.horner_vec(list(Fbar.t_coeff(j).coeffs), xs, p)
-        for j in range(deg_t + 1)
-    ]
+    rows = [None] * (max(Fbar.deg_t, 0) + 1)
+    for j in {j for _, j in Fbar.terms}:
+        rows[j] = _kernels.horner_vec(Fbar.t_coeff(j).coeffs, xs, p)
     return _kernels.trace_row_vec(rows, ctx)
 
 

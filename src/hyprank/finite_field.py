@@ -1,9 +1,9 @@
 """Fast exact arithmetic modulo an odd prime.
 
 The central object is :class:`PrimeCtx`, which wraps a prime p together
-with a precomputed quadratic-residue bitmap so that Legendre symbols are
-O(1) table lookups inside the O(p^2) character-sum loops.  Everything in
-this module is pure and safe to share across workers.
+with a lazily built Legendre character table, so that Legendre symbols are
+O(1) lookups for scalar calls and gathers inside the O(p^2) character-sum
+engine.  Everything in this module is pure and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from math import gcd, isqrt
 
 import numpy as np
 
-# Above this bound residue tables are not built; legendre() falls back to
-# Euler's criterion and the moment kernels to scalar loops.  2^26 keeps the
-# int8 character table at 64 MiB and (p-1)^2 far inside int64.
+# Above this bound residue tables are not built: legendre() falls back to
+# Euler's criterion and the dense kernels refuse the prime.  2^26 keeps the
+# int8 character table at 64 MiB and (p-1)^2 below 2^52.
 TABLE_LIMIT = 1 << 26
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -47,15 +47,13 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeCtx:
-    """An odd prime p plus lazily built residue tables.
+    """An odd prime p plus its lazily built Legendre character table.
 
-    ``qr_table`` is a little-endian bitmap of p bits; bit a is set iff a is
-    a nonzero quadratic residue mod p.  ``chi`` is the same information as
-    a numpy int8 vector with values in {-1, 0, +1}, used by the vectorised
-    moment kernels.
+    ``chi`` is a numpy int8 vector of length p with chi[a] = (a/p) in
+    {-1, 0, +1}.
     """
 
-    __slots__ = ("p", "_qr_table", "_chi")
+    __slots__ = ("p", "_chi")
 
     def __init__(self, p: int):
         if p == 2:
@@ -63,7 +61,6 @@ class PrimeCtx:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self._qr_table = None
         self._chi = None
 
     def __repr__(self):
@@ -89,30 +86,15 @@ class PrimeCtx:
             self._chi = chi
         return self._chi
 
-    @property
-    def qr_table(self) -> bytes:
-        """Bitmap of length p: bit a set iff a is a nonzero square mod p."""
-        if self._qr_table is None:
-            self._qr_table = np.packbits(self.chi == 1, bitorder="little").tobytes()
-        return self._qr_table
-
-    def is_qr(self, a: int) -> bool:
-        """True iff a (reduced mod p) is a nonzero quadratic residue."""
-        a %= self.p
-        if a == 0:
-            return False
-        t = self.qr_table
-        return bool(t[a >> 3] >> (a & 7) & 1)
-
 
 def legendre(a: int, ctx: PrimeCtx) -> int:
     """Legendre symbol (a/p): 0 if p | a, +1 for nonzero squares, -1 otherwise."""
     p = ctx.p
     a %= p
+    if p < TABLE_LIMIT:
+        return int(ctx.chi[a])
     if a == 0:
         return 0
-    if p < TABLE_LIMIT:
-        return 1 if ctx.is_qr(a) else -1
     e = pow(a, (p - 1) // 2, p)
     return 1 if e == 1 else -1
 

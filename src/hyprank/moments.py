@@ -9,12 +9,14 @@ of the Nagao partial sum (standard doubles).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
+from ._kernels import check_dense
 from .curves import HyperFamily, trace_row
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (
@@ -193,7 +195,15 @@ def _power_sum_task(fam: HyperFamily, r: int, p: int) -> tuple[int, int]:
 
 
 def _power_sums(fam, r, primes, jobs) -> dict[int, int]:
-    if jobs <= 1 or len(primes) <= 1:
+    """p * A_r(p) for every prime, on at most min(jobs, CPUs, #primes) workers.
+
+    The largest prime is checked against the dense-kernel limit first, so a
+    range that reaches past it fails before any work starts.
+    """
+    if primes:
+        check_dense(max(primes))
+    jobs = min(jobs, os.cpu_count() or 1, len(primes))
+    if jobs <= 1:
         return {p: power_sum(fam, r, PrimeCtx(p)) for p in primes}
     task = partial(_power_sum_task, fam, r)
     chunk = max(1, len(primes) // (4 * jobs))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import powmod_vec
 from .finite_field import (
     PrimeCtx,
     PrimeRange,
@@ -40,7 +41,8 @@ def quadratic_sum_table(ctx: PrimeCtx) -> np.ndarray:
 
 def power_pair_count_brute(n: int, ctx: PrimeCtx) -> int:
     """Count pairs x^n = y^n mod p over the full (p, p) grid."""
-    xn = _powmod_all(n, ctx.p)
+    p = ctx.p
+    xn = powmod_vec(np.arange(p, dtype=np.int64), n, p)
     return int(np.equal.outer(xn, xn).sum())
 
 
@@ -48,21 +50,10 @@ def double_sum_brute(h: int, ctx: PrimeCtx) -> int:
     """Sum of chi(x y) over pairs with x^h = y^h, over the full grid."""
     p = ctx.p
     xs = np.arange(p, dtype=np.int64)
-    xh = _powmod_all(h, p)
+    xh = powmod_vec(xs, h, p)
     mask = np.equal.outer(xh, xh)
     prods = (xs[:, None] * xs[None, :]) % p
     return int(ctx.chi[prods][mask].sum(dtype=np.int64))
-
-
-def _powmod_all(e: int, p: int) -> np.ndarray:
-    out = np.ones(p, dtype=np.int64)
-    base = np.arange(p, dtype=np.int64)
-    while e:
-        if e & 1:
-            out = (out * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ Four representations:
   nonzero coefficients of x^i T^j.
 * :class:`ModPoly`  -- dense univariate with residues in [0, p).
 
+The three dense classes share their arithmetic through one base class.
 All values are immutable; operations return new objects.  The module also
 provides counting of distinct roots mod p, distinct-degree factorization
 patterns, the quarter discriminant in T of a quadratic-in-T bivariate
@@ -19,6 +20,7 @@ polynomial, and a parser for the textual polynomial syntax used by the CLI
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .finite_field import PrimeCtx
@@ -34,7 +36,79 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-class IntPoly:
+class _DensePoly:
+    """Dense arithmetic shared by :class:`IntPoly`, :class:`RatPoly` and
+    :class:`ModPoly`.
+
+    Operations accumulate raw coefficient values and hand them to
+    ``_wrap``, whose constructor normalises them once (``int``,
+    ``Fraction`` or reduction mod p) and trims trailing zeros.  ``_SCALARS``
+    lists the scalar types a polynomial may be multiplied by.
+    """
+
+    __slots__ = ()
+    _SCALARS: tuple = (int,)
+
+    def _wrap(self, coeffs):
+        return type(self)(coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self._wrap([c * other for c in self.coeffs])
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self._wrap(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return self._wrap(out)
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int):
+        """Multiply by x^k."""
+        if self.is_zero:
+            return self
+        return self._wrap([0] * k + list(self.coeffs))
+
+    def derivative(self):
+        return self._wrap([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def evaluate(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+class IntPoly(_DensePoly):
     """Univariate polynomial with arbitrary-precision integer coefficients."""
 
     __slots__ = ("coeffs",)
@@ -68,14 +142,6 @@ class IntPoly:
         return cls(out)
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def lead(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -93,36 +159,6 @@ class IntPoly:
     def __str__(self):
         return format_poly(self.coeffs, "x")
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
     def __pow__(self, e: int) -> "IntPoly":
         if e < 0:
             raise ValueError("negative exponent")
@@ -134,21 +170,6 @@ class IntPoly:
             base = base * base
             e >>= 1
         return out
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return IntPoly([0] * k + list(self.coeffs))
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient; raises ValueError on any nonzero remainder."""
@@ -180,22 +201,15 @@ class IntPoly:
         return RatPoly([Fraction(c) for c in self.coeffs])
 
 
-class RatPoly:
+class RatPoly(_DensePoly):
     """Univariate polynomial over Q; coefficients are Fractions in lowest terms."""
 
     __slots__ = ("coeffs",)
+    _SCALARS = (int, Fraction)
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [Fraction(c) for c in coeffs]
         self.coeffs = _trim(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other):
         return isinstance(other, RatPoly) and other.coeffs == self.coeffs
@@ -206,64 +220,13 @@ class RatPoly:
     def __repr__(self):
         return f"RatPoly({[str(c) for c in self.coeffs]})"
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "RatPoly":
-        if self.is_zero:
-            return self
-        return RatPoly([Fraction(0)] * k + list(self.coeffs))
-
-    def evaluate(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            d = c.denominator
-            out = out * d // _gcd(out, d)
-        return out
+        return lcm(*(c.denominator for c in self.coeffs))
 
     def to_int_poly(self) -> IntPoly:
         if any(c.denominator != 1 for c in self.coeffs):
             raise ValueError("polynomial has non-integral coefficients")
         return IntPoly([int(c) for c in self.coeffs])
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def rat_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
@@ -388,53 +351,21 @@ class BiPoly:
 
     def t_coeff(self, j: int) -> IntPoly:
         """Coefficient of T^j as a polynomial in x."""
-        out = {}
-        for (i, jj), c in self.terms.items():
-            if jj == j:
-                out[i] = c
-        if not out:
-            return IntPoly.zero()
-        cs = [0] * (max(out) + 1)
-        for i, c in out.items():
-            cs[i] = c
-        return IntPoly(cs)
+        terms = self.terms.items()
+        return _collect(((i, c) for (i, jj), c in terms if jj == j), self.deg_x)
 
     def x_coeff(self, i: int) -> IntPoly:
         """Coefficient of x^i as a polynomial in T."""
-        out = {}
-        for (ii, j), c in self.terms.items():
-            if ii == i:
-                out[j] = c
-        if not out:
-            return IntPoly.zero()
-        cs = [0] * (max(out) + 1)
-        for j, c in out.items():
-            cs[j] = c
-        return IntPoly(cs)
+        terms = self.terms.items()
+        return _collect(((j, c) for (ii, j), c in terms if ii == i), self.deg_t)
 
     def specialize_t(self, t: int) -> IntPoly:
         """Substitute T = t, returning a polynomial in x."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, 0) + c * t**j
-        if not out:
-            return IntPoly.zero()
-        cs = [0] * (max(out) + 1)
-        for i, c in out.items():
-            cs[i] = c
-        return IntPoly(cs)
+        return _collect(((i, c * t**j) for (i, j), c in self.terms.items()), self.deg_x)
 
     def specialize_x(self, x: int) -> IntPoly:
         """Substitute x, returning a polynomial in T."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            out[j] = out.get(j, 0) + c * x**i
-        if not out:
-            return IntPoly.zero()
-        cs = [0] * (max(out) + 1)
-        for j, c in out.items():
-            cs[j] = c
-        return IntPoly(cs)
+        return _collect(((j, c * x**i) for (i, j), c in self.terms.items()), self.deg_t)
 
     def to_json(self) -> dict:
         rows = [[str(c), i, j] for (i, j), c in sorted(self.terms.items())]
@@ -448,7 +379,15 @@ class BiPoly:
             raise PolyParseError(f"bad polynomial JSON: {exc}") from None
 
 
-class ModPoly:
+def _collect(pairs, degree: int) -> IntPoly:
+    """The IntPoly of degree at most ``degree`` summing c * x^k over (k, c) pairs."""
+    cs = [0] * (degree + 1)
+    for k, c in pairs:
+        cs[k] += c
+    return IntPoly(cs)
+
+
+class ModPoly(_DensePoly):
     """Univariate polynomial with coefficients reduced into [0, p)."""
 
     __slots__ = ("p", "coeffs")
@@ -457,13 +396,8 @@ class ModPoly:
         self.p = p
         self.coeffs = _trim([int(c) % p for c in coeffs])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _wrap(self, coeffs) -> "ModPoly":
+        return ModPoly(self.p, coeffs)
 
     def __eq__(self, other):
         return isinstance(other, ModPoly) and other.p == self.p and other.coeffs == self.coeffs
@@ -474,49 +408,12 @@ class ModPoly:
     def __repr__(self):
         return f"ModPoly(p={self.p}, {format_poly(self.coeffs, 'x')!r})"
 
-    def _wrap(self, coeffs) -> "ModPoly":
-        return ModPoly(self.p, coeffs)
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return self._wrap(out)
-
-    def __neg__(self) -> "ModPoly":
-        return self._wrap([-c for c in self.coeffs])
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        p = self.p
-        if isinstance(other, int):
-            return self._wrap([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self._wrap(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return self._wrap(out)
-
-    __rmul__ = __mul__
-
     def evaluate(self, x: int) -> int:
         acc = 0
         p = self.p
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % p
         return acc
-
-    def derivative(self) -> "ModPoly":
-        return self._wrap([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "ModPoly":
         if self.is_zero:
@@ -575,11 +472,6 @@ def reduce_mod(f, ctx: PrimeCtx):
     if isinstance(f, BiPoly):
         return BiPoly({k: c % ctx.p for k, c in f.terms.items()})
     raise TypeError(f"cannot reduce {type(f).__name__}")
-
-
-def eval_mod(f: ModPoly, x0: int) -> int:
-    """Horner evaluation of a reduced polynomial at a residue."""
-    return f.evaluate(x0)
 
 
 def root_count_mod(f: IntPoly, ctx: PrimeCtx) -> int:

@@ -31,11 +31,10 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
+from .construction import InternalCheckError
 from .finite_field import (
-    TABLE_LIMIT,
     PrimeCtx,
     PrimeRange,
-    gcd_representative,
     nu2,
     primes_in,
 )
@@ -85,22 +84,16 @@ def second_moment_brute(fam: PowerFamily, ctx: PrimeCtx) -> int:
 
 
 def _brute(n: int, h: int, k: int, ctx: PrimeCtx, include_t0: bool = True) -> int:
+    """Sum of squared traces of x^n + x^h T^k over t, from t = 1 unless include_t0."""
     p = ctx.p
-    if p >= TABLE_LIMIT:
-        raise ValueError(f"p = {p} too large for the brute-force kernel")
-    chi = ctx.chi
+    _kernels.check_dense(p)
     xs = np.arange(p, dtype=np.int64)
-    xn = _kernels.powmod_vec(xs, n, p)
-    xh = _kernels.powmod_vec(xs, h, p)
-    tk = _kernels.powmod_vec(xs, k, p)  # tk[t] = t^k, with 0^0 = 1
-    total = 0
-    t0 = 0 if include_t0 else 1
-    for lo in range(t0, p, _kernels.CHUNK):
-        hi = min(lo + _kernels.CHUNK, p)
-        vals = (xn[None, :] + xh[None, :] * tk[lo:hi, None]) % p
-        sums = chi[vals].sum(axis=1, dtype=np.int64)
-        total += int((sums * sums).sum())
-    return total
+    rows = [None] * (k + 1)
+    rows[0] = _kernels.powmod_vec(xs, n, p)
+    xh = _kernels.powmod_vec(xs, h, p)  # 0^0 = 1
+    rows[k] = xh if k else (rows[0] + xh) % p
+    traces = _kernels.trace_row_vec(rows, ctx)
+    return sum(a * a for a in traces[0 if include_t0 else 1 :])
 
 
 def second_moment_closed(fam: PowerFamily, ctx: PrimeCtx) -> Optional[int]:
@@ -144,8 +137,6 @@ def check_gcd_reduction(fam: PowerFamily, ctx: PrimeCtx) -> bool:
     p = ctx.p
     if gcd(gcd(k, n - h), p - 1) != 1:
         raise ValueError("gcd(k, n-h, p-1) must be 1")
-    m = gcd_representative(k, p - 1, n - h)
-    assert gcd(m, p - 1) == 1 and (m - k) % (n - h) == 0
     lhs = _brute(n, h, k, ctx, include_t0=False)
     rhs = _brute(n, h, 1, ctx, include_t0=False)
     return lhs == rhs
@@ -168,7 +159,7 @@ def bias_report(fam: PowerFamily, prange: PrimeRange) -> BiasReport:
         c2 = val // (p * p - p)
         rem = val - c2 * (p * p - p)
         if rem not in (0, p - 1, p):
-            raise AssertionError(f"unexpected closed-form remainder {rem} at p = {p}")
+            raise InternalCheckError(f"unexpected closed-form remainder {rem} at p = {p}")
         rows.append(BiasRow(p, val, c2, -c2, rem))
     mean = sum(r.c1 for r in rows) / len(rows) if rows else None
     return BiasReport(fam, prange.hi, tuple(rows), mean)

@@ -91,6 +91,11 @@ def test_nagao_json_and_range_error(capsys):
         capsys, "nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "2",
     )
     assert code == 3
+    code, _ = run(
+        capsys, "nagao", "--family", "builtin:shift_square", "--f", F3,
+        "--pmin", "100", "--pmax", "50",
+    )
+    assert code == 3
 
 
 def test_nagao_predicted_requires_closed_form(capsys):
@@ -203,6 +208,70 @@ def test_second_moment_constant_exponent(capsys):
             saw_applicable = True
             assert brute == closed == p  # closed form degenerates to p here
     assert saw_applicable
+
+
+def test_bias_report_bad_remainder_is_internal_failure(capsys, monkeypatch):
+    import hyprank.second_moment as sm
+
+    # one full (p^2 - p) plus a remainder of p + 1, which no shape produces
+    monkeypatch.setattr(sm, "second_moment_closed", lambda fam, ctx: ctx.p * ctx.p + 1)
+    code, _ = run(capsys, "second-moment", "--n", "3", "--h", "0", "--k", "1",
+                  "--pmax", "20", "--bias")
+    assert code == 4
+
+
+def test_dense_scans_refuse_primes_above_table_limit(capsys):
+    # 67108859 < 2^26 < 67108879: the whole scan is refused before any work
+    rng = ["--pmin", "67108859", "--pmax", "67108900"]
+    for argv in (
+        ["moments", "--family", "builtin:shift_square", "--f", F3, *rng],
+        ["nagao", "--family", "builtin:shift_square", "--f", F3, *rng],
+        ["second-moment", "--n", "3", "--h", "0", "--k", "1", *rng],
+    ):
+        assert run(capsys, *argv)[0] == 2
+
+
+def test_jobs_must_be_positive(capsys):
+    for sub in (
+        ["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "20"],
+        ["nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "20"],
+        ["second-moment", "--n", "3", "--h", "0", "--k", "1", "--pmax", "20"],
+        ["sn-witness", "--f", "x^3 + x + 1", "--pmax", "20"],
+    ):
+        assert run(capsys, *sub, "--jobs", "0")[0] == 3
+        assert run(capsys, *sub, "--jobs", "-4")[0] == 3
+        assert run(capsys, *sub, "--jobs", "1")[0] == 0
+
+
+def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
+    import hyprank.moments as moments
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(moments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(moments.os, "cpu_count", lambda: 4)
+    argv = ["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60"]
+    code, serial = run(capsys, *argv)
+    assert code == 0 and seen == []
+    code, out = run(capsys, *argv, "--jobs", "100000")
+    assert code == 0 and out == serial
+    assert seen == [4]  # min(jobs, cpu_count, 17 primes)
+    code, _ = run(capsys, "moments", "--family", "builtin:shift_square", "--f", F3,
+                  "--pmin", "20", "--pmax", "30", "--jobs", "100000")
+    assert code == 0 and seen == [4, 2]  # only 23 and 29 in range
 
 
 def test_verify_lemmas(capsys):

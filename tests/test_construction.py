@@ -160,7 +160,7 @@ def test_bad_primes_cover_non_generic_ones():
 
 def test_to_monic_model_shape():
     cr = build_family(RootData(2, tuple(range(1, 11))))
-    Fm = to_monic_model(cr.F, 2, cr.A)
+    Fm = to_monic_model(cr.F, 2)
     assert Fm.x_coeff(5) == IntPoly.const(1)
     u = cr.F.x_coeff(5)
     # the x^(n-2) coefficient is scaled by one power of the absorbed unit
@@ -173,7 +173,7 @@ def test_monic_model_preserves_traces():
     from hyprank.curves import trace_of_poly
 
     cr = build_family(RootData(1, (1, 2, 3, 4, 5, 6)))
-    Fm = to_monic_model(cr.F, 1, cr.A)
+    Fm = to_monic_model(cr.F, 1)
     u = cr.F.x_coeff(3)
     # t chosen so the unit u(t) = (t+L)^2 - A L^2 is a nonzero perfect square
     t_square = 1 + cr.R[0] * cr.L**2 - cr.L

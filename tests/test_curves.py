@@ -1,15 +1,12 @@
-import pytest
+import tracemalloc
 
-from hyprank.curves import (
-    HyperFamily,
-    Specialization,
-    hasse_weil_bound,
-    specialize,
-    trace,
-    trace_row,
-)
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from hyprank.curves import HyperFamily, hasse_weil_bound, trace_of_poly, trace_row
 from hyprank.finite_field import PrimeCtx, _small_primes
-from hyprank.polynomials import IntPoly, mod_gcd, parse_bipoly, reduce_mod
+from hyprank.polynomials import BiPoly, mod_gcd, parse_bipoly, reduce_mod
 
 
 def fam_of(text, genus, label="test", bad=()):
@@ -38,29 +35,23 @@ def test_family_json_round_trip():
     assert back.bad_primes == frozenset({3, 11})
 
 
-def test_specialization_invariant():
-    fam = fam_of("x^3 + x + T", 1)
-    spec = specialize(fam, 4)
-    assert spec.fx == parse_bipoly("x^3 + x + 4").t_coeff(0)
-    with pytest.raises(ValueError):
-        Specialization(fam, 4, IntPoly((0, 1)))
+def fiber_trace(fam, t, ctx):
+    return trace_of_poly(fam.F.specialize_t(t), ctx)
 
 
 def test_trace_examples():
     ctx = PrimeCtx(5)
     fam = fam_of("x^3 + x + T", 1)
-    assert trace(specialize(fam, 0), ctx) == 2  # y^2 = x^3 + x has 4 points over F_5
+    assert fiber_trace(fam, 0, ctx) == 2  # y^2 = x^3 + x has 4 points over F_5
     cusp = fam_of("x^3 + T", 1)
-    assert trace(specialize(cusp, 0), ctx) == 0  # cubing permutes F_5
+    assert fiber_trace(cusp, 0, ctx) == 0  # cubing permutes F_5
     # all non-constant coefficients divisible by p, constant a nonzero square
     fam7 = fam_of("7*x^3 + 7*x + 4 + 7*T", 1)
-    assert trace(specialize(fam7, 1), PrimeCtx(7)) == -7
+    assert fiber_trace(fam7, 1, PrimeCtx(7)) == -7
 
 
 def test_trace_respects_bad_primes():
     fam = fam_of("x^3 + x + T", 1, bad=(5,))
-    with pytest.raises(ValueError):
-        trace(specialize(fam, 0), PrimeCtx(5))
     with pytest.raises(ValueError):
         trace_row(fam, PrimeCtx(5))
 
@@ -81,7 +72,7 @@ def test_trace_row_matches_pointwise_trace(text, genus):
     for p in (3, 5, 11, 17):
         ctx = PrimeCtx(p)
         row = trace_row(fam, ctx)
-        assert row == [trace(specialize(fam, t), ctx) for t in range(p)]
+        assert row == [fiber_trace(fam, t, ctx) for t in range(p)]
 
 
 def test_trace_equals_point_count():
@@ -97,15 +88,14 @@ def test_trace_equals_point_count():
                 v = fbar.evaluate(x)
                 if v == 0:
                     affine += 1
-                elif ctx.is_qr(v):
+                elif pow(v, (p - 1) // 2, p) == 1:
                     affine += 2
-            assert trace(specialize(fam, t), ctx) == p + 1 - (affine + 1)
+            assert trace_of_poly(fx, ctx) == p + 1 - (affine + 1)
 
 
 def test_vector_kernel_matches_scalar_sum():
     import random
 
-    from hyprank.curves import trace_of_poly
     from hyprank.finite_field import legendre
     from hyprank.polynomials import IntPoly
 
@@ -133,3 +123,72 @@ def test_hasse_weil_on_good_fibers():
             if mod_gcd(fbar, fbar.derivative()).degree != 0:
                 continue  # singular fiber: the bound may fail
             assert abs(row[t]) <= bound
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the dense engine against Euler's criterion
+
+
+def euler_trace_row(F: BiPoly, p: int) -> list[int]:
+    """-sum_x (F(x, t)/p) for t = 0..p-1 by literal enumeration, without chi."""
+    row = []
+    for t in range(p):
+        s = 0
+        for x in range(p):
+            v = sum(c * pow(x, i, p) * pow(t, j, p) for (i, j), c in F.terms.items()) % p
+            if v:
+                s += 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+        row.append(-s)
+    return row
+
+
+ENGINE_PRIMES = [p for p in _small_primes(31) if p > 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    genus=st.integers(1, 2),
+    lower=st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100)),
+        max_size=6,
+    ),
+    lead_t=st.integers(0, 4),
+    scale=st.sampled_from(["one", "p", "huge"]),
+    p=st.sampled_from(ENGINE_PRIMES),
+)
+@example(genus=1, lower={(1, 4): 2, (0, 1): 3}, lead_t=0, scale="p", p=7)
+@example(genus=2, lower={(2, 4): 3, (0, 1): -1, (0, 0): 2}, lead_t=0, scale="one", p=13)
+def test_trace_row_matches_euler_enumeration(genus, lower, lead_t, scale, p):
+    n = 2 * genus + 1
+    terms = {(i, j): c for (i, j), c in lower.items() if i < n}
+    terms[(n, lead_t)] = 1
+    s = {"one": 1, "p": p, "huge": 3**70 * p + 1}[scale]  # "p": F = 0 mod p
+    F = BiPoly({k: s * c for k, c in terms.items()})
+    try:
+        fam = HyperFamily("h", genus, F)
+    except ValueError:
+        assume(False)
+    assert trace_row(fam, PrimeCtx(p)) == euler_trace_row(F, p)
+
+
+def test_trace_row_refuses_many_rows():
+    F = BiPoly({(3, 0): 1, **{(0, j): 1 for j in range(1, 2049)}})
+    fam = HyperFamily("wide", 1, F)
+    with pytest.raises(ValueError, match="2049 nonzero T-coefficient rows"):
+        trace_row(fam, PrimeCtx(5))
+
+
+def test_dense_paths_fail_fast_above_table_limit():
+    ctx = PrimeCtx(67108879)  # the first prime above 2^26
+    fam = fam_of("x^3 + x + T", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            trace_row(fam, ctx)
+        with pytest.raises(ValueError):
+            trace_of_poly(fam.F.specialize_t(1), ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

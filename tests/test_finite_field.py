@@ -42,13 +42,12 @@ def test_ctx_rejects_two_and_composites():
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_qr_table_popcount_and_symmetry(p):
-    ctx = PrimeCtx(p)
-    table = ctx.qr_table
-    bits = bin(int.from_bytes(table, "little")).count("1")
-    assert bits == (p - 1) // 2
-    flip = p % 4 == 3
+    chi = PrimeCtx(p).chi
+    assert len(chi) == p and chi[0] == 0
+    assert int((chi == 1).sum()) == (p - 1) // 2
+    sign = -1 if p % 4 == 3 else 1  # (-1/p)
     for a in range(1, p):
-        assert ctx.is_qr(a) == (ctx.is_qr(p - a) ^ flip)
+        assert chi[a] == sign * chi[p - a]
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

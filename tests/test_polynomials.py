@@ -13,7 +13,6 @@ from hyprank.polynomials import (
     RatPoly,
     degree_pattern_mod,
     disc_t_quarter,
-    eval_mod,
     mod_gcd,
     parse_bipoly,
     parse_int_poly,
@@ -32,6 +31,15 @@ def test_int_poly_basics():
     assert (X**3).evaluate(2) == 8
     assert IntPoly((1, 1)).derivative() == IntPoly.const(1)
     assert 3 * X == IntPoly((0, 3))
+    assert X.shift(2) == IntPoly((0, 0, 0, 1)) and IntPoly.zero().shift(3).is_zero
+    with pytest.raises(TypeError):
+        X * Fraction(1, 2)  # would truncate to an integer polynomial
+    with pytest.raises(TypeError):
+        X * RatPoly([1])
+    assert RatPoly([1, 1]) * Fraction(1, 2) == RatPoly([Fraction(1, 2), Fraction(1, 2)])
+    m = ModPoly(7, (3, 5, 6))
+    assert m.derivative() == ModPoly(7, (5, 5)) and -m == ModPoly(7, (4, 2, 1))
+    assert m * m == reduce_mod(IntPoly((3, 5, 6)) ** 2, PrimeCtx(7))
 
 
 def test_from_roots_product_constant():
@@ -71,6 +79,9 @@ def test_reduce_mod_examples():
     f = parse_int_poly("x^3 - 6*x^2 + 11*x - 6")
     assert reduce_mod(f, ctx) == ModPoly(5, (4, 1, 4, 1))
     assert reduce_mod(parse_int_poly("7*x^2"), PrimeCtx(7)).is_zero
+    assert ModPoly(5, (1, 0, 1)).evaluate(2) == 0
+    assert ModPoly(7, (0, 0, 0, 1)).evaluate(3) == 6
+    assert ModPoly(7, ()).evaluate(4) == 0
     F = parse_bipoly("x^5*T^2 + 10*T")
     assert reduce_mod(F, ctx) == BiPoly({(5, 2): 1})
 
@@ -89,12 +100,6 @@ def test_reduce_mod_is_ring_hom(fc, gc, p):
     ctx = PrimeCtx(p)
     assert reduce_mod(f * g, ctx) == reduce_mod(f, ctx) * reduce_mod(g, ctx)
     assert reduce_mod(f + g, ctx) == reduce_mod(f, ctx) + reduce_mod(g, ctx)
-
-
-def test_eval_mod():
-    assert eval_mod(ModPoly(5, (1, 0, 1)), 2) == 0
-    assert eval_mod(ModPoly(7, (0, 0, 0, 1)), 3) == 6
-    assert eval_mod(ModPoly(7, ()), 4) == 0
 
 
 def test_root_count_examples():

@@ -1,6 +1,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.second_moment import (
@@ -158,3 +160,26 @@ def test_michel_deviation():
         assert abs(michel_deviation(pa2, p)) <= 2 * p**0.5
         devs.append(michel_deviation(pa2, p) / p**0.5)
     assert abs(sum(devs) / len(devs)) < 0.5
+
+
+def euler_second_moment(n, h, k, p):
+    """Sum over t of (sum_x (x^n + x^h t^k / p))^2, by Euler's criterion."""
+    total = 0
+    for t in range(p):
+        s = 0
+        for x in range(p):
+            v = (pow(x, n, p) + pow(x, h, p) * pow(t, k, p)) % p
+            if v:
+                s += 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+        total += s * s
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(n, h, k) for n in (3, 5, 7) for h in range(n) for k in range(n)
+                           if h >= 2 or k == 0]),
+    p=st.sampled_from(GRID_PRIMES),
+)
+def test_brute_matches_euler_on_singular_and_constant_shapes(shape, p):
+    assert second_moment_brute(PowerFamily(*shape), PrimeCtx(p)) == euler_second_moment(*shape, p)
