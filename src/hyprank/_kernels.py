@@ -1,8 +1,10 @@
-"""The dense O(p^2) character-sum engine and its vectorised helpers.
+"""The character-sum engines over the (t, x) grid and their vectorised helpers.
 
 Every exact trace and second moment in the package is a sum of chi(F(x, t))
-over the (t, x) grid, and :func:`trace_row_vec` is the one place that sum
-runs.  Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.
+over the (t, x) grid.  :func:`trace_row_vec` is the one place that sum runs
+in O(p^2); :func:`first_sum_vec` gives its total over t in O(p) when F is at
+most quadratic in T.  Residues are int64 values in [0, p) with
+p < TABLE_LIMIT = 2^26.
 """
 
 from __future__ import annotations
@@ -82,3 +84,36 @@ def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
         np.remainder(a, p, out=a)
         out[lo:hi] = chi[a].sum(axis=1, dtype=np.int64)
     return np.negative(out).tolist()
+
+
+def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:
+    """sum_t a_t = -sum_x S_x for F = c(x) + b(x) T + a(x) T^2, in O(p).
+
+    The sums over t and x are swapped: S_x = sum_t chi(a t^2 + b t + c) is
+    the closed form of ``finite_field.quadratic_char_sum`` (extended to
+    a = b = 0), evaluated at every x at once --
+
+        (p-1) chi(a)   if a != 0 and p | b^2 - 4ac,
+        -chi(a)        if a != 0 and p does not divide b^2 - 4ac,
+        0              if a = 0 and b != 0 (a complete linear sum),
+        p chi(c)       if a = b = 0 (t does not occur).
+
+    ``t_coeff_rows`` is laid out as for :func:`trace_row_vec`; rows 0, 1, 2
+    are c, b, a, and a missing or None row counts as zero.  Exact in int64:
+    p < 2^26 gives b^2 < 2^52 and 4ac < 2^54, and |S_x| <= p sums to < 2^52.
+    """
+    if any(row is not None for row in t_coeff_rows[3:]):
+        raise ValueError("the swapped first-moment sum needs deg_T F <= 2")
+    p = ctx.p
+    chi = ctx.chi
+    zero = np.zeros(p, dtype=np.int64)
+    c, b, a = (
+        t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
+        for j in range(3)
+    )
+    chi_a = chi[a].astype(np.int64)
+    disc_zero = (b * b - 4 * a * c) % p == 0
+    # chi(a) = 0 where a = 0, so these terms already give S_x = 0 there.
+    quad = np.where(disc_zero, (p - 1) * chi_a, -chi_a).sum(dtype=np.int64)
+    const = chi[c[(a == 0) & (b == 0)]].sum(dtype=np.int64)
+    return -(int(quad) + p * int(const))

@@ -229,6 +229,8 @@ def _dump(obj) -> str:
 
 
 def cmd_moments(args) -> int:
+    if args.r < 1:
+        raise ValueError("moment order must be >= 1")
     bf = _resolve_family(args)
     prange = _prime_range(args)
     header = "p,r,p_times_A_numer,predicted,generic_flag"

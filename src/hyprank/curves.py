@@ -93,11 +93,13 @@ def trace_of_poly(fx: IntPoly, ctx: PrimeCtx) -> int:
     return -int(ctx.chi[vals].sum(dtype=np.int64))
 
 
-def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
-    """Traces of every specialization t = 0..p-1 at one prime.
+def t_coeff_rows(fam: HyperFamily, ctx: PrimeCtx) -> list[np.ndarray | None]:
+    """Values over x = 0..p-1 of each T-coefficient of F mod p.
 
-    F is reduced mod p once; each nonzero coefficient of T^j becomes one row
-    of values over x, and the dense engine sums over (t, x).
+    F is reduced mod p once; ``rows[j]`` is the int64 row of the coefficient
+    of T^j, or None when it vanishes mod p, so len(rows) - 1 is deg_T of the
+    reduced F (or 0 when F vanishes).  Refuses a bad prime and p >= 2^26
+    before anything of length p is allocated.
     """
     _check_prime(fam, ctx)
     p = ctx.p
@@ -107,7 +109,15 @@ def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
     rows = [None] * (max(Fbar.deg_t, 0) + 1)
     for j in {j for _, j in Fbar.terms}:
         rows[j] = _kernels.horner_vec(Fbar.t_coeff(j).coeffs, xs, p)
-    return _kernels.trace_row_vec(rows, ctx)
+    return rows
+
+
+def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
+    """Traces of every specialization t = 0..p-1 at one prime.
+
+    The dense engine sums chi over (t, x) from the T-coefficient rows.
+    """
+    return _kernels.trace_row_vec(t_coeff_rows(fam, ctx), ctx)
 
 
 def hasse_weil_bound(genus: int, p: int) -> int:

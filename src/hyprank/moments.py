@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-from ._kernels import check_dense
-from .curves import HyperFamily, trace_row
+from ._kernels import check_dense, first_sum_vec
+from .curves import HyperFamily, t_coeff_rows, trace_row
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (
     BiPoly,
@@ -81,9 +81,19 @@ class NagaoEstimate:
 
 
 def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
-    """p * A_r(p) = sum of a_t^r over the full period, exact."""
+    """p * A_r(p) = sum of a_t^r over the full period, exact.
+
+    The kernel follows from the shape of F mod p: for r = 1 and deg_T <= 2
+    the sums over t and x are swapped (``first_sum_vec``, O(p)); every other
+    case sums the dense trace row (O(p^2)).
+    """
     if r < 1:
         raise ValueError("moment order must be >= 1")
+    if r == 1:
+        rows = t_coeff_rows(fam, ctx)
+        if len(rows) <= 3:
+            return first_sum_vec(rows, ctx)
+        # trace_row rebuilds the O(p) rows; the O(p^2) grid dominates.
     return sum(a**r for a in trace_row(fam, ctx))
 
 
@@ -249,10 +259,12 @@ def nagao_sum(
 ) -> NagaoEstimate:
     """Partial Nagao sums over [lo, hi] under both normalizations.
 
-    By default -A_1(p) is computed exactly from the trace rows.  When
-    ``predictor`` is given it must return the closed-form -p * A_1(p) (and
-    may raise NonGenericPrime to exclude a prime); this is the cheap path
-    for large cutoffs where the O(p^2) brute force is out of reach.
+    By default -A_1(p) is computed exactly by ``power_sum``: O(p) per
+    prime when deg_T F <= 2 (shift_square, linear_twist, big_rank), and
+    O(p^2) from the dense trace row otherwise.  When ``predictor`` is given
+    it must return the closed-form -p * A_1(p) (and may raise
+    NonGenericPrime to exclude a prime); it skips the exact sum, which
+    matters for large cutoffs and for families with deg_T F >= 3.
     """
     all_primes = primes_in(PrimeRange(prange.lo, prange.hi))
     skipped = [p for p in all_primes if p in prange.skip or p in fam.bad_primes]

@@ -38,6 +38,15 @@ def test_moments_empty_range_ok(capsys):
     assert out.strip() == "p,r,p_times_A_numer,predicted,generic_flag"
 
 
+@pytest.mark.parametrize("bounds", [("--pmax", "50"), ("--pmin", "10", "--pmax", "5")])
+def test_moments_rejects_order_below_one(capsys, bounds):
+    code = main(["moments", "--family", "builtin:shift_square", "--f", F3, "--r", "0", *bounds])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: moment order must be >= 1\n"
+
+
 def test_moments_malformed_polynomial(capsys):
     code, _ = run(
         capsys, "moments", "--family", "builtin:shift_square", "--f", "(x-1",

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hyprank.curves import HyperFamily, hasse_weil_bound, trace_of_poly, trace_row
+from hyprank._kernels import first_sum_vec
+from hyprank.curves import HyperFamily, hasse_weil_bound, t_coeff_rows, trace_of_poly, trace_row
 from hyprank.finite_field import PrimeCtx, _small_primes
 from hyprank.polynomials import BiPoly, mod_gcd, parse_bipoly, reduce_mod
 
@@ -170,6 +171,59 @@ def test_trace_row_matches_euler_enumeration(genus, lower, lead_t, scale, p):
     except ValueError:
         assume(False)
     assert trace_row(fam, PrimeCtx(p)) == euler_trace_row(F, p)
+
+
+QUAD_PRIMES = [p for p in _small_primes(61) if p > 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    genus=st.integers(1, 2),
+    lower=st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 2)),
+        st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100)),
+        max_size=6,
+    ),
+    lead_t=st.integers(0, 2),
+    scale=st.sampled_from(["one", "p", "huge"]),
+    drop_t2=st.booleans(),
+    p=st.sampled_from(QUAD_PRIMES),
+)
+# a = b = 0 at x = 1: F = x^3 + (x - 1) T^2 + (x - 1) T + 2
+@example(genus=1, lower={(1, 2): 1, (0, 2): -1, (1, 1): 1, (0, 1): -1, (0, 0): 2},
+         lead_t=0, scale="one", drop_t2=False, p=5)
+# a = 0 at x = 0 with b != 0 there: F = x^3 + x T^2 + T + 1
+@example(genus=1, lower={(1, 2): 1, (0, 1): 1, (0, 0): 1}, lead_t=0, scale="one",
+         drop_t2=False, p=7)
+# the T^2 coefficient is divisible by p, so deg_T drops to 1 mod p
+@example(genus=2, lower={(2, 2): 3, (0, 2): 1, (1, 1): 2, (0, 0): -1}, lead_t=0,
+         scale="one", drop_t2=True, p=11)
+@example(genus=2, lower={(4, 1): 5, (0, 2): 1, (0, 0): 3}, lead_t=2, scale="p",
+         drop_t2=False, p=13)
+@example(genus=1, lower={(2, 1): -(2**100), (0, 2): 2**99 + 1}, lead_t=1, scale="huge",
+         drop_t2=False, p=61)
+def test_first_sum_vec_matches_dense_and_euler(genus, lower, lead_t, scale, drop_t2, p):
+    n = 2 * genus + 1
+    terms = {(i, j): c for (i, j), c in lower.items() if i < n}
+    terms[(n, lead_t)] = 1
+    if drop_t2:
+        terms = {(i, j): c * p if j == 2 else c for (i, j), c in terms.items()}
+    s = {"one": 1, "p": p, "huge": 3**70 * p + 1}[scale]  # "p": F = 0 mod p
+    F = BiPoly({k: s * c for k, c in terms.items()})
+    try:
+        fam = HyperFamily("q", genus, F)
+    except ValueError:
+        assume(False)
+    ctx = PrimeCtx(p)
+    swapped = first_sum_vec(t_coeff_rows(fam, ctx), ctx)
+    assert swapped == sum(trace_row(fam, ctx)) == sum(euler_trace_row(F, p))
+
+
+def test_first_sum_vec_refuses_cubic_rows():
+    fam = fam_of("x^3 + x*T^3 + 1", 1)
+    ctx = PrimeCtx(5)
+    with pytest.raises(ValueError, match="deg_T F <= 2"):
+        first_sum_vec(t_coeff_rows(fam, ctx), ctx)
 
 
 def test_trace_row_refuses_many_rows():

@@ -1,7 +1,8 @@
 import pytest
 
+from hyprank import moments
 from hyprank.construction import RootData, build_family
-from hyprank.curves import HyperFamily
+from hyprank.curves import HyperFamily, trace_row
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import (
     NonGenericPrime,
@@ -85,6 +86,52 @@ def test_prediction_matches_brute_force_all_generic_primes(bf_kind):
         except NonGenericPrime:
             continue
         assert -power_sum(bf.fam, 1, ctx) == predicted, f"p = {p}"
+
+
+def test_first_moment_closed_forms_hold_to_1e4():
+    rank10 = make_big_rank(build_family(RootData(2, tuple(range(1, 11)))))
+    for bf in (make_shift_square(F7), make_linear_twist(F7), rank10):
+        series = moment_series(bf, 1, PrimeRange(3, 10**4))
+        generic = [row for row in series.rows if row.generic]
+        assert len(generic) >= len(series.rows) - 5, bf.kind
+        bad = [row.p for row in generic if row.match is not True]
+        assert bad == [], f"{bf.kind}: {bad}"
+
+
+@pytest.mark.parametrize("p", [1009, 10007])
+def test_swapped_first_sum_equals_dense_sum(p):
+    ctx = PrimeCtx(p)
+    rank10 = make_big_rank(build_family(RootData(2, tuple(range(1, 11)))))
+    for bf in (make_shift_square(F3), make_linear_twist(F3), rank10, make_power(5, 1, 2)):
+        assert power_sum(bf.fam, 1, ctx) == sum(trace_row(bf.fam, ctx)), bf.kind
+
+
+def test_power_sum_picks_kernel_from_shape(monkeypatch):
+    seen = []
+    dense, rows = moments.trace_row, moments.t_coeff_rows
+    monkeypatch.setattr(moments, "trace_row",
+                        lambda fam, ctx: seen.append(("dense", fam.label)) or dense(fam, ctx))
+    monkeypatch.setattr(moments, "t_coeff_rows",
+                        lambda fam, ctx: seen.append(("rows", fam.label)) or rows(fam, ctx))
+    quad = HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1"))
+    cubic = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
+    drops = HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + T^2 + 1"))
+    for fam, r, p, want in [
+        (quad, 1, 101, []),
+        (quad, 2, 101, [("dense", "quad")]),
+        (cubic, 1, 101, [("dense", "cubic")]),
+        (drops, 1, 7, []),  # deg_T = 2 mod 7
+        (drops, 1, 11, [("dense", "drops")]),
+    ]:
+        seen.clear()
+        ctx = PrimeCtx(p)
+        value = power_sum(fam, r, ctx)
+        assert [s for s in seen if s[0] == "dense"] == want, (fam.label, r, p)
+        assert value == sum(a**r for a in dense(fam, ctx))
+    seen.clear()
+    with pytest.raises(ValueError, match="moment order must be >= 1"):
+        power_sum(quad, 0, PrimeCtx(101))
+    assert seen == []
 
 
 def test_moment_invariant_under_parameter_shift():
