@@ -30,7 +30,6 @@ from .finite_field import (
     quadratic_char_sum,
 )
 from .moments import (
-    BuiltinFamily,
     MomentRow,
     MomentSeries,
     NagaoEstimate,

@@ -16,7 +16,6 @@ from ._kernels import check_dense
 from .construction import InternalCheckError, RootData, build_family, to_monic_model
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .moments import (
-    BuiltinFamily,
     make_big_rank,
     make_linear_twist,
     make_power,
@@ -70,19 +69,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pmax_default=None, pmax_required=False):
+    def common(p, pmax_default=None, pmax_required=False,
+               jobs_help="worker processes (>= 1, capped at the CPU count)"):
         p.add_argument("--pmin", type=int, default=3, help="lower prime bound (default 3)")
         p.add_argument(
             "--pmax", type=int, default=pmax_default, required=pmax_required,
             help="upper prime bound (inclusive)",
         )
         p.add_argument("--skip", default="", help="comma-separated primes to exclude")
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker processes (>= 1, capped at the CPU count)",
-        )
+        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default stdout)")
+
+    serial_jobs = "must be >= 1; this scan runs in one process"
 
     def family_opts(p):
         p.add_argument(
@@ -126,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bias", action="store_true", help="closed-form bias report only")
-    common(p, pmax_required=True)
+    common(p, pmax_required=True, jobs_help=serial_jobs)
     p.set_defaults(func=cmd_second_moment)
 
     p = sub.add_parser("verify-lemmas", help="closed forms vs exhaustive enumeration")
@@ -138,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sn-witness", help="symmetric-group certificate scan")
     p.add_argument("--f", required=True, help="squarefree polynomial in x")
-    common(p, pmax_default=200)
+    common(p, pmax_default=200, jobs_help=serial_jobs)
     p.set_defaults(func=cmd_sn_witness)
 
     return parser
@@ -176,7 +175,7 @@ def parse_roots(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _resolve_family(args) -> BuiltinFamily:
+def _resolve_family(args) -> HyperFamily:
     sources = [s for s in (args.family, args.family_expr) if s]
     if len(sources) != 1:
         raise ValueError("exactly one family source is required (--family or --family-expr)")
@@ -184,8 +183,7 @@ def _resolve_family(args) -> BuiltinFamily:
         if args.genus is None:
             raise ValueError("--family-expr requires --genus")
         F = parse_bipoly(args.family_expr)
-        fam = HyperFamily(args.label or args.family_expr, args.genus, F)
-        return BuiltinFamily("custom", fam)
+        return HyperFamily(args.label or args.family_expr, args.genus, F)
     source = args.family
     if source.startswith("builtin:"):
         kind = source[len("builtin:"):]
@@ -208,8 +206,7 @@ def _resolve_family(args) -> BuiltinFamily:
             return make_power(n, h, k, label=args.label)
         raise ValueError(f"unknown builtin family {kind!r}")
     with open(source, encoding="utf-8") as fh:
-        fam = HyperFamily.from_json(json.load(fh))
-    return BuiltinFamily("custom", fam)
+        return HyperFamily.from_json(json.load(fh))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -231,13 +228,13 @@ def _dump(obj) -> str:
 def cmd_moments(args) -> int:
     if args.r < 1:
         raise ValueError("moment order must be >= 1")
-    bf = _resolve_family(args)
+    fam = _resolve_family(args)
     prange = _prime_range(args)
     header = "p,r,p_times_A_numer,predicted,generic_flag"
     if prange is None:
-        _emit(header + "\n" if args.format == "csv" else _dump({"label": bf.fam.label, "r": args.r, "rows": []}), args.out)
+        _emit(header + "\n" if args.format == "csv" else _dump({"label": fam.label, "r": args.r, "rows": []}), args.out)
         return 0
-    series = moment_series(bf, args.r, prange, jobs=args.jobs)
+    series = moment_series(fam, args.r, prange, jobs=args.jobs)
     if args.format == "csv":
         lines = [header]
         for row in series.rows:
@@ -264,18 +261,15 @@ def cmd_moments(args) -> int:
 
 
 def cmd_nagao(args) -> int:
-    bf = _resolve_family(args)
+    fam = _resolve_family(args)
     if args.pmax is None or args.pmax < 3:
         raise RangeConfigError(f"nagao needs --pmax >= 3, got {args.pmax}")
     prange = _prime_range(args)
     if prange is None:
         raise RangeConfigError("empty prime range for the Nagao sum")
-    predictor = None
-    if args.predicted:
-        if bf.kind not in ("shift_square", "linear_twist", "big_rank"):
-            raise RangeConfigError(f"family kind {bf.kind!r} has no closed-form predictor")
-        predictor = lambda p: bf.predict(PrimeCtx(p))  # noqa: E731
-    est = nagao_sum(bf.fam, prange, jobs=args.jobs, predictor=predictor)
+    if args.predicted and fam.closed_form is None:
+        raise RangeConfigError(f"family {fam.label!r} has no closed-form predictor")
+    est = nagao_sum(fam, prange, jobs=args.jobs, predicted=args.predicted)
     if args.format == "csv":
         text = "P,s_theta,s_pi,n_primes,skipped\n" + (
             f"{est.P},{est.s_theta!r},{est.s_pi!r},{est.n_primes},"

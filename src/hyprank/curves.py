@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import _kernels
 from .finite_field import PrimeCtx
-from .polynomials import BiPoly, IntPoly, rat_gcd, reduce_mod
+from .polynomials import BiPoly, IntPoly, reduce_mod, squarefree_over_q
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,12 +25,18 @@ class HyperFamily:
     Invariants checked at construction: deg_x F = 2g+1 and the generic
     fiber is squarefree (so the family is a genuine curve over Q(T), not a
     square times something smaller).
+
+    ``closed_form``, when the family has one, returns -p * A_1(p) at a
+    prime and may raise ``moments.NonGenericPrime``; only the maker that
+    builds a family knows it, and it must pickle for process-pool scans.
+    JSON does not carry it.
     """
 
     label: str
     genus: int
     F: BiPoly
     bad_primes: frozenset[int] = field(default_factory=frozenset)
+    closed_form: Optional[Callable[[PrimeCtx], int]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "bad_primes", frozenset(self.bad_primes))
@@ -53,12 +60,14 @@ class HyperFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HyperFamily":
-        return cls(
-            label=str(obj["label"]),
-            genus=int(obj["genus"]),
-            F=BiPoly.from_json(obj["F"]),
-            bad_primes=frozenset(int(p) for p in obj.get("bad_primes", [])),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError(f"family JSON must be an object, not {type(obj).__name__}")
+        try:
+            label, genus = str(obj["label"]), int(obj["genus"])
+            bad_primes = frozenset(int(p) for p in obj.get("bad_primes", []))
+        except TypeError as exc:
+            raise ValueError(f"bad family JSON: {exc}") from None
+        return cls(label, genus, BiPoly.from_json(obj["F"]), bad_primes)
 
 
 def _generic_fiber_squarefree(F: BiPoly) -> bool:
@@ -74,9 +83,7 @@ def _generic_fiber_squarefree(F: BiPoly) -> bool:
     bound = (2 * n - 1) * m + m + 1
     for t in range(bound + 1):
         ft = F.specialize_t(t)
-        if ft.degree != n:
-            continue
-        if rat_gcd(ft.to_rat(), ft.derivative().to_rat()).degree == 0:
+        if ft.degree == n and squarefree_over_q(ft):
             return True
     return False
 

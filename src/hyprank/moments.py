@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from ._kernels import check_dense, first_sum_vec
 from .curves import HyperFamily, t_coeff_rows, trace_row
@@ -102,34 +102,42 @@ def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
     return Fraction(power_sum(fam, r, ctx), ctx.p)
 
 
-def predict_first_moment(fam_kind: str, params, ctx: PrimeCtx) -> int:
-    """Closed-form value of -p * A_1(p) for the built-in family kinds.
+def predict_first_moment(fam: HyperFamily, ctx: PrimeCtx) -> int:
+    """Closed-form value of -p * A_1(p), from the family's own closed form.
 
-    shift_square  y^2 = f(x) + T^2      ->  (L_f - 1) * p
-    linear_twist  y^2 = f(x) * T + 1    ->  L_f * p
-    big_rank      quadratic-in-T model  ->  (4g + 2) * p
-
-    with L_f the number of distinct roots of f mod p.  Raises
-    NonGenericPrime when the stated genericity conditions fail (callers
-    scanning prime ranges should skip such primes).
+    Raises ValueError when the family has none, and NonGenericPrime when its
+    genericity conditions fail at p (callers scanning prime ranges should
+    skip such primes).
     """
+    if fam.closed_form is None:
+        raise ValueError(f"family {fam.label!r} has no closed-form predictor")
+    return fam.closed_form(ctx)
+
+
+def _shift_square_law(f: IntPoly, ctx: PrimeCtx) -> int:
+    """y^2 = f(x) + T^2:  -p * A_1(p) = (L_f - 1) * p, L_f = #roots of f mod p."""
+    _require_squarefree_mod_p(f, ctx)
+    return (root_count_mod(f, ctx) - 1) * ctx.p
+
+
+def _linear_twist_law(f: IntPoly, ctx: PrimeCtx) -> int:
+    """y^2 = f(x) * T + 1:  -p * A_1(p) = L_f * p."""
     p = ctx.p
-    if fam_kind == "shift_square":
-        _require_squarefree_mod_p(params, ctx)
-        return (root_count_mod(params, ctx) - 1) * p
-    if fam_kind == "linear_twist":
-        if params.lead % p == 0:
-            raise NonGenericPrime(f"p = {p} divides the leading coefficient")
-        _require_squarefree_mod_p(params, ctx)
-        return root_count_mod(params, ctx) * p
-    if fam_kind == "big_rank":
-        if params.L % p == 0 or params.A % p == 0:
-            raise NonGenericPrime(f"p = {p} divides the scaling data")
-        squares = {r * r % p for r in params.rho}
-        if len(squares) != len(params.rho):
-            raise NonGenericPrime(f"prescribed roots collide mod {p}")
-        return (4 * params.genus + 2) * p
-    raise ValueError(f"unknown family kind {fam_kind!r}")
+    if f.lead % p == 0:
+        raise NonGenericPrime(f"p = {p} divides the leading coefficient")
+    _require_squarefree_mod_p(f, ctx)
+    return root_count_mod(f, ctx) * p
+
+
+def _big_rank_law(cr, ctx: PrimeCtx) -> int:
+    """The quadratic-in-T rank construction:  -p * A_1(p) = (4g + 2) * p."""
+    p = ctx.p
+    if cr.L % p == 0 or cr.A % p == 0:
+        raise NonGenericPrime(f"p = {p} divides the scaling data")
+    squares = {r * r % p for r in cr.rho}
+    if len(squares) != len(cr.rho):
+        raise NonGenericPrime(f"prescribed roots collide mod {p}")
+    return (4 * cr.genus + 2) * p
 
 
 def _require_squarefree_mod_p(f: IntPoly, ctx: PrimeCtx) -> None:
@@ -140,54 +148,33 @@ def _require_squarefree_mod_p(f: IntPoly, ctx: PrimeCtx) -> None:
         raise NonGenericPrime(f"f is not squarefree mod {ctx.p}")
 
 
-@dataclass(frozen=True, eq=False)
-class BuiltinFamily:
-    """A family plus the data needed for its closed-form prediction."""
-
-    kind: str
-    fam: HyperFamily
-    f: Optional[IntPoly] = None
-    construction: object = None
-    power: Optional[tuple[int, int, int]] = None
-
-    def predict(self, ctx: PrimeCtx) -> Optional[int]:
-        """-p * A_1 prediction, or None when the kind has no closed form."""
-        if self.kind in ("shift_square", "linear_twist"):
-            return predict_first_moment(self.kind, self.f, ctx)
-        if self.kind == "big_rank":
-            return predict_first_moment(self.kind, self.construction, ctx)
-        return None
-
-
-def make_shift_square(f: IntPoly, label: str | None = None) -> BuiltinFamily:
+def make_shift_square(f: IntPoly, label: str | None = None) -> HyperFamily:
     """y^2 = f(x) + T^2 with deg f = 2g+1."""
     g = _genus_from_degree(f)
     F = BiPoly.from_x_poly(f) + BiPoly.term(1, 0, 2)
-    fam = HyperFamily(label or f"shift_square({f})", g, F)
-    return BuiltinFamily("shift_square", fam, f=f)
+    return HyperFamily(label or f"shift_square({f})", g, F,
+                       closed_form=partial(_shift_square_law, f))
 
 
-def make_linear_twist(f: IntPoly, label: str | None = None) -> BuiltinFamily:
+def make_linear_twist(f: IntPoly, label: str | None = None) -> HyperFamily:
     """y^2 = f(x) * T + 1 with deg f = 2g+1."""
     g = _genus_from_degree(f)
     F = BiPoly.from_x_poly(f, t_power=1) + BiPoly.const(1)
-    fam = HyperFamily(label or f"linear_twist({f})", g, F)
-    return BuiltinFamily("linear_twist", fam, f=f)
+    return HyperFamily(label or f"linear_twist({f})", g, F,
+                       closed_form=partial(_linear_twist_law, f))
 
 
-def make_power(n: int, h: int, k: int, label: str | None = None) -> BuiltinFamily:
+def make_power(n: int, h: int, k: int, label: str | None = None) -> HyperFamily:
     """y^2 = x^n + x^h T^k; only smooth shapes (h <= 1) form a valid family."""
     F = BiPoly.term(1, n, 0) + BiPoly.term(1, h, k)
-    fam = HyperFamily(label or f"power({n},{h},{k})", (n - 1) // 2, F)
-    return BuiltinFamily("power", fam, power=(n, h, k))
+    return HyperFamily(label or f"power({n},{h},{k})", (n - 1) // 2, F)
 
 
-def make_big_rank(construction, label: str | None = None) -> BuiltinFamily:
-    """Wrap a finished quadratic-in-T construction for moment scans."""
+def make_big_rank(construction, label: str | None = None) -> HyperFamily:
+    """A finished quadratic-in-T construction's family, with its first-moment law."""
     fam = construction.family
-    if label is not None:
-        fam = HyperFamily(label, fam.genus, fam.F, fam.bad_primes)
-    return BuiltinFamily("big_rank", fam, construction=construction)
+    return HyperFamily(fam.label if label is None else label, fam.genus, fam.F,
+                       fam.bad_primes, closed_form=partial(_big_rank_law, construction))
 
 
 def _genus_from_degree(f: IntPoly) -> int:
@@ -222,28 +209,28 @@ def _power_sums(fam, r, primes, jobs) -> dict[int, int]:
 
 
 def moment_series(
-    source: BuiltinFamily | HyperFamily,
+    fam: HyperFamily,
     r: int,
     prange: PrimeRange,
     jobs: int = 1,
 ) -> MomentSeries:
-    """Exact per-prime moments with closed-form predictions where defined.
+    """Exact per-prime moments, with closed-form predictions for r = 1
+    when the family has a closed form.
 
     Rows are emitted for every computed prime, ordered by p; non-generic
     primes keep their exact value with the generic flag cleared.
     """
-    bf = source if isinstance(source, BuiltinFamily) else BuiltinFamily("custom", source)
-    fam = bf.fam
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
     sums = _power_sums(fam, r, primes, jobs)
+    predicts = r == 1 and fam.closed_form is not None
     rows = []
     for p in primes:
         value = Fraction(sums[p], p)
         predicted = None
         generic = None
-        if r == 1 and bf.kind in ("shift_square", "linear_twist", "big_rank"):
+        if predicts:
             try:
-                predicted = Fraction(-bf.predict(PrimeCtx(p)), p)
+                predicted = Fraction(-predict_first_moment(fam, PrimeCtx(p)), p)
                 generic = True
             except NonGenericPrime:
                 generic = False
@@ -255,26 +242,27 @@ def nagao_sum(
     fam: HyperFamily,
     prange: PrimeRange,
     jobs: int = 1,
-    predictor: Optional[Callable[[int], int]] = None,
+    predicted: bool = False,
 ) -> NagaoEstimate:
     """Partial Nagao sums over [lo, hi] under both normalizations.
 
     By default -A_1(p) is computed exactly by ``power_sum``: O(p) per
     prime when deg_T F <= 2 (shift_square, linear_twist, big_rank), and
-    O(p^2) from the dense trace row otherwise.  When ``predictor`` is given
-    it must return the closed-form -p * A_1(p) (and may raise
-    NonGenericPrime to exclude a prime); it skips the exact sum, which
-    matters for large cutoffs and for families with deg_T F >= 3.
+    O(p^2) from the dense trace row otherwise.  With ``predicted`` it comes
+    from the family's closed form instead (``predict_first_moment``, which
+    raises ValueError for a family without one); primes where that raises
+    NonGenericPrime are skipped.  This skips the exact sum, which matters
+    for large cutoffs.
     """
     all_primes = primes_in(PrimeRange(prange.lo, prange.hi))
     skipped = [p for p in all_primes if p in prange.skip or p in fam.bad_primes]
     primes = [p for p in all_primes if p not in prange.skip and p not in fam.bad_primes]
 
     values: list[tuple[int, Fraction]] = []
-    if predictor is not None:
+    if predicted:
         for p in primes:
             try:
-                values.append((p, Fraction(predictor(p), p)))
+                values.append((p, Fraction(predict_first_moment(fam, PrimeCtx(p)), p)))
             except NonGenericPrime:
                 skipped.append(p)
     else:

@@ -171,32 +171,6 @@ class IntPoly(_DensePoly):
             e >>= 1
         return out
 
-    def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact quotient; raises ValueError on any nonzero remainder."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.lead
-        if len(rem) - 1 < d:
-            if any(rem):
-                raise ValueError("inexact polynomial division")
-            return IntPoly.zero()
-        out = [0] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise ValueError("inexact polynomial division")
-            out[i - d] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] -= q * oc
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return IntPoly(out)
-
     def to_rat(self) -> "RatPoly":
         return RatPoly([Fraction(c) for c in self.coeffs])
 
@@ -270,9 +244,11 @@ class BiPoly:
     def __init__(self, terms=None):
         tidy = {}
         for (i, j), c in dict(terms or {}).items():
-            c = int(c)
+            i, j, c = int(i), int(j), int(c)
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in x^{i}*T^{j}")
             if c:
-                tidy[(int(i), int(j))] = c
+                tidy[(i, j)] = c
         self.terms = tidy
 
     @classmethod

@@ -18,6 +18,7 @@ from hyprank.moments import (
     make_shift_square,
     nagao_sum,
     power_sum,
+    predict_first_moment,
 )
 from hyprank.oracles import run_lemma_suites
 from hyprank.polynomials import IntPoly, root_count_mod
@@ -70,10 +71,10 @@ def test_criterion_2_first_moment_closed_forms():
         ctx = PrimeCtx(p)
         L = root_count_mod(F7, ctx)
         # all primes in range are generic for this split f
-        assert shift.predict(ctx) == (L - 1) * p
-        assert twist.predict(ctx) == L * p
-        assert -power_sum(shift.fam, 1, ctx) == (L - 1) * p, f"shift_square p={p}"
-        assert -power_sum(twist.fam, 1, ctx) == L * p, f"linear_twist p={p}"
+        assert predict_first_moment(shift, ctx) == (L - 1) * p
+        assert predict_first_moment(twist, ctx) == L * p
+        assert -power_sum(shift, 1, ctx) == (L - 1) * p, f"shift_square p={p}"
+        assert -power_sum(twist, 1, ctx) == L * p, f"linear_twist p={p}"
     _report(2, f"-p*A1 = (L_f-1)p and L_f*p exactly at all {len(primes)} primes in [11,500]")
 
 
@@ -102,12 +103,12 @@ def test_criterion_4_construction_identities():
         for x, y in cr.points:
             assert y * y == cr.F.specialize_x(x)
         # (d) first-moment law at the first 10 generic primes
-        bf = make_big_rank(cr)
+        fam = make_big_rank(cr)
         hits = 0
         for p in primes_in(PrimeRange(3, 10000)):
             ctx = PrimeCtx(p)
             try:
-                predicted = bf.predict(ctx)
+                predicted = predict_first_moment(fam, ctx)
             except NonGenericPrime:
                 continue
             assert predicted == (4 * genus + 2) * p
@@ -152,14 +153,10 @@ def test_criterion_6_bias():
 
 
 def test_criterion_7_nagao_convergence():
-    bf = make_shift_square(IntPoly.from_roots([1, 2, 3]))
-    predicted = nagao_sum(
-        bf.fam,
-        PrimeRange(3, 10**5),
-        predictor=lambda p: bf.predict(PrimeCtx(p)),
-    )
+    fam = make_shift_square(IntPoly.from_roots([1, 2, 3]))
+    predicted = nagao_sum(fam, PrimeRange(3, 10**5), predicted=True)
     assert 1.94 <= predicted.s_theta <= 2.06, predicted.s_theta
-    brute = nagao_sum(bf.fam, PrimeRange(3, 3000), jobs=JOBS)
+    brute = nagao_sum(fam, PrimeRange(3, 3000), jobs=JOBS)
     assert abs(brute.s_theta - 2.0) <= 0.2, brute.s_theta
     _report(7, f"s_theta = {predicted.s_theta:.4f} at P=1e5 (predicted series); "
                f"brute-force s_theta = {brute.s_theta:.4f} at P=3000")

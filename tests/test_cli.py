@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -107,12 +108,20 @@ def test_nagao_json_and_range_error(capsys):
     assert code == 3
 
 
-def test_nagao_predicted_requires_closed_form(capsys):
-    code, _ = run(
-        capsys, "nagao", "--family", "builtin:power:3,0,1",
-        "--pmax", "100", "--predicted",
-    )
-    assert code == 3
+def test_nagao_predicted_requires_closed_form(tmp_path, capsys):
+    fam_file = tmp_path / "fam.json"
+    assert run(capsys, "construct", "--genus", "1", "--roots", "1..6",
+               "--out", str(fam_file))[0] == 0
+    for source, label in (
+        (("--family", "builtin:power:3,0,1"), "power(3,0,1)"),
+        (("--family-expr", "x^3 + T", "--genus", "1"), "x^3 + T"),
+        (("--family", str(fam_file)), "rank6_genus1"),  # JSON carries no closed form
+    ):
+        code = main(["nagao", *source, "--pmax", "100", "--predicted"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: family '{label}' has no closed-form predictor\n"
 
 
 def test_nagao_predicted_converges_at_desk_scale(capsys):
@@ -173,6 +182,27 @@ def test_family_file_round_trip(tmp_path, capsys):
     for line in lines:
         p, _, pa, _, _ = line.split(",")
         assert int(pa) == -6 * int(p)  # rank-6 family law
+
+
+@pytest.mark.parametrize("family, message", [
+    ("builtin:power:3,1,-1", "negative exponent in x^1*T^-1"),
+    ({"label": "neg", "genus": 1,
+      "F": {"terms": [["1", 3, 0], ["1", 3, 1], ["1", 1, 0], ["1", -1, 1]]}},
+     "bad polynomial JSON: negative exponent in x^-1*T^1"),
+    ([1, 2], "family JSON must be an object, not list"),
+    ({"label": "x", "genus": 1, "F": {"terms": [["1", 3, 0], ["1", 0, 1]]}, "bad_primes": 5},
+     "bad family JSON: 'int' object is not iterable"),
+], ids=["negative_exponent", "json_negative_exponent", "json_not_object", "json_bad_primes"])
+def test_malformed_family_input_exits_2(tmp_path, capsys, family, message):
+    if not isinstance(family, str):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(family))
+        family = str(path)
+    code = main(["moments", "--family", family, "--r", "1", "--pmax", "20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_family_expr(capsys):
@@ -340,3 +370,55 @@ def test_output_byte_identical_across_runs(capsys):
     _, out1 = run(capsys, *argv)
     _, out2 = run(capsys, *argv)
     assert out1 == out2
+
+
+# sha256 of stdout, exit code and stderr of small fixed invocations of every
+# subcommand, recorded from the CLI before the family-type refactor; the one
+# intended change is the label-based message for --predicted without a closed
+# form.
+GOLDEN = [
+    (("moments", "--family", "builtin:shift_square", "--f", F3, "--r", "1", "--pmax", "50"),
+     "924af2b8a83ed765d63bcbd130d4a430d08f44ac1a9cf73d6ffaa46d0105cc83", 0, ""),
+    (("moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "2", "--pmax", "30",
+      "--format", "json"),
+     "2b5b0a0953cbe133978260a2e8436e2f119988265c4d66db1d72bab3265508b1", 0, ""),
+    (("moments", "--family", "builtin:big_rank", "--genus", "1", "--roots", "1..6",
+      "--r", "1", "--pmax", "80"),
+     "987c76be2534e4d1954152c3145bc9f745ae95b2e47bbb9770477a7d4a2587b4", 0, ""),
+    (("moments", "--family", "builtin:power:3,0,1", "--r", "2", "--pmax", "11", "--format", "json"),
+     "fd31ceee58d02723547ac512fddbd047ac21cf0faa0ff367bf208616e6196688", 0, ""),
+    (("moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "1", "--pmax", "40"),
+     "892328d00d7f3a16c8eb2cbb0aa8d8ded5ebca3521724cdab59ca8ea15561c7c", 0, ""),
+    (("nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "200"),
+     "d7c637c1748635f2c61a1ec5ff158dc5f4d684c1282dcfcca48513937e796c44", 0, ""),
+    (("nagao", "--family", "builtin:linear_twist", "--f", F3, "--pmax", "2000", "--predicted",
+      "--format", "json"),
+     "e0778a4e6846fcbd7ca97462dffa11b3ae783dcaa7a9f43e2920a48c9dd1df53", 0, ""),
+    (("nagao", "--family", "builtin:big_rank", "--genus", "1", "--roots", "1..6",
+      "--pmax", "1000", "--predicted"),
+     "0aeff0751ebf9c7e2e6d6f5be8af12cade4a4fd0bfdc7ecb0b3e9e9290dfd2a1", 0, ""),
+    (("nagao", "--family", "builtin:power:3,0,1", "--pmax", "100", "--predicted"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3,
+     "error: family 'power(3,0,1)' has no closed-form predictor\n"),
+    (("construct", "--genus", "1", "--roots", "1..6", "--emit-points", "--monic"),
+     "88d5872ab1a314fdb0091a2e62f9e9d7787c23242aa1191b729055d731897f3a", 0, ""),
+    (("second-moment", "--n", "3", "--h", "0", "--k", "1", "--pmax", "40"),
+     "d0226b2595497e029f7c42d958391fc2a5732b83886a46898976691ef4d7567f", 0,
+     "michel deviation (pA2 - p^2)/p^1.5: min=-5.3852 max=5.7540\n"),
+    (("second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"),
+     "8dfd59a8f34089b0850e7cd84dbb5f87cb8411fd35f1d584509808f3122869f4", 0,
+     "mean_c1 = -0.75 over 16 applicable primes\n"),
+    (("verify-lemmas", "--pmax", "20"),
+     "8c36296816659eefa7ce96057157be9c54f806ba21f5f03ed3afedd3b299dab1", 0, ""),
+    (("sn-witness", "--f", "x^3 + x + 1", "--pmax", "100", "--format", "json"),
+     "91840bf143c3e1c341e39006b9e4ee669d55837ad94db8d94f42aa04cc3acb0b", 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha256, exit_code, stderr", GOLDEN,
+                         ids=[" ".join(g[0][:3]) for g in GOLDEN])
+def test_golden_output(capsys, argv, stdout_sha256, exit_code, stderr):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (exit_code, stderr)
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256

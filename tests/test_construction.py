@@ -12,7 +12,7 @@ from hyprank.construction import (
     to_monic_model,
 )
 from hyprank.finite_field import PrimeCtx
-from hyprank.moments import NonGenericPrime, power_sum, predict_first_moment
+from hyprank.moments import NonGenericPrime, make_big_rank, power_sum, predict_first_moment
 from hyprank.polynomials import IntPoly, RatPoly, parse_bipoly
 
 PAPER_R = [
@@ -125,14 +125,14 @@ def test_signed_roots_round_trip():
 
 def test_first_moment_law_on_generic_primes():
     cr = build_family(RootData(1, (1, -2, 3, -4, 5, -6)))
-    fam = cr.family
+    fam = make_big_rank(cr)
     hits = 0
     p = 2
     while hits < 10:
         p = _next_prime(p)
         ctx = PrimeCtx(p)
         try:
-            predicted = predict_first_moment("big_rank", cr, ctx)
+            predicted = predict_first_moment(fam, ctx)
         except NonGenericPrime:
             continue
         assert -power_sum(fam, 1, ctx) == predicted == 6 * p

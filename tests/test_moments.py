@@ -30,80 +30,87 @@ def test_first_moment_vanishes_for_pure_shift():
 
 
 def test_moment_examples():
-    bf = make_shift_square(F3)
-    assert moment(bf.fam, 1, PrimeCtx(11)) == -2
-    bf2 = make_power(3, 0, 1)
-    assert moment(bf2.fam, 2, PrimeCtx(7)) == 12
+    assert moment(make_shift_square(F3), 1, PrimeCtx(11)) == -2
+    assert moment(make_power(3, 0, 1), 2, PrimeCtx(7)) == 12
 
 
 def test_moment_value_times_p_is_integral():
-    bf = make_shift_square(F3)
+    fam = make_shift_square(F3)
     for p in (5, 7, 11):
         for r in (1, 2, 3):
-            v = moment(bf.fam, r, PrimeCtx(p))
+            v = moment(fam, r, PrimeCtx(p))
             assert (v * p).denominator == 1
 
 
+def _rank6():
+    return make_big_rank(build_family(RootData(1, (1, 2, 3, 4, 5, 6))))
+
+
 def test_predict_first_moment_examples():
-    assert predict_first_moment("shift_square", F7, PrimeCtx(11)) == 66
-    assert predict_first_moment("linear_twist", F7, PrimeCtx(11)) == 77
+    assert predict_first_moment(make_shift_square(F7), PrimeCtx(11)) == 66
+    assert predict_first_moment(make_linear_twist(F7), PrimeCtx(11)) == 77
     cr = build_family(RootData(2, tuple(range(1, 11))))
-    assert predict_first_moment("big_rank", cr, PrimeCtx(103)) == 1030
-    with pytest.raises(ValueError):
-        predict_first_moment("nope", F7, PrimeCtx(11))
+    assert predict_first_moment(make_big_rank(cr), PrimeCtx(103)) == 1030
+
+
+def test_predict_first_moment_needs_a_closed_form():
+    cr = build_family(RootData(2, tuple(range(1, 11))))
+    for fam in (
+        make_power(3, 0, 1),
+        HyperFamily("x^3 + T", 1, parse_bipoly("x^3 + T")),
+        # JSON does not carry the closed form
+        HyperFamily.from_json(make_big_rank(cr).to_json()),
+    ):
+        with pytest.raises(ValueError, match="has no closed-form predictor"):
+            predict_first_moment(fam, PrimeCtx(103))
 
 
 def test_predict_signals_non_generic():
     f = IntPoly.from_roots([1, 2, 8])  # 8 = 1 mod 7: double root mod 7
     with pytest.raises(NonGenericPrime):
-        predict_first_moment("shift_square", f, PrimeCtx(7))
+        predict_first_moment(make_shift_square(f), PrimeCtx(7))
     g = 7 * IntPoly.x_power(3) + IntPoly((1, 1))
     with pytest.raises(NonGenericPrime):
-        predict_first_moment("linear_twist", g, PrimeCtx(7))
-    cr = build_family(RootData(1, (1, 2, 3, 4, 5, 6)))
+        predict_first_moment(make_linear_twist(g), PrimeCtx(7))
     with pytest.raises(NonGenericPrime):
         # 36 = 1 mod 5: squared roots collide
-        predict_first_moment("big_rank", cr, PrimeCtx(5))
+        predict_first_moment(_rank6(), PrimeCtx(5))
 
 
 @pytest.mark.parametrize(
-    "bf_kind",
-    ["shift_square", "linear_twist", "big_rank"],
+    "make",
+    [lambda: make_shift_square(F7), lambda: make_linear_twist(F7), _rank6],
+    ids=["shift_square", "linear_twist", "big_rank"],
 )
-def test_prediction_matches_brute_force_all_generic_primes(bf_kind):
-    if bf_kind == "shift_square":
-        bf = make_shift_square(F7)
-    elif bf_kind == "linear_twist":
-        bf = make_linear_twist(F7)
-    else:
-        bf = make_big_rank(build_family(RootData(1, (1, 2, 3, 4, 5, 6))))
+def test_prediction_matches_brute_force_all_generic_primes(make):
+    fam = make()
     for p in primes_in(PrimeRange(3, 200)):
-        if p in bf.fam.bad_primes:
+        if p in fam.bad_primes:
             continue
         ctx = PrimeCtx(p)
         try:
-            predicted = bf.predict(ctx)
+            predicted = predict_first_moment(fam, ctx)
         except NonGenericPrime:
             continue
-        assert -power_sum(bf.fam, 1, ctx) == predicted, f"p = {p}"
+        assert -power_sum(fam, 1, ctx) == predicted, f"p = {p}"
 
 
 def test_first_moment_closed_forms_hold_to_1e4():
     rank10 = make_big_rank(build_family(RootData(2, tuple(range(1, 11)))))
-    for bf in (make_shift_square(F7), make_linear_twist(F7), rank10):
-        series = moment_series(bf, 1, PrimeRange(3, 10**4))
+    for fam in (make_shift_square(F7), make_linear_twist(F7), rank10):
+        series = moment_series(fam, 1, PrimeRange(3, 10**4))
         generic = [row for row in series.rows if row.generic]
-        assert len(generic) >= len(series.rows) - 5, bf.kind
+        assert len(generic) >= len(series.rows) - 5, fam.label
         bad = [row.p for row in generic if row.match is not True]
-        assert bad == [], f"{bf.kind}: {bad}"
+        assert bad == [], f"{fam.label}: {bad}"
 
 
 @pytest.mark.parametrize("p", [1009, 10007])
 def test_swapped_first_sum_equals_dense_sum(p):
     ctx = PrimeCtx(p)
     rank10 = make_big_rank(build_family(RootData(2, tuple(range(1, 11)))))
-    for bf in (make_shift_square(F3), make_linear_twist(F3), rank10, make_power(5, 1, 2)):
-        assert power_sum(bf.fam, 1, ctx) == sum(trace_row(bf.fam, ctx)), bf.kind
+    for fam in (make_shift_square(F3), make_linear_twist(F3), rank10, make_power(5, 1, 2)):
+        assert power_sum(fam, 1, ctx) == sum(trace_row(fam, ctx)), fam.label
 
 
 def test_power_sum_picks_kernel_from_shape(monkeypatch):
@@ -144,8 +151,8 @@ def test_moment_invariant_under_parameter_shift():
 
 
 def test_moment_series_rows_and_flags():
-    bf = make_shift_square(IntPoly.from_roots([1, 2, 9]))  # 9 = 2 mod 7: collision at 7
-    series = moment_series(bf, 1, PrimeRange(3, 40))
+    fam = make_shift_square(IntPoly.from_roots([1, 2, 9]))  # 9 = 2 mod 7: collision at 7
+    series = moment_series(fam, 1, PrimeRange(3, 40))
     ps = [row.p for row in series.rows]
     assert ps == sorted(ps)
     by_p = {row.p: row for row in series.rows}
@@ -157,10 +164,12 @@ def test_moment_series_rows_and_flags():
 
 
 def test_moment_series_deterministic_across_workers():
-    bf = make_shift_square(F3)
-    s1 = moment_series(bf, 1, PrimeRange(3, 60), jobs=1)
-    s2 = moment_series(bf, 1, PrimeRange(3, 60), jobs=2)
-    assert s1 == s2
+    # jobs=2 pickles each family, closed form included, to the pool
+    for fam in (make_shift_square(F3), make_linear_twist(F3), _rank6()):
+        s1 = moment_series(fam, 1, PrimeRange(3, 60), jobs=1)
+        s2 = moment_series(fam, 1, PrimeRange(3, 60), jobs=2)
+        assert s1 == s2, fam.label
+        assert any(row.predicted is not None for row in s1.rows), fam.label
 
 
 def test_nagao_rank_zero_family_is_identically_zero():
@@ -180,21 +189,16 @@ def test_nagao_empty_range_and_skip_bookkeeping():
 
 
 def test_nagao_predictor_path_matches_brute_for_split_family():
-    bf = make_shift_square(F3)
+    fam = make_shift_square(F3)
     prange = PrimeRange(3, 300)
-    brute = nagao_sum(bf.fam, prange)
-    pred = nagao_sum(bf.fam, prange, predictor=lambda p: bf.predict(PrimeCtx(p)))
+    brute = nagao_sum(fam, prange)
+    pred = nagao_sum(fam, prange, predicted=True)
     assert brute.s_theta == pred.s_theta
     assert brute.s_pi == pred.s_pi == 2.0
 
 
 def test_nagao_normalizations_close_at_scale():
-    bf = make_shift_square(F3)
-    est = nagao_sum(
-        bf.fam,
-        PrimeRange(3, 100000),
-        predictor=lambda p: bf.predict(PrimeCtx(p)),
-    )
+    est = nagao_sum(make_shift_square(F3), PrimeRange(3, 100000), predicted=True)
     assert abs(est.s_theta - est.s_pi) / est.s_pi < 0.02
 
 

@@ -49,15 +49,6 @@ def test_from_roots_product_constant():
     assert f.lead == 1
 
 
-def test_exact_div():
-    f = (X - IntPoly.const(2)) * (X + IntPoly.const(5))
-    assert f.exact_div(X - IntPoly.const(2)) == X + IntPoly.const(5)
-    with pytest.raises(ValueError):
-        (X**2 + IntPoly.const(1)).exact_div(X - IntPoly.const(1))
-    with pytest.raises(ZeroDivisionError):
-        X.exact_div(IntPoly.zero())
-
-
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8))
 def test_from_roots_vanishes_at_roots(roots):
     f = IntPoly.from_roots(roots)
@@ -265,6 +256,16 @@ def test_bipoly_json_round_trip():
     assert F.to_json()["terms"] == [["9", 0, 0], ["-17", 0, 1], ["5", 3, 2]]
     with pytest.raises(PolyParseError):
         BiPoly.from_json({"terms": [["x", 0]]})
+    with pytest.raises(PolyParseError, match="negative exponent"):
+        BiPoly.from_json({"terms": [["1", 3, 0], ["1", -1, 1]]})
+
+
+def test_bipoly_rejects_negative_exponents():
+    for i, j in ((-1, 0), (0, -1), (3, -2)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            BiPoly({(i, j): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            BiPoly.term(0, i, j)
 
 
 def test_bipoly_coefficient_views():
