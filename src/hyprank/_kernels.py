@@ -1,23 +1,34 @@
 """The character-sum engines over the (t, x) grid and their vectorised helpers.
 
 Every exact trace and second moment in the package is a sum of chi(F(x, t))
-over the (t, x) grid.  :func:`trace_row_vec` is the one place that sum runs
-in O(p^2); :func:`first_sum_vec` gives its total over t in O(p) when F is at
-most quadratic in T.  Residues are int64 values in [0, p) with
-p < TABLE_LIMIT = 2^26.
+over the (t, x) grid.  Three kernels compute it, chosen by the caller from
+the shape of F mod p:
+
+- :func:`first_sum_vec` gives the total over t in O(p) when F is at most
+  quadratic in T (first moments);
+- :func:`correlation_row` gives every trace in O(p log p), by FFT, when
+  F = c(x) + g(x) W(T) mod p (all power families, shift_square, ...); it
+  returns None for any other shape;
+- :func:`trace_row_vec` gives every trace in O(p^2) for any F.  It is the
+  reference the other two are tested against.
+
+Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .finite_field import TABLE_LIMIT, PrimeCtx
+from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx
 
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
 
-# Nonzero T-coefficient rows the engine accepts; see trace_row_vec.
+# Nonzero T-coefficient rows the trace kernels accept; see trace_row_vec.
 MAX_ROWS = 1 << 11
+
+# Largest distance from an integer that a rounded FFT correlation may show.
+ROUND_TOL = 0.25
 
 
 def check_dense(p: int) -> None:
@@ -48,6 +59,21 @@ def powmod_vec(xs: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+def _nonzero_terms(t_coeff_rows) -> list[tuple[int, np.ndarray]]:
+    """The (j, row) pairs whose row is not None; refuses MAX_ROWS or more.
+
+    The bound is the dense kernel's int64 limit.  The correlation kernel
+    keeps it too, so the kernel chosen never decides whether rows are taken.
+    """
+    terms = [(j, row) for j, row in enumerate(t_coeff_rows) if row is not None]
+    if len(terms) >= MAX_ROWS:
+        raise ValueError(
+            f"{len(terms)} nonzero T-coefficient rows; the dense kernel is exact "
+            f"only below {MAX_ROWS}"
+        )
+    return terms
+
+
 def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
     """Traces -sum_x chi(F(x, t)) for all t = 0..p-1.
 
@@ -60,12 +86,7 @@ def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
     """
     p = ctx.p
     chi = ctx.chi
-    terms = [(j, row) for j, row in enumerate(t_coeff_rows) if row is not None]
-    if len(terms) >= MAX_ROWS:
-        raise ValueError(
-            f"{len(terms)} nonzero T-coefficient rows; the dense kernel is exact "
-            f"only below {MAX_ROWS}"
-        )
+    terms = _nonzero_terms(t_coeff_rows)
     if not terms:
         return [0] * p
     ts = np.arange(p, dtype=np.int64)
@@ -84,6 +105,70 @@ def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
         np.remainder(a, p, out=a)
         out[lo:hi] = chi[a].sum(axis=1, dtype=np.int64)
     return np.negative(out).tolist()
+
+
+def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> list[int] | None:
+    """The traces of :func:`trace_row_vec` in O(p log p), or None.
+
+    Applies when every row j >= 1 is lambda_j times one row g mod p, that is
+    F = c(x) + g(x) W(T) with W(T) = sum_j lambda_j T^j (including the case
+    with no such row, where every a_t is the same).  Then, with
+    K = sum_{g(x)=0} chi(c(x)) and, over the x with g(x) != 0,
+
+        H(v) = sum_{c(x)/g(x) = v} chi(g(x)),   C(w) = sum_v H(v) chi(v + w),
+
+    each trace is a_t = -K - C(W(t)).  C is the cyclic correlation of H with
+    chi, computed by real FFTs as the linear correlation of H with two
+    periods of chi, zero-padded to the power of two >= 2p - 1 (a prime
+    length would need the slower Bluestein transform).  The entries of C are
+    integers of size at most p: the float result is rounded, and
+    InternalCheckError is raised unless it lies within ROUND_TOL of an
+    integer everywhere and the rounded C sums to 0 (sum_w chi(v + w) = 0).
+
+    The rows are laid out as for :func:`trace_row_vec`.  The proportionality
+    test is exact in int64 (lambda_j * g < p^2 < 2^52).
+    """
+    p = ctx.p
+    chi = ctx.chi
+    terms = _nonzero_terms(t_coeff_rows)
+    c = terms[0][1] if terms and terms[0][0] == 0 else np.zeros(p, dtype=np.int64)
+    g = None
+    lam = [0] * len(t_coeff_rows)
+    for j, row in terms:
+        if j == 0:
+            continue
+        if g is None:
+            nz = np.flatnonzero(row)
+            if not len(nz):
+                continue  # a nonzero polynomial can vanish at every x, e.g. x^p - x
+            g, x0 = row, int(nz[0])
+            g0_inv = pow(int(g[x0]), p - 2, p)
+        lam[j] = int(row[x0]) * g0_inv % p
+        if np.any((row - lam[j] * g) % p):
+            return None
+    if g is None:
+        return [-int(chi[c].sum(dtype=np.int64))] * p
+    from numpy.fft import irfft, rfft  # deferred: keeps `import hyprank` light
+
+    on = g != 0
+    K = int(chi[c[~on]].sum(dtype=np.int64))
+    gs = g[on]
+    ratio = c[on] * powmod_vec(gs, p - 2, p) % p
+    hist = np.bincount(ratio, weights=chi[gs], minlength=p)
+    n = 1 << (2 * p - 2).bit_length()
+    chi2 = np.concatenate((chi, chi[:-1]))
+    corr = irfft(np.conj(rfft(hist, n)) * rfft(chi2, n), n)[:p]
+    rounded = np.rint(corr)
+    err = float(np.abs(corr - rounded).max())
+    if err > ROUND_TOL:
+        raise InternalCheckError(
+            f"FFT correlation at p = {p} is {err:.3g} away from an integer"
+        )
+    C = rounded.astype(np.int64)
+    if int(C.sum()) != 0:
+        raise InternalCheckError(f"FFT correlation at p = {p} does not sum to 0")
+    w = horner_vec(lam, np.arange(p, dtype=np.int64), p)
+    return (-K - C[w]).tolist()
 
 
 def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from ._kernels import check_dense
 from .construction import InternalCheckError, RootData, build_family, to_monic_model
@@ -183,7 +184,8 @@ def _resolve_family(args) -> HyperFamily:
         if args.genus is None:
             raise ValueError("--family-expr requires --genus")
         F = parse_bipoly(args.family_expr)
-        return HyperFamily(args.label or args.family_expr, args.genus, F)
+        label = args.family_expr if args.label is None else args.label
+        return HyperFamily(label, args.genus, F)
     source = args.family
     if source.startswith("builtin:"):
         kind = source[len("builtin:"):]
@@ -206,7 +208,8 @@ def _resolve_family(args) -> HyperFamily:
             return make_power(n, h, k, label=args.label)
         raise ValueError(f"unknown builtin family {kind!r}")
     with open(source, encoding="utf-8") as fh:
-        return HyperFamily.from_json(json.load(fh))
+        fam = HyperFamily.from_json(json.load(fh))
+    return fam if args.label is None else replace(fam, label=args.label)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -23,11 +23,8 @@ from fractions import Fraction
 from math import lcm
 
 from .curves import HyperFamily
+from .finite_field import InternalCheckError
 from .polynomials import BiPoly, IntPoly, RatPoly, disc_t_quarter
-
-
-class InternalCheckError(AssertionError):
-    """An identity the construction guarantees failed to hold (a bug signal)."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def build_family(rd: RootData, label: str | None = None) -> ConstructionResult:
 
     bad = _non_generic_primes(rd, L, A)
     fam = HyperFamily(
-        label or f"rank{4 * g + 2}_genus{g}",
+        f"rank{4 * g + 2}_genus{g}" if label is None else label,
         g,
         F,
         bad_primes=frozenset(bad),

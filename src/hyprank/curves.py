@@ -122,9 +122,13 @@ def t_coeff_rows(fam: HyperFamily, ctx: PrimeCtx) -> list[np.ndarray | None]:
 def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
     """Traces of every specialization t = 0..p-1 at one prime.
 
-    The dense engine sums chi over (t, x) from the T-coefficient rows.
+    From the T-coefficient rows: an FFT correlation (O(p log p)) when
+    F = c(x) + g(x) W(T) mod p, else the dense sum of chi over (t, x)
+    (O(p^2)).  Both give the same integers.
     """
-    return _kernels.trace_row_vec(t_coeff_rows(fam, ctx), ctx)
+    rows = t_coeff_rows(fam, ctx)
+    row = _kernels.correlation_row(rows, ctx)
+    return _kernels.trace_row_vec(rows, ctx) if row is None else row
 
 
 def hasse_weil_bound(genus: int, p: int) -> int:

@@ -21,6 +21,10 @@ TABLE_LIMIT = 1 << 26
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+class InternalCheckError(AssertionError):
+    """An identity the program guarantees failed to hold (a bug signal)."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all 64-bit inputs."""
     if n < 2:

@@ -85,7 +85,8 @@ def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
 
     The kernel follows from the shape of F mod p: for r = 1 and deg_T <= 2
     the sums over t and x are swapped (``first_sum_vec``, O(p)); every other
-    case sums the dense trace row (O(p^2)).
+    case sums the trace row of ``trace_row`` (O(p log p) for rank-one F,
+    else O(p^2)).
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
@@ -93,7 +94,7 @@ def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
         rows = t_coeff_rows(fam, ctx)
         if len(rows) <= 3:
             return first_sum_vec(rows, ctx)
-        # trace_row rebuilds the O(p) rows; the O(p^2) grid dominates.
+        # trace_row rebuilds the O(p) rows; its trace kernel dominates.
     return sum(a**r for a in trace_row(fam, ctx))
 
 
@@ -152,7 +153,7 @@ def make_shift_square(f: IntPoly, label: str | None = None) -> HyperFamily:
     """y^2 = f(x) + T^2 with deg f = 2g+1."""
     g = _genus_from_degree(f)
     F = BiPoly.from_x_poly(f) + BiPoly.term(1, 0, 2)
-    return HyperFamily(label or f"shift_square({f})", g, F,
+    return HyperFamily(f"shift_square({f})" if label is None else label, g, F,
                        closed_form=partial(_shift_square_law, f))
 
 
@@ -160,14 +161,15 @@ def make_linear_twist(f: IntPoly, label: str | None = None) -> HyperFamily:
     """y^2 = f(x) * T + 1 with deg f = 2g+1."""
     g = _genus_from_degree(f)
     F = BiPoly.from_x_poly(f, t_power=1) + BiPoly.const(1)
-    return HyperFamily(label or f"linear_twist({f})", g, F,
+    return HyperFamily(f"linear_twist({f})" if label is None else label, g, F,
                        closed_form=partial(_linear_twist_law, f))
 
 
 def make_power(n: int, h: int, k: int, label: str | None = None) -> HyperFamily:
     """y^2 = x^n + x^h T^k; only smooth shapes (h <= 1) form a valid family."""
     F = BiPoly.term(1, n, 0) + BiPoly.term(1, h, k)
-    return HyperFamily(label or f"power({n},{h},{k})", (n - 1) // 2, F)
+    label = f"power({n},{h},{k})" if label is None else label
+    return HyperFamily(label, (n - 1) // 2, F)
 
 
 def make_big_rank(construction, label: str | None = None) -> HyperFamily:

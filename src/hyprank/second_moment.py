@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .construction import InternalCheckError
 from .finite_field import (
+    InternalCheckError,
     PrimeCtx,
     PrimeRange,
     nu2,
@@ -79,12 +79,16 @@ class BiasReport:
 
 
 def second_moment_brute(fam: PowerFamily, ctx: PrimeCtx) -> int:
-    """p * A_2(p) by the full double loop over (t, x), exact."""
+    """p * A_2(p) from every trace of the family at p, exact."""
     return _brute(fam.n, fam.h, fam.k, ctx, include_t0=True)
 
 
 def _brute(n: int, h: int, k: int, ctx: PrimeCtx, include_t0: bool = True) -> int:
-    """Sum of squared traces of x^n + x^h T^k over t, from t = 1 unless include_t0."""
+    """Sum of squared traces of x^n + x^h T^k over t, from t = 1 unless include_t0.
+
+    x^n + x^h T^k has the shape c(x) + g(x) W(T), so the traces come from
+    an FFT correlation in O(p log p) (``_kernels.correlation_row``).
+    """
     p = ctx.p
     _kernels.check_dense(p)
     xs = np.arange(p, dtype=np.int64)
@@ -92,7 +96,7 @@ def _brute(n: int, h: int, k: int, ctx: PrimeCtx, include_t0: bool = True) -> in
     rows[0] = _kernels.powmod_vec(xs, n, p)
     xh = _kernels.powmod_vec(xs, h, p)  # 0^0 = 1
     rows[k] = xh if k else (rows[0] + xh) % p
-    traces = _kernels.trace_row_vec(rows, ctx)
+    traces = _kernels.correlation_row(rows, ctx)
     return sum(a * a for a in traces[0 if include_t0 else 1 :])
 
 

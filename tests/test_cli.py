@@ -259,6 +259,47 @@ def test_bias_report_bad_remainder_is_internal_failure(capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize("shift", [0.3, 1.0], ids=["off_integer", "nonzero_sum"])
+def test_fft_rounding_guard_is_internal_failure(capsys, monkeypatch, shift):
+    import numpy as np
+
+    from hyprank.finite_field import InternalCheckError, PrimeCtx
+    from hyprank.second_moment import PowerFamily, second_moment_brute
+
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + shift)
+    with pytest.raises(InternalCheckError):
+        second_moment_brute(PowerFamily(5, 2, 1), PrimeCtx(101))
+    code = main(["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "20"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("internal verification failure: FFT correlation at p = 3")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--family", "builtin:shift_square", "--f", F3],
+    ["moments", "--family", "builtin:linear_twist", "--f", F3],
+    ["moments", "--family", "builtin:big_rank", "--genus", "1", "--roots", "1..6"],
+    ["moments", "--family", "builtin:power:3,0,1"],
+    ["moments", "--family-expr", "x^3 + T", "--genus", "1"],
+    ["moments", "--family", "FILE"],
+    ["construct", "--genus", "1", "--roots", "1..6"],
+], ids=["shift_square", "linear_twist", "big_rank", "power", "family_expr", "file",
+        "construct"])
+def test_empty_label_is_kept(tmp_path, capsys, argv):
+    if "FILE" in argv:
+        path = tmp_path / "fam.json"  # carries the default label rank6_genus1
+        assert run(capsys, "construct", "--genus", "1", "--roots", "1..6",
+                   "--out", str(path))[0] == 0
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    if argv[0] == "moments":
+        argv += ["--pmax", "7", "--format", "json"]
+    code, out = run(capsys, *argv, "--label", "")
+    assert code == 0
+    assert json.loads(out)["label"] == ""
+
+
 def test_dense_scans_refuse_primes_above_table_limit(capsys):
     # 67108859 < 2^26 < 67108879: the whole scan is refused before any work
     rng = ["--pmin", "67108859", "--pmax", "67108900"]

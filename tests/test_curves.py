@@ -1,13 +1,14 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hyprank._kernels import first_sum_vec
+from hyprank._kernels import correlation_row, first_sum_vec, horner_vec, trace_row_vec
 from hyprank.curves import HyperFamily, hasse_weil_bound, t_coeff_rows, trace_of_poly, trace_row
 from hyprank.finite_field import PrimeCtx, _small_primes
-from hyprank.polynomials import BiPoly, mod_gcd, parse_bipoly, reduce_mod
+from hyprank.polynomials import BiPoly, IntPoly, mod_gcd, parse_bipoly, reduce_mod
 
 
 def fam_of(text, genus, label="test", bad=()):
@@ -217,6 +218,43 @@ def test_first_sum_vec_matches_dense_and_euler(genus, lower, lead_t, scale, drop
     ctx = PrimeCtx(p)
     swapped = first_sum_vec(t_coeff_rows(fam, ctx), ctx)
     assert swapped == sum(trace_row(fam, ctx)) == sum(euler_trace_row(F, p))
+
+
+COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c=st.lists(COEFF, max_size=5),
+    g_roots=st.lists(st.integers(0, 60), max_size=3),
+    g_cofactor=st.lists(COEFF, min_size=1, max_size=3),
+    w=st.lists(COEFF, min_size=1, max_size=5),
+    p=st.sampled_from(QUAD_PRIMES),
+)
+@example(c=[], g_roots=[1], g_cofactor=[2], w=[0, 1, 0, 3], p=7)  # c = 0
+@example(c=[5, 0, 10], g_roots=[], g_cofactor=[0, 5], w=[1, 2], p=5)  # F = 0 mod p
+@example(c=[1, 2], g_roots=[], g_cofactor=[1], w=[4], p=11)  # W constant: no T at all
+@example(c=[1], g_roots=[0, 1, 2], g_cofactor=[1], w=[0, 1], p=3)  # g vanishes at every x
+@example(c=[2**100 + 1, -(2**99)], g_roots=[4, 9], g_cofactor=[-(2**100) + 3],
+         w=[2**100, 0, -(2**100) - 1], p=61)
+def test_correlation_row_matches_dense_and_euler(c, g_roots, g_cofactor, w, p):
+    """F = c(x) + g(x) W(T), g with prescribed roots mod p, deg_T W <= 4."""
+    c, g = IntPoly(c), IntPoly.from_roots(g_roots) * IntPoly(g_cofactor)
+    F = BiPoly.from_x_poly(c)
+    for j, wj in enumerate(w):
+        F = F + BiPoly.from_x_poly(g * wj, t_power=j)
+    xs = np.arange(p, dtype=np.int64)
+    rows = [horner_vec((c + g * w[0]).coeffs, xs, p)]
+    rows += [None if wj % p == 0 else horner_vec((g * wj).coeffs, xs, p) for wj in w[1:]]
+    ctx = PrimeCtx(p)
+    assert correlation_row(rows, ctx) == trace_row_vec(rows, ctx) == euler_trace_row(F, p)
+
+
+def test_correlation_row_declines_rows_that_are_not_proportional():
+    for text in ("x^3 + x*T^2 + T + 1", "x^3 + x*T^3 + T + 1"):
+        fam = fam_of(text, 1)
+        ctx = PrimeCtx(101)
+        assert correlation_row(t_coeff_rows(fam, ctx), ctx) is None
 
 
 def test_first_sum_vec_refuses_cubic_rows():

@@ -69,6 +69,27 @@ def test_oracle_equivalence_small_grid():
             assert second_moment_brute(fam, ctx) == closed, (n, h, k, p)
 
 
+def test_oracle_equivalence_grid_to_500():
+    """The small grid again, on the primes above GRID_PRIMES up to 500."""
+    primes = primes_in(PrimeRange(GRID_PRIMES[-1] + 1, 500))
+    for n, h, k in grid():
+        fam = PowerFamily(n, h, k)
+        for p in primes:
+            ctx = PrimeCtx(p)
+            closed = second_moment_closed(fam, ctx)
+            if closed is not None:
+                assert second_moment_brute(fam, ctx) == closed, (n, h, k, p)
+
+
+def test_brute_equals_closed_on_every_prime_to_ten_thousand():
+    fam = PowerFamily(5, 2, 1)  # gcd(k, n-h) = 1: every odd prime is applicable
+    primes = primes_in(PrimeRange(3, 10**4))
+    assert len(primes) == 1228
+    for p in primes:
+        ctx = PrimeCtx(p)
+        assert second_moment_brute(fam, ctx) == second_moment_closed(fam, ctx), p
+
+
 def test_periodicity_unconditional_on_grid():
     for n, h, k in grid():
         for p in GRID_PRIMES:
