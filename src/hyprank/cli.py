@@ -13,9 +13,8 @@ import json
 import sys
 from dataclasses import replace
 
-from ._kernels import check_dense
 from .construction import InternalCheckError, RootData, build_family, to_monic_model
-from .finite_field import PrimeCtx, PrimeRange, primes_in
+from .finite_field import PrimeRange
 from .moments import (
     make_big_rank,
     make_linear_twist,
@@ -32,8 +31,7 @@ from .second_moment import (
     PowerFamily,
     bias_report,
     michel_deviation,
-    second_moment_brute,
-    second_moment_closed,
+    second_moment_scan,
 )
 
 
@@ -70,19 +68,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pmax_default=None, pmax_required=False,
-               jobs_help="worker processes (>= 1, capped at the CPU count)"):
+    def common(p, pmax_default=None, pmax_required=False):
         p.add_argument("--pmin", type=int, default=3, help="lower prime bound (default 3)")
         p.add_argument(
             "--pmax", type=int, default=pmax_default, required=pmax_required,
             help="upper prime bound (inclusive)",
         )
         p.add_argument("--skip", default="", help="comma-separated primes to exclude")
-        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (>= 1, capped at the CPU count)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-
-    serial_jobs = "must be >= 1; this scan runs in one process"
 
     def family_opts(p):
         p.add_argument(
@@ -126,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bias", action="store_true", help="closed-form bias report only")
-    common(p, pmax_required=True, jobs_help=serial_jobs)
+    common(p, pmax_required=True)
     p.set_defaults(func=cmd_second_moment)
 
     p = sub.add_parser("verify-lemmas", help="closed forms vs exhaustive enumeration")
@@ -138,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sn-witness", help="symmetric-group certificate scan")
     p.add_argument("--f", required=True, help="squarefree polynomial in x")
-    common(p, pmax_default=200, jobs_help=serial_jobs)
+    common(p, pmax_default=200)
     p.set_defaults(func=cmd_sn_witness)
 
     return parser
@@ -307,7 +303,7 @@ def cmd_second_moment(args) -> int:
     if args.bias:
         if prange is None:
             raise RangeConfigError("empty prime range for bias report")
-        report = bias_report(fam, prange)
+        report = bias_report(fam, prange, jobs=args.jobs)
         if args.format == "csv":
             lines = ["p,pA2_closed,c2,c1,remainder"]
             for row in report.rows:
@@ -328,36 +324,18 @@ def cmd_second_moment(args) -> int:
             _emit(_dump(obj), args.out)
         return 0
 
-    header = "p,pA2_brute,pA2_closed,applicable,c2,c1"
-    primes = [] if prange is None else primes_in(prange)
-    if primes:
-        check_dense(primes[-1])  # refuse the whole scan before any work
-    rows = []
-    for p in primes:
-        ctx = PrimeCtx(p)
-        brute = second_moment_brute(fam, ctx)
-        closed = second_moment_closed(fam, ctx)
-        if closed is None:
-            rows.append((p, brute, None, None, None))
-        else:
-            c2 = closed // (p * p - p)
-            rows.append((p, brute, closed, c2, -c2))
+    rows = [] if prange is None else second_moment_scan(fam, prange, jobs=args.jobs)
     if args.format == "csv":
-        lines = [header]
+        lines = ["p,pA2_brute,pA2_closed,applicable,c2,c1"]
         for p, brute, closed, c2, c1 in rows:
-            closed_s = "" if closed is None else str(closed)
             app = "0" if closed is None else "1"
-            c2_s = "" if c2 is None else str(c2)
-            c1_s = "" if c1 is None else str(c1)
+            closed_s, c2_s, c1_s = ("" if v is None else v for v in (closed, c2, c1))
             lines.append(f"{p},{brute},{closed_s},{app},{c2_s},{c1_s}")
         _emit("\n".join(lines) + "\n", args.out)
         if rows:
             devs = [michel_deviation(brute, p) for p, brute, *_ in rows]
-            print(
-                f"michel deviation (pA2 - p^2)/p^1.5: "
-                f"min={min(devs):.4f} max={max(devs):.4f}",
-                file=sys.stderr,
-            )
+            print(f"michel deviation (pA2 - p^2)/p^1.5: min={min(devs):.4f} max={max(devs):.4f}",
+                  file=sys.stderr)
     else:
         obj = {
             "family": {"n": fam.n, "h": fam.h, "k": fam.k},
@@ -379,6 +357,10 @@ def cmd_second_moment(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    if args.pmax < 3:
+        raise RangeConfigError("empty prime range for the lemma suites")
+    if args.nmax < 2:
+        raise RangeConfigError(f"--nmax must be >= 2, got {args.nmax}")
     results = run_lemma_suites(args.pmax, args.nmax)
     if args.format == "json":
         obj = [
@@ -401,7 +383,7 @@ def cmd_sn_witness(args) -> int:
     prange = _prime_range(args)
     if prange is None:
         raise RangeConfigError("empty prime range for the witness scan")
-    report = sn_witness(f, prange)
+    report = sn_witness(f, prange, jobs=args.jobs)
     if args.format == "json":
         _emit(_dump(report.to_json()), args.out)
     else:

@@ -120,13 +120,16 @@ def t_coeff_rows(fam: HyperFamily, ctx: PrimeCtx) -> list[np.ndarray | None]:
 
 
 def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
-    """Traces of every specialization t = 0..p-1 at one prime.
+    """Traces of every specialization t = 0..p-1 at one prime."""
+    return traces_from_rows(t_coeff_rows(fam, ctx), ctx)
 
-    From the T-coefficient rows: an FFT correlation (O(p log p)) when
-    F = c(x) + g(x) W(T) mod p, else the dense sum of chi over (t, x)
-    (O(p^2)).  Both give the same integers.
+
+def traces_from_rows(rows, ctx: PrimeCtx) -> list[int]:
+    """Traces at t = 0..p-1 from the T-coefficient rows of ``t_coeff_rows``.
+
+    An FFT correlation (O(p log p)) when F = c(x) + g(x) W(T) mod p, else
+    the dense sum of chi over (t, x) (O(p^2)).  Both give the same integers.
     """
-    rows = t_coeff_rows(fam, ctx)
     row = _kernels.correlation_row(rows, ctx)
     return _kernels.trace_row_vec(rows, ctx) if row is None else row
 

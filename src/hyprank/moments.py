@@ -17,7 +17,7 @@ from functools import partial
 from typing import Optional
 
 from ._kernels import check_dense, first_sum_vec
-from .curves import HyperFamily, t_coeff_rows, trace_row
+from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (
     BiPoly,
@@ -85,17 +85,15 @@ def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
 
     The kernel follows from the shape of F mod p: for r = 1 and deg_T <= 2
     the sums over t and x are swapped (``first_sum_vec``, O(p)); every other
-    case sums the trace row of ``trace_row`` (O(p log p) for rank-one F,
-    else O(p^2)).
+    case sums the trace row of ``traces_from_rows`` (O(p log p) for
+    rank-one F, else O(p^2)).
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    if r == 1:
-        rows = t_coeff_rows(fam, ctx)
-        if len(rows) <= 3:
-            return first_sum_vec(rows, ctx)
-        # trace_row rebuilds the O(p) rows; its trace kernel dominates.
-    return sum(a**r for a in trace_row(fam, ctx))
+    rows = t_coeff_rows(fam, ctx)
+    if r == 1 and len(rows) <= 3:
+        return first_sum_vec(rows, ctx)
+    return sum(a**r for a in traces_from_rows(rows, ctx))
 
 
 def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
@@ -189,92 +187,84 @@ def _genus_from_degree(f: IntPoly) -> int:
 # series over prime ranges
 
 
-def _power_sum_task(fam: HyperFamily, r: int, p: int) -> tuple[int, int]:
-    return p, power_sum(fam, r, PrimeCtx(p))
+def scan(task, primes: list[int], jobs: int = 1) -> list:
+    """``[task(PrimeCtx(p)) for p in primes]``, in the order of ``primes``.
 
-
-def _power_sums(fam, r, primes, jobs) -> dict[int, int]:
-    """p * A_r(p) for every prime, on at most min(jobs, CPUs, #primes) workers.
-
-    The largest prime is checked against the dense-kernel limit first, so a
-    range that reaches past it fails before any work starts.
+    The one driver for prime scans: it builds exactly one context per prime,
+    in this process, and runs serially unless min(jobs, CPUs, #primes) > 1,
+    in which case the contexts go to that many worker processes.  A pooled
+    ``task`` must pickle, so callers pass a private module-level function or
+    a partial of one, never a public name that may have been rebound.
     """
-    if primes:
-        check_dense(max(primes))
     jobs = min(jobs, os.cpu_count() or 1, len(primes))
+    ctxs = map(PrimeCtx, primes)  # lazily: a serial scan holds one chi table
     if jobs <= 1:
-        return {p: power_sum(fam, r, PrimeCtx(p)) for p in primes}
-    task = partial(_power_sum_task, fam, r)
+        return [task(ctx) for ctx in ctxs]
     chunk = max(1, len(primes) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return dict(pool.map(task, primes, chunksize=chunk))
+        return list(pool.map(task, ctxs, chunksize=chunk))
 
 
-def moment_series(
-    fam: HyperFamily,
-    r: int,
-    prange: PrimeRange,
-    jobs: int = 1,
-) -> MomentSeries:
+def _moment_row(fam: HyperFamily, r: int, ctx: PrimeCtx) -> MomentRow:
+    value = Fraction(power_sum(fam, r, ctx), ctx.p)
+    if r != 1 or fam.closed_form is None:
+        return MomentRow(ctx.p, value, None, None)
+    try:
+        predicted = Fraction(-predict_first_moment(fam, ctx), ctx.p)
+    except NonGenericPrime:
+        return MomentRow(ctx.p, value, None, False)
+    return MomentRow(ctx.p, value, predicted, True)
+
+
+def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -> MomentSeries:
     """Exact per-prime moments, with closed-form predictions for r = 1
     when the family has a closed form.
 
     Rows are emitted for every computed prime, ordered by p; non-generic
-    primes keep their exact value with the generic flag cleared.
+    primes keep their exact value with the generic flag cleared.  A range
+    that reaches past the dense-kernel limit fails before any work starts.
     """
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
-    sums = _power_sums(fam, r, primes, jobs)
-    predicts = r == 1 and fam.closed_form is not None
-    rows = []
-    for p in primes:
-        value = Fraction(sums[p], p)
-        predicted = None
-        generic = None
-        if predicts:
-            try:
-                predicted = Fraction(-predict_first_moment(fam, PrimeCtx(p)), p)
-                generic = True
-            except NonGenericPrime:
-                generic = False
-        rows.append(MomentRow(p, value, predicted, generic))
+    check_dense(max(primes, default=0))
+    rows = scan(partial(_moment_row, fam, r), primes, jobs)
     return MomentSeries(fam.label, r, tuple(rows))
 
 
-def nagao_sum(
-    fam: HyperFamily,
-    prange: PrimeRange,
-    jobs: int = 1,
-    predicted: bool = False,
-) -> NagaoEstimate:
+def _minus_p_a1(fam: HyperFamily, predicted: bool, ctx: PrimeCtx) -> Optional[int]:
+    """-p * A_1(p), exact or closed-form; None where the closed form does not apply."""
+    if not predicted:
+        return -power_sum(fam, 1, ctx)
+    try:
+        return predict_first_moment(fam, ctx)
+    except NonGenericPrime:
+        return None
+
+
+def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
+              predicted: bool = False) -> NagaoEstimate:
     """Partial Nagao sums over [lo, hi] under both normalizations.
 
     By default -A_1(p) is computed exactly by ``power_sum``: O(p) per
-    prime when deg_T F <= 2 (shift_square, linear_twist, big_rank), and
-    O(p^2) from the dense trace row otherwise.  With ``predicted`` it comes
-    from the family's closed form instead (``predict_first_moment``, which
-    raises ValueError for a family without one); primes where that raises
-    NonGenericPrime are skipped.  This skips the exact sum, which matters
-    for large cutoffs.
+    prime when deg_T F <= 2 (shift_square, linear_twist, big_rank),
+    O(p log p) when F is rank-one in T, and O(p^2) from the dense trace row
+    otherwise; a range past the dense-kernel limit is refused up front.
+    With ``predicted`` it comes from the family's closed form instead
+    (``predict_first_moment``, which raises ValueError for a family without
+    one); primes where that raises NonGenericPrime are skipped.  This skips
+    the exact sum, which matters for large cutoffs.
     """
     all_primes = primes_in(PrimeRange(prange.lo, prange.hi))
-    skipped = [p for p in all_primes if p in prange.skip or p in fam.bad_primes]
     primes = [p for p in all_primes if p not in prange.skip and p not in fam.bad_primes]
-
-    values: list[tuple[int, Fraction]] = []
-    if predicted:
-        for p in primes:
-            try:
-                values.append((p, Fraction(predict_first_moment(fam, PrimeCtx(p)), p)))
-            except NonGenericPrime:
-                skipped.append(p)
-    else:
-        sums = _power_sums(fam, 1, primes, jobs)
-        values = [(p, Fraction(-sums[p], p)) for p in primes]
+    if not predicted:
+        check_dense(max(primes, default=0))
+    sums = scan(partial(_minus_p_a1, fam, predicted), primes, jobs)
+    values = [(p, Fraction(s, p)) for p, s in zip(primes, sums) if s is not None]
+    used = {p for p, _ in values}
 
     P = prange.hi
     theta = 0.0
     pi_sum = 0.0
-    for p, v in sorted(values):
+    for p, v in values:
         fv = float(v)
         theta += fv * math.log(p)
         pi_sum += fv
@@ -284,7 +274,7 @@ def nagao_sum(
         s_theta=theta / P if P > 0 else 0.0,
         s_pi=pi_sum / n if n else 0.0,
         n_primes=n,
-        skipped=tuple(sorted(skipped)),
+        skipped=tuple(p for p in all_primes if p not in used),
     )
 
 
@@ -323,16 +313,24 @@ class SnWitnessReport:
         }
 
 
-def sn_witness(f: IntPoly, prange: PrimeRange) -> SnWitnessReport:
+def _pattern(f: IntPoly, ctx: PrimeCtx):
+    """``degree_pattern_mod`` under a private name, which a pool pickles by reference."""
+    return degree_pattern_mod(f, ctx)
+
+
+def sn_witness(f: IntPoly, prange: PrimeRange, jobs: int = 1) -> SnWitnessReport:
     """Scan primes for the n-cycle / (n-1)-cycle / transposition patterns.
 
     For degree < 3 the certificate degenerates (the n-cycle and the
     transposition patterns coincide), so the scan always reports
-    INCONCLUSIVE there, returning the pattern census only.
+    INCONCLUSIVE there, returning the pattern census only.  A constant f
+    has no factorization pattern and is refused.
     """
     if f.is_zero or not squarefree_over_q(f):
         raise ValueError("polynomial must be squarefree over Q")
     n = f.degree
+    if n < 1:
+        raise ValueError(f"polynomial must have degree >= 1, got {f}")
     targets = {
         "n_cycle": (n,),
         "n_minus_1_cycle": tuple(sorted((1, n - 1))),
@@ -340,11 +338,9 @@ def sn_witness(f: IntPoly, prange: PrimeRange) -> SnWitnessReport:
     }
     witnesses: dict[str, Optional[int]] = {k: None for k in targets}
     census: dict = {}
-    scanned = 0
+    primes = primes_in(prange)
     ramified = 0
-    for p in primes_in(prange):
-        scanned += 1
-        pattern = degree_pattern_mod(f, PrimeCtx(p))
+    for p, pattern in zip(primes, scan(partial(_pattern, f), primes, jobs)):
         if pattern is None:
             ramified += 1
             census["ramified"] = census.get("ramified", 0) + 1
@@ -356,4 +352,4 @@ def sn_witness(f: IntPoly, prange: PrimeRange) -> SnWitnessReport:
             if witnesses[name] is None and pattern == target:
                 witnesses[name] = p
     found = n >= 3 and all(v is not None for v in witnesses.values())
-    return SnWitnessReport(n, found, witnesses, census, scanned, ramified)
+    return SnWitnessReport(n, found, witnesses, census, len(primes), ramified)

@@ -25,6 +25,7 @@ statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Optional
 
@@ -38,6 +39,7 @@ from .finite_field import (
     nu2,
     primes_in,
 )
+from .moments import scan
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,34 @@ def check_gcd_reduction(fam: PowerFamily, ctx: PrimeCtx) -> bool:
     return lhs == rhs
 
 
-def bias_report(fam: PowerFamily, prange: PrimeRange) -> BiasReport:
+def _second_moment_row(fam: PowerFamily, ctx: PrimeCtx) -> tuple:
+    p = ctx.p
+    closed = second_moment_closed(fam, ctx)
+    c2 = None if closed is None else closed // (p * p - p)
+    return p, second_moment_brute(fam, ctx), closed, c2, None if c2 is None else -c2
+
+
+def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> list[tuple]:
+    """(p, brute p*A_2, closed p*A_2, c2, c1) per prime, the last three None where
+    the closed form does not apply; a range past the dense limit fails up front."""
+    primes = primes_in(prange)
+    _kernels.check_dense(max(primes, default=0))
+    return scan(partial(_second_moment_row, fam), primes, jobs)
+
+
+def _bias_row(fam: PowerFamily, ctx: PrimeCtx) -> Optional[BiasRow]:
+    p = ctx.p
+    val = second_moment_closed(fam, ctx)
+    if val is None:
+        return None
+    c2 = val // (p * p - p)
+    rem = val - c2 * (p * p - p)
+    if rem not in (0, p - 1, p):
+        raise InternalCheckError(f"unexpected closed-form remainder {rem} at p = {p}")
+    return BiasRow(p, val, c2, -c2, rem)
+
+
+def bias_report(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> BiasReport:
     """Per-prime decomposition of the closed form and the mean bias.
 
     Rows cover exactly the applicable odd primes in range.  c2 is the
@@ -154,17 +183,7 @@ def bias_report(fam: PowerFamily, prange: PrimeRange) -> BiasReport:
     (0 for h = 0 and odd h, p - 1 or p for even h >= 2) is carried
     separately so the stated decomposition is exact.
     """
-    rows = []
-    for p in primes_in(prange):
-        ctx = PrimeCtx(p)
-        val = second_moment_closed(fam, ctx)
-        if val is None:
-            continue
-        c2 = val // (p * p - p)
-        rem = val - c2 * (p * p - p)
-        if rem not in (0, p - 1, p):
-            raise InternalCheckError(f"unexpected closed-form remainder {rem} at p = {p}")
-        rows.append(BiasRow(p, val, c2, -c2, rem))
+    rows = [r for r in scan(partial(_bias_row, fam), primes_in(prange), jobs) if r is not None]
     mean = sum(r.c1 for r in rows) / len(rows) if rows else None
     return BiasReport(fam, prange.hi, tuple(rows), mean)
 

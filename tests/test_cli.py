@@ -88,6 +88,18 @@ def test_moments_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"],
+    ["sn-witness", "--f", "x^3 + x + 1", "--pmax", "100", "--format", "json"],
+])
+def test_scans_deterministic_across_jobs(capsys, argv):
+    code1 = main([*argv, "--jobs", "1"])
+    first = capsys.readouterr()
+    code2 = main([*argv, "--jobs", "2"])
+    assert code1 == code2 == 0
+    assert capsys.readouterr() == first
+
+
 def test_nagao_json_and_range_error(capsys):
     code, out = run(
         capsys, "nagao", "--family", "builtin:shift_square", "--f", F3,
@@ -311,6 +323,18 @@ def test_dense_scans_refuse_primes_above_table_limit(capsys):
         assert run(capsys, *argv)[0] == 2
 
 
+def test_closed_form_scans_run_above_table_limit(capsys):
+    # no length-p table is built, so primes past 2^26 are fine here
+    rng = ["--pmin", "67108850", "--pmax", "67108900"]
+    code, out = run(capsys, "sn-witness", "--f", "x^3 + x + 1", *rng)
+    assert code == 0 and "2 primes scanned" in out
+    code, out = run(capsys, "nagao", "--family", "builtin:shift_square", "--f", F3,
+                    "--predicted", *rng)
+    assert code == 0 and out.splitlines()[1].split(",")[3] == "2"
+    code, out = run(capsys, "second-moment", "--n", "3", "--h", "0", "--k", "1", "--bias", *rng)
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_jobs_must_be_positive(capsys):
     for sub in (
         ["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "20"],
@@ -352,6 +376,43 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
     code, _ = run(capsys, "moments", "--family", "builtin:shift_square", "--f", F3,
                   "--pmin", "20", "--pmax", "30", "--jobs", "100000")
     assert code == 0 and seen == [4, 2]  # only 23 and 29 in range
+    for argv in (
+        ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"],
+        ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"],
+        ["sn-witness", "--f", "x^3 + x + 1", "--pmax", "60"],
+        ["nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60", "--predicted"],
+    ):
+        seen.clear()
+        code, serial = run(capsys, *argv, "--jobs", "1")
+        assert code == 0 and seen == []
+        code, out = run(capsys, *argv, "--jobs", "100000")
+        assert code == 0 and out == serial, argv
+        assert seen == [4], argv
+
+
+def test_one_context_per_prime(capsys, monkeypatch):
+    from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
+
+    built = []
+    init = PrimeCtx.__init__
+
+    def counting_init(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(PrimeCtx, "__init__", counting_init)
+    primes = primes_in(PrimeRange(3, 100))
+    assert len(primes) == 24
+    for argv in (
+        ["moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "1"],
+        ["nagao", "--family", "builtin:linear_twist", "--f", F3, "--predicted"],
+        ["second-moment", "--n", "5", "--h", "2", "--k", "1"],
+        ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--bias"],
+        ["sn-witness", "--f", "x^3 + x + 1"],
+    ):
+        built.clear()
+        assert run(capsys, *argv, "--pmax", "100")[0] == 0
+        assert built == primes, argv
 
 
 def test_verify_lemmas(capsys):
@@ -365,6 +426,19 @@ def test_verify_lemmas(capsys):
     assert all(suite["passed"] for suite in json.loads(out))
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("--pmax", "2"), "error: empty prime range for the lemma suites\n"),
+    (("--pmax", "-5"), "error: empty prime range for the lemma suites\n"),
+    (("--nmax", "1"), "error: --nmax must be >= 2, got 1\n"),
+    (("--nmax", "0"), "error: --nmax must be >= 2, got 0\n"),
+    (("--nmax", "-3"), "error: --nmax must be >= 2, got -3\n"),
+])
+def test_verify_lemmas_rejects_empty_checks(capsys, argv, err):
+    code = main(["verify-lemmas", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", err)
+
+
 def test_sn_witness_cli(capsys):
     code, out = run(capsys, "sn-witness", "--f", "x^2+1", "--pmax", "100",
                     "--format", "json")
@@ -374,6 +448,10 @@ def test_sn_witness_cli(capsys):
     assert set(obj["census"]) == {"2", "1+1"}
     code, _ = run(capsys, "sn-witness", "--f", "(x-1)*(x-1)", "--pmax", "50")
     assert code == 2
+    code = main(["sn-witness", "--f", "5", "--pmax", "20"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: polynomial must have degree >= 1, got 5\n"
 
 
 def test_parse_roots():

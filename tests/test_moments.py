@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from hyprank import moments
@@ -115,9 +118,10 @@ def test_swapped_first_sum_equals_dense_sum(p):
 
 def test_power_sum_picks_kernel_from_shape(monkeypatch):
     seen = []
-    dense, rows = moments.trace_row, moments.t_coeff_rows
-    monkeypatch.setattr(moments, "trace_row",
-                        lambda fam, ctx: seen.append(("dense", fam.label)) or dense(fam, ctx))
+    dense, rows = moments.traces_from_rows, moments.t_coeff_rows
+    # traces_from_rows sees only the rows; fam is the loop's current family
+    monkeypatch.setattr(moments, "traces_from_rows",
+                        lambda r, ctx: seen.append(("dense", fam.label)) or dense(r, ctx))
     monkeypatch.setattr(moments, "t_coeff_rows",
                         lambda fam, ctx: seen.append(("rows", fam.label)) or rows(fam, ctx))
     quad = HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1"))
@@ -134,7 +138,7 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
         ctx = PrimeCtx(p)
         value = power_sum(fam, r, ctx)
         assert [s for s in seen if s[0] == "dense"] == want, (fam.label, r, p)
-        assert value == sum(a**r for a in dense(fam, ctx))
+        assert value == sum(a**r for a in trace_row(fam, ctx))
     seen.clear()
     with pytest.raises(ValueError, match="moment order must be >= 1"):
         power_sum(quad, 0, PrimeCtx(101))
@@ -161,6 +165,28 @@ def test_moment_series_rows_and_flags():
         if row.generic:
             assert row.match is True
         assert (row.value * row.p).denominator == 1
+
+
+def test_scan_is_the_only_prime_driver():
+    # outside moments.scan (and the enumeration oracles) nothing builds a
+    # per-prime context or starts a pool, and the CLI never walks primes
+    src = Path(moments.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "moments.py":
+            scan = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "scan")
+            allowed = {id(n) for n in ast.walk(scan)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name not in ("PrimeCtx", "ProcessPoolExecutor"), (path.name, node.lineno)
+        if path.name == "cli.py":
+            imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+            assert not imported & {"PrimeCtx", "primes_in"}
 
 
 def test_moment_series_deterministic_across_workers():
