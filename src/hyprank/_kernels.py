@@ -12,7 +12,9 @@ the shape of F mod p:
 - :func:`trace_row_vec` gives every trace in O(p^2) for any F.  It is the
   reference the other two are tested against.
 
-Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.
+Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The one
+kernel that is not a character sum, :func:`frobenius_rows`, works across
+many primes at once, each below FROB_LIMIT = 2^31.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ MAX_ROWS = 1 << 11
 
 # Largest distance from an integer that a rounded FFT correlation may show.
 ROUND_TOL = 0.25
+
+# frobenius_rows reduces after every product, so residues below 2^31 keep
+# each product below 2^62 and each sum of d reduced terms far below 2^63.
+FROB_LIMIT = 1 << 31
 
 
 def check_dense(p: int) -> None:
@@ -202,3 +208,86 @@ def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:
     quad = np.where(disc_zero, (p - 1) * chi_a, -chi_a).sum(dtype=np.int64)
     const = chi[c[(a == 0) & (b == 0)]].sum(dtype=np.int64)
     return -(int(quad) + p * int(const))
+
+
+def frobenius_rows(f, primes, depth: int = 1) -> np.ndarray:
+    """x^(p^i) mod the monic reduction of f, for i = 1..depth, at every prime.
+
+    ``f`` lists the integer coefficients of a polynomial of degree d >= 1,
+    low to high and of any size; no prime may divide its leading
+    coefficient, and every prime must be odd and below FROB_LIMIT.  Returns
+    int64 of shape (#primes, depth, d): ``out[k, i - 1]`` holds the
+    coefficients, low to high, of x^(p^i) mod f at p = primes[k].
+
+    Each prime is one int64 row of residues, and its temporaries are a few
+    such rows, so callers bound memory by passing the primes in blocks.
+    x^p comes from square-and-multiply over the bits of p, high to low,
+    where a per-prime mask picks which rows take the multiplication by x;
+    x^(p^i) is x^(p^(i-1)) composed with x^p, since g(x)^p = g(x^p) over
+    F_p.  Every product is reduced mod p at once, which is what makes
+    p < 2^31 exact.
+    """
+    d = len(f) - 1
+    p = np.asarray(primes, dtype=np.int64).reshape(-1, 1)
+    out = np.empty((len(p), depth, d), dtype=np.int64)
+    inv = _inverse(_residues(f[-1], p), p)
+    m = np.concatenate([_residues(c, p) * inv % p for c in f[:-1]], axis=1)
+    y = np.zeros((len(p), d), dtype=np.int64)
+    y[:, 0] = 1
+    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
+        y = _mulmod(y, y, m, p)
+        y = np.where((p >> bit) & 1 == 1, _times_x(y, m, p), y)
+    xp = y
+    for i in range(depth):
+        out[:, i] = y
+        if i + 1 < depth:
+            y = _compose(y, xp, m, p)
+    return out
+
+
+def _residues(c: int, p: np.ndarray) -> np.ndarray:
+    """c mod p for an integer c of any size, read in 31-bit limbs from the top."""
+    r = np.zeros_like(p)
+    a = abs(c)
+    for shift in range(31 * ((a.bit_length() - 1) // 31), -1, -31):
+        r = (r * (1 << 31) + ((a >> shift) & ((1 << 31) - 1))) % p
+    return r if c >= 0 else -r % p
+
+
+def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^(p-2) mod p, the inverse of each nonzero residue, by per-prime bits of p - 2."""
+    e = p - 2
+    out = np.ones_like(a)
+    while e.any():
+        out = np.where(e & 1 == 1, out * a % p, out)
+        a = a * a % p
+        e = e >> 1
+    return out
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod the monic x^d + m(x), row by row; all rows (n, d) residues."""
+    d = a.shape[1]
+    prod = np.zeros((len(a), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        prod[:, i : i + d] += a[:, i : i + 1] * b % p
+    for k in range(2 * d - 2, d - 1, -1):  # x^k = x^(k-d) * (-m(x))
+        prod[:, k - d : k] -= prod[:, k : k + 1] % p * m % p
+    return prod[:, :d] % p
+
+
+def _times_x(y: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * y mod the monic x^d + m(x), row by row."""
+    z = np.zeros_like(y)
+    z[:, 1:] = y[:, :-1]
+    return (z - y[:, -1:] * m % p) % p
+
+
+def _compose(g: np.ndarray, h: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """g(h) mod the monic x^d + m(x), row by row, by Horner's rule."""
+    acc = np.zeros_like(g)
+    acc[:, 0] = g[:, -1]
+    for k in range(g.shape[1] - 2, -1, -1):
+        acc = _mulmod(acc, h, m, p)
+        acc[:, 0] = (acc[:, 0] + g[:, k]) % p[:, 0]
+    return acc

@@ -25,7 +25,7 @@ from .moments import (
     sn_witness,
 )
 from .curves import HyperFamily
-from .oracles import run_lemma_suites
+from .oracles import LEMMA_PMAX, run_lemma_suites
 from .polynomials import PolyParseError, parse_bipoly, parse_int_poly
 from .second_moment import (
     PowerFamily,
@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--skip", default="", help="comma-separated primes to exclude")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (>= 1, capped at the CPU count)")
+                       help="worker processes (>= 1, capped at the CPU count); "
+                       "closed-form scans run in one process")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -359,6 +360,9 @@ def cmd_second_moment(args) -> int:
 def cmd_verify_lemmas(args) -> int:
     if args.pmax < 3:
         raise RangeConfigError("empty prime range for the lemma suites")
+    if args.pmax > LEMMA_PMAX:
+        raise RangeConfigError(f"--pmax must be <= {LEMMA_PMAX} for the lemma suites "
+                               f"(their enumeration grows as p^4), got {args.pmax}")
     if args.nmax < 2:
         raise RangeConfigError(f"--nmax must be >= 2, got {args.nmax}")
     results = run_lemma_suites(args.pmax, args.nmax)

@@ -26,17 +26,17 @@ class HyperFamily:
     fiber is squarefree (so the family is a genuine curve over Q(T), not a
     square times something smaller).
 
-    ``closed_form``, when the family has one, returns -p * A_1(p) at a
-    prime and may raise ``moments.NonGenericPrime``; only the maker that
-    builds a family knows it, and it must pickle for process-pool scans.
-    JSON does not carry it.
+    ``closed_form``, when the family has one, takes a list of primes and
+    returns -p * A_1(p) at each, or None where the prime is not generic;
+    only the maker that builds a family knows it, and it must pickle for
+    process-pool scans.  JSON does not carry it.
     """
 
     label: str
     genus: int
     F: BiPoly
     bad_primes: frozenset[int] = field(default_factory=frozenset)
-    closed_form: Optional[Callable[[PrimeCtx], int]] = None
+    closed_form: Optional[Callable[[list[int]], list[Optional[int]]]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "bad_primes", frozenset(self.bad_primes))

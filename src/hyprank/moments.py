@@ -19,15 +19,7 @@ from typing import Optional
 from ._kernels import check_dense, first_sum_vec
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
-from .polynomials import (
-    BiPoly,
-    IntPoly,
-    degree_pattern_mod,
-    mod_gcd,
-    reduce_mod,
-    root_count_mod,
-    squarefree_over_q,
-)
+from .polynomials import BiPoly, IntPoly, degree_patterns_mod, squarefree_over_q
 
 
 class NonGenericPrime(Exception):
@@ -104,47 +96,50 @@ def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
 def predict_first_moment(fam: HyperFamily, ctx: PrimeCtx) -> int:
     """Closed-form value of -p * A_1(p), from the family's own closed form.
 
-    Raises ValueError when the family has none, and NonGenericPrime when its
-    genericity conditions fail at p (callers scanning prime ranges should
-    skip such primes).
+    The per-prime form of ``fam.closed_form``.  Raises ValueError when the
+    family has none, and NonGenericPrime when its genericity conditions fail
+    at p (callers scanning prime ranges should skip such primes).
     """
+    value = _closed_form(fam, [ctx.p])[0]
+    if value is None:
+        raise NonGenericPrime(f"the closed form of {fam.label!r} does not apply at p = {ctx.p}")
+    return value
+
+
+def _closed_form(fam: HyperFamily, primes: list[int]) -> list[Optional[int]]:
     if fam.closed_form is None:
         raise ValueError(f"family {fam.label!r} has no closed-form predictor")
-    return fam.closed_form(ctx)
+    return fam.closed_form(primes)
 
 
-def _shift_square_law(f: IntPoly, ctx: PrimeCtx) -> int:
-    """y^2 = f(x) + T^2:  -p * A_1(p) = (L_f - 1) * p, L_f = #roots of f mod p."""
-    _require_squarefree_mod_p(f, ctx)
-    return (root_count_mod(f, ctx) - 1) * ctx.p
+def _shift_square_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
+    """y^2 = f(x) + T^2:  -p * A_1(p) = (L_f - 1) * p, L_f = #roots of f mod p.
+
+    Generic where f mod p is squarefree, i.e. where its degree pattern is
+    defined; L_f is then the number of linear factors.
+    """
+    patterns = degree_patterns_mod(f, primes)
+    return [None if pat is None else (pat.count(1) - 1) * p for p, pat in zip(primes, patterns)]
 
 
-def _linear_twist_law(f: IntPoly, ctx: PrimeCtx) -> int:
-    """y^2 = f(x) * T + 1:  -p * A_1(p) = L_f * p."""
-    p = ctx.p
-    if f.lead % p == 0:
-        raise NonGenericPrime(f"p = {p} divides the leading coefficient")
-    _require_squarefree_mod_p(f, ctx)
-    return root_count_mod(f, ctx) * p
+def _linear_twist_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
+    """y^2 = f(x) * T + 1:  -p * A_1(p) = L_f * p, generic where f mod p is
+    squarefree and p does not divide the leading coefficient."""
+    patterns = degree_patterns_mod(f, primes)
+    return [None if pat is None or f.lead % p == 0 else pat.count(1) * p
+            for p, pat in zip(primes, patterns)]
 
 
-def _big_rank_law(cr, ctx: PrimeCtx) -> int:
-    """The quadratic-in-T rank construction:  -p * A_1(p) = (4g + 2) * p."""
-    p = ctx.p
-    if cr.L % p == 0 or cr.A % p == 0:
-        raise NonGenericPrime(f"p = {p} divides the scaling data")
-    squares = {r * r % p for r in cr.rho}
-    if len(squares) != len(cr.rho):
-        raise NonGenericPrime(f"prescribed roots collide mod {p}")
-    return (4 * cr.genus + 2) * p
-
-
-def _require_squarefree_mod_p(f: IntPoly, ctx: PrimeCtx) -> None:
-    fbar = reduce_mod(f, ctx)
-    if fbar.is_zero:
-        raise NonGenericPrime(f"f vanishes identically mod {ctx.p}")
-    if mod_gcd(fbar, fbar.derivative()).degree != 0:
-        raise NonGenericPrime(f"f is not squarefree mod {ctx.p}")
+def _big_rank_law(cr, primes: list[int]) -> list[Optional[int]]:
+    """The quadratic-in-T rank construction:  -p * A_1(p) = (4g + 2) * p,
+    generic where p divides neither L nor A and the squared roots stay
+    distinct mod p."""
+    return [
+        (4 * cr.genus + 2) * p
+        if cr.L % p and cr.A % p and len({r * r % p for r in cr.rho}) == len(cr.rho)
+        else None
+        for p in primes
+    ]
 
 
 def make_shift_square(f: IntPoly, label: str | None = None) -> HyperFamily:
@@ -190,7 +185,7 @@ def _genus_from_degree(f: IntPoly) -> int:
 def scan(task, primes: list[int], jobs: int = 1) -> list:
     """``[task(PrimeCtx(p)) for p in primes]``, in the order of ``primes``.
 
-    The one driver for prime scans: it builds exactly one context per prime,
+    The one driver for character-sum scans: it builds one context per prime,
     in this process, and runs serially unless min(jobs, CPUs, #primes) > 1,
     in which case the contexts go to that many worker processes.  A pooled
     ``task`` must pickle, so callers pass a private module-level function or
@@ -205,15 +200,9 @@ def scan(task, primes: list[int], jobs: int = 1) -> list:
         return list(pool.map(task, ctxs, chunksize=chunk))
 
 
-def _moment_row(fam: HyperFamily, r: int, ctx: PrimeCtx) -> MomentRow:
-    value = Fraction(power_sum(fam, r, ctx), ctx.p)
-    if r != 1 or fam.closed_form is None:
-        return MomentRow(ctx.p, value, None, None)
-    try:
-        predicted = Fraction(-predict_first_moment(fam, ctx), ctx.p)
-    except NonGenericPrime:
-        return MomentRow(ctx.p, value, None, False)
-    return MomentRow(ctx.p, value, predicted, True)
+def _power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
+    """``power_sum`` under a private name, which a pool pickles by reference."""
+    return power_sum(fam, r, ctx)
 
 
 def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -> MomentSeries:
@@ -223,58 +212,60 @@ def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -
     Rows are emitted for every computed prime, ordered by p; non-generic
     primes keep their exact value with the generic flag cleared.  A range
     that reaches past the dense-kernel limit fails before any work starts.
+    The power sums go through ``scan``; the predictions are one batched
+    call of the closed form, in this process.
     """
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
     check_dense(max(primes, default=0))
-    rows = scan(partial(_moment_row, fam, r), primes, jobs)
+    sums = scan(partial(_power_sum, fam, r), primes, jobs)
+    if r != 1 or fam.closed_form is None:
+        rows = [MomentRow(p, Fraction(s, p), None, None) for p, s in zip(primes, sums)]
+    else:
+        rows = [MomentRow(p, Fraction(s, p), None if c is None else Fraction(-c, p), c is not None)
+                for p, s, c in zip(primes, sums, fam.closed_form(primes))]
     return MomentSeries(fam.label, r, tuple(rows))
-
-
-def _minus_p_a1(fam: HyperFamily, predicted: bool, ctx: PrimeCtx) -> Optional[int]:
-    """-p * A_1(p), exact or closed-form; None where the closed form does not apply."""
-    if not predicted:
-        return -power_sum(fam, 1, ctx)
-    try:
-        return predict_first_moment(fam, ctx)
-    except NonGenericPrime:
-        return None
 
 
 def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
               predicted: bool = False) -> NagaoEstimate:
     """Partial Nagao sums over [lo, hi] under both normalizations.
 
-    By default -A_1(p) is computed exactly by ``power_sum``: O(p) per
-    prime when deg_T F <= 2 (shift_square, linear_twist, big_rank),
-    O(p log p) when F is rank-one in T, and O(p^2) from the dense trace row
-    otherwise; a range past the dense-kernel limit is refused up front.
-    With ``predicted`` it comes from the family's closed form instead
-    (``predict_first_moment``, which raises ValueError for a family without
-    one); primes where that raises NonGenericPrime are skipped.  This skips
-    the exact sum, which matters for large cutoffs.
+    By default -A_1(p) is computed exactly by ``power_sum`` through
+    ``scan``: O(p) per prime when deg_T F <= 2 (shift_square, linear_twist,
+    big_rank), O(p log p) when F is rank-one in T, and O(p^2) from the dense
+    trace row otherwise; a range past the dense-kernel limit is refused up
+    front.  With ``predicted`` it comes from one batched call of the
+    family's closed form instead (ValueError for a family without one),
+    which builds no per-prime context and ignores ``jobs``; primes where the
+    closed form does not apply are skipped.  This skips the exact sum, which
+    matters for large cutoffs.
     """
     all_primes = primes_in(PrimeRange(prange.lo, prange.hi))
-    primes = [p for p in all_primes if p not in prange.skip and p not in fam.bad_primes]
-    if not predicted:
+    dropped = set(prange.skip | fam.bad_primes)
+    primes = [p for p in all_primes if p not in dropped]
+    if predicted:
+        sums = _closed_form(fam, primes)
+    else:
         check_dense(max(primes, default=0))
-    sums = scan(partial(_minus_p_a1, fam, predicted), primes, jobs)
-    values = [(p, Fraction(s, p)) for p, s in zip(primes, sums) if s is not None]
-    used = {p for p, _ in values}
-
+        sums = [-s for s in scan(partial(_power_sum, fam, 1), primes, jobs)]
     P = prange.hi
     theta = 0.0
     pi_sum = 0.0
-    for p, v in values:
-        fv = float(v)
-        theta += fv * math.log(p)
-        pi_sum += fv
-    n = len(values)
+    n = 0
+    for p, s in zip(primes, sums):
+        if s is None:
+            dropped.add(p)
+        else:
+            fv = s / p
+            theta += fv * math.log(p)
+            pi_sum += fv
+            n += 1
     return NagaoEstimate(
         P=P,
         s_theta=theta / P if P > 0 else 0.0,
         s_pi=pi_sum / n if n else 0.0,
         n_primes=n,
-        skipped=tuple(p for p in all_primes if p not in used),
+        skipped=tuple(p for p in all_primes if p in dropped),
     )
 
 
@@ -313,18 +304,15 @@ class SnWitnessReport:
         }
 
 
-def _pattern(f: IntPoly, ctx: PrimeCtx):
-    """``degree_pattern_mod`` under a private name, which a pool pickles by reference."""
-    return degree_pattern_mod(f, ctx)
-
-
 def sn_witness(f: IntPoly, prange: PrimeRange, jobs: int = 1) -> SnWitnessReport:
     """Scan primes for the n-cycle / (n-1)-cycle / transposition patterns.
 
     For degree < 3 the certificate degenerates (the n-cycle and the
     transposition patterns coincide), so the scan always reports
     INCONCLUSIVE there, returning the pattern census only.  A constant f
-    has no factorization pattern and is refused.
+    has no factorization pattern and is refused.  The patterns come from one
+    batched call of ``degree_patterns_mod`` in this process; ``jobs`` has
+    no effect, as in ``nagao_sum(predicted=True)``.
     """
     if f.is_zero or not squarefree_over_q(f):
         raise ValueError("polynomial must be squarefree over Q")
@@ -340,7 +328,7 @@ def sn_witness(f: IntPoly, prange: PrimeRange, jobs: int = 1) -> SnWitnessReport
     census: dict = {}
     primes = primes_in(prange)
     ramified = 0
-    for p, pattern in zip(primes, scan(partial(_pattern, f), primes, jobs)):
+    for p, pattern in zip(primes, degree_patterns_mod(f, primes)):
         if pattern is None:
             ramified += 1
             census["ramified"] = census.get("ramified", 0) + 1

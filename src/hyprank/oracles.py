@@ -16,7 +16,6 @@ from .finite_field import (
     PrimeCtx,
     PrimeRange,
     double_sum_S,
-    legendre,
     power_pair_count,
     primes_in,
     quadratic_char_sum,
@@ -30,11 +29,11 @@ def quadratic_sum_table(ctx: PrimeCtx) -> np.ndarray:
     ts = np.arange(p, dtype=np.int64)
     tsq = (ts * ts) % p
     table = np.empty((p, p, p), dtype=np.int64)
-    bs = np.arange(p, dtype=np.int64)
-    cs = np.arange(p, dtype=np.int64)
+    bt = ts[:, None, None] * ts[None, None, :]  # b t over (b, 1, t)
+    vals = np.empty((p, p, p), dtype=np.int64)  # one grid over (b, c, t), reused for every a
     for a in range(p):
-        # grid over (b, c, t)
-        vals = (a * tsq[None, None, :] + bs[:, None, None] * ts[None, None, :] + cs[None, :, None]) % p
+        np.add(a * tsq + bt, ts[None, :, None], out=vals)
+        np.remainder(vals, p, out=vals)
         table[a] = chi[vals].sum(axis=2, dtype=np.int64)
     return table
 
@@ -63,6 +62,11 @@ class SuiteResult:
     cases: int
     passed: bool
     first_failure: str = ""
+
+
+# Largest pmax run_lemma_suites accepts: the quadratic-char-sum suite builds a
+# p^3 int64 table and makes p^3 scalar calls per prime (63 MB at p = 199).
+LEMMA_PMAX = 200
 
 
 def run_lemma_suites(pmax: int, nmax: int = 12) -> list[SuiteResult]:
@@ -95,12 +99,15 @@ def run_lemma_suites(pmax: int, nmax: int = 12) -> list[SuiteResult]:
     cases = 0
     failure = ""
     for p in primes:
-        ctx = PrimeCtx(p)
+        chi = PrimeCtx(p).chi
+        ts = np.arange(p, dtype=np.int64)
         for a in range(1, p):
-            for b in range(p):
-                cases += 1
-                if sum(legendre(a * t + b, ctx) for t in range(p)) != 0:
-                    failure = failure or f"(a,b,p)=({a},{b},{p})"
+            cases += p
+            # row b holds chi(a t + b) over every t
+            sums = chi[(a * ts[None, :] + ts[:, None]) % p].sum(axis=1, dtype=np.int64)
+            bad = np.flatnonzero(sums)
+            if len(bad):
+                failure = failure or f"(a,b,p)=({a},{int(bad[0])},{p})"
     results.append(SuiteResult("linear-sum-vanishing", len(primes), cases, not failure, failure))
 
     cases = 0

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
+from ._kernels import FROB_LIMIT, frobenius_rows
 from .finite_field import PrimeCtx
 
 
@@ -452,13 +453,17 @@ def reduce_mod(f, ctx: PrimeCtx):
 
 def root_count_mod(f: IntPoly, ctx: PrimeCtx) -> int:
     """Number of distinct roots of f mod p, via deg gcd(x^p - x, f mod p)."""
-    fbar = reduce_mod(f, ctx)
+    return _root_count(f, ctx.p)
+
+
+def _root_count(f: IntPoly, p: int) -> int:
+    fbar = ModPoly(p, f.coeffs)
     if fbar.is_zero:
-        raise ValueError(f"polynomial vanishes identically mod {ctx.p}")
+        raise ValueError(f"polynomial vanishes identically mod {p}")
     if fbar.degree < 1:
         return 0
-    x = ModPoly(ctx.p, (0, 1))
-    xp = mod_pow(x, ctx.p, fbar)
+    x = ModPoly(p, (0, 1))
+    xp = mod_pow(x, p, fbar)
     return mod_gcd(fbar, xp - x).degree
 
 
@@ -470,7 +475,11 @@ def degree_pattern_mod(f: IntPoly, ctx: PrimeCtx):
     distinct-degree factorization: repeatedly raise x to the p-th power mod
     the remaining cofactor and split off gcd(g, x^(p^d) - x).
     """
-    fbar = reduce_mod(f, ctx)
+    return _degree_pattern(f, ctx.p)
+
+
+def _degree_pattern(f: IntPoly, p: int):
+    fbar = ModPoly(p, f.coeffs)
     if fbar.is_zero:
         return None
     fbar = fbar.monic()
@@ -478,7 +487,7 @@ def degree_pattern_mod(f: IntPoly, ctx: PrimeCtx):
         return None
     degrees = []
     g = fbar
-    x = ModPoly(ctx.p, (0, 1))
+    x = ModPoly(p, (0, 1))
     w = x % g
     d = 0
     while g.degree > 0:
@@ -486,13 +495,122 @@ def degree_pattern_mod(f: IntPoly, ctx: PrimeCtx):
         if 2 * d > g.degree:
             degrees.append(g.degree)
             break
-        w = mod_pow(w, ctx.p, g)
+        w = mod_pow(w, p, g)
         e = mod_gcd(g, w - (x % g))
         if e.degree > 0:
             degrees.extend([d] * (e.degree // d))
             g = g.divmod(e)[0].monic()
             w = w % g
     return tuple(sorted(degrees))
+
+
+def root_counts_mod(f: IntPoly, primes: list[int]) -> list[int]:
+    """``root_count_mod`` at every prime, from one batched Frobenius pass.
+
+    Each count is deg gcd(x^p - x, f mod p), with x^p mod f taken from
+    ``_kernels.frobenius_rows`` and the gcd from a short Euclid per prime.
+    Primes that divide lead(f), and primes from FROB_LIMIT = 2^31 on, take
+    the per-prime code instead.
+    """
+    return _by_frobenius(f, primes, 1, _root_count,
+                         lambda fbar, xps, p: _gcd_degree(fbar, _minus_x(xps[0], p), p))
+
+
+def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
+    """``degree_pattern_mod`` at every prime, from one batched Frobenius pass.
+
+    At a prime that does not divide lead(f), f mod p is squarefree exactly
+    when p does not divide Res(f, f'), which is computed once over Z.  For a
+    squarefree f mod p with N_k irreducible factors of degree k,
+
+        D_i = deg gcd(x^(p^i) - x, f mod p) = sum over k | i of k * N_k,
+
+    so k * N_k = D_k - sum over proper divisors j of k of j * N_j.  Only
+    k <= d/2 is needed: what is left of the degree d is one factor.  The
+    rows x^(p^i) come from ``_kernels.frobenius_rows``; primes that divide
+    lead(f), and primes from 2^31 on, take the per-prime code instead.
+    """
+    ramified = _resultant(f, f.derivative())
+    d = f.degree
+    shared = {}  # one tuple per distinct pattern, however many primes have it
+
+    def pattern(fbar, xps, p):
+        if ramified % p == 0:
+            return None
+        parts = []  # parts[k - 1] = k * N_k
+        for k, xp in enumerate(xps, 1):
+            D = _gcd_degree(fbar, _minus_x(xp, p), p)
+            parts.append(D - sum(parts[j - 1] for j in range(1, k) if k % j == 0))
+        degrees = [k for k, v in enumerate(parts, 1) for _ in range(v // k)]
+        rest = d - sum(parts)
+        pat = tuple(degrees + [rest] if rest else degrees)
+        return shared.setdefault(pat, pat)
+
+    return _by_frobenius(f, primes, max(1, d // 2), _degree_pattern, pattern)
+
+
+# Primes per frobenius_rows call, so that its arrays, and the lists made
+# from the rows it returns, keep one size however many primes are scanned.
+FROB_BLOCK = 1 << 11
+
+
+def _by_frobenius(f: IntPoly, primes, depth: int, per_prime, from_rows) -> list:
+    """``from_rows(f mod p, [x^(p^i) mod f for i = 1..depth], p)`` at every
+    prime the batched kernel takes, ``per_prime(f, p)`` at the others."""
+    batched = [f.degree >= 1 and p < FROB_LIMIT and f.lead % p != 0 for p in primes]
+    ps = [p for p, ok in zip(primes, batched) if ok]
+    # one block at a time, so that no array or list of every prime's rows is built
+    it = (r for lo in range(0, len(ps), FROB_BLOCK)
+          for r in frobenius_rows(f.coeffs, ps[lo : lo + FROB_BLOCK], depth).tolist())
+    return [from_rows([c % p for c in f.coeffs], next(it), p) if ok else per_prime(f, p)
+            for p, ok in zip(primes, batched)]
+
+
+def _minus_x(xp: list[int], p: int) -> list[int]:
+    """Residues of xp - x, with xp reduced mod a polynomial of degree len(xp)."""
+    h = xp + [0] * (2 - len(xp))
+    h[1] = (h[1] - 1) % p
+    return h
+
+
+def _gcd_degree(a: list[int], b: list[int], p: int) -> int:
+    """deg gcd(a, b) over F_p for residue lists (low to high), a nonzero."""
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        a = list(a)
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k] * inv % p
+            if c:
+                for j in range(db):
+                    a[k - db + j] = (a[k - db + j] - c * b[j]) % p
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _resultant(a: IntPoly, b: IntPoly) -> int:
+    """Res(a, b) over Z, by the Euclidean algorithm over Q.
+
+    Res(a, b) = (-1)^(deg a deg b) lead(b)^(deg a - deg r) Res(b, r) with
+    r = a mod b, down to Res(a, c) = c^(deg a) for a constant c.
+    """
+    a = [Fraction(c) for c in a.coeffs]
+    b = [Fraction(c) for c in b.coeffs]
+    acc = Fraction(1)
+    while len(b) > 1:
+        r = _rat_mod(a, b)
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            acc = -acc
+        acc *= b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return int(acc * b[-1] ** (len(a) - 1)) if b else 0
 
 
 def disc_t_quarter(F: BiPoly) -> IntPoly:

@@ -376,18 +376,19 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
     code, _ = run(capsys, "moments", "--family", "builtin:shift_square", "--f", F3,
                   "--pmin", "20", "--pmax", "30", "--jobs", "100000")
     assert code == 0 and seen == [4, 2]  # only 23 and 29 in range
-    for argv in (
-        ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"],
-        ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"],
-        ["sn-witness", "--f", "x^3 + x + 1", "--pmax", "60"],
-        ["nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60", "--predicted"],
+    for argv, pools in (
+        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"], [4]),
+        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"], [4]),
+        # closed-form scans are one batched pass in this process: no pool
+        (["sn-witness", "--f", "x^3 + x + 1", "--pmax", "60"], []),
+        (["nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60", "--predicted"], []),
     ):
         seen.clear()
         code, serial = run(capsys, *argv, "--jobs", "1")
         assert code == 0 and seen == []
         code, out = run(capsys, *argv, "--jobs", "100000")
         assert code == 0 and out == serial, argv
-        assert seen == [4], argv
+        assert seen == pools, argv
 
 
 def test_one_context_per_prime(capsys, monkeypatch):
@@ -403,16 +404,17 @@ def test_one_context_per_prime(capsys, monkeypatch):
     monkeypatch.setattr(PrimeCtx, "__init__", counting_init)
     primes = primes_in(PrimeRange(3, 100))
     assert len(primes) == 24
-    for argv in (
-        ["moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "1"],
-        ["nagao", "--family", "builtin:linear_twist", "--f", F3, "--predicted"],
-        ["second-moment", "--n", "5", "--h", "2", "--k", "1"],
-        ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--bias"],
-        ["sn-witness", "--f", "x^3 + x + 1"],
+    for argv, contexts in (
+        (["moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "1"], primes),
+        # closed-form scans are one batched pass: no per-prime context
+        (["nagao", "--family", "builtin:linear_twist", "--f", F3, "--predicted"], []),
+        (["second-moment", "--n", "5", "--h", "2", "--k", "1"], primes),
+        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--bias"], primes),
+        (["sn-witness", "--f", "x^3 + x + 1"], []),
     ):
         built.clear()
         assert run(capsys, *argv, "--pmax", "100")[0] == 0
-        assert built == primes, argv
+        assert built == contexts, argv
 
 
 def test_verify_lemmas(capsys):
@@ -437,6 +439,25 @@ def test_verify_lemmas_rejects_empty_checks(capsys, argv, err):
     code = main(["verify-lemmas", *argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (3, "", err)
+
+
+def test_verify_lemmas_refuses_large_pmax_before_allocating(capsys):
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(["verify-lemmas", "--pmax", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("error: --pmax must be <= 200 for the lemma suites "
+                            "(their enumeration grows as p^4), got 100000\n")
 
 
 def test_sn_witness_cli(capsys):
@@ -531,11 +552,27 @@ GOLDEN = [
      "8c36296816659eefa7ce96057157be9c54f806ba21f5f03ed3afedd3b299dab1", 0, ""),
     (("sn-witness", "--f", "x^3 + x + 1", "--pmax", "100", "--format", "json"),
      "91840bf143c3e1c341e39006b9e4ee669d55837ad94db8d94f42aa04cc3acb0b", 0, ""),
+    # these two were recorded before the closed forms moved to the batched
+    # Frobenius kernel
+    (("nagao", "--family", "builtin:shift_square", "--f", "(x+23)*(x-32)*(x+32)",
+      "--pmax", "100000", "--predicted", "--format", "json"),
+     "175d7d7b0cc6e255926bd5319187294e9ecbb4c8272fd26803184926a5fc2078", 0, ""),
+    (("sn-witness", "--f", "2*(x-1)*(x-2)*(x-3)*(x-4)*(x-5)*(x-6)*(x-7) + 1", "--pmax", "3600",
+      "--format", "json"),
+     "2dfd44729eda98ab452a1b3bd2dd2368ba2d671be0b789d3534f74c1424fdc02", 0, ""),
 ]
 
 
-@pytest.mark.parametrize("argv, stdout_sha256, exit_code, stderr", GOLDEN,
-                         ids=[" ".join(g[0][:3]) for g in GOLDEN])
+def _golden_ids():
+    """The first three arguments; a repeat also names its --pmax."""
+    ids = []
+    for argv, *_ in GOLDEN:
+        name = " ".join(argv[:3])
+        ids.append(f"{name} --pmax {argv[argv.index('--pmax') + 1]}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("argv, stdout_sha256, exit_code, stderr", GOLDEN, ids=_golden_ids())
 def test_golden_output(capsys, argv, stdout_sha256, exit_code, stderr):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyprank.finite_field import PrimeCtx
+from hyprank._kernels import FROB_LIMIT
+from hyprank.construction import RootData, build_family
+from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.polynomials import (
     BiPoly,
     IntPoly,
@@ -12,12 +14,14 @@ from hyprank.polynomials import (
     PolyParseError,
     RatPoly,
     degree_pattern_mod,
+    degree_patterns_mod,
     disc_t_quarter,
     mod_gcd,
     parse_bipoly,
     parse_int_poly,
     reduce_mod,
     root_count_mod,
+    root_counts_mod,
     squarefree_over_q,
 )
 
@@ -275,3 +279,116 @@ def test_bipoly_coefficient_views():
     assert F.specialize_t(3) == parse_int_poly("9*x^5 + 6*x^2 - 7")
     assert F.specialize_x(1) == IntPoly((-7, 2, 1))
     assert F.deg_x == 5 and F.deg_t == 2
+
+
+# ---------------------------------------------------------------------------
+# batched Frobenius: root_counts_mod and degree_patterns_mod
+
+
+def _builtin_fs():
+    """The f of the three built-in families: a shift_square cubic, a
+    linear_twist septic, and the big_rank x-polynomial F(x, 0) (degree 5,
+    non-monic, coefficients near 2^270)."""
+    cr = build_family(RootData(2, tuple(range(1, 11))))
+    return [
+        parse_int_poly("(x+23)*(x-32)*(x+32)"),
+        IntPoly.from_roots([1, 2, 3, 4, 5, 6, 7]),
+        cr.family.F.t_coeff(0),
+    ]
+
+
+def _assert_batch_matches_per_prime(f, primes):
+    assert degree_patterns_mod(f, primes) == [degree_pattern_mod(f, PrimeCtx(p)) for p in primes]
+    live = [p for p in primes if any(c % p for c in f.coeffs)]  # root_count_mod raises elsewhere
+    assert root_counts_mod(f, live) == [root_count_mod(f, PrimeCtx(p)) for p in live]
+
+
+@pytest.mark.parametrize("i", range(3), ids=["shift_square", "linear_twist", "big_rank"])
+def test_batched_frobenius_matches_per_prime_to_ten_thousand(i):
+    _assert_batch_matches_per_prime(_builtin_fs()[i], primes_in(PrimeRange(3, 10**4)))
+
+
+# lead(f) gets a factor from {1, 3, 5, 7, 15, 105}; roots drawn from a small
+# range make p | disc(f) common, and repeated roots make f not squarefree.
+_LEAD = st.sampled_from([1, 3, 5, 7, 15, 105, -21])
+_COEFF = st.one_of(st.integers(-50, 50), st.integers(-(2**100), 2**100))
+
+
+@st.composite
+def _polys(draw):
+    lead = draw(_LEAD) * draw(st.one_of(st.just(1), st.integers(-(2**100), 2**100).filter(bool)))
+    if draw(st.booleans()):
+        low = draw(st.lists(_COEFF, min_size=1, max_size=9))
+        return IntPoly(low + [lead])
+    roots = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=9))
+    return IntPoly.from_roots(roots) * lead + IntPoly([draw(st.sampled_from([0, 0, 15, 77]))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(), st.sets(st.sampled_from(primes_in(PrimeRange(301, 10**4))), max_size=20))
+def test_batched_frobenius_matches_per_prime_hypothesis(f, larger):
+    # every prime up to 300, where p | lead(f) and p | disc(f) are common,
+    # and a sample of the rest up to 10^4
+    _assert_batch_matches_per_prime(f, primes_in(PrimeRange(3, 300)) + sorted(larger))
+
+
+def test_batched_frobenius_across_the_exactness_bound():
+    # 2^31 - 1 is prime: the kernel takes it, the primes above go per prime
+    primes = primes_in(PrimeRange(2147483550, 2147483750))
+    assert any(p < FROB_LIMIT for p in primes) and any(p > FROB_LIMIT for p in primes)
+    for f in _builtin_fs() + [parse_int_poly("6*x^3 + x + 1")]:
+        _assert_batch_matches_per_prime(f, primes)
+
+
+def _enumerated(f: IntPoly, p: int):
+    """(number of distinct roots, factor degrees) of f mod p by enumeration.
+
+    Roots by evaluating at every x; quadratic factors by dividing by every
+    monic quadratic.  The degrees are None when f mod p is zero or has a
+    repeated factor.  Complete for deg(f mod p) <= 5: a remainder of degree
+    <= 5 with no factor of degree <= 2 is irreducible.
+    """
+    g = [c % p for c in f.coeffs]
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
+        return None, None
+
+    def divide(g, m):  # (quotient, remainder) for a monic m
+        g, q = list(g), [0] * max(len(g) - len(m) + 1, 0)
+        for k in range(len(g) - len(m), -1, -1):
+            c = q[k] = g[k + len(m) - 1]
+            for j, mj in enumerate(m):
+                g[k + j] = (g[k + j] - c * mj) % p
+        return q, any(g[: len(m) - 1])
+
+    roots = [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(g)) % p == 0]
+    inv = pow(g[-1], -1, p)
+    g = [c * inv % p for c in g]
+    degrees, repeated = [], False
+    candidates = [[-r % p, 1] for r in roots]
+    if len(g) - 1 - len(roots) >= 4:
+        candidates += [[c, b, 1] for b in range(p) for c in range(p)]
+    for m in candidates:
+        q, rem = divide(g, m)
+        if not rem:
+            g = q
+            degrees.append(len(m) - 1)
+            repeated = repeated or not divide(g, m)[1]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)
+    return len(roots), None if repeated else tuple(sorted(degrees))
+
+
+def test_batched_frobenius_equals_enumeration_to_sixty():
+    primes = primes_in(PrimeRange(3, 60))
+    fs = [f for f in _builtin_fs() if f.degree <= 5] + [
+        parse_int_poly(s) for s in ("(x-1)*(x-2)*(x-3)", "6*x^3 + x + 1", "(x-1)*(x-2)*(x-8)",
+                                    "x^5 - x + 1", "(x^2+1)^2", "x^4 + 1", "30*x^4 + 7*x + 1",
+                                    "5*x - 10", "x^2*(x-1)", "7")
+    ]
+    for f in fs:
+        expected = [_enumerated(f, p) for p in primes]
+        assert degree_patterns_mod(f, primes) == [pat for _, pat in expected], str(f)
+        live = [p for p, (count, _) in zip(primes, expected) if count is not None]
+        assert root_counts_mod(f, live) == [c for c, _ in expected if c is not None], str(f)
