@@ -387,7 +387,7 @@ def cmd_sn_witness(args) -> int:
     prange = _prime_range(args)
     if prange is None:
         raise RangeConfigError("empty prime range for the witness scan")
-    report = sn_witness(f, prange, jobs=args.jobs)
+    report = sn_witness(f, prange)
     if args.format == "json":
         _emit(_dump(report.to_json()), args.out)
     else:

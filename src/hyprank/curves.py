@@ -50,6 +50,11 @@ class HyperFamily:
         if not _generic_fiber_squarefree(self.F):
             raise ValueError("generic fiber of the family is not squarefree")
 
+    def check_prime(self, ctx: PrimeCtx) -> None:
+        """Refuse a prime in the family's bad-prime skip set."""
+        if ctx.p in self.bad_primes:
+            raise ValueError(f"p = {ctx.p} is in the family's bad-prime skip set")
+
     def to_json(self) -> dict:
         return {
             "label": self.label,
@@ -100,18 +105,17 @@ def trace_of_poly(fx: IntPoly, ctx: PrimeCtx) -> int:
     return -int(ctx.chi[vals].sum(dtype=np.int64))
 
 
-def t_coeff_rows(fam: HyperFamily, ctx: PrimeCtx) -> list[np.ndarray | None]:
+def t_coeff_rows(F: BiPoly, ctx: PrimeCtx) -> list[np.ndarray | None]:
     """Values over x = 0..p-1 of each T-coefficient of F mod p.
 
     F is reduced mod p once; ``rows[j]`` is the int64 row of the coefficient
     of T^j, or None when it vanishes mod p, so len(rows) - 1 is deg_T of the
-    reduced F (or 0 when F vanishes).  Refuses a bad prime and p >= 2^26
-    before anything of length p is allocated.
+    reduced F (or 0 when F vanishes).  Refuses p >= 2^26 before anything of
+    length p is allocated.
     """
-    _check_prime(fam, ctx)
     p = ctx.p
     _kernels.check_dense(p)
-    Fbar = reduce_mod(fam.F, ctx)
+    Fbar = reduce_mod(F, ctx)
     xs = np.arange(p, dtype=np.int64)
     rows = [None] * (max(Fbar.deg_t, 0) + 1)
     for j in {j for _, j in Fbar.terms}:
@@ -121,7 +125,8 @@ def t_coeff_rows(fam: HyperFamily, ctx: PrimeCtx) -> list[np.ndarray | None]:
 
 def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
     """Traces of every specialization t = 0..p-1 at one prime."""
-    return traces_from_rows(t_coeff_rows(fam, ctx), ctx)
+    fam.check_prime(ctx)
+    return traces_from_rows(t_coeff_rows(fam.F, ctx), ctx)
 
 
 def traces_from_rows(rows, ctx: PrimeCtx) -> list[int]:
@@ -138,7 +143,3 @@ def hasse_weil_bound(genus: int, p: int) -> int:
     """Slack bound 2g * floor(2*sqrt(p)) on |a(p)| for good squarefree fibers."""
     return 2 * genus * isqrt(4 * p)
 
-
-def _check_prime(fam: HyperFamily, ctx: PrimeCtx) -> None:
-    if ctx.p in fam.bad_primes:
-        raise ValueError(f"p = {ctx.p} is in the family's bad-prime skip set")

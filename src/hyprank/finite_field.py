@@ -187,33 +187,19 @@ class PrimeRange:
 def primes_in(prange: PrimeRange) -> list[int]:
     """Ascending odd primes in [lo, hi], excluding the skip set.
 
-    Segmented sieve so that large lo/hi with a modest width stay cheap.
+    Segmented sieve so that large lo/hi with a modest width stay cheap; the
+    base primes up to sqrt(hi) come from the same sieve.
     """
     lo = max(prange.lo, 3)
     hi = prange.hi
     if hi < lo:
         return []
-    base = _small_primes(isqrt(hi))
-    width = hi - lo + 1
-    flags = bytearray([1]) * width
+    root = isqrt(hi)
+    base = primes_in(PrimeRange(3, root)) if root >= 3 else []
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    flags[lo % 2 :: 2] = False  # the even numbers
     for q in base:
         start = max(q * q, (lo + q - 1) // q * q)
-        if start <= hi:
-            flags[start - lo :: q] = bytearray(len(range(start, hi + 1, q)))
-    return [
-        lo + i
-        for i in range(width)
-        if flags[i] and (lo + i) % 2 == 1 and (lo + i) > 2 and (lo + i) not in prange.skip
-    ]
-
-
-def _small_primes(n: int) -> list[int]:
-    """All primes <= n by a plain sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for q in range(2, isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+        flags[start - lo :: q] = False
+    flags[[p - lo for p in prange.skip if lo <= p <= hi]] = False
+    return (np.flatnonzero(flags) + lo).tolist()

@@ -82,7 +82,8 @@ def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    rows = t_coeff_rows(fam, ctx)
+    fam.check_prime(ctx)
+    rows = t_coeff_rows(fam.F, ctx)
     if r == 1 and len(rows) <= 3:
         return first_sum_vec(rows, ctx)
     return sum(a**r for a in traces_from_rows(rows, ctx))
@@ -132,14 +133,10 @@ def _linear_twist_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
 
 def _big_rank_law(cr, primes: list[int]) -> list[Optional[int]]:
     """The quadratic-in-T rank construction:  -p * A_1(p) = (4g + 2) * p,
-    generic where p divides neither L nor A and the squared roots stay
-    distinct mod p."""
-    return [
-        (4 * cr.genus + 2) * p
-        if cr.L % p and cr.A % p and len({r * r % p for r in cr.rho}) == len(cr.rho)
-        else None
-        for p in primes
-    ]
+    generic away from the construction's bad primes (p | L, p | A, or two
+    squared roots equal mod p)."""
+    bad = cr.family.bad_primes
+    return [None if p in bad else (4 * cr.genus + 2) * p for p in primes]
 
 
 def make_shift_square(f: IntPoly, label: str | None = None) -> HyperFamily:
@@ -304,17 +301,16 @@ class SnWitnessReport:
         }
 
 
-def sn_witness(f: IntPoly, prange: PrimeRange, jobs: int = 1) -> SnWitnessReport:
+def sn_witness(f: IntPoly, prange: PrimeRange) -> SnWitnessReport:
     """Scan primes for the n-cycle / (n-1)-cycle / transposition patterns.
 
     For degree < 3 the certificate degenerates (the n-cycle and the
     transposition patterns coincide), so the scan always reports
     INCONCLUSIVE there, returning the pattern census only.  A constant f
     has no factorization pattern and is refused.  The patterns come from one
-    batched call of ``degree_patterns_mod`` in this process; ``jobs`` has
-    no effect, as in ``nagao_sum(predicted=True)``.
+    batched call of ``degree_patterns_mod`` in this process.
     """
-    if f.is_zero or not squarefree_over_q(f):
+    if not squarefree_over_q(f):
         raise ValueError("polynomial must be squarefree over Q")
     n = f.degree
     if n < 1:

@@ -172,9 +172,6 @@ class IntPoly(_DensePoly):
             e >>= 1
         return out
 
-    def to_rat(self) -> "RatPoly":
-        return RatPoly([Fraction(c) for c in self.coeffs])
-
 
 class RatPoly(_DensePoly):
     """Univariate polynomial over Q; coefficients are Fractions in lowest terms."""
@@ -204,18 +201,6 @@ class RatPoly(_DensePoly):
         return IntPoly([int(c) for c in self.coeffs])
 
 
-def rat_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    a, b = list(f.coeffs), list(g.coeffs)
-    while b:
-        a = _rat_mod(a, b)
-        a, b = b, a
-    if not a:
-        return RatPoly(())
-    inv = 1 / a[-1]
-    return RatPoly([c * inv for c in a])
-
-
 def _rat_mod(a: list, b: list) -> list:
     rem = list(a)
     d = len(b) - 1
@@ -231,10 +216,11 @@ def _rat_mod(a: list, b: list) -> list:
 
 
 def squarefree_over_q(f: IntPoly) -> bool:
-    """True iff f has no repeated roots over Q (gcd with derivative is constant)."""
-    if f.is_zero:
-        return False
-    return rat_gcd(f.to_rat(), f.derivative().to_rat()).degree <= 0
+    """True iff f has no repeated roots over Q: Res(f, f') != 0 when deg f >= 1;
+    a nonzero constant is squarefree and the zero polynomial is not."""
+    if f.degree < 1:
+        return not f.is_zero
+    return _resultant(f, f.derivative()) != 0
 
 
 class BiPoly:
@@ -453,10 +439,7 @@ def reduce_mod(f, ctx: PrimeCtx):
 
 def root_count_mod(f: IntPoly, ctx: PrimeCtx) -> int:
     """Number of distinct roots of f mod p, via deg gcd(x^p - x, f mod p)."""
-    return _root_count(f, ctx.p)
-
-
-def _root_count(f: IntPoly, p: int) -> int:
+    p = ctx.p
     fbar = ModPoly(p, f.coeffs)
     if fbar.is_zero:
         raise ValueError(f"polynomial vanishes identically mod {p}")
@@ -504,16 +487,9 @@ def _degree_pattern(f: IntPoly, p: int):
     return tuple(sorted(degrees))
 
 
-def root_counts_mod(f: IntPoly, primes: list[int]) -> list[int]:
-    """``root_count_mod`` at every prime, from one batched Frobenius pass.
-
-    Each count is deg gcd(x^p - x, f mod p), with x^p mod f taken from
-    ``_kernels.frobenius_rows`` and the gcd from a short Euclid per prime.
-    Primes that divide lead(f), and primes from FROB_LIMIT = 2^31 on, take
-    the per-prime code instead.
-    """
-    return _by_frobenius(f, primes, 1, _root_count,
-                         lambda fbar, xps, p: _gcd_degree(fbar, _minus_x(xps[0], p), p))
+# Primes per frobenius_rows call, so that its arrays, and the lists made
+# from the rows it returns, keep one size however many primes are scanned.
+FROB_BLOCK = 1 << 11
 
 
 def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
@@ -546,23 +522,12 @@ def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
         pat = tuple(degrees + [rest] if rest else degrees)
         return shared.setdefault(pat, pat)
 
-    return _by_frobenius(f, primes, max(1, d // 2), _degree_pattern, pattern)
-
-
-# Primes per frobenius_rows call, so that its arrays, and the lists made
-# from the rows it returns, keep one size however many primes are scanned.
-FROB_BLOCK = 1 << 11
-
-
-def _by_frobenius(f: IntPoly, primes, depth: int, per_prime, from_rows) -> list:
-    """``from_rows(f mod p, [x^(p^i) mod f for i = 1..depth], p)`` at every
-    prime the batched kernel takes, ``per_prime(f, p)`` at the others."""
-    batched = [f.degree >= 1 and p < FROB_LIMIT and f.lead % p != 0 for p in primes]
+    batched = [d >= 1 and p < FROB_LIMIT and f.lead % p != 0 for p in primes]
     ps = [p for p, ok in zip(primes, batched) if ok]
     # one block at a time, so that no array or list of every prime's rows is built
     it = (r for lo in range(0, len(ps), FROB_BLOCK)
-          for r in frobenius_rows(f.coeffs, ps[lo : lo + FROB_BLOCK], depth).tolist())
-    return [from_rows([c % p for c in f.coeffs], next(it), p) if ok else per_prime(f, p)
+          for r in frobenius_rows(f.coeffs, ps[lo : lo + FROB_BLOCK], max(1, d // 2)).tolist())
+    return [pattern([c % p for c in f.coeffs], next(it), p) if ok else _degree_pattern(f, p)
             for p, ok in zip(primes, batched)]
 
 

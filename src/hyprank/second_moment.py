@@ -29,9 +29,8 @@ from functools import partial
 from math import gcd
 from typing import Optional
 
-import numpy as np
-
-from . import _kernels
+from ._kernels import check_dense
+from .curves import t_coeff_rows, traces_from_rows
 from .finite_field import (
     InternalCheckError,
     PrimeCtx,
@@ -40,6 +39,7 @@ from .finite_field import (
     primes_in,
 )
 from .moments import scan
+from .polynomials import BiPoly
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ class PowerFamily:
             raise ValueError("h must satisfy 0 <= h < n")
         if not 0 <= self.k < self.n:
             raise ValueError("k must satisfy 0 <= k < n")
-
-    @property
-    def genus(self) -> int:
-        return (self.n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -88,17 +84,11 @@ def second_moment_brute(fam: PowerFamily, ctx: PrimeCtx) -> int:
 def _brute(n: int, h: int, k: int, ctx: PrimeCtx, include_t0: bool = True) -> int:
     """Sum of squared traces of x^n + x^h T^k over t, from t = 1 unless include_t0.
 
-    x^n + x^h T^k has the shape c(x) + g(x) W(T), so the traces come from
-    an FFT correlation in O(p log p) (``_kernels.correlation_row``).
+    The traces come from the shared row -> trace path of every family; the
+    shape c(x) + g(x) W(T) keeps it at O(p log p).
     """
-    p = ctx.p
-    _kernels.check_dense(p)
-    xs = np.arange(p, dtype=np.int64)
-    rows = [None] * (k + 1)
-    rows[0] = _kernels.powmod_vec(xs, n, p)
-    xh = _kernels.powmod_vec(xs, h, p)  # 0^0 = 1
-    rows[k] = xh if k else (rows[0] + xh) % p
-    traces = _kernels.correlation_row(rows, ctx)
+    rows = t_coeff_rows(BiPoly.term(1, n, 0) + BiPoly.term(1, h, k), ctx)
+    traces = traces_from_rows(rows, ctx)
     return sum(a * a for a in traces[0 if include_t0 else 1 :])
 
 
@@ -149,17 +139,16 @@ def check_gcd_reduction(fam: PowerFamily, ctx: PrimeCtx) -> bool:
 
 
 def _second_moment_row(fam: PowerFamily, ctx: PrimeCtx) -> tuple:
-    p = ctx.p
-    closed = second_moment_closed(fam, ctx)
-    c2 = None if closed is None else closed // (p * p - p)
-    return p, second_moment_brute(fam, ctx), closed, c2, None if c2 is None else -c2
+    row = _bias_row(fam, ctx)
+    closed, c2, c1 = (None, None, None) if row is None else (row.p_a2, row.c2, row.c1)
+    return ctx.p, second_moment_brute(fam, ctx), closed, c2, c1
 
 
 def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> list[tuple]:
     """(p, brute p*A_2, closed p*A_2, c2, c1) per prime, the last three None where
     the closed form does not apply; a range past the dense limit fails up front."""
     primes = primes_in(prange)
-    _kernels.check_dense(max(primes, default=0))
+    check_dense(max(primes, default=0))
     return scan(partial(_second_moment_row, fam), primes, jobs)
 
 

@@ -11,7 +11,7 @@ from hyprank.construction import (
     solve_coefficients,
     to_monic_model,
 )
-from hyprank.finite_field import PrimeCtx
+from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import NonGenericPrime, make_big_rank, power_sum, predict_first_moment
 from hyprank.polynomials import IntPoly, RatPoly, parse_bipoly
 
@@ -156,6 +156,22 @@ def test_bad_primes_cover_non_generic_ones():
         assert p not in fam.bad_primes
         assert -power_sum(fam, 1, PrimeCtx(p)) == 10 * p
     assert {3, 5, 7}.issubset(fam.bad_primes)
+
+
+def test_bad_primes_are_the_per_prime_genericity_rule():
+    # the rule the first-moment law reads off bad_primes, checked per prime
+    rng = random.Random(2024)
+    for genus in (1, 1, 2, 2, 3, 3):
+        mags = rng.sample(range(1, 40), 4 * genus + 2)
+        rd = RootData(genus, tuple(m if rng.random() < 0.5 else -m for m in mags))
+        cr = build_family(rd)
+        rule = {p for p in primes_in(PrimeRange(3, 10**4))
+                if cr.L % p == 0 or cr.A % p == 0
+                or len({r * r % p for r in rd.rho}) != len(rd.rho)}
+        assert {p for p in cr.family.bad_primes if 3 <= p <= 10**4} == rule, rd.rho
+        primes = primes_in(PrimeRange(3, 300))
+        law = make_big_rank(cr).closed_form(primes)
+        assert [p for p, v in zip(primes, law) if v is None] == sorted(rule & set(primes))
 
 
 def test_to_monic_model_shape():

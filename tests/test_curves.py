@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hyprank._kernels import correlation_row, first_sum_vec, horner_vec, trace_row_vec
 from hyprank.curves import HyperFamily, hasse_weil_bound, t_coeff_rows, trace_of_poly, trace_row
-from hyprank.finite_field import PrimeCtx, _small_primes
+from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
+from hyprank.moments import power_sum
 from hyprank.polynomials import BiPoly, IntPoly, mod_gcd, parse_bipoly, reduce_mod
 
 
@@ -56,6 +57,12 @@ def test_trace_respects_bad_primes():
     fam = fam_of("x^3 + x + T", 1, bad=(5,))
     with pytest.raises(ValueError):
         trace_row(fam, PrimeCtx(5))
+    for r in (1, 2):
+        with pytest.raises(ValueError, match="p = 5 is in the family's bad-prime skip set"):
+            power_sum(fam, r, PrimeCtx(5))
+    with pytest.raises(ValueError, match="moment order must be >= 1"):
+        power_sum(fam, 0, PrimeCtx(5))  # the order is checked first
+    assert power_sum(fam, 2, PrimeCtx(7)) == sum(a * a for a in trace_row(fam, PrimeCtx(7)))
 
 
 def test_trace_row_shape_and_sums():
@@ -80,7 +87,7 @@ def test_trace_row_matches_pointwise_trace(text, genus):
 def test_trace_equals_point_count():
     # a(p) = p + 1 - #points, counting affine solutions plus one at infinity
     fam = fam_of("x^3 + x + T", 1)
-    for p in [p for p in _small_primes(100) if p > 2]:
+    for p in primes_in(PrimeRange(3, 100)):
         ctx = PrimeCtx(p)
         for t in range(min(p, 6)):
             fx = fam.F.specialize_t(t)
@@ -113,7 +120,7 @@ def test_vector_kernel_matches_scalar_sum():
 
 def test_hasse_weil_on_good_fibers():
     fam = fam_of("x^3 + x + T", 1)
-    for p in [p for p in _small_primes(60) if p > 2]:
+    for p in primes_in(PrimeRange(3, 60)):
         ctx = PrimeCtx(p)
         bound = hasse_weil_bound(fam.genus, p)
         row = trace_row(fam, ctx)
@@ -144,7 +151,7 @@ def euler_trace_row(F: BiPoly, p: int) -> list[int]:
     return row
 
 
-ENGINE_PRIMES = [p for p in _small_primes(31) if p > 2]
+ENGINE_PRIMES = primes_in(PrimeRange(3, 31))
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,7 +181,7 @@ def test_trace_row_matches_euler_enumeration(genus, lower, lead_t, scale, p):
     assert trace_row(fam, PrimeCtx(p)) == euler_trace_row(F, p)
 
 
-QUAD_PRIMES = [p for p in _small_primes(61) if p > 2]
+QUAD_PRIMES = primes_in(PrimeRange(3, 61))
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,7 +223,7 @@ def test_first_sum_vec_matches_dense_and_euler(genus, lower, lead_t, scale, drop
     except ValueError:
         assume(False)
     ctx = PrimeCtx(p)
-    swapped = first_sum_vec(t_coeff_rows(fam, ctx), ctx)
+    swapped = first_sum_vec(t_coeff_rows(fam.F, ctx), ctx)
     assert swapped == sum(trace_row(fam, ctx)) == sum(euler_trace_row(F, p))
 
 
@@ -254,14 +261,14 @@ def test_correlation_row_declines_rows_that_are_not_proportional():
     for text in ("x^3 + x*T^2 + T + 1", "x^3 + x*T^3 + T + 1"):
         fam = fam_of(text, 1)
         ctx = PrimeCtx(101)
-        assert correlation_row(t_coeff_rows(fam, ctx), ctx) is None
+        assert correlation_row(t_coeff_rows(fam.F, ctx), ctx) is None
 
 
 def test_first_sum_vec_refuses_cubic_rows():
     fam = fam_of("x^3 + x*T^3 + 1", 1)
     ctx = PrimeCtx(5)
     with pytest.raises(ValueError, match="deg_T F <= 2"):
-        first_sum_vec(t_coeff_rows(fam, ctx), ctx)
+        first_sum_vec(t_coeff_rows(fam.F, ctx), ctx)
 
 
 def test_trace_row_refuses_many_rows():

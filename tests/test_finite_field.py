@@ -11,11 +11,10 @@ from hyprank.finite_field import (
     power_pair_count,
     primes_in,
     quadratic_char_sum,
-    _small_primes,
 )
 from hyprank.oracles import double_sum_brute, power_pair_count_brute, quadratic_sum_table
 
-SMALL_PRIMES = [p for p in _small_primes(200) if p > 2]
+SMALL_PRIMES = primes_in(PrimeRange(3, 200))
 
 
 def euler_criterion(a, p):
@@ -66,7 +65,7 @@ def test_legendre_examples():
 
 
 def test_legendre_multiplicative():
-    for p in [p for p in _small_primes(100) if p > 2]:
+    for p in primes_in(PrimeRange(3, 100)):
         ctx = PrimeCtx(p)
         vals = [legendre(a, ctx) for a in range(p)]
         for a in range(1, p):
@@ -96,7 +95,7 @@ def test_quadratic_char_sum_rejects_double_zero():
         quadratic_char_sum(7, 14, 3, PrimeCtx(7))
 
 
-@pytest.mark.parametrize("p", [p for p in _small_primes(50) if p > 2])
+@pytest.mark.parametrize("p", primes_in(PrimeRange(3, 50)))
 def test_quadratic_char_sum_vs_enumeration(p):
     ctx = PrimeCtx(p)
     table = quadratic_sum_table(ctx)
@@ -126,7 +125,7 @@ def test_double_sum_examples():
         double_sum_S(0, PrimeCtx(5))
 
 
-@pytest.mark.parametrize("p", [p for p in _small_primes(100) if p > 2])
+@pytest.mark.parametrize("p", primes_in(PrimeRange(3, 100)))
 def test_pair_sums_vs_enumeration(p):
     ctx = PrimeCtx(p)
     for n in range(1, 13):
@@ -160,8 +159,19 @@ def test_primes_in():
 
 
 def test_primes_in_segmented():
-    # A window away from the origin agrees with the plain sieve.
-    lo, hi = 9000, 9200
-    expected = [p for p in _small_primes(hi) if lo <= p <= hi]
-    assert primes_in(PrimeRange(lo, hi)) == expected
+    # Windows away from the origin, some straddling 2^31, agree with
+    # Miller-Rabin, with and without a skip set.
+    skip = frozenset({9001, 9199, 2**31 - 1, 2**31 + 11, 4})
+    for lo, hi in [(9000, 9200), (2**31 - 400, 2**31 + 400), (2**31 - 1, 2**31 - 1)]:
+        expected = [p for p in range(lo, hi + 1) if is_prime(p)]
+        assert primes_in(PrimeRange(lo, hi)) == expected
+        got = primes_in(PrimeRange(lo, hi, skip))
+        assert got == [p for p in expected if p not in skip] and len(got) < len(expected)
     assert 100003 in primes_in(PrimeRange(100000, 100100))
+
+
+def test_primes_in_every_small_window():
+    for lo in range(0, 120):
+        for hi in range(lo, 120):
+            want = [p for p in range(lo, hi + 1) if p > 2 and is_prime(p)]
+            assert primes_in(PrimeRange(lo, hi)) == want, (lo, hi)

@@ -123,7 +123,7 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
     monkeypatch.setattr(moments, "traces_from_rows",
                         lambda r, ctx: seen.append(("dense", fam.label)) or dense(r, ctx))
     monkeypatch.setattr(moments, "t_coeff_rows",
-                        lambda fam, ctx: seen.append(("rows", fam.label)) or rows(fam, ctx))
+                        lambda F, ctx: seen.append(("rows",)) or rows(F, ctx))
     quad = HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1"))
     cubic = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
     drops = HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + T^2 + 1"))

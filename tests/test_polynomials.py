@@ -21,7 +21,6 @@ from hyprank.polynomials import (
     parse_int_poly,
     reduce_mod,
     root_count_mod,
-    root_counts_mod,
     squarefree_over_q,
 )
 
@@ -107,10 +106,7 @@ def test_root_count_examples():
         root_count_mod(parse_int_poly("7*x^2+7"), PrimeCtx(7))
 
 
-from hyprank.finite_field import _small_primes
-
-
-@pytest.mark.parametrize("p", [p for p in _small_primes(200) if p > 2])
+@pytest.mark.parametrize("p", primes_in(PrimeRange(3, 200)))
 def test_root_count_vs_enumeration(p):
     ctx = PrimeCtx(p)
     polys = [
@@ -217,6 +213,17 @@ def test_mod_gcd():
 def test_squarefree_over_q():
     assert squarefree_over_q(IntPoly.from_roots([1, 2, 3]))
     assert not squarefree_over_q(IntPoly.from_roots([1, 1, 2]))
+    assert not squarefree_over_q(IntPoly.zero())
+    assert squarefree_over_q(IntPoly.const(7)) and squarefree_over_q(IntPoly.const(-1))
+    assert squarefree_over_q(IntPoly((5, -3))) and squarefree_over_q(IntPoly((0, 10**30)))
+    big = IntPoly((10**30 + 7, -(3**70), 0, 10**30))
+    assert squarefree_over_q(big) and squarefree_over_q(big * 10**40)
+    irred = parse_int_poly("x^2 + 1")
+    assert not squarefree_over_q(irred * irred * X)
+    assert not squarefree_over_q(big * big)
+    lin = IntPoly((-(2**90), 3**80))
+    assert not squarefree_over_q(lin * lin * irred)
+    assert squarefree_over_q(lin * IntPoly((2**90, 3**80)) * irred)
 
 
 def test_parser_round_trip():
@@ -282,7 +289,7 @@ def test_bipoly_coefficient_views():
 
 
 # ---------------------------------------------------------------------------
-# batched Frobenius: root_counts_mod and degree_patterns_mod
+# batched Frobenius: degree_patterns_mod
 
 
 def _builtin_fs():
@@ -299,8 +306,6 @@ def _builtin_fs():
 
 def _assert_batch_matches_per_prime(f, primes):
     assert degree_patterns_mod(f, primes) == [degree_pattern_mod(f, PrimeCtx(p)) for p in primes]
-    live = [p for p in primes if any(c % p for c in f.coeffs)]  # root_count_mod raises elsewhere
-    assert root_counts_mod(f, live) == [root_count_mod(f, PrimeCtx(p)) for p in live]
 
 
 @pytest.mark.parametrize("i", range(3), ids=["shift_square", "linear_twist", "big_rank"])
@@ -391,4 +396,5 @@ def test_batched_frobenius_equals_enumeration_to_sixty():
         expected = [_enumerated(f, p) for p in primes]
         assert degree_patterns_mod(f, primes) == [pat for _, pat in expected], str(f)
         live = [p for p, (count, _) in zip(primes, expected) if count is not None]
-        assert root_counts_mod(f, live) == [c for c, _ in expected if c is not None], str(f)
+        assert [root_count_mod(f, PrimeCtx(p)) for p in live] == [
+            c for c, _ in expected if c is not None], str(f)

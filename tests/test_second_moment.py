@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyprank import _kernels
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
+from hyprank.moments import make_power, power_sum
 from hyprank.second_moment import (
     PowerFamily,
     bias_report,
@@ -13,6 +15,7 @@ from hyprank.second_moment import (
     michel_deviation,
     second_moment_brute,
     second_moment_closed,
+    second_moment_scan,
 )
 
 GRID_PRIMES = primes_in(PrimeRange(3, 31))
@@ -88,6 +91,31 @@ def test_brute_equals_closed_on_every_prime_to_ten_thousand():
     for p in primes:
         ctx = PrimeCtx(p)
         assert second_moment_brute(fam, ctx) == second_moment_closed(fam, ctx), p
+
+
+def test_brute_equals_power_sum_of_the_family_on_smooth_shapes():
+    primes = primes_in(PrimeRange(3, 200))
+    for n in (3, 5, 7):
+        for h in (0, 1):
+            for k in range(n):
+                fam = make_power(n, h, k)
+                for p in primes:
+                    ctx = PrimeCtx(p)
+                    assert second_moment_brute(PowerFamily(n, h, k), ctx) == power_sum(fam, 2, ctx)
+
+
+def test_scan_never_takes_the_dense_kernel(monkeypatch):
+    # every power shape, singular (h >= 2) and constant (k = 0) ones too, has
+    # rank-one rows, so its traces stay on the O(p log p) correlation
+    def dense(rows, ctx):
+        raise AssertionError("dense trace kernel called")
+
+    monkeypatch.setattr(_kernels, "trace_row_vec", dense)
+    for n, h, k in [(3, 0, 0), (3, 2, 0), (5, 2, 0), (5, 4, 3), (7, 3, 0), (7, 6, 5), (5, 1, 2)]:
+        fam = PowerFamily(n, h, k)
+        for p, brute, closed, c2, c1 in second_moment_scan(fam, PrimeRange(3, 400)):
+            assert closed is None or brute == closed, (n, h, k, p)
+            assert (c2, c1) == ((None, None) if closed is None else (closed // (p * p - p), -c2))
 
 
 def test_periodicity_unconditional_on_grid():
