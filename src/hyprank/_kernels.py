@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx
+from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx, quadratic_sums
 
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
@@ -181,17 +181,12 @@ def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:
     """sum_t a_t = -sum_x S_x for F = c(x) + b(x) T + a(x) T^2, in O(p).
 
     The sums over t and x are swapped: S_x = sum_t chi(a t^2 + b t + c) is
-    the closed form of ``finite_field.quadratic_char_sum`` (extended to
-    a = b = 0), evaluated at every x at once --
-
-        (p-1) chi(a)   if a != 0 and p | b^2 - 4ac,
-        -chi(a)        if a != 0 and p does not divide b^2 - 4ac,
-        0              if a = 0 and b != 0 (a complete linear sum),
-        p chi(c)       if a = b = 0 (t does not occur).
+    ``finite_field.quadratic_sums`` evaluated at every x at once, except
+    where a = b = 0: there t does not occur and S_x = p chi(c).
 
     ``t_coeff_rows`` is laid out as for :func:`trace_row_vec`; rows 0, 1, 2
-    are c, b, a, and a missing or None row counts as zero.  Exact in int64:
-    p < 2^26 gives b^2 < 2^52 and 4ac < 2^54, and |S_x| <= p sums to < 2^52.
+    are c, b, a, and a missing or None row counts as zero.  Exact in int64
+    for p < 2^26, and |S_x| <= p sums to < 2^52.
     """
     if any(row is not None for row in t_coeff_rows[3:]):
         raise ValueError("the swapped first-moment sum needs deg_T F <= 2")
@@ -202,10 +197,7 @@ def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:
         t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
         for j in range(3)
     )
-    chi_a = chi[a].astype(np.int64)
-    disc_zero = (b * b - 4 * a * c) % p == 0
-    # chi(a) = 0 where a = 0, so these terms already give S_x = 0 there.
-    quad = np.where(disc_zero, (p - 1) * chi_a, -chi_a).sum(dtype=np.int64)
+    quad = quadratic_sums(a, b, c, chi[a].astype(np.int64), p).sum(dtype=np.int64)
     const = chi[c[(a == 0) & (b == 0)]].sum(dtype=np.int64)
     return -(int(quad) + p * int(const))
 

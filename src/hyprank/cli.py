@@ -88,9 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "| builtin:power:N,H,K | path to a family JSON file",
         )
         p.add_argument("--family-expr", help="inline polynomial in x and T")
-        p.add_argument("--f", help="polynomial f(x) for shift_square / linear_twist")
+        p.add_argument("--f", help="polynomial f(x) for shift_square / linear_twist; "
+                       "a leading minus needs the = form, --f=-x^3+1")
         p.add_argument("--genus", type=int, help="genus (family-expr and big_rank)")
-        p.add_argument("--roots", help="roots for big_rank, e.g. 1..10 or 1,-2,3")
+        p.add_argument("--roots", help="roots for big_rank, e.g. 1..10 or 1,-2,3; "
+                       "a leading negative root needs the = form, --roots=-3,5,...")
         p.add_argument("--label", default=None)
 
     p = sub.add_parser("moments", help="per-prime moments of Frobenius traces")
@@ -110,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the rank-(4g+2) family from roots")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--roots", required=True, help="4g+2 integers, e.g. 1..10 or 1,-2,3,...")
+    p.add_argument("--roots", required=True, help="4g+2 integers, e.g. 1..10 or 1,-2,3,...; "
+                   "a leading negative root needs the = form, --roots=-3,5,...")
     p.add_argument("--emit-points", action="store_true", help="include the sections")
     p.add_argument("--monic", action="store_true", help="include the monic-in-x model")
     p.add_argument("--label", default=None)
@@ -134,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser("sn-witness", help="symmetric-group certificate scan")
-    p.add_argument("--f", required=True, help="squarefree polynomial in x")
+    p.add_argument("--f", required=True, help="squarefree polynomial in x; "
+                   "a leading minus needs the = form, --f=-x^3+1")
     common(p, pmax_default=200)
     p.set_defaults(func=cmd_sn_witness)
 
@@ -365,6 +369,9 @@ def cmd_verify_lemmas(args) -> int:
                                f"(their enumeration grows as p^4), got {args.pmax}")
     if args.nmax < 2:
         raise RangeConfigError(f"--nmax must be >= 2, got {args.nmax}")
+    if args.nmax > LEMMA_PMAX:
+        raise RangeConfigError(f"--nmax must be <= {LEMMA_PMAX} for the lemma suites "
+                               f"(x^n depends only on n mod p - 1), got {args.nmax}")
     results = run_lemma_suites(args.pmax, args.nmax)
     if args.format == "json":
         obj = [

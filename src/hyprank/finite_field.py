@@ -103,13 +103,23 @@ def legendre(a: int, ctx: PrimeCtx) -> int:
     return 1 if e == 1 else -1
 
 
+def quadratic_sums(a, b, c, chi_a, p: int):
+    """Sum of chi(a t^2 + b t + c) over t = 0..p-1, given chi_a = (a/p).
+
+    The quadratic law: (p-1) chi(a) when p divides b^2 - 4ac and -chi(a)
+    otherwise.  a = 0 gives chi(a) = 0, the value of a complete linear sum;
+    at (a, b) = (0, 0) the sum is p chi(c), not the 0 returned here.
+    Exact on Python ints of any size and, elementwise, on int64 residue
+    arrays with p < 2^26 (b^2 < 2^52, 4ac < 2^54).
+    """
+    return (p * ((b * b - 4 * a * c) % p == 0) - 1) * chi_a
+
+
 def quadratic_char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     """Sum of (a*t^2 + b*t + c / p) over a full period t = 0..p-1.
 
-    Closed form: (p-1)*(a/p) when p divides the discriminant b^2 - 4ac,
-    -(a/p) otherwise, and 0 in the degenerate linear case a = 0, b != 0
-    (a complete linear sum over t cancels).  Requires (a, b) != (0, 0)
-    mod p.
+    The law of :func:`quadratic_sums`, at any odd prime; requires
+    (a, b) != (0, 0) mod p.
     """
     p = ctx.p
     a %= p
@@ -117,12 +127,7 @@ def quadratic_char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     c %= p
     if a == 0 and b == 0:
         raise ValueError("a and b must not both vanish mod p")
-    if a == 0:
-        return 0
-    la = legendre(a, ctx)
-    if (b * b - 4 * a * c) % p == 0:
-        return (p - 1) * la
-    return -la
+    return quadratic_sums(a, b, c, legendre(a, ctx), p)
 
 
 def power_pair_count(n: int, ctx: PrimeCtx) -> int:

@@ -18,7 +18,7 @@ from .finite_field import (
     double_sum_S,
     power_pair_count,
     primes_in,
-    quadratic_char_sum,
+    quadratic_sums,
 )
 
 
@@ -64,9 +64,19 @@ class SuiteResult:
     first_failure: str = ""
 
 
-# Largest pmax run_lemma_suites accepts: the quadratic-char-sum suite builds a
-# p^3 int64 table and makes p^3 scalar calls per prime (63 MB at p = 199).
+# Largest pmax (and nmax) run_lemma_suites accepts: each prime builds a p^3
+# int64 enumeration table (63 MB at p = 199).  For p <= 200 the power x^n
+# depends only on n mod p - 1, so no exponent above 200 adds a case.
 LEMMA_PMAX = 200
+
+_SUITES = ("quadratic-char-sum", "linear-sum-vanishing", "power-pair-count",
+           "paired-power-char-sum")
+
+
+def _first_failure(bad: np.ndarray, case: str, p: int) -> str:
+    """The case at the first True of ``bad`` in row-major order, or ""."""
+    hit = np.argwhere(bad)
+    return f"({case},p)=({','.join(map(str, hit[0]))},{p})" if len(hit) else ""
 
 
 def run_lemma_suites(pmax: int, nmax: int = 12) -> list[SuiteResult]:
@@ -74,60 +84,32 @@ def run_lemma_suites(pmax: int, nmax: int = 12) -> list[SuiteResult]:
 
     Covers: the quadratic character sum (all (a, b, c) with (a, b) != (0, 0)),
     the vanishing of complete linear sums, the power pair count (1 <= n <= nmax),
-    and the paired power character sum (even h <= nmax).
+    and the paired power character sum (even h <= nmax).  Each prime gets one
+    context and one enumeration table, shared by every suite.
     """
     primes = primes_in(PrimeRange(3, pmax))
-    results = []
-
-    cases = 0
-    failure = ""
+    ns, hs = range(1, nmax + 1), range(2, nmax + 1, 2)
+    cases = [0] * len(_SUITES)
+    failures = [""] * len(_SUITES)
     for p in primes:
         ctx = PrimeCtx(p)
         table = quadratic_sum_table(ctx)
-        for a in range(p):
-            for b in range(p):
-                if a == 0 and b == 0:
-                    continue
-                for c in range(p):
-                    cases += 1
-                    if quadratic_char_sum(a, b, c, ctx) != int(table[a, b, c]):
-                        failure = failure or f"(a,b,c,p)=({a},{b},{c},{p})"
-        if failure:
-            break
-    results.append(SuiteResult("quadratic-char-sum", len(primes), cases, not failure, failure))
-
-    cases = 0
-    failure = ""
-    for p in primes:
-        chi = PrimeCtx(p).chi
+        chi = ctx.chi.astype(np.int64)
         ts = np.arange(p, dtype=np.int64)
-        for a in range(1, p):
-            cases += p
-            # row b holds chi(a t + b) over every t
-            sums = chi[(a * ts[None, :] + ts[:, None]) % p].sum(axis=1, dtype=np.int64)
-            bad = np.flatnonzero(sums)
-            if len(bad):
-                failure = failure or f"(a,b,p)=({a},{int(bad[0])},{p})"
-    results.append(SuiteResult("linear-sum-vanishing", len(primes), cases, not failure, failure))
-
-    cases = 0
-    failure = ""
-    for p in primes:
-        ctx = PrimeCtx(p)
-        for n in range(1, nmax + 1):
-            cases += 1
-            if power_pair_count(n, ctx) != power_pair_count_brute(n, ctx):
-                failure = failure or f"(n,p)=({n},{p})"
-    results.append(SuiteResult("power-pair-count", len(primes), cases, not failure, failure))
-
-    cases = 0
-    failure = ""
-    for p in primes:
-        ctx = PrimeCtx(p)
-        for h in range(2, nmax + 1, 2):
-            cases += 1
-            if double_sum_S(h, ctx) != double_sum_brute(h, ctx):
-                failure = failure or f"(h,p)=({h},{p})"
-    results.append(SuiteResult("paired-power-char-sum", len(primes), cases, not failure, failure))
-
-    return results
+        quad = np.empty((p, p, p), dtype=bool)
+        for a in range(p):  # one (b, c) slice at a time keeps the temporaries small
+            quad[a] = quadratic_sums(a, ts[:, None], ts, chi[a], p) != table[a]
+        quad[0, 0] = False  # (a, b) = (0, 0): t does not occur
+        linear = table[0] != 0  # table[0, a, b] = sum of chi(a t + b), linear for a != 0
+        linear[0] = False
+        pair = np.zeros(nmax + 1, dtype=bool)
+        pair[ns] = [power_pair_count(n, ctx) != power_pair_count_brute(n, ctx) for n in ns]
+        paired = np.zeros(nmax + 1, dtype=bool)
+        paired[hs] = [double_sum_S(h, ctx) != double_sum_brute(h, ctx) for h in hs]
+        suites = ((p**3 - p, quad, "a,b,c"), (p * p - p, linear, "a,b"),
+                  (len(ns), pair, "n"), (len(hs), paired, "h"))
+        for i, (n, bad, case) in enumerate(suites):
+            cases[i] += n
+            failures[i] = failures[i] or _first_failure(bad, case, p)
+    return [SuiteResult(name, len(primes), n, not failure, failure)
+            for name, n, failure in zip(_SUITES, cases, failures)]

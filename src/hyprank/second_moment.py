@@ -1,14 +1,14 @@
 """Second moments of the power families y^2 = x^n + x^h T^k.
 
 p * A_2(p) is the sum of squared traces over the full fiber period.  When
-gcd(k, n-h, p-1) = 1 it has an exact closed form; writing d for
-gcd(n-h, p-1):
+gcd(k, n-h, p-1) = 1 it has an exact closed form in the two pair lemmas of
+``finite_field``: N(m) = power_pair_count(m), the number of pairs with
+x^m = y^m, and S(m) = double_sum_S(m), the sum of chi(xy) over them:
 
-    h = 0:                (d - 1) (p^2 - p)
-    h even, h >= 2, k>=1: (d - 1) (p^2 - p) + (p - 1)
-    h even, h >= 2, k=0:  p          (applicability forces d = 1)
-    h odd, nu2(p-1) > nu2(n-h):   d (p^2 - p)
-    h odd, otherwise:             0
+    h odd:                p S(n - h)
+    h = 0:                p (N(n - h) - p)
+    h even, h >= 2, k>=1: p (N(n - h) - p) + (p - 1)
+    h even, h >= 2, k=0:  p (N(n - h) - p) + p
 
 The (p - 1) term for even h >= 2 comes from the pairs with x or y zero:
 the character weight kills those pairs, so the raw power-pair count
@@ -35,7 +35,8 @@ from .finite_field import (
     InternalCheckError,
     PrimeCtx,
     PrimeRange,
-    nu2,
+    double_sum_S,
+    power_pair_count,
     primes_in,
 )
 from .moments import scan
@@ -98,13 +99,12 @@ def second_moment_closed(fam: PowerFamily, ctx: PrimeCtx) -> Optional[int]:
     p = ctx.p
     if gcd(gcd(k, n - h), p - 1) != 1:
         return None
-    d = gcd(n - h, p - 1)
     if h % 2 == 1:
-        return d * (p * p - p) if nu2(p - 1) > nu2(n - h) else 0
-    if h == 0:
-        return (d - 1) * (p * p - p)
-    base = (d - 1) * (p * p - p) + (p - 1)
-    return base + 1 if k == 0 else base
+        return p * double_sum_S(n - h, ctx)
+    val = p * (power_pair_count(n - h, ctx) - p)
+    if h >= 2:
+        val += p - 1 if k else p
+    return val
 
 
 def check_periodicity(n: int, h: int, k: int, ctx: PrimeCtx) -> bool:

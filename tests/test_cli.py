@@ -1,8 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from hyprank import oracles
 from hyprank.cli import main, parse_roots
 
 F3 = "(x-1)*(x-2)*(x-3)"
@@ -179,6 +181,13 @@ def test_construct_monic_flag(capsys):
     obj = json.loads(out)
     terms = obj["monic_F"]["terms"]
     assert ["1", 3, 0] in terms  # monic leading term x^3
+
+
+def test_leading_negative_root_in_equals_form(capsys):
+    # "--roots -3,..." reads as an option; the help names the = form
+    assert run(capsys, "construct", "--genus", "1", "--roots=-3,5,7,11,2,-13")[0] == 0
+    assert run(capsys, "nagao", "--family", "builtin:big_rank", "--genus", "1",
+               "--roots=-3,5,7,11,2,-13", "--pmax", "100")[0] == 0
 
 
 def test_family_file_round_trip(tmp_path, capsys):
@@ -434,11 +443,42 @@ def test_verify_lemmas(capsys):
     (("--nmax", "1"), "error: --nmax must be >= 2, got 1\n"),
     (("--nmax", "0"), "error: --nmax must be >= 2, got 0\n"),
     (("--nmax", "-3"), "error: --nmax must be >= 2, got -3\n"),
+    (("--nmax", "201"), "error: --nmax must be <= 200 for the lemma suites "
+                        "(x^n depends only on n mod p - 1), got 201\n"),
+    (("--nmax", "1000000000"), "error: --nmax must be <= 200 for the lemma suites "
+                               "(x^n depends only on n mod p - 1), got 1000000000\n"),
 ])
 def test_verify_lemmas_rejects_empty_checks(capsys, argv, err):
     code = main(["verify-lemmas", *argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (3, "", err)
+
+
+def test_lemma_suites_catch_a_wrong_law(capsys, monkeypatch):
+    quadratic_sums = oracles.quadratic_sums
+    power_pair_count = oracles.power_pair_count
+    double_sum_S = oracles.double_sum_S
+
+    def wrong_quadratic(a, b, c, chi_a, p):
+        off = (p == 7) & (np.asarray(a) == 2) & (np.asarray(b) == 3) & (np.asarray(c) == 4)
+        return quadratic_sums(a, b, c, chi_a, p) + off
+
+    monkeypatch.setattr(oracles, "quadratic_sums", wrong_quadratic)
+    monkeypatch.setattr(oracles, "power_pair_count",
+                        lambda n, ctx: power_pair_count(n, ctx) + ((n, ctx.p) == (5, 11)))
+    monkeypatch.setattr(oracles, "double_sum_S",
+                        lambda h, ctx: double_sum_S(h, ctx) + ((h, ctx.p) == (4, 13)))
+    results = {r.name: r for r in oracles.run_lemma_suites(20)}
+    assert not results["quadratic-char-sum"].passed
+    assert results["quadratic-char-sum"].first_failure == "(a,b,c,p)=(2,3,4,7)"
+    assert results["linear-sum-vanishing"].passed
+    assert results["power-pair-count"].first_failure == "(n,p)=(5,11)"
+    assert results["paired-power-char-sum"].first_failure == "(h,p)=(4,13)"
+
+    code, out = run(capsys, "verify-lemmas", "--pmax", "20")
+    assert code == 4
+    # cases count every prime, the ones after the first failure included
+    assert out.splitlines()[0] == "FAIL at (a,b,c,p)=(2,3,4,7) quadratic-char-sum (7 primes, 15720 cases)"
 
 
 def test_verify_lemmas_refuses_large_pmax_before_allocating(capsys):

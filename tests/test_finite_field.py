@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from hyprank import _kernels, finite_field, oracles
 from hyprank.finite_field import (
     PrimeCtx,
     PrimeRange,
@@ -86,6 +90,40 @@ def test_quadratic_char_sum_examples():
     assert quadratic_char_sum(1, 0, 1, PrimeCtx(7)) == -1
     assert quadratic_char_sum(2, 0, 0, PrimeCtx(5)) == -4
     assert quadratic_char_sum(0, 3, 1, PrimeCtx(7)) == 0  # linear case
+
+
+@pytest.mark.parametrize("p", [67108879, 2305843009213693951])  # first prime above 2^26, 2^61 - 1
+def test_quadratic_char_sum_above_table_limit(p):
+    ctx = PrimeCtx(p)
+    assert quadratic_char_sum(1, 0, 0, ctx) == p - 1
+    assert quadratic_char_sum(1, 0, 1, ctx) == -1
+    assert quadratic_char_sum(0, 3, 1, ctx) == 0
+    assert ctx._chi is None  # Euler's criterion, no character table
+
+
+def _calls(node) -> set:
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            names.add(n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None))
+    return names
+
+
+def test_quadratic_law_has_one_owner():
+    # the scalar closed form, the O(p) first-moment kernel and the lemma
+    # suites all evaluate finite_field.quadratic_sums; the suites check that
+    # law itself rather than a scalar copy of it
+    def tree(mod):
+        return ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
+
+    def function(mod, name):
+        return next(n for n in tree(mod).body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    oracle_calls = _calls(tree(oracles))
+    assert "quadratic_char_sum" not in oracle_calls
+    assert "quadratic_sums" in oracle_calls
+    assert "quadratic_sums" in _calls(function(_kernels, "first_sum_vec"))
+    assert "quadratic_sums" in _calls(function(finite_field, "quadratic_char_sum"))
 
 
 def test_quadratic_char_sum_rejects_double_zero():

@@ -84,6 +84,23 @@ def test_oracle_equivalence_grid_to_500():
                 assert second_moment_brute(fam, ctx) == closed, (n, h, k, p)
 
 
+@pytest.mark.parametrize("n, h, k", [(9, 1, 1), (9, 1, 3), (11, 3, 1), (11, 3, 3)])
+def test_oracle_equivalence_nu2_three(n, h, k):
+    # nu2(n - h) = 3, beyond the small grid: the closed form is nonzero
+    # exactly where nu2(p - 1) > 3
+    fam = PowerFamily(n, h, k)
+    primes = primes_in(PrimeRange(3, 500))
+    nonzero = set()
+    for p in primes:
+        ctx = PrimeCtx(p)
+        closed = second_moment_closed(fam, ctx)
+        assert closed is not None and second_moment_brute(fam, ctx) == closed, p
+        if closed:
+            nonzero.add(p)
+    assert nonzero == {p for p in primes if p % 16 == 1}
+    assert len(nonzero) == 11
+
+
 def test_brute_equals_closed_on_every_prime_to_ten_thousand():
     fam = PowerFamily(5, 2, 1)  # gcd(k, n-h) = 1: every odd prime is applicable
     primes = primes_in(PrimeRange(3, 10**4))
