@@ -308,7 +308,7 @@ def cmd_second_moment(args) -> int:
     if args.bias:
         if prange is None:
             raise RangeConfigError("empty prime range for bias report")
-        report = bias_report(fam, prange, jobs=args.jobs)
+        report = bias_report(fam, prange)
         if args.format == "csv":
             lines = ["p,pA2_closed,c2,c1,remainder"]
             for row in report.rows:

@@ -96,8 +96,9 @@ def _generic_fiber_squarefree(F: BiPoly) -> bool:
 def trace_of_poly(fx: IntPoly, ctx: PrimeCtx) -> int:
     """Trace -sum_x (f(x)/p) of one fiber, by the naive affine character sum.
 
-    Used for every fiber, including singular ones and fibers whose reduction
-    drops degree.
+    The per-fiber reference that the trace-row kernels are tested against;
+    it holds for every fiber, singular ones and fibers whose reduction drops
+    degree included.  Scans take whole rows from ``trace_row`` instead.
     """
     p = ctx.p
     _kernels.check_dense(p)

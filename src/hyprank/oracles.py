@@ -23,18 +23,21 @@ from .finite_field import (
 
 
 def quadratic_sum_table(ctx: PrimeCtx) -> np.ndarray:
-    """S[a, b, c] = sum over t of chi(a t^2 + b t + c), by enumeration."""
+    """S[a, b, c] = sum over t of chi(a t^2 + b t + c), by enumeration.
+
+    One a at a time: N[b, v] counts the t with a t^2 + b t = v, and S[a] is
+    the exact int64 product of N with the table chi(v + c) over (v, c).
+    Every |S| <= p, so the table is int16.
+    """
     p = ctx.p
-    chi = ctx.chi
     ts = np.arange(p, dtype=np.int64)
-    tsq = (ts * ts) % p
-    table = np.empty((p, p, p), dtype=np.int64)
-    bt = ts[:, None, None] * ts[None, None, :]  # b t over (b, 1, t)
-    vals = np.empty((p, p, p), dtype=np.int64)  # one grid over (b, c, t), reused for every a
+    shifted = ctx.chi.astype(np.int64)[(ts[:, None] + ts) % p]
+    bt = np.outer(ts, ts) % p  # b t over (b, t)
+    rows = ts[:, None] * p  # flat offset of row b in N
+    table = np.empty((p, p, p), dtype=np.int16)
     for a in range(p):
-        np.add(a * tsq + bt, ts[None, :, None], out=vals)
-        np.remainder(vals, p, out=vals)
-        table[a] = chi[vals].sum(axis=2, dtype=np.int64)
+        counts = np.bincount((rows + (a * ts * ts + bt) % p).ravel(), minlength=p * p)
+        table[a] = counts.reshape(p, p) @ shifted
     return table
 
 
@@ -65,18 +68,20 @@ class SuiteResult:
 
 
 # Largest pmax (and nmax) run_lemma_suites accepts: each prime builds a p^3
-# int64 enumeration table (63 MB at p = 199).  For p <= 200 the power x^n
-# depends only on n mod p - 1, so no exponent above 200 adds a case.
+# int16 enumeration table (16 MB at p = 199) in about p^4 integer steps.  For
+# p <= 200 the power x^n depends only on n mod p - 1, so no exponent above 200
+# adds a case.
 LEMMA_PMAX = 200
 
 _SUITES = ("quadratic-char-sum", "linear-sum-vanishing", "power-pair-count",
            "paired-power-char-sum")
 
 
-def _first_failure(bad: np.ndarray, case: str, p: int) -> str:
-    """The case at the first True of ``bad`` in row-major order, or ""."""
+def _first_failure(bad: np.ndarray, case: str, p: int, *lead: int) -> str:
+    """The case at the first True of ``bad`` in row-major order, or "";
+    ``lead`` holds the leading indices of the slice ``bad`` was taken from."""
     hit = np.argwhere(bad)
-    return f"({case},p)=({','.join(map(str, hit[0]))},{p})" if len(hit) else ""
+    return f"({case},p)=({','.join(map(str, (*lead, *hit[0])))},{p})" if len(hit) else ""
 
 
 def run_lemma_suites(pmax: int, nmax: int = 12) -> list[SuiteResult]:
@@ -96,19 +101,19 @@ def run_lemma_suites(pmax: int, nmax: int = 12) -> list[SuiteResult]:
         table = quadratic_sum_table(ctx)
         chi = ctx.chi.astype(np.int64)
         ts = np.arange(p, dtype=np.int64)
-        quad = np.empty((p, p, p), dtype=bool)
-        for a in range(p):  # one (b, c) slice at a time keeps the temporaries small
-            quad[a] = quadratic_sums(a, ts[:, None], ts, chi[a], p) != table[a]
-        quad[0, 0] = False  # (a, b) = (0, 0): t does not occur
+        cases[0] += p**3 - p
+        for a in range(p):  # one (b, c) slice at a time: no p^3 mask
+            bad = quadratic_sums(a, ts[:, None], ts, chi[a], p) != table[a]
+            bad[0] &= a != 0  # (a, b) = (0, 0): t does not occur
+            failures[0] = failures[0] or _first_failure(bad, "a,b,c", p, a)
         linear = table[0] != 0  # table[0, a, b] = sum of chi(a t + b), linear for a != 0
         linear[0] = False
         pair = np.zeros(nmax + 1, dtype=bool)
         pair[ns] = [power_pair_count(n, ctx) != power_pair_count_brute(n, ctx) for n in ns]
         paired = np.zeros(nmax + 1, dtype=bool)
         paired[hs] = [double_sum_S(h, ctx) != double_sum_brute(h, ctx) for h in hs]
-        suites = ((p**3 - p, quad, "a,b,c"), (p * p - p, linear, "a,b"),
-                  (len(ns), pair, "n"), (len(hs), paired, "h"))
-        for i, (n, bad, case) in enumerate(suites):
+        suites = ((p * p - p, linear, "a,b"), (len(ns), pair, "n"), (len(hs), paired, "h"))
+        for i, (n, bad, case) in enumerate(suites, 1):
             cases[i] += n
             failures[i] = failures[i] or _first_failure(bad, case, p)
     return [SuiteResult(name, len(primes), n, not failure, failure)

@@ -20,7 +20,7 @@ polynomial, and a parser for the textual polynomial syntax used by the CLI
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm, prod
 from typing import Iterable
 
 from ._kernels import FROB_LIMIT, frobenius_rows
@@ -61,6 +61,15 @@ class _DensePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def _key(self) -> tuple:
+        return type(self).__name__, self.coeffs
+
+    def __eq__(self, other):
+        return isinstance(other, _DensePoly) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -92,6 +101,9 @@ class _DensePoly:
         return self._wrap(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        return _power(self, e, self._wrap((1,)))
 
     def shift(self, k: int):
         """Multiply by x^k."""
@@ -133,14 +145,7 @@ class IntPoly(_DensePoly):
     @classmethod
     def from_roots(cls, roots: Iterable[int]) -> "IntPoly":
         """Expanded product of (x - r) over the given roots."""
-        out = [1]
-        for r in roots:
-            nxt = [0] * (len(out) + 1)
-            for i, c in enumerate(out):
-                nxt[i] -= c * r
-                nxt[i + 1] += c
-            out = nxt
-        return cls(out)
+        return prod((cls((-r, 1)) for r in roots), start=cls.const(1))
 
     @property
     def lead(self) -> int:
@@ -148,29 +153,11 @@ class IntPoly(_DensePoly):
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
-
     def __repr__(self):
-        return f"IntPoly({format_poly(self.coeffs, 'x')!r})"
+        return f"IntPoly({str(self)!r})"
 
     def __str__(self):
-        return format_poly(self.coeffs, "x")
-
-    def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = IntPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return format_bipoly(BiPoly.from_x_poly(self))
 
 
 class RatPoly(_DensePoly):
@@ -182,12 +169,6 @@ class RatPoly(_DensePoly):
     def __init__(self, coeffs: Iterable = ()):
         cs = [Fraction(c) for c in coeffs]
         self.coeffs = _trim(cs)
-
-    def __eq__(self, other):
-        return isinstance(other, RatPoly) and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash(("RatPoly", self.coeffs))
 
     def __repr__(self):
         return f"RatPoly({[str(c) for c in self.coeffs]})"
@@ -204,14 +185,12 @@ class RatPoly(_DensePoly):
 def _rat_mod(a: list, b: list) -> list:
     rem = list(a)
     d = len(b) - 1
-    lead = b[-1]
-    while len(rem) - 1 >= d and rem:
-        c = rem[-1] / lead
+    while len(rem) > d:
+        c = rem[-1] / b[-1]
         k = len(rem) - 1 - d
         for j, oc in enumerate(b):
             rem[k + j] -= c * oc
-        while rem and rem[-1] == 0:
-            rem.pop()
+        rem = list(_trim(rem))
     return rem
 
 
@@ -237,10 +216,6 @@ class BiPoly:
             if c:
                 tidy[(i, j)] = c
         self.terms = tidy
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls({})
 
     @classmethod
     def const(cls, c: int) -> "BiPoly":
@@ -301,16 +276,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "BiPoly":
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = BiPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, BiPoly.const(1))
 
     def t_coeff(self, j: int) -> IntPoly:
         """Coefficient of T^j as a polynomial in x."""
@@ -342,6 +308,20 @@ class BiPoly:
             raise PolyParseError(f"bad polynomial JSON: {exc}") from None
 
 
+def _power(base, e: int, one):
+    """base^e by square and multiply, ``one`` being base^0."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
 def _collect(pairs, degree: int) -> IntPoly:
     """The IntPoly of degree at most ``degree`` summing c * x^k over (k, c) pairs."""
     cs = [0] * (degree + 1)
@@ -362,21 +342,14 @@ class ModPoly(_DensePoly):
     def _wrap(self, coeffs) -> "ModPoly":
         return ModPoly(self.p, coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, ModPoly) and other.p == self.p and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash(("ModPoly", self.p, self.coeffs))
+    def _key(self) -> tuple:
+        return "ModPoly", self.p, self.coeffs
 
     def __repr__(self):
-        return f"ModPoly(p={self.p}, {format_poly(self.coeffs, 'x')!r})"
+        return f"ModPoly(p={self.p}, {format_bipoly(BiPoly.from_x_poly(self))!r})"
 
     def evaluate(self, x: int) -> int:
-        acc = 0
-        p = self.p
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
+        return super().evaluate(x) % self.p
 
     def monic(self) -> "ModPoly":
         if self.is_zero:
@@ -391,9 +364,7 @@ class ModPoly(_DensePoly):
         rem = list(self.coeffs)
         d = other.degree
         inv = pow(other.coeffs[-1], p - 2, p)
-        if len(rem) - 1 < d:
-            return self._wrap(()), self
-        out = [0] * (len(rem) - d)
+        out = [0] * (len(rem) - d)  # empty, and rem returned whole, when deg self < d
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i] % p
             if c == 0:
@@ -599,30 +570,8 @@ def disc_t_quarter(F: BiPoly) -> IntPoly:
 # textual format
 
 
-def format_poly(coeffs, var: str) -> str:
-    """Render a dense coefficient list as `c*var^i + ...`, high powers first."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = var if i == 1 else f"{var}^{i}"
-        else:
-            body = f"{mag}*{var}" if i == 1 else f"{mag}*{var}^{i}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
-
-
 def format_bipoly(F: BiPoly) -> str:
+    """Text of F: `c*x^i*T^j` terms, (i, j) descending.  IntPoly and ModPoly print here too."""
     if F.is_zero:
         return "0"
     parts = []
@@ -643,12 +592,29 @@ def format_bipoly(F: BiPoly) -> str:
     return " ".join(parts)
 
 
+# Input the parser refuses: parentheses nested deeper than MAX_DEPTH (Python's
+# recursion limit allows about 250), and, before expanding it, a power that could
+# have more than MAX_POWER_TERMS terms or MAX_POWER_BITS coefficient bits in all.
+MAX_DEPTH = 100
+MAX_POWER_TERMS = 1 << 12
+MAX_POWER_BITS = 1 << 20
+
+
+def _power_bounds(F: BiPoly, e: int) -> tuple[int, int]:
+    """Upper bounds on the term count of F^e (by exponent spans and by C(e + m - 1, e)
+    for m terms) and on its coefficient bits (each |c| of F^e is at most (sum |c|)^e)."""
+    spans = prod(e * (max(v) - min(v)) + 1 for v in zip(*F.terms))
+    terms = min(spans, comb(e + max(len(F.terms), 1) - 1, e))
+    return terms, e * max(sum(map(abs, F.terms.values())) - 1, 0).bit_length() + 1
+
+
 class _Parser:
     """Recursive-descent parser for +, -, *, ^, parentheses, x and T."""
 
     def __init__(self, text: str):
         self.text = text.replace("−", "-")
         self.pos = 0
+        self.depth = 0
 
     def parse(self) -> BiPoly:
         out = self._expr()
@@ -667,22 +633,19 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def _expr(self) -> BiPoly:
+    def _signs(self) -> int:
+        """Read a run of + and - signs (possibly empty) and return its sign."""
         sign = 1
         while self._peek() in ("+", "-"):
             if self._peek() == "-":
                 sign = -sign
             self.pos += 1
-        out = self._term() * sign
+        return sign
+
+    def _expr(self) -> BiPoly:
+        out = self._signs() * self._term()
         while self._peek() in ("+", "-"):
-            op = self._peek()
-            self.pos += 1
-            sign = 1 if op == "+" else -1
-            while self._peek() in ("+", "-"):
-                if self._peek() == "-":
-                    sign = -sign
-                self.pos += 1
-            out = out + self._term() * sign
+            out = out + self._signs() * self._term()
         return out
 
     def _term(self) -> BiPoly:
@@ -694,20 +657,31 @@ class _Parser:
 
     def _factor(self) -> BiPoly:
         base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            e = self._integer()
-            return base**e
-        return base
+        if self._peek() != "^":
+            return base
+        self.pos += 1
+        e = self._integer()
+        terms, bits = _power_bounds(base, e)
+        if terms > MAX_POWER_TERMS or terms * bits > MAX_POWER_BITS:
+            raise PolyParseError(
+                f"power ^{e} before position {self.pos} could expand to {terms} terms of {bits} "
+                f"bits; the limit is {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits in all"
+            )
+        return base**e
 
     def _atom(self) -> BiPoly:
         ch = self._peek()
         if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise PolyParseError(
+                    f"parentheses nested deeper than {MAX_DEPTH} at position {self.pos}")
             self.pos += 1
             out = self._expr()
             if self._peek() != ")":
                 raise PolyParseError(f"missing ')' at position {self.pos}")
             self.pos += 1
+            self.depth -= 1
             return out
         if ch == "x":
             self.pos += 1

@@ -164,15 +164,16 @@ def _bias_row(fam: PowerFamily, ctx: PrimeCtx) -> Optional[BiasRow]:
     return BiasRow(p, val, c2, -c2, rem)
 
 
-def bias_report(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> BiasReport:
+def bias_report(fam: PowerFamily, prange: PrimeRange) -> BiasReport:
     """Per-prime decomposition of the closed form and the mean bias.
 
     Rows cover exactly the applicable odd primes in range.  c2 is the
     coefficient of the (p^2 - p) main part and c1 = -c2; the remainder
     (0 for h = 0 and odd h, p - 1 or p for even h >= 2) is carried
-    separately so the stated decomposition is exact.
+    separately so the stated decomposition is exact.  Only the closed form
+    is evaluated, so the scan runs in this process.
     """
-    rows = [r for r in scan(partial(_bias_row, fam), primes_in(prange), jobs) if r is not None]
+    rows = [r for r in scan(partial(_bias_row, fam), primes_in(prange)) if r is not None]
     mean = sum(r.c1 for r in rows) / len(rows) if rows else None
     return BiasReport(fam, prange.hi, tuple(rows), mean)
 

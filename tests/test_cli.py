@@ -234,6 +234,17 @@ def test_family_expr(capsys):
         assert line.split(",")[2] == "0"
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("(" * 400 + "x^3 + T" + ")" * 400, "parentheses nested deeper than 100 at position 100"),
+    ("(x+T+1)^150", "power ^150 before position 11 could expand to 11476 terms of 301 bits; "
+     "the limit is 4096 terms and 1048576 bits in all"),
+], ids=["deep_nesting", "large_power"])
+def test_family_expr_refuses_input_too_large(capsys, expr, message):
+    code = main(["moments", "--family-expr", expr, "--genus", "1", "--r", "1", "--pmax", "30"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_second_moment_csv_and_bias(capsys):
     code, out = run(capsys, "second-moment", "--n", "3", "--h", "0", "--k", "1",
                     "--pmax", "60")
@@ -387,8 +398,8 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
     assert code == 0 and seen == [4, 2]  # only 23 and 29 in range
     for argv, pools in (
         (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"], [4]),
-        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"], [4]),
-        # closed-form scans are one batched pass in this process: no pool
+        # closed-form scans run in this process: no pool
+        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"], []),
         (["sn-witness", "--f", "x^3 + x + 1", "--pmax", "60"], []),
         (["nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60", "--predicted"], []),
     ):

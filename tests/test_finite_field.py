@@ -145,6 +145,13 @@ def test_quadratic_char_sum_vs_enumeration(p):
                 assert quadratic_char_sum(a, b, c, ctx) == table[a, b, c]
 
 
+@pytest.mark.parametrize("p", primes_in(PrimeRange(3, 13)))
+def test_quadratic_sum_table_vs_loop_over_t(p):
+    want = [[[sum(euler_criterion(a * t * t + b * t + c, p) for t in range(p))
+              for c in range(p)] for b in range(p)] for a in range(p)]
+    assert quadratic_sum_table(PrimeCtx(p)).tolist() == want
+
+
 def test_power_pair_count_examples():
     assert power_pair_count(3, PrimeCtx(7)) == 19
     assert power_pair_count(1, PrimeCtx(5)) == 5

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,13 @@ from hyprank._kernels import FROB_LIMIT
 from hyprank.construction import RootData, build_family
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.polynomials import (
+    MAX_DEPTH,
     BiPoly,
     IntPoly,
     ModPoly,
     PolyParseError,
     RatPoly,
+    _power_bounds,
     degree_pattern_mod,
     degree_patterns_mod,
     disc_t_quarter,
@@ -250,6 +253,79 @@ def test_parser_round_trip():
 def test_parser_formatter_round_trip_fuzz(terms):
     F = BiPoly(terms)
     assert parse_bipoly(str(F)) == F
+
+
+def test_parser_refuses_deep_nesting():
+    deep = MAX_DEPTH + 1
+    with pytest.raises(PolyParseError, match=f"deeper than {MAX_DEPTH} at position {MAX_DEPTH}"):
+        parse_bipoly("(" * deep + "x" + ")" * deep)
+    assert parse_bipoly("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == parse_bipoly("x")
+    # depth counts open parentheses, not parentheses read
+    assert parse_bipoly("+".join(["((x))"] * 200)) == BiPoly.term(200, 1, 0)
+
+
+def test_parser_refuses_large_powers_before_expanding(monkeypatch):
+    monkeypatch.setattr(BiPoly, "__pow__", lambda F, e: pytest.fail(f"expanded {F}^{e}"))
+    for text, terms, bits in [("(x+T+1)^150", 11476, 301), ("(x+1)^1024", 1025, 1025),
+                              ("7^370000", 1, 1110001), ("(x*x+1)^5000", 5001, 5001)]:
+        with pytest.raises(PolyParseError, match=f"could expand to {terms} terms of {bits} bits"):
+            parse_bipoly(text)
+
+
+def test_parser_keeps_single_term_and_bounded_powers():
+    assert parse_bipoly("x^100000*T^5000") == BiPoly.term(1, 100000, 5000)
+    assert parse_bipoly("(-2*x*T^3)^1000") == BiPoly.term(2**1000, 1000, 3000)
+    assert parse_bipoly("0^0") == BiPoly.const(1) and parse_bipoly("0^10000000").is_zero
+    f = parse_int_poly("(x+1)^1023")
+    assert f.coeffs[511] == comb(1023, 511) and f.degree == 1023
+    assert len(parse_bipoly("(x+T+1)^89").terms) == comb(91, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                       st.integers(-9, 9).filter(bool), max_size=5),
+       st.integers(0, 7))
+def test_power_bounds_hold(terms, e):
+    F = BiPoly(terms)
+    n, bits = _power_bounds(F, e)
+    G = F**e
+    assert len(G.terms) <= n
+    assert max((abs(c).bit_length() for c in G.terms.values()), default=0) <= bits
+
+
+def test_dense_poly_equality_keys_on_type_coeffs_and_p():
+    f = IntPoly((1, 2))
+    assert f == IntPoly([1, 2, 0]) and hash(f) == hash(IntPoly([1, 2, 0]))
+    assert f != RatPoly((1, 2)) and f != ModPoly(7, (1, 2)) and f != (1, 2)
+    assert ModPoly(7, (1, 2)) == ModPoly(7, (8, 9)) != ModPoly(11, (1, 2))
+    assert len({f, RatPoly((1, 2)), ModPoly(7, (1, 2)), ModPoly(7, (8, 9)),
+                ModPoly(11, (1, 2))}) == 4
+
+
+def test_dense_poly_text():
+    big = 2**100
+    for f, text in [
+        (IntPoly.zero(), "0"),
+        (IntPoly.const(7), "7"),
+        (IntPoly.const(-1), "-1"),
+        (IntPoly((1, -1, 0, 1)), "x^3 - x + 1"),
+        (IntPoly((0, -1)), "-x"),
+        (IntPoly((3, -5)), "-5*x + 3"),
+        (IntPoly((0, 5)), "5*x"),
+        (IntPoly((4, 0, 0, -2)), "-2*x^3 + 4"),
+        (IntPoly((big, 0, -big)), f"-{big}*x^2 + {big}"),
+    ]:
+        assert str(f) == text and repr(f) == f"IntPoly({text!r})"
+    p = 2**127 - 1
+    for f, text in [
+        (ModPoly(7, ()), "ModPoly(p=7, '0')"),
+        (ModPoly(7, (14, 7)), "ModPoly(p=7, '0')"),
+        (ModPoly(7, (3,)), "ModPoly(p=7, '3')"),
+        (ModPoly(7, (-1, 1, 0, 8)), "ModPoly(p=7, 'x^3 + x + 6')"),
+        (ModPoly(5, (0, 3)), "ModPoly(p=5, '3*x')"),
+        (ModPoly(p, (big, 0, -1)), f"ModPoly(p={p}, '{p - 1}*x^2 + {big}')"),
+    ]:
+        assert repr(f) == text and str(f) == text
 
 
 def test_parser_unicode_minus_and_errors():
