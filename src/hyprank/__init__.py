@@ -16,12 +16,11 @@ from .construction import (
     solve_coefficients,
     to_monic_model,
 )
-from .curves import HyperFamily, hasse_weil_bound, trace_of_poly, trace_row
+from .curves import HyperFamily, trace_row
 from .finite_field import (
     PrimeCtx,
     PrimeRange,
     double_sum_S,
-    gcd_representative,
     is_prime,
     legendre,
     nu2,
@@ -66,8 +65,6 @@ from .second_moment import (
     BiasRow,
     PowerFamily,
     bias_report,
-    check_gcd_reduction,
-    check_periodicity,
     michel_deviation,
     second_moment_brute,
     second_moment_closed,

@@ -14,7 +14,7 @@ the shape of F mod p:
 
 Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The one
 kernel that is not a character sum, :func:`frobenius_rows`, works across
-many primes at once, each below FROB_LIMIT = 2^31.
+many odd primes at once, in int64 below FROB_LIMIT = 2^31, else Python ints.
 """
 
 from __future__ import annotations
@@ -207,24 +207,25 @@ def frobenius_rows(f, primes, depth: int = 1) -> np.ndarray:
 
     ``f`` lists the integer coefficients of a polynomial of degree d >= 1,
     low to high and of any size; no prime may divide its leading
-    coefficient, and every prime must be odd and below FROB_LIMIT.  Returns
-    int64 of shape (#primes, depth, d): ``out[k, i - 1]`` holds the
-    coefficients, low to high, of x^(p^i) mod f at p = primes[k].
+    coefficient, and every prime must be odd.  Returns (#primes, depth, d),
+    int64 below FROB_LIMIT and Python ints from there on: ``out[k, i - 1]``
+    holds the coefficients, low to high, of x^(p^i) mod f at p = primes[k].
 
-    Each prime is one int64 row of residues, and its temporaries are a few
+    Each prime is one row of residues, and its temporaries are a few
     such rows, so callers bound memory by passing the primes in blocks.
     x^p comes from square-and-multiply over the bits of p, high to low,
     where a per-prime mask picks which rows take the multiplication by x;
     x^(p^i) is x^(p^(i-1)) composed with x^p, since g(x)^p = g(x^p) over
     F_p.  Every product is reduced mod p at once, which is what makes
-    p < 2^31 exact.
+    int64 exact for p < 2^31.
     """
     d = len(f) - 1
-    p = np.asarray(primes, dtype=np.int64).reshape(-1, 1)
-    out = np.empty((len(p), depth, d), dtype=np.int64)
+    dtype = np.int64 if max(primes) < FROB_LIMIT else object
+    p = np.asarray(primes, dtype=dtype).reshape(-1, 1)
+    out = np.empty((len(p), depth, d), dtype=dtype)
     inv = _inverse(_residues(f[-1], p), p)
     m = np.concatenate([_residues(c, p) * inv % p for c in f[:-1]], axis=1)
-    y = np.zeros((len(p), d), dtype=np.int64)
+    y = np.zeros((len(p), d), dtype=dtype)
     y[:, 0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         y = _mulmod(y, y, m, p)
@@ -260,7 +261,7 @@ def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _mulmod(a: np.ndarray, b: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a * b mod the monic x^d + m(x), row by row; all rows (n, d) residues."""
     d = a.shape[1]
-    prod = np.zeros((len(a), 2 * d - 1), dtype=np.int64)
+    prod = np.zeros((len(a), 2 * d - 1), dtype=a.dtype)
     for i in range(d):
         prod[:, i : i + d] += a[:, i : i + 1] * b % p
     for k in range(2 * d - 2, d - 1, -1):  # x^k = x^(k-d) * (-m(x))

@@ -8,14 +8,13 @@ Legendre sum of F(x, t) over x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _kernels
 from .finite_field import PrimeCtx
-from .polynomials import BiPoly, IntPoly, reduce_mod, squarefree_over_q
+from .polynomials import BiPoly, reduce_mod, squarefree_over_q
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +67,15 @@ class HyperFamily:
         if not isinstance(obj, dict):
             raise ValueError(f"family JSON must be an object, not {type(obj).__name__}")
         try:
-            label, genus = str(obj["label"]), int(obj["genus"])
-            bad_primes = frozenset(int(p) for p in obj.get("bad_primes", []))
+            label, genus, F = str(obj["label"]), int(obj["genus"]), BiPoly.from_json(obj["F"])
+            bad_primes = obj.get("bad_primes", [])
+            if any(type(p) is not int for p in bad_primes):  # a string yields strings
+                raise TypeError(f"bad_primes must be a list of integers, not {bad_primes!r}")
+        except KeyError as exc:
+            raise ValueError(f"bad family JSON: missing key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"bad family JSON: {exc}") from None
-        return cls(label, genus, BiPoly.from_json(obj["F"]), bad_primes)
+        return cls(label, genus, F, bad_primes)
 
 
 def _generic_fiber_squarefree(F: BiPoly) -> bool:
@@ -91,19 +94,6 @@ def _generic_fiber_squarefree(F: BiPoly) -> bool:
         if ft.degree == n and squarefree_over_q(ft):
             return True
     return False
-
-
-def trace_of_poly(fx: IntPoly, ctx: PrimeCtx) -> int:
-    """Trace -sum_x (f(x)/p) of one fiber, by the naive affine character sum.
-
-    The per-fiber reference that the trace-row kernels are tested against;
-    it holds for every fiber, singular ones and fibers whose reduction drops
-    degree included.  Scans take whole rows from ``trace_row`` instead.
-    """
-    p = ctx.p
-    _kernels.check_dense(p)
-    vals = _kernels.horner_vec(fx.coeffs, np.arange(p, dtype=np.int64), p)
-    return -int(ctx.chi[vals].sum(dtype=np.int64))
 
 
 def t_coeff_rows(F: BiPoly, ctx: PrimeCtx) -> list[np.ndarray | None]:
@@ -138,9 +128,3 @@ def traces_from_rows(rows, ctx: PrimeCtx) -> list[int]:
     """
     row = _kernels.correlation_row(rows, ctx)
     return _kernels.trace_row_vec(rows, ctx) if row is None else row
-
-
-def hasse_weil_bound(genus: int, p: int) -> int:
-    """Slack bound 2g * floor(2*sqrt(p)) on |a(p)| for good squarefree fibers."""
-    return 2 * genus * isqrt(4 * p)
-

@@ -152,22 +152,6 @@ def double_sum_S(h: int, ctx: PrimeCtx) -> int:
     return 0
 
 
-def gcd_representative(k: int, n1: int, n2: int) -> int:
-    """First m >= max(k, 1) with m = k (mod n2) and gcd(m, n1) = 1.
-
-    Exists whenever gcd(k, n1, n2) = 1; found by stepping in increments
-    of n2 starting from k.
-    """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("moduli must be >= 1")
-    if gcd(gcd(k, n1), n2) != 1:
-        raise ValueError("gcd(k, n1, n2) must be 1")
-    m = k
-    while m < 1 or gcd(m, n1) != 1:
-        m += n2
-    return m
-
-
 def nu2(m: int) -> int:
     """2-adic valuation of a positive integer."""
     if m < 1:

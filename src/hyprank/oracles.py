@@ -1,8 +1,8 @@
 """Exhaustive enumeration oracles for the character-sum closed forms.
 
-Each function here recomputes one of the closed-form quantities by literal
-enumeration over residues, independent of the formulas it is used to
-check.  They back the `verify-lemmas` CLI command and the test suite.
+Each function here recomputes a closed-form quantity, or one fiber's trace,
+by literal enumeration over residues, independent of the formulas and kernels
+it checks.  They back the `verify-lemmas` CLI command and the test suite.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import powmod_vec
+from ._kernels import check_dense, horner_vec, powmod_vec
 from .finite_field import (
     PrimeCtx,
     PrimeRange,
@@ -20,6 +20,20 @@ from .finite_field import (
     primes_in,
     quadratic_sums,
 )
+from .polynomials import IntPoly
+
+
+def trace_of_poly(fx: IntPoly, ctx: PrimeCtx) -> int:
+    """Trace -sum_x (f(x)/p) of one fiber, by the naive affine character sum.
+
+    The per-fiber reference that the trace-row kernels are tested against;
+    it holds for every fiber, singular ones and fibers whose reduction drops
+    degree included.  Scans take whole rows from ``curves.trace_row`` instead.
+    """
+    p = ctx.p
+    check_dense(p)
+    vals = horner_vec(fx.coeffs, np.arange(p, dtype=np.int64), p)
+    return -int(ctx.chi[vals].sum(dtype=np.int64))
 
 
 def quadratic_sum_table(ctx: PrimeCtx) -> np.ndarray:

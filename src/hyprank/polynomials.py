@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from typing import Iterable
 
-from ._kernels import FROB_LIMIT, frobenius_rows
+from ._kernels import frobenius_rows
 from .finite_field import PrimeCtx
 
 
@@ -137,10 +137,6 @@ class IntPoly(_DensePoly):
     @classmethod
     def const(cls, c: int) -> "IntPoly":
         return cls((c,))
-
-    @classmethod
-    def x_power(cls, k: int, c: int = 1) -> "IntPoly":
-        return cls([0] * k + [c])
 
     @classmethod
     def from_roots(cls, roots: Iterable[int]) -> "IntPoly":
@@ -427,12 +423,10 @@ def degree_pattern_mod(f: IntPoly, ctx: PrimeCtx):
     Ramified means f mod p is zero or not squarefree; callers scanning many
     primes treat that as an ordinary skip value.  The pattern is computed by
     distinct-degree factorization: repeatedly raise x to the p-th power mod
-    the remaining cofactor and split off gcd(g, x^(p^d) - x).
+    the remaining cofactor and split off gcd(g, x^(p^d) - x).  This is the
+    per-prime reference for :func:`degree_patterns_mod`, which scans use.
     """
-    return _degree_pattern(f, ctx.p)
-
-
-def _degree_pattern(f: IntPoly, p: int):
+    p = ctx.p
     fbar = ModPoly(p, f.coeffs)
     if fbar.is_zero:
         return None
@@ -464,7 +458,7 @@ FROB_BLOCK = 1 << 11
 
 
 def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
-    """``degree_pattern_mod`` at every prime, from one batched Frobenius pass.
+    """``degree_pattern_mod`` at every odd prime, from one batched Frobenius pass.
 
     At a prime that does not divide lead(f), f mod p is squarefree exactly
     when p does not divide Res(f, f'), which is computed once over Z.  For a
@@ -474,16 +468,20 @@ def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
 
     so k * N_k = D_k - sum over proper divisors j of k of j * N_j.  Only
     k <= d/2 is needed: what is left of the degree d is one factor.  The
-    rows x^(p^i) come from ``_kernels.frobenius_rows``; primes that divide
-    lead(f), and primes from 2^31 on, take the per-prime code instead.
+    rows x^(p^i) come from ``_kernels.frobenius_rows``, for primes of any
+    size.  At a prime that divides lead(f) the pattern is that of the lift
+    of f mod p, whose lead p does not divide, by the same function.
     """
+    if f.degree < 1:
+        return [() if f.coeffs and f.coeffs[0] % p else None for p in primes]
     ramified = _resultant(f, f.derivative())
     d = f.degree
     shared = {}  # one tuple per distinct pattern, however many primes have it
 
-    def pattern(fbar, xps, p):
+    def pattern(xps, p):
         if ramified % p == 0:
             return None
+        fbar = [c % p for c in f.coeffs]
         parts = []  # parts[k - 1] = k * N_k
         for k, xp in enumerate(xps, 1):
             D = _gcd_degree(fbar, _minus_x(xp, p), p)
@@ -493,13 +491,13 @@ def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
         pat = tuple(degrees + [rest] if rest else degrees)
         return shared.setdefault(pat, pat)
 
-    batched = [d >= 1 and p < FROB_LIMIT and f.lead % p != 0 for p in primes]
-    ps = [p for p, ok in zip(primes, batched) if ok]
+    ps = [p for p in primes if f.lead % p]
     # one block at a time, so that no array or list of every prime's rows is built
     it = (r for lo in range(0, len(ps), FROB_BLOCK)
           for r in frobenius_rows(f.coeffs, ps[lo : lo + FROB_BLOCK], max(1, d // 2)).tolist())
-    return [pattern([c % p for c in f.coeffs], next(it), p) if ok else _degree_pattern(f, p)
-            for p, ok in zip(primes, batched)]
+    return [pattern(next(it), p) if f.lead % p
+            else degree_patterns_mod(IntPoly([c % p for c in f.coeffs]), [p])[0]
+            for p in primes]
 
 
 def _minus_x(xp: list[int], p: int) -> list[int]:
@@ -593,19 +591,25 @@ def format_bipoly(F: BiPoly) -> str:
 
 
 # Input the parser refuses: parentheses nested deeper than MAX_DEPTH (Python's
-# recursion limit allows about 250), and, before expanding it, a power that could
-# have more than MAX_POWER_TERMS terms or MAX_POWER_BITS coefficient bits in all.
+# recursion limit allows about 250), and, before expanding it, a power or a
+# product that could have more than MAX_POWER_TERMS terms or MAX_POWER_BITS
+# coefficient bits in all.
 MAX_DEPTH = 100
 MAX_POWER_TERMS = 1 << 12
 MAX_POWER_BITS = 1 << 20
 
 
-def _power_bounds(F: BiPoly, e: int) -> tuple[int, int]:
-    """Upper bounds on the term count of F^e (by exponent spans and by C(e + m - 1, e)
-    for m terms) and on its coefficient bits (each |c| of F^e is at most (sum |c|)^e)."""
-    spans = prod(e * (max(v) - min(v)) + 1 for v in zip(*F.terms))
-    terms = min(spans, comb(e + max(len(F.terms), 1) - 1, e))
-    return terms, e * max(sum(map(abs, F.terms.values())) - 1, 0).bit_length() + 1
+def _size_bounds(*powers: tuple[BiPoly, int]) -> tuple[int, int]:
+    """Upper bounds on the term count of the product of F^e over the (F, e) pairs (by
+    exponent spans, and by C(e + m - 1, e) for an F of m terms) and on its coefficient
+    bits (each |c| is at most the product of the (sum |c| of F)^e)."""
+    spans, terms, bits = [1, 1], 1, 1
+    for F, e in powers:
+        for k, v in enumerate(zip(*F.terms)):
+            spans[k] += e * (max(v) - min(v))
+        terms *= comb(e + max(len(F.terms), 1) - 1, e)
+        bits += e * max(sum(map(abs, F.terms.values())) - 1, 0).bit_length()
+    return min(prod(spans), terms), bits
 
 
 class _Parser:
@@ -652,7 +656,9 @@ class _Parser:
         out = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            out = out * self._factor()
+            factor = self._factor()
+            self._bound("product", *_size_bounds((out, 1), (factor, 1)))
+            out = out * factor
         return out
 
     def _factor(self) -> BiPoly:
@@ -661,13 +667,16 @@ class _Parser:
             return base
         self.pos += 1
         e = self._integer()
-        terms, bits = _power_bounds(base, e)
+        self._bound(f"power ^{e}", *_size_bounds((base, e)))
+        return base**e
+
+    def _bound(self, what: str, terms: int, bits: int) -> None:
+        """Refuse, before it is expanded, a result that could exceed the size limits."""
         if terms > MAX_POWER_TERMS or terms * bits > MAX_POWER_BITS:
             raise PolyParseError(
-                f"power ^{e} before position {self.pos} could expand to {terms} terms of {bits} "
+                f"{what} before position {self.pos} could expand to {terms} terms of {bits} "
                 f"bits; the limit is {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits in all"
             )
-        return base**e
 
     def _atom(self) -> BiPoly:
         ch = self._peek()

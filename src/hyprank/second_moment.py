@@ -107,37 +107,6 @@ def second_moment_closed(fam: PowerFamily, ctx: PrimeCtx) -> Optional[int]:
     return val
 
 
-def check_periodicity(n: int, h: int, k: int, ctx: PrimeCtx) -> bool:
-    """Second moments agree for exponents k and k + (n - h).
-
-    Compared on the t >= 1 partial sums: for k >= 1 these equal the full
-    sums (the t = 0 fiber vanishes), while for k = 0 the t = 0 fiber is the
-    constant curve y^2 = x^n + x^h and breaks the full-sum identity
-    trivially, e.g. (n, h, k, p) = (3, 2, 0, 5) gives 5 against 4.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    if not 0 <= h < n:
-        raise ValueError("h must satisfy 0 <= h < n")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    lhs = _brute(n, h, k, ctx, include_t0=False)
-    rhs = _brute(n, h, k + (n - h), ctx, include_t0=False)
-    return lhs == rhs
-
-
-def check_gcd_reduction(fam: PowerFamily, ctx: PrimeCtx) -> bool:
-    """Second moments agree for exponent k and exponent 1 when
-    gcd(k, n-h, p-1) = 1; compared on the t >= 1 partial sums as above."""
-    n, h, k = fam.n, fam.h, fam.k
-    p = ctx.p
-    if gcd(gcd(k, n - h), p - 1) != 1:
-        raise ValueError("gcd(k, n-h, p-1) must be 1")
-    lhs = _brute(n, h, k, ctx, include_t0=False)
-    rhs = _brute(n, h, 1, ctx, include_t0=False)
-    return lhs == rhs
-
-
 def _second_moment_row(fam: PowerFamily, ctx: PrimeCtx) -> tuple:
     row = _bias_row(fam, ctx)
     closed, c2, c1 = (None, None, None) if row is None else (row.p_a2, row.c2, row.c1)

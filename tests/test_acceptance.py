@@ -25,10 +25,10 @@ from hyprank.polynomials import IntPoly, root_count_mod
 from hyprank.second_moment import (
     PowerFamily,
     bias_report,
-    check_periodicity,
     second_moment_brute,
     second_moment_closed,
 )
+from support import check_periodicity
 
 F7 = IntPoly.from_roots([1, 2, 3, 4, 5, 6, 7])
 JOBS = min(2, os.cpu_count() or 1)

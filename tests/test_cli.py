@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -213,7 +214,11 @@ def test_family_file_round_trip(tmp_path, capsys):
     ([1, 2], "family JSON must be an object, not list"),
     ({"label": "x", "genus": 1, "F": {"terms": [["1", 3, 0], ["1", 0, 1]]}, "bad_primes": 5},
      "bad family JSON: 'int' object is not iterable"),
-], ids=["negative_exponent", "json_negative_exponent", "json_not_object", "json_bad_primes"])
+    ({"label": "x", "genus": 1, "F": {"terms": [["1", 3, 0], ["1", 0, 1]]}, "bad_primes": "57"},
+     "bad family JSON: bad_primes must be a list of integers, not '57'"),
+    ({"label": "x", "genus": 1}, "bad family JSON: missing key 'F'"),
+], ids=["negative_exponent", "json_negative_exponent", "json_not_object", "json_bad_primes",
+        "json_bad_primes_string", "json_missing_F"])
 def test_malformed_family_input_exits_2(tmp_path, capsys, family, message):
     if not isinstance(family, str):
         path = tmp_path / "fam.json"
@@ -224,6 +229,16 @@ def test_malformed_family_input_exits_2(tmp_path, capsys, family, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_family_file_skip_set(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    F = {"terms": [["1", 3, 0], ["1", 1, 0], ["1", 0, 1]]}
+    path.write_text(json.dumps({"label": "x", "genus": 1, "F": F, "bad_primes": [57, 7]}))
+    code, out = run(capsys, "moments", "--family", str(path), "--r", "1", "--pmax", "20")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == [
+        "3", "5", "11", "13", "17", "19"]
 
 
 def test_family_expr(capsys):
@@ -238,11 +253,16 @@ def test_family_expr(capsys):
     ("(" * 400 + "x^3 + T" + ")" * 400, "parentheses nested deeper than 100 at position 100"),
     ("(x+T+1)^150", "power ^150 before position 11 could expand to 11476 terms of 301 bits; "
      "the limit is 4096 terms and 1048576 bits in all"),
-], ids=["deep_nesting", "large_power"])
+    ("*".join(["(x+T+1)"] * 150), "product before position 511 could expand to 4225 terms of "
+     "103 bits; the limit is 4096 terms and 1048576 bits in all"),
+], ids=["deep_nesting", "large_power", "long_product"])
 def test_family_expr_refuses_input_too_large(capsys, expr, message):
+    t0 = time.perf_counter()
     code = main(["moments", "--family-expr", expr, "--genus", "1", "--r", "1", "--pmax", "30"])
+    elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert elapsed < 1.0
 
 
 def test_second_moment_csv_and_bias(capsys):

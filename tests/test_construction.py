@@ -186,7 +186,7 @@ def test_to_monic_model_shape():
 
 
 def test_monic_model_preserves_traces():
-    from hyprank.curves import trace_of_poly
+    from hyprank.oracles import trace_of_poly
 
     cr = build_family(RootData(1, (1, 2, 3, 4, 5, 6)))
     Fm = to_monic_model(cr.F, 1)

@@ -6,10 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyprank._kernels import correlation_row, first_sum_vec, horner_vec, trace_row_vec
-from hyprank.curves import HyperFamily, hasse_weil_bound, t_coeff_rows, trace_of_poly, trace_row
+from hyprank.curves import HyperFamily, t_coeff_rows, trace_row
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import power_sum
+from hyprank.oracles import trace_of_poly
 from hyprank.polynomials import BiPoly, IntPoly, mod_gcd, parse_bipoly, reduce_mod
+from support import hasse_weil_bound
 
 
 def fam_of(text, genus, label="test", bad=()):

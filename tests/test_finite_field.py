@@ -8,7 +8,6 @@ from hyprank.finite_field import (
     PrimeCtx,
     PrimeRange,
     double_sum_S,
-    gcd_representative,
     is_prime,
     legendre,
     nu2,
@@ -17,6 +16,7 @@ from hyprank.finite_field import (
     quadratic_char_sum,
 )
 from hyprank.oracles import double_sum_brute, power_pair_count_brute, quadratic_sum_table
+from support import gcd_representative
 
 SMALL_PRIMES = primes_in(PrimeRange(3, 200))
 

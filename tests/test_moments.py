@@ -21,6 +21,7 @@ from hyprank.moments import (
     sn_witness,
 )
 from hyprank.polynomials import IntPoly, parse_bipoly, parse_int_poly
+from support import x_power
 
 F7 = IntPoly.from_roots([1, 2, 3, 4, 5, 6, 7])
 F3 = IntPoly.from_roots([1, 2, 3])
@@ -72,7 +73,7 @@ def test_predict_signals_non_generic():
     f = IntPoly.from_roots([1, 2, 8])  # 8 = 1 mod 7: double root mod 7
     with pytest.raises(NonGenericPrime):
         predict_first_moment(make_shift_square(f), PrimeCtx(7))
-    g = 7 * IntPoly.x_power(3) + IntPoly((1, 1))
+    g = 7 * x_power(3) + IntPoly((1, 1))
     with pytest.raises(NonGenericPrime):
         predict_first_moment(make_linear_twist(g), PrimeCtx(7))
     with pytest.raises(NonGenericPrime):
@@ -187,6 +188,23 @@ def test_scan_is_the_only_prime_driver():
         if path.name == "cli.py":
             imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
             assert not imported & {"PrimeCtx", "primes_in"}
+
+
+def test_only_the_cli_imports_the_oracles():
+    # the enumeration references stay out of every production path
+    src = Path(moments.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "oracles" for name in names):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
 
 
 def test_moment_series_deterministic_across_workers():

@@ -1,13 +1,16 @@
+import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyprank import polynomials
 from hyprank._kernels import FROB_LIMIT
 from hyprank.construction import RootData, build_family
-from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
+from hyprank.finite_field import PrimeCtx, PrimeRange, is_prime, primes_in
 from hyprank.polynomials import (
     MAX_DEPTH,
     BiPoly,
@@ -15,7 +18,7 @@ from hyprank.polynomials import (
     ModPoly,
     PolyParseError,
     RatPoly,
-    _power_bounds,
+    _size_bounds,
     degree_pattern_mod,
     degree_patterns_mod,
     disc_t_quarter,
@@ -26,6 +29,7 @@ from hyprank.polynomials import (
     root_count_mod,
     squarefree_over_q,
 )
+from support import x_power
 
 X = IntPoly((0, 1))
 
@@ -287,10 +291,38 @@ def test_parser_keeps_single_term_and_bounded_powers():
        st.integers(0, 7))
 def test_power_bounds_hold(terms, e):
     F = BiPoly(terms)
-    n, bits = _power_bounds(F, e)
+    n, bits = _size_bounds((F, e))
     G = F**e
     assert len(G.terms) <= n
     assert max((abs(c).bit_length() for c in G.terms.values()), default=0) <= bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(*[st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                         st.integers(-99, 99).filter(bool), max_size=6)] * 2)
+def test_product_bounds_hold(terms, other):
+    F, G = BiPoly(terms), BiPoly(other)
+    n, bits = _size_bounds((F, 1), (G, 1))
+    H = F * G
+    assert len(H.terms) <= n
+    assert max((abs(c).bit_length() for c in H.terms.values()), default=0) <= bits
+
+
+def test_parser_refuses_long_products():
+    # each factor is small, but the running product is bounded like a power
+    with pytest.raises(PolyParseError, match="product before position 511 could expand to 4225"):
+        parse_bipoly("*".join(["(x+T+1)"] * 150))
+    assert len(parse_bipoly("*".join(["(x+T+1)"] * 63)).terms) == comb(65, 2)
+    assert parse_bipoly("*".join(["(x-1)"] * 1000)) == parse_bipoly("(x-1)^1000")
+
+
+def test_parser_keeps_the_readme_polynomials():
+    # the perfbench inputs are parsed by test_perfbench_hooks.py::test_workload_setup_runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    texts = re.findall(r'--f "([^"]+)"', readme)
+    assert len(texts) == 4
+    for text in texts:
+        assert parse_int_poly(text).degree in (3, 7), text
 
 
 def test_dense_poly_equality_keys_on_type_coeffs_and_p():
@@ -357,7 +389,7 @@ def test_bipoly_rejects_negative_exponents():
 
 def test_bipoly_coefficient_views():
     F = parse_bipoly("x^5*T^2 + 2*x^2*T - 7")
-    assert F.t_coeff(2) == IntPoly.x_power(5)
+    assert F.t_coeff(2) == x_power(5)
     assert F.x_coeff(2) == IntPoly((0, 2))
     assert F.specialize_t(3) == parse_int_poly("9*x^5 + 6*x^2 - 7")
     assert F.specialize_x(1) == IntPoly((-7, 2, 1))
@@ -413,12 +445,42 @@ def test_batched_frobenius_matches_per_prime_hypothesis(f, larger):
     _assert_batch_matches_per_prime(f, primes_in(PrimeRange(3, 300)) + sorted(larger))
 
 
-def test_batched_frobenius_across_the_exactness_bound():
-    # 2^31 - 1 is prime: the kernel takes it, the primes above go per prime
+def _straddling_primes():
+    # 2^31 - 1 is prime: it and the primes above share one block of Python-int rows
     primes = primes_in(PrimeRange(2147483550, 2147483750))
     assert any(p < FROB_LIMIT for p in primes) and any(p > FROB_LIMIT for p in primes)
+    return primes
+
+
+def test_batched_frobenius_across_the_exactness_bound():
+    for f in _builtin_fs() + [parse_int_poly("6*x^3 + x + 1")]:
+        _assert_batch_matches_per_prime(f, _straddling_primes())
+
+
+def test_batched_frobenius_above_two_to_the_sixty_one():
+    # is_prime over a short window: primes_in would first sieve up to sqrt(hi)
+    primes = [n for n in range(2**61 - 300, 2**61 + 300) if is_prime(n)]
+    assert 2**61 - 1 in primes and primes[-1] > 2**61
     for f in _builtin_fs() + [parse_int_poly("6*x^3 + x + 1")]:
         _assert_batch_matches_per_prime(f, primes)
+
+
+def test_batched_frobenius_never_takes_the_per_prime_path(monkeypatch):
+    # primes that divide lead(f), down to a constant lift, and primes from
+    # 2^31 on all go through frobenius_rows, not the ModPoly reference
+    fs = _builtin_fs() + [parse_int_poly(s) for s in (
+        "105*x^5 + 3*x^2 + 10*x + 1", "15*x^2 + 5*x + 7", "6*x^3 + x + 1", "35*x^4 - 7")]
+    primes = primes_in(PrimeRange(3, 300)) + _straddling_primes()
+    assert all(any(f.lead % p == 0 for p in primes) for f in fs[2:])
+    expected = [[degree_pattern_mod(f, PrimeCtx(p)) for p in primes] for f in fs]
+    assert () in expected[4] and None in expected[6]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("degree_patterns_mod took the per-prime path")
+
+    for name in ("degree_pattern_mod", "mod_pow", "mod_gcd", "ModPoly"):
+        monkeypatch.setattr(polynomials, name, refuse)
+    assert [degree_patterns_mod(f, primes) for f in fs] == expected
 
 
 def _enumerated(f: IntPoly, p: int):

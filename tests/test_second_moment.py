@@ -10,13 +10,12 @@ from hyprank.moments import make_power, power_sum
 from hyprank.second_moment import (
     PowerFamily,
     bias_report,
-    check_gcd_reduction,
-    check_periodicity,
     michel_deviation,
     second_moment_brute,
     second_moment_closed,
     second_moment_scan,
 )
+from support import check_gcd_reduction, check_periodicity
 
 GRID_PRIMES = primes_in(PrimeRange(3, 31))
 
