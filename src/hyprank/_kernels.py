@@ -13,7 +13,7 @@ the shape of F mod p:
   reference the other two are tested against.
 
 Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The one
-kernel that is not a character sum, :func:`frobenius_rows`, works across
+kernel that is not a character sum, :func:`frobenius_gcd_degrees`, works across
 many odd primes at once, in int64 below FROB_LIMIT = 2^31, else Python ints.
 """
 
@@ -32,7 +32,7 @@ MAX_ROWS = 1 << 11
 # Largest distance from an integer that a rounded FFT correlation may show.
 ROUND_TOL = 0.25
 
-# frobenius_rows reduces after every product, so residues below 2^31 keep
+# frobenius_gcd_degrees reduces after every product, so residues below 2^31 keep
 # each product below 2^62 and each sum of d reduced terms far below 2^63.
 FROB_LIMIT = 1 << 31
 
@@ -202,40 +202,61 @@ def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:
     return -(int(quad) + p * int(const))
 
 
-def frobenius_rows(f, primes, depth: int = 1) -> np.ndarray:
-    """x^(p^i) mod the monic reduction of f, for i = 1..depth, at every prime.
+def frobenius_gcd_degrees(f, primes, depth: int = 1) -> np.ndarray:
+    """D_i = deg gcd(x^(p^i) - x, f mod p) for i = 1..depth, as a (#primes, depth) array.
 
-    ``f`` lists the integer coefficients of a polynomial of degree d >= 1,
-    low to high and of any size; no prime may divide its leading
-    coefficient, and every prime must be odd.  Returns (#primes, depth, d),
-    int64 below FROB_LIMIT and Python ints from there on: ``out[k, i - 1]``
-    holds the coefficients, low to high, of x^(p^i) mod f at p = primes[k].
-
-    Each prime is one row of residues, and its temporaries are a few
-    such rows, so callers bound memory by passing the primes in blocks.
-    x^p comes from square-and-multiply over the bits of p, high to low,
-    where a per-prime mask picks which rows take the multiplication by x;
-    x^(p^i) is x^(p^(i-1)) composed with x^p, since g(x)^p = g(x^p) over
-    F_p.  Every product is reduced mod p at once, which is what makes
-    int64 exact for p < 2^31.
+    ``f`` lists the integer coefficients, low to high and of any size, of a
+    polynomial of degree d >= 1 whose lead no prime divides; every prime is
+    odd.  Each prime is one row of residues mod f-bar, the monic f mod p:
+    x^p by square-and-multiply over the bits of p, with a per-prime mask for
+    the multiplication by x, and x^(p^i) as x^(p^(i-1)) composed with x^p.
+    D_i is d minus the rank of the multiplication by h = x^(p^i) - x on
+    F_p[x]/(f-bar), whose rows h x^j come from :func:`_times_x`.  Products
+    are reduced at once: int64 is exact below FROB_LIMIT, then Python ints.
     """
     d = len(f) - 1
     dtype = np.int64 if max(primes) < FROB_LIMIT else object
     p = np.asarray(primes, dtype=dtype).reshape(-1, 1)
-    out = np.empty((len(p), depth, d), dtype=dtype)
     inv = _inverse(_residues(f[-1], p), p)
     m = np.concatenate([_residues(c, p) * inv % p for c in f[:-1]], axis=1)
     y = np.zeros((len(p), d), dtype=dtype)
     y[:, 0] = 1
+    x = _times_x(y, m, p)  # x mod f-bar, also for d = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         y = _mulmod(y, y, m, p)
         y = np.where((p >> bit) & 1 == 1, _times_x(y, m, p), y)
     xp = y
+    out = np.empty((len(p), depth), dtype=np.int64)
+    mult = np.empty((len(p), d, d), dtype=dtype)
     for i in range(depth):
-        out[:, i] = y
-        if i + 1 < depth:
-            y = _compose(y, xp, m, p)
+        y = _compose(y, xp, m, p) if i else xp
+        mult[:, 0] = (y - x) % p
+        for j in range(1, d):
+            mult[:, j] = _times_x(mult[:, j - 1], m, p)
+        out[:, i] = d - _rank(mult, p)
     return out
+
+
+def _rank(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rank of each (d, d) residue matrix a[k] mod p[k]; overwrites a.
+
+    Fraction-free elimination by columns c: each prime's pivot is its first
+    unused row nonzero at c, and every other unused row r becomes
+    (pivot_c * r - r_c * pivot) mod p, with no inverse and products < p^2.
+    """
+    ks, d = np.arange(len(a)), a.shape[1]
+    free = np.ones((len(a), d), dtype=bool)  # rows not yet taken as a pivot
+    for c in range(d):
+        nonzero = (a[:, :, c] != 0) & free
+        found = nonzero.any(axis=1)
+        r = nonzero.argmax(axis=1)
+        free[ks, r] &= ~found
+        cleared = (free & found[:, None])[:, :, None]
+        rest = a[:, :, c + 1 :]
+        rest *= np.where(cleared, a[ks, r, c][:, None, None], 1)
+        rest -= np.where(cleared, a[:, :, c : c + 1], 0) * a[ks, r, c + 1 :][:, None]
+        rest %= p[:, :, None]
+    return d - free.sum(axis=1)
 
 
 def _residues(c: int, p: np.ndarray) -> np.ndarray:

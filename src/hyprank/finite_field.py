@@ -176,14 +176,18 @@ class PrimeRange:
 def primes_in(prange: PrimeRange) -> list[int]:
     """Ascending odd primes in [lo, hi], excluding the skip set.
 
-    Segmented sieve so that large lo/hi with a modest width stay cheap; the
-    base primes up to sqrt(hi) come from the same sieve.
+    Segmented sieve over the window by the base primes up to
+    min(sqrt(hi), 2^16), which come from the same sieve, so that a narrow
+    window at a huge bound stays cheap.  Above 2^32 the survivors are
+    confirmed by ``is_prime``, which is proven only below 2^64.
     """
     lo = max(prange.lo, 3)
     hi = prange.hi
+    if hi >= 1 << 64:
+        raise ValueError(f"primes_in needs hi < 2^64, got {hi}")
     if hi < lo:
         return []
-    root = isqrt(hi)
+    root = min(isqrt(hi), 1 << 16)
     base = primes_in(PrimeRange(3, root)) if root >= 3 else []
     flags = np.ones(hi - lo + 1, dtype=bool)
     flags[lo % 2 :: 2] = False  # the even numbers
@@ -191,4 +195,5 @@ def primes_in(prange: PrimeRange) -> list[int]:
         start = max(q * q, (lo + q - 1) // q * q)
         flags[start - lo :: q] = False
     flags[[p - lo for p in prange.skip if lo <= p <= hi]] = False
-    return (np.flatnonzero(flags) + lo).tolist()
+    found = (np.flatnonzero(flags).view(np.uint64) + np.uint64(lo)).tolist()  # lo may pass 2^63
+    return found if hi < 1 << 32 else [n for n in found if is_prime(n)]

@@ -40,18 +40,21 @@ def quadratic_sum_table(ctx: PrimeCtx) -> np.ndarray:
     """S[a, b, c] = sum over t of chi(a t^2 + b t + c), by enumeration.
 
     One a at a time: N[b, v] counts the t with a t^2 + b t = v, and S[a] is
-    the exact int64 product of N with the table chi(v + c) over (v, c).
-    Every |S| <= p, so the table is int16.
+    the product of N with the table chi(v + c) over (v, c), in float64 for
+    BLAS.  It is exact: all operands are integers, |N| <= p and |chi| <= 1,
+    so every partial sum is <= p^2 < 2^53 for p <= LEMMA_PMAX.  Every
+    |S| <= p, so the table is int16.
     """
     p = ctx.p
+    assert p <= LEMMA_PMAX, f"p = {p} is above LEMMA_PMAX"
     ts = np.arange(p, dtype=np.int64)
-    shifted = ctx.chi.astype(np.int64)[(ts[:, None] + ts) % p]
+    shifted = ctx.chi.astype(np.float64)[(ts[:, None] + ts) % p]
     bt = np.outer(ts, ts) % p  # b t over (b, t)
     rows = ts[:, None] * p  # flat offset of row b in N
     table = np.empty((p, p, p), dtype=np.int16)
     for a in range(p):
         counts = np.bincount((rows + (a * ts * ts + bt) % p).ravel(), minlength=p * p)
-        table[a] = counts.reshape(p, p) @ shifted
+        table[a] = counts.reshape(p, p).astype(np.float64) @ shifted
     return table
 
 

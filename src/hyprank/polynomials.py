@@ -20,10 +20,13 @@ polynomial, and a parser for the textual polynomial syntax used by the CLI
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm, prod
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from ._kernels import frobenius_rows
+import numpy as np
+
+from ._kernels import frobenius_gcd_degrees
 from .finite_field import PrimeCtx
 
 
@@ -452,8 +455,7 @@ def degree_pattern_mod(f: IntPoly, ctx: PrimeCtx):
     return tuple(sorted(degrees))
 
 
-# Primes per frobenius_rows call, so that its arrays, and the lists made
-# from the rows it returns, keep one size however many primes are scanned.
+# Primes per frobenius_gcd_degrees call: its arrays keep one size however long the scan.
 FROB_BLOCK = 1 << 11
 
 
@@ -466,65 +468,33 @@ def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
 
         D_i = deg gcd(x^(p^i) - x, f mod p) = sum over k | i of k * N_k,
 
-    so k * N_k = D_k - sum over proper divisors j of k of j * N_j.  Only
-    k <= d/2 is needed: what is left of the degree d is one factor.  The
-    rows x^(p^i) come from ``_kernels.frobenius_rows``, for primes of any
-    size.  At a prime that divides lead(f) the pattern is that of the lift
-    of f mod p, whose lead p does not divide, by the same function.
+    so k * N_k = D_k - sum over proper divisors j of k of j * N_j, taken on
+    the columns of ``_kernels.frobenius_gcd_degrees``.  Only k <= d/2 is
+    needed: what is left of the degree d is one factor.  At a prime that
+    divides lead(f) the pattern is that of the lift of f mod p.
     """
     if f.degree < 1:
         return [() if f.coeffs and f.coeffs[0] % p else None for p in primes]
-    ramified = _resultant(f, f.derivative())
-    d = f.degree
-    shared = {}  # one tuple per distinct pattern, however many primes have it
-
-    def pattern(xps, p):
-        if ramified % p == 0:
-            return None
-        fbar = [c % p for c in f.coeffs]
-        parts = []  # parts[k - 1] = k * N_k
-        for k, xp in enumerate(xps, 1):
-            D = _gcd_degree(fbar, _minus_x(xp, p), p)
-            parts.append(D - sum(parts[j - 1] for j in range(1, k) if k % j == 0))
-        degrees = [k for k, v in enumerate(parts, 1) for _ in range(v // k)]
-        rest = d - sum(parts)
-        pat = tuple(degrees + [rest] if rest else degrees)
-        return shared.setdefault(pat, pat)
-
-    ps = [p for p in primes if f.lead % p]
-    # one block at a time, so that no array or list of every prime's rows is built
-    it = (r for lo in range(0, len(ps), FROB_BLOCK)
-          for r in frobenius_rows(f.coeffs, ps[lo : lo + FROB_BLOCK], max(1, d // 2)).tolist())
-    return [pattern(next(it), p) if f.lead % p
+    patterns = _patterns(f, (p for p in primes if f.lead % p))
+    return [next(patterns) if f.lead % p
             else degree_patterns_mod(IntPoly([c % p for c in f.coeffs]), [p])[0]
             for p in primes]
 
 
-def _minus_x(xp: list[int], p: int) -> list[int]:
-    """Residues of xp - x, with xp reduced mod a polynomial of degree len(xp)."""
-    h = xp + [0] * (2 - len(xp))
-    h[1] = (h[1] - 1) % p
-    return h
-
-
-def _gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    """deg gcd(a, b) over F_p for residue lists (low to high), a nonzero."""
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        a = list(a)
-        for k in range(len(a) - 1, db - 1, -1):
-            c = a[k] * inv % p
-            if c:
-                for j in range(db):
-                    a[k - db + j] = (a[k - db + j] - c * b[j]) % p
-        del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
+def _patterns(f: IntPoly, primes: Iterator[int]) -> Iterator[tuple | None]:
+    """The pattern at each prime, none dividing lead(f), FROB_BLOCK at a time."""
+    ramified = _resultant(f, f.derivative())
+    d = f.degree
+    while block := list(islice(primes, FROB_BLOCK)):
+        parts = frobenius_gcd_degrees(f.coeffs, block, max(1, d // 2))
+        for k in range(2, d // 2 + 1):  # column k - 1 becomes k * N_k
+            parts[:, k - 1] -= parts[:, [j - 1 for j in range(1, k) if k % j == 0]].sum(axis=1)
+        # one tuple per distinct row, however many primes share it
+        rows, inverse = np.unique(parts, axis=0, return_inverse=True)
+        tuples = [tuple([k for k, v in enumerate(row, 1) for _ in range(v // k)]
+                        + ([d - sum(row)] if sum(row) < d else [])) for row in rows.tolist()]
+        for p, i in zip(block, inverse.reshape(-1).tolist()):
+            yield None if ramified % p == 0 else tuples[i]
 
 
 def _resultant(a: IntPoly, b: IntPoly) -> int:

@@ -215,6 +215,17 @@ def test_primes_in_segmented():
     assert 100003 in primes_in(PrimeRange(100000, 100100))
 
 
+@pytest.mark.parametrize("lo", [2**50, 2**61 - 1500, 2**64 - 3001])
+def test_primes_in_narrow_window_at_huge_bound(lo):
+    # the base sieve stops at 2^16 and is_prime confirms the survivors
+    assert primes_in(PrimeRange(lo, lo + 3000)) == [n for n in range(lo, lo + 3001) if is_prime(n)]
+
+
+def test_primes_in_refuses_past_two_to_the_sixty_four():
+    with pytest.raises(ValueError, match="2\\^64"):
+        primes_in(PrimeRange(2**64 - 10, 2**64))
+
+
 def test_primes_in_every_small_window():
     for lo in range(0, 120):
         for hi in range(lo, 120):

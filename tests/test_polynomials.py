@@ -1,14 +1,16 @@
+import random
 import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprank import polynomials
-from hyprank._kernels import FROB_LIMIT
+from hyprank._kernels import FROB_LIMIT, _rank
 from hyprank.construction import RootData, build_family
 from hyprank.finite_field import PrimeCtx, PrimeRange, is_prime, primes_in
 from hyprank.polynomials import (
@@ -481,6 +483,48 @@ def test_batched_frobenius_never_takes_the_per_prime_path(monkeypatch):
     for name in ("degree_pattern_mod", "mod_pow", "mod_gcd", "ModPoly"):
         monkeypatch.setattr(polynomials, name, refuse)
     assert [degree_patterns_mod(f, primes) for f in fs] == expected
+
+
+def test_batched_frobenius_across_block_boundaries(monkeypatch):
+    primes = primes_in(PrimeRange(3, 2000))
+    expected = [degree_patterns_mod(f, primes) for f in _builtin_fs()]
+    monkeypatch.setattr(polynomials, "FROB_BLOCK", 5)
+    assert [degree_patterns_mod(f, primes) for f in _builtin_fs()] == expected
+
+
+def _rank_mod(rows, p):
+    """Rank mod p by plain Gaussian elimination with modular inverses."""
+    rows, rank = [list(r) for r in rows], 0
+    for c in range(len(rows)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            k = rows[i][c] * inv % p
+            rows[i] = [(a - k * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [10007, 2**31 - 1, 2**31 + 11], ids=["1e4", "below_2^31", "above_2^31"])
+def test_rank_kernel_matches_gaussian_elimination(p):
+    rng = random.Random(p)
+    for d in range(1, 10):
+        def low_rank(k):  # a d x k times a k x d product has rank <= k
+            b = [[rng.randrange(p) for _ in range(k)] for _ in range(d)]
+            c = [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
+            return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*c)] for row in b]
+
+        mats = [[[0] * d for _ in range(d)], [[int(i == j) for j in range(d)] for i in range(d)],
+                [[p - 1] * d for _ in range(d)]]
+        mats += [[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(3)]
+        mats += [low_rank(k) for k in range(1, d)]
+        dtype = np.int64 if p < FROB_LIMIT else object
+        a = np.array(mats, dtype=dtype)
+        got = _rank(a, np.full((len(mats), 1), p, dtype=dtype)).tolist()
+        assert got == [_rank_mod(m, p) for m in mats], d
 
 
 def _enumerated(f: IntPoly, p: int):
