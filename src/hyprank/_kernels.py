@@ -12,9 +12,13 @@ the shape of F mod p:
 - :func:`trace_row_vec` gives every trace in O(p^2) for any F.  It is the
   reference the other two are tested against.
 
-Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The one
-kernel that is not a character sum, :func:`frobenius_gcd_degrees`, works across
-many odd primes at once, in int64 below FROB_LIMIT = 2^31, else Python ints.
+Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The dense
+kernel sums its products in float64, as one BLAS product per block of t: with
+m nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
+below 2^53, so it is exact in any order of summation, and it refuses larger m
+and p (see :func:`trace_row_vec`).  The one kernel that is not a character
+sum, :func:`frobenius_gcd_degrees`, works across many odd primes at once, in
+int64 below FROB_LIMIT = 2^31, else Python ints.
 """
 
 from __future__ import annotations
@@ -68,16 +72,34 @@ def powmod_vec(xs: np.ndarray, e: int, p: int) -> np.ndarray:
 def _nonzero_terms(t_coeff_rows) -> list[tuple[int, np.ndarray]]:
     """The (j, row) pairs whose row is not None; refuses MAX_ROWS or more.
 
-    The bound is the dense kernel's int64 limit.  The correlation kernel
-    keeps it too, so the kernel chosen never decides whether rows are taken.
+    Both trace kernels keep the bound, so the kernel chosen never decides
+    whether rows are taken; the dense kernel's float64 bound comes on top.
     """
     terms = [(j, row) for j, row in enumerate(t_coeff_rows) if row is not None]
     if len(terms) >= MAX_ROWS:
         raise ValueError(
-            f"{len(terms)} nonzero T-coefficient rows; the dense kernel is exact "
-            f"only below {MAX_ROWS}"
+            f"{len(terms)} nonzero T-coefficient rows; the trace kernels take "
+            f"fewer than {MAX_ROWS}"
         )
     return terms
+
+
+def _exact_in_float(m: int, p: int) -> bool:
+    """Whether m products of residues mod p, plus p, stay below 2^53."""
+    return m * (p - 1) ** 2 + p < 1 << 53
+
+
+def _reduce_near(a: np.ndarray, p: int, q: np.ndarray) -> None:
+    """a -= floor(a * fl(1/p)) * p in place, with q (a's shape) as scratch.
+
+    For float64 integers 0 <= a < 2^53 - p the quotient is off from a // p
+    by at most one, so every step is exact and leaves a = a mod p + k p with
+    k in {-1, 0, 1}, that is a value in [-p, 2p).
+    """
+    np.multiply(a, 1.0 / p, out=q)
+    np.floor(q, out=q)
+    q *= p
+    a -= q
 
 
 def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
@@ -85,31 +107,42 @@ def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
 
     ``t_coeff_rows[j]`` holds the values at every x of the coefficient of
     T^j, as an int64 array of length p with entries in [0, p), or None when
-    that coefficient vanishes mod p.  For each block of t the engine forms
-    sum_j row_j(x) * (t^j mod p) over the nonzero rows and reduces mod p
-    once.  This is exact in int64: p < 2^26 makes every product < 2^52, and
-    fewer than 2^11 of them sum to less than 2^63.
+    that coefficient vanishes mod p.  With the m nonzero rows as an m x p
+    float64 matrix R and the powers t^j mod p as a p x m matrix, each block
+    of t is one matrix product, F(x, t) + k p for every x, brought into
+    [-p, 2p) by :func:`_reduce_near` and read from two periods of chi
+    (a negative index wraps to the second period).
+
+    Exact in float64: every entry of the product is an integer at most
+    m (p - 1)^2, and with the bound m (p - 1)^2 + p < 2^53 every partial sum,
+    in whatever order the BLAS adds, every q * p and every difference is an
+    integer below 2^53.  Larger m and p raise ValueError before anything is
+    allocated.
     """
     p = ctx.p
-    chi = ctx.chi
     terms = _nonzero_terms(t_coeff_rows)
     if not terms:
         return [0] * p
+    if not _exact_in_float(len(terms), p):
+        raise ValueError(
+            f"{len(terms)} nonzero T-coefficient rows at p = {p}: the dense "
+            "kernel is exact only while m (p - 1)^2 + p < 2^53"
+        )
     ts = np.arange(p, dtype=np.int64)
-    tpows = [powmod_vec(ts, j, p)[:, None] for j, _ in terms]
-    rows = [row for _, row in terms]
-    acc = np.empty((CHUNK, p), dtype=np.int64)
-    tmp = np.empty((CHUNK, p), dtype=np.int64)
+    tpows = np.stack([powmod_vec(ts, j, p) for j, _ in terms], axis=1).astype(np.float64)
+    rows = np.array([row for _, row in terms], dtype=np.float64)
+    chi2 = np.tile(ctx.chi, 2)
+    acc = np.empty((CHUNK, p))
+    tmp = np.empty((CHUNK, p))
     out = np.empty(p, dtype=np.int64)
     for lo in range(0, p, CHUNK):
         hi = min(lo + CHUNK, p)
         a, b = acc[: hi - lo], tmp[: hi - lo]
-        np.multiply(rows[0], tpows[0][lo:hi], out=a)
-        for row, tj in zip(rows[1:], tpows[1:]):
-            np.multiply(row, tj[lo:hi], out=b)
-            a += b
-        np.remainder(a, p, out=a)
-        out[lo:hi] = chi[a].sum(axis=1, dtype=np.int64)
+        np.matmul(tpows[lo:hi], rows, out=a)
+        _reduce_near(a, p, b)
+        r = b.view(np.int64)
+        np.copyto(r, a, casting="unsafe")
+        out[lo:hi] = chi2[r].sum(axis=1, dtype=np.int64)
     return np.negative(out).tolist()
 
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hyprank._kernels import correlation_row, first_sum_vec, horner_vec, trace_row_vec
+from hyprank._kernels import (
+    _exact_in_float,
+    _reduce_near,
+    correlation_row,
+    first_sum_vec,
+    horner_vec,
+    powmod_vec,
+    trace_row_vec,
+)
 from hyprank.curves import HyperFamily, t_coeff_rows, trace_row
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import power_sum
@@ -293,3 +301,90 @@ def test_dense_paths_fail_fast_above_table_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# the float64 dense kernel: its 2^53 bound, its reduction and maximal entries
+
+FLOAT_EXACT = 1 << 53
+THREE_ROW_EDGE = 54794158  # isqrt(2^53 / 3)
+THREE_ROW_PRIME = 54794149  # the largest prime <= isqrt(2^53 / 3)
+
+
+def test_dense_kernel_refuses_rows_past_float_exactness():
+    p = 67108859  # the largest prime below 2^26, which check_dense lets through
+    rows = [np.broadcast_to(np.int64(p - 1), (p,))] * 3  # zero-stride: no p-long memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\^53"):
+            trace_row_vec(rows, PrimeCtx(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_float_exactness_bound_edges():
+    assert _exact_in_float(3, THREE_ROW_EDGE)
+    assert not _exact_in_float(3, THREE_ROW_EDGE + 1)
+    assert _exact_in_float(3, THREE_ROW_PRIME)
+    assert _exact_in_float(2, 67108859)  # one or two rows: every prime below 2^26
+    assert not _exact_in_float(3, 67108859)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 1009, THREE_ROW_PRIME])
+def test_reduce_near_is_exact_up_to_the_bound(p):
+    top = FLOAT_EXACT - p - 1  # the largest sum the bound lets the kernel form
+    m_top = top // (p - 1) ** 2
+    values = [0, top, top - 1, m_top * (p - 1) ** 2, (m_top - 1) * (p - 1) ** 2]
+    for k in (1, 2, 3, 1000, (top - 1) // p):
+        values += [k * p - 1, k * p, k * p + 1]
+    rng = np.random.default_rng(p)
+    values += rng.integers(0, top, 2000).tolist()
+    a = np.array(values, dtype=np.float64)
+    assert a.tolist() == values  # every value is an exact float64
+    _reduce_near(a, p, np.empty_like(a))
+    assert all(float(r).is_integer() and -p <= r < 2 * p for r in a.tolist())
+    assert [int(r) % p for r in a.tolist()] == [v % p for v in values]
+
+
+def int_trace_row(rows, p):
+    """-sum_x chi(sum_j row_j t^j) in int64 with Euler's criterion, one t at a time."""
+    euler = powmod_vec(np.arange(p, dtype=np.int64), (p - 1) // 2, p)
+    chi = np.where(euler == p - 1, -1, euler)
+    out = []
+    for t in range(p):
+        v = np.zeros(p, dtype=np.int64)
+        for j, row in enumerate(rows):
+            if row is not None:
+                v = (v + row * pow(t, j, p)) % p
+        out.append(-int(chi[v].sum()))
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 1999])
+def test_dense_kernel_at_maximal_entries(m, p):
+    """Rows of p - 1 and of 0 / p - 1 patterns in T-degrees 0..m-1."""
+    xs = np.arange(p, dtype=np.int64)
+    top = np.full(p, p - 1, dtype=np.int64)
+
+    def mask(j):
+        return np.where((xs * (j + 2) + j) % 3 == 0, p - 1, 0).astype(np.int64)
+
+    cases = {
+        "all p - 1": ([top] * m, True),
+        "one mask for T^j, j >= 1": ([mask(0)] + [mask(1)] * (m - 1), True),
+        "a mask per row": ([mask(j) for j in range(m)], False),
+    }
+    ctx = PrimeCtx(p)
+    for name, (rows, rank_one) in cases.items():
+        dense = trace_row_vec(rows, ctx)
+        corr = correlation_row(rows, ctx)
+        if rank_one:
+            assert corr is not None, name
+        if corr is not None:
+            assert dense == corr, name
+        if m <= 3:
+            assert sum(dense) == first_sum_vec(rows, ctx), name
+        if p <= 101 or not rank_one:
+            assert dense == int_trace_row(rows, p), name
