@@ -1,22 +1,31 @@
 """The character-sum engines over the (t, x) grid and their vectorised helpers.
 
 Every exact trace and second moment in the package is a sum of chi(F(x, t))
-over the (t, x) grid.  Three kernels compute it, chosen by the caller from
-the shape of F mod p:
+over the (t, x) grid.  Four kernels compute it, chosen by the caller from
+the shape of F mod p: the total over t alone by :func:`first_sum_vec` when
+F is at most quadratic in T; else every trace by the first of
+:func:`correlation_row`, :func:`quadratic_row` and :func:`trace_row_vec`
+that applies (``curves.traces_from_rows``).
 
 - :func:`first_sum_vec` gives the total over t in O(p) when F is at most
   quadratic in T (first moments);
 - :func:`correlation_row` gives every trace in O(p log p), by FFT, when
   F = c(x) + g(x) W(T) mod p (all power families, shift_square, ...); it
   returns None for any other shape;
+- :func:`quadratic_row` gives every trace in O(p^2) int8 copies for any F
+  at most quadratic in T (big_rank), by completing the square: each trace
+  row is a signed sum of windows of the per-prime table chi(u^2 + d);
 - :func:`trace_row_vec` gives every trace in O(p^2) for any F.  It is the
-  reference the other two are tested against.
+  reference the other three are tested against, and the path for
+  deg_T F >= 3.
 
-Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The dense
-kernel sums its products in float64, as one BLAS product per block of t: with
-m nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
-below 2^53, so it is exact in any order of summation, and it refuses larger m
-and p (see :func:`trace_row_vec`).  The one kernel that is not a character
+Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The
+quadratic kernel sums values of chi in int8 chunks of at most 127 windows,
+then in int32, which is exact since |a_t| <= p < 2^31.  The dense kernel
+sums its products in float64, as one BLAS product per block of t: with m
+nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
+below 2^53, so it is exact in any order of summation, and it refuses larger
+m and p (see :func:`trace_row_vec`).  The one kernel that is not a character
 sum, :func:`frobenius_gcd_degrees`, works across many odd primes at once, in
 int64 below FROB_LIMIT = 2^31, else Python ints.
 """
@@ -24,11 +33,16 @@ int64 below FROB_LIMIT = 2^31, else Python ints.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx, quadratic_sums
 
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
+
+# Rows of chi(u^2 + d) that quadratic_row builds at a time, and the most windows
+# it sums in int8; odd, so its transposed copy does not thrash the cache.
+QUAD_BLOCK = 127
 
 # Nonzero T-coefficient rows the trace kernels accept; see trace_row_vec.
 MAX_ROWS = 1 << 11
@@ -210,6 +224,18 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> list[int] | None:
     return (-K - C[w]).tolist()
 
 
+def _quadratic_rows(t_coeff_rows, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows c, b, a of F = c(x) + b(x) T + a(x) T^2; a missing or None row is zero."""
+    if any(row is not None for row in t_coeff_rows[3:]):
+        raise ValueError("the quadratic-in-T kernels need deg_T F <= 2")
+    zero = np.zeros(p, dtype=np.int64)
+    c, b, a = (
+        t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
+        for j in range(3)
+    )
+    return c, b, a
+
+
 def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:
     """sum_t a_t = -sum_x S_x for F = c(x) + b(x) T + a(x) T^2, in O(p).
 
@@ -221,18 +247,112 @@ def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:
     are c, b, a, and a missing or None row counts as zero.  Exact in int64
     for p < 2^26, and |S_x| <= p sums to < 2^52.
     """
-    if any(row is not None for row in t_coeff_rows[3:]):
-        raise ValueError("the swapped first-moment sum needs deg_T F <= 2")
     p = ctx.p
     chi = ctx.chi
-    zero = np.zeros(p, dtype=np.int64)
-    c, b, a = (
-        t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
-        for j in range(3)
-    )
+    c, b, a = _quadratic_rows(t_coeff_rows, p)
     quad = quadratic_sums(a, b, c, chi[a].astype(np.int64), p).sum(dtype=np.int64)
     const = chi[c[(a == 0) & (b == 0)]].sum(dtype=np.int64)
     return -(int(quad) + p * int(const))
+
+
+def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
+    """The traces of :func:`trace_row_vec` for F = c(x) + b(x) T + a(x) T^2.
+
+    Completing the square where a(x) != 0 gives
+
+        chi(F(x, t)) = chi(a) D[d][t + s],   D[d][u] = chi(u^2 + d),
+
+    with s = b / (2a) and d = c / a - s^2 = (4ac - b^2) / (4a^2) mod p.  The
+    table D depends on p alone, so each trace row is a signed sum of windows
+    (slices of length p) of doubled rows of D.  D is built QUAD_BLOCK rows
+    at a time, and only for the blocks of d that occur: column u of a block
+    of rows d0 <= d < d0 + QUAD_BLOCK is the slice of chi (extended
+    periodically) at d0 + u^2, so a block is (p + 1) / 2 row copies, one int8
+    transpose, a mirror copy (D[d][-u] = D[d][u]) and a doubling copy, with no
+    per-point gather and no multiply.  Where a(x) = 0 the row of x is a window
+    of chi, chi(b) chi(t + c / b), or the constant chi(c) where b = 0 too.
+
+    Windows are summed in chunks of at most QUAD_BLOCK < 128, each exactly
+    in int8, into an int32 row: |a_t| <= p < 2^31.  ``t_coeff_rows`` is laid
+    out as for :func:`trace_row_vec`, with no row past T^2 (ValueError).
+
+    Peak working memory is about (3 QUAD_BLOCK + 230) p bytes, some 610 p:
+    3 QUAD_BLOCK p for the doubled block, its transposed rows or one chunk
+    of windows, and the rest for int64 arrays over x (measured at p = 4001
+    and 10007, with a fixed ~10 kB on top).  That is under a third of the
+    2 CHUNK p 8 = 2048 p bytes of the float blocks of :func:`trace_row_vec`.
+    """
+    p = ctx.p
+    chi = ctx.chi
+    c, b, a = _quadratic_rows(t_coeff_rows, p)
+    acc = np.zeros(p, dtype=np.int32)
+    lin = a == 0
+    bl, cl = b[lin], c[lin]
+    const = int(chi[cl[bl == 0]].sum(dtype=np.int64))
+    on = bl != 0
+    if on.any():
+        bl, cl = bl[on], cl[on]
+        chi2 = np.concatenate((chi, chi[:-1]))
+        signed = _windows(np.stack((chi2, -chi2)), p)  # row 1 for chi(b) = -1
+        _add_windows(acc, signed, (chi[bl] < 0).astype(np.intp),
+                     cl * powmod_vec(bl, p - 2, p) % p, np.add)
+    if not lin.all():
+        a, b, c = a[~lin], b[~lin], c[~lin]
+        inv2a = powmod_vec(2 * a % p, p - 2, p)
+        s = b * inv2a % p
+        d = (2 * c * inv2a - s * s) % p
+        _add_square_windows(acc, d, s, chi[a] < 0, chi)
+    out = np.negative(acc, dtype=np.int64)
+    out -= const
+    return out.tolist()
+
+
+def _add_square_windows(acc, d, s, neg, chi) -> None:
+    """acc[t] += sum_i (-1 if neg[i] else 1) chi((t + s[i])^2 + d[i]).
+
+    The terms are taken by block of d and, within a block, by sign; a block
+    of the table is built once, for the first of its two runs.
+    """
+    p = len(chi)
+    E = QUAD_BLOCK
+    h = (p + 1) // 2
+    key = d // E * 2 + neg
+    order = np.argsort(key, kind="stable")
+    key, d, s = key[order], d[order], s[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    # column u of the block of rows d0.. is chi_ext[d0 + u^2 : d0 + u^2 + E]
+    chi_ext = np.resize(chi, 2 * p + E)
+    columns = as_strided(chi_ext, shape=(2 * p, E), strides=(1, 1), writeable=False)
+    sq = np.arange(h, dtype=np.int64) ** 2 % p
+    block = np.empty((E, 2 * p - 1), dtype=np.int8)
+    windows = _windows(block, p)
+    built = -1
+    for lo, hi in zip(starts, starts[1:] + [len(key)]):
+        blk, negate = divmod(int(key[lo]), 2)
+        d0 = blk * E
+        if blk != built:
+            block[:, :h] = columns[d0 + sq].T
+            block[:, h:p] = block[:, h - 1 : 0 : -1]
+            block[:, p:] = block[:, : p - 1]
+            built = blk
+        _add_windows(acc, windows, d[lo:hi] - d0, s[lo:hi], np.subtract if negate else np.add)
+
+
+def _windows(src: np.ndarray, p: int) -> np.ndarray:
+    """The read-only view w[i, o] = src[i, o : o + p] of a table of >= 2p - 1 columns."""
+    return as_strided(src, shape=(len(src), p, p), strides=(src.strides[0], 1, 1),
+                      writeable=False)
+
+
+def _add_windows(acc, windows, rows, offs, add) -> None:
+    """add(acc, sum_i windows[rows[i], offs[i]]) in place, add being np.add or np.subtract.
+
+    The windows hold entries in {-1, 0, 1} and are read QUAD_BLOCK at a time,
+    each chunk summed in int8, which is exact for at most 127 of them.
+    """
+    for lo in range(0, len(rows), QUAD_BLOCK):
+        part = windows[rows[lo : lo + QUAD_BLOCK], offs[lo : lo + QUAD_BLOCK]]
+        add(acc, part.sum(axis=0, dtype=np.int8), out=acc)
 
 
 def frobenius_gcd_degrees(f, primes, depth: int = 1) -> np.ndarray:

@@ -123,8 +123,15 @@ def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
 def traces_from_rows(rows, ctx: PrimeCtx) -> list[int]:
     """Traces at t = 0..p-1 from the T-coefficient rows of ``t_coeff_rows``.
 
-    An FFT correlation (O(p log p)) when F = c(x) + g(x) W(T) mod p, else
-    the dense sum of chi over (t, x) (O(p^2)).  Both give the same integers.
+    The first kernel that applies, by the shape of F mod p: an FFT
+    correlation (O(p log p)) when F = c(x) + g(x) W(T); else, for
+    deg_T F <= 2, signed windows of the per-prime table chi(u^2 + d)
+    (``quadratic_row``, O(p^2) int8 copies); else the dense float64 sum of
+    chi over (t, x) (O(p^2)).  All three give the same integers.
     """
     row = _kernels.correlation_row(rows, ctx)
-    return _kernels.trace_row_vec(rows, ctx) if row is None else row
+    if row is not None:
+        return row
+    if len(rows) <= 3:
+        return _kernels.quadratic_row(rows, ctx)
+    return _kernels.trace_row_vec(rows, ctx)

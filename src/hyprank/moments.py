@@ -77,8 +77,10 @@ def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
 
     The kernel follows from the shape of F mod p: for r = 1 and deg_T <= 2
     the sums over t and x are swapped (``first_sum_vec``, O(p)); every other
-    case sums the trace row of ``traces_from_rows`` (O(p log p) for
-    rank-one F, else O(p^2)).
+    case sums the trace row of ``traces_from_rows``: O(p log p) for rank-one
+    F, else O(p^2), in int8 windows of the table chi(u^2 + d) for
+    deg_T F <= 2 (``quadratic_row``, the r >= 2 moments of big_rank) and in
+    float64 blocks beyond (``trace_row_vec``).
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
@@ -229,9 +231,10 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
 
     By default -A_1(p) is computed exactly by ``power_sum`` through
     ``scan``: O(p) per prime when deg_T F <= 2 (shift_square, linear_twist,
-    big_rank), O(p log p) when F is rank-one in T, and O(p^2) from the dense
-    trace row otherwise; a range past the dense-kernel limit is refused up
-    front.  With ``predicted`` it comes from one batched call of the
+    big_rank); beyond, O(p log p) when F is rank-one in T and O(p^2) from the
+    dense float64 trace row (``trace_row_vec``) otherwise, so the quadratic
+    kernel never runs here.  A range past the dense-kernel limit is refused
+    up front.  With ``predicted`` it comes from one batched call of the
     family's closed form instead (ValueError for a family without one),
     which builds no per-prime context and ignores ``jobs``; primes where the
     closed form does not apply are skipped.  This skips the exact sum, which

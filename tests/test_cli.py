@@ -635,6 +635,14 @@ GOLDEN = [
     (("sn-witness", "--f", "2*(x-1)*(x-2)*(x-3)*(x-4)*(x-5)*(x-6)*(x-7) + 1", "--pmax", "3600",
       "--format", "json"),
      "2dfd44729eda98ab452a1b3bd2dd2368ba2d671be0b789d3534f74c1424fdc02", 0, ""),
+    # these two were recorded while every deg_T <= 2 row that is not rank-one
+    # still took the dense float64 kernel
+    (("moments", "--family", "builtin:big_rank", "--genus", "1", "--roots", "1..6",
+      "--r", "2", "--pmax", "80"),
+     "20df791d5cfe4794dda1584e9eccabb0265bccef557a579e3e585def0c3f340f", 0, ""),
+    (("moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "2",
+      "--pmax", "40"),
+     "38909983066380dd50adc5c4b48fa0b4b64525a444537cdf526adf56f45909e0", 0, ""),
 ]
 
 

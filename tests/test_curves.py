@@ -6,12 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyprank._kernels import (
+    CHUNK,
     _exact_in_float,
     _reduce_near,
     correlation_row,
     first_sum_vec,
     horner_vec,
     powmod_vec,
+    quadratic_row,
     trace_row_vec,
 )
 from hyprank.curves import HyperFamily, t_coeff_rows, trace_row
@@ -277,8 +279,9 @@ def test_correlation_row_declines_rows_that_are_not_proportional():
 def test_first_sum_vec_refuses_cubic_rows():
     fam = fam_of("x^3 + x*T^3 + 1", 1)
     ctx = PrimeCtx(5)
-    with pytest.raises(ValueError, match="deg_T F <= 2"):
-        first_sum_vec(t_coeff_rows(fam.F, ctx), ctx)
+    for kernel in (first_sum_vec, quadratic_row):
+        with pytest.raises(ValueError, match="deg_T F <= 2"):
+            kernel(t_coeff_rows(fam.F, ctx), ctx)
 
 
 def test_trace_row_refuses_many_rows():
@@ -386,5 +389,107 @@ def test_dense_kernel_at_maximal_entries(m, p):
             assert dense == corr, name
         if m <= 3:
             assert sum(dense) == first_sum_vec(rows, ctx), name
+            assert dense == quadratic_row(rows, ctx), name
         if p <= 101 or not rank_one:
             assert dense == int_trace_row(rows, p), name
+
+
+# the quadratic kernel: windows of chi(u^2 + d) against the dense kernel and
+# Euler's criterion
+
+ODD_PRIMES_TO_200 = primes_in(PrimeRange(3, 200))
+
+
+def random_quadratic_rows(p, seed, zero_a, zero_b, disc):
+    """Rows [c, b, a] of c(x) + b(x) T + a(x) T^2 with a share of zero a and b.
+
+    ``disc`` fixes the discriminant b^2 - 4ac where a != 0: "free" (random
+    c), "zero", "square" (a nonzero square, so F splits in T), or "constant"
+    (one value of d = (4ac - b^2) / (4a^2) for every x, so every x falls in
+    one block of the table).  Where a = 0, c stays random, so x with
+    a = b = 0 occur once both shares are positive.
+    """
+    rng = np.random.default_rng(seed)
+    c, b, a = (rng.integers(0, p, p) for _ in range(3))
+    a[rng.random(p) < zero_a] = 0
+    b[rng.random(p) < zero_b] = 0
+    on = a != 0
+    inv4a = powmod_vec(4 * a[on] % p, p - 2, p)
+    b2 = b[on] * b[on] % p
+    if disc == "zero":
+        c[on] = b2 * inv4a % p
+    elif disc == "square":
+        r = rng.integers(1, p)
+        c[on] = (b2 - r * r) % p * inv4a % p
+    elif disc == "constant":
+        d = int(rng.integers(0, p))
+        c[on] = (a[on] * d + b2 * inv4a) % p
+    return [c, b if b.any() else None, a if a.any() else None]
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zero_a=st.sampled_from([0.0, 0.2, 1.0]),
+    zero_b=st.sampled_from([0.0, 0.3, 1.0]),
+    disc=st.sampled_from(["free", "zero", "square", "constant"]),
+)
+@example(seed=1, zero_a=0.2, zero_b=0.3, disc="free")
+@example(seed=2, zero_a=0.0, zero_b=0.0, disc="zero")
+@example(seed=3, zero_a=0.0, zero_b=0.0, disc="square")
+@example(seed=4, zero_a=0.0, zero_b=1.0, disc="constant")
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_200)
+def test_quadratic_row_matches_dense_and_euler(p, seed, zero_a, zero_b, disc):
+    rows = random_quadratic_rows(p, seed, zero_a, zero_b, disc)
+    ctx = PrimeCtx(p)
+    assert quadratic_row(rows, ctx) == trace_row_vec(rows, ctx) == int_trace_row(rows, p)
+
+
+@pytest.mark.parametrize("p, disc", [(1999, "free"), (1999, "zero"), (1999, "square"),
+                                     (1999, "constant"), (10007, "free"), (10007, "constant")])
+def test_quadratic_row_at_larger_primes(p, disc):
+    rows = random_quadratic_rows(p, p, 0.01, 0.01, disc)
+    ctx = PrimeCtx(p)
+    row = quadratic_row(rows, ctx)
+    assert row == trace_row_vec(rows, ctx)
+    if p < 2000:
+        assert row == int_trace_row(rows, p)
+
+
+@pytest.mark.parametrize("text, genus", [
+    ("x^3 + (x - 1)*T^2 + (x - 1)*T + 2", 1),  # a = b = 0 at x = 1
+    ("x^3 + x*T^2 + T + 1", 1),  # a = 0 at x = 0 with b != 0 there
+    ("x^3 + T^2 + 2*x*T + x^2 + x - 1", 1),  # b^2 - 4ac = 4 (1 - x) with a = 1
+    ("x^5 + (x^2 + 1)*T^2 + x^3*T + 3", 2),
+])
+def test_quadratic_row_matches_euler_on_families(text, genus):
+    fam = fam_of(text, genus)
+    for p in (3, 5, 7, 11, 13, 31):
+        rows = t_coeff_rows(fam.F, PrimeCtx(p))
+        assert quadratic_row(rows, PrimeCtx(p)) == euler_trace_row(fam.F, p), p
+
+
+def test_quadratic_row_sums_full_chunks_of_equal_windows():
+    """Every x has the same a, b, c: every chunk adds QUAD_BLOCK equal windows,
+    the largest int8 partial sums the kernel forms."""
+    p = 1999
+    ctx = PrimeCtx(p)
+    for c0 in (0, 1, 2, p - 1):
+        rows = [np.full(p, c0, dtype=np.int64), None, np.ones(p, dtype=np.int64)]
+        want = [-p * int(ctx.chi[(t * t + c0) % p]) for t in range(p)]
+        assert quadratic_row(rows, ctx) == trace_row_vec(rows, ctx) == want
+
+
+def test_quadratic_row_memory_stays_below_the_dense_blocks():
+    """All x in one block of d, with the most windows per chunk, at p ~ 4000."""
+    p = 4001
+    ctx = PrimeCtx(p)
+    rows = random_quadratic_rows(p, 0, 0.0, 0.0, "constant")
+    ctx.chi  # the table belongs to the context, not to the kernel
+    tracemalloc.start()
+    try:
+        quadratic_row(rows, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * CHUNK * p * 8 // 3

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from hyprank import moments
+from hyprank import _kernels, moments
 from hyprank.construction import RootData, build_family
-from hyprank.curves import HyperFamily, trace_row
+from hyprank.curves import HyperFamily, t_coeff_rows, trace_row
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import (
     NonGenericPrime,
@@ -144,6 +144,27 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
     with pytest.raises(ValueError, match="moment order must be >= 1"):
         power_sum(quad, 0, PrimeCtx(101))
     assert seen == []
+
+
+def test_quadratic_rows_never_take_the_dense_kernel(monkeypatch):
+    # deg_T F <= 2 rows that are not rank-one go to quadratic_row; rows of
+    # degree 3 in T still reach the float64 dense kernel
+    dense = _kernels.trace_row_vec
+    calls = []
+    monkeypatch.setattr(_kernels, "trace_row_vec",
+                        lambda rows, ctx: calls.append(len(rows)) or dense(rows, ctx))
+    rank6 = make_big_rank(build_family(RootData(1, tuple(range(1, 7)))))
+    quad = HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1"))
+    for p in primes_in(PrimeRange(3, 200)):
+        ctx = PrimeCtx(p)
+        for fam in (rank6, quad):
+            if p not in fam.bad_primes:
+                assert trace_row(fam, ctx) == dense(t_coeff_rows(fam.F, ctx), ctx), (fam.label, p)
+                assert power_sum(fam, 2, ctx) == sum(a * a for a in trace_row(fam, ctx))
+    assert calls == []
+    cubic = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
+    trace_row(cubic, PrimeCtx(101))
+    assert calls == [4]
 
 
 def test_moment_invariant_under_parameter_shift():
