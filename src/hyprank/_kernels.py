@@ -1,11 +1,13 @@
 """The character-sum engines over the (t, x) grid and their vectorised helpers.
 
-Every exact trace and second moment in the package is a sum of chi(F(x, t))
-over the (t, x) grid.  Four kernels compute it, chosen by the caller from
-the shape of F mod p: the total over t alone by :func:`first_sum_vec` when
-F is at most quadratic in T; else every trace by the first of
+Every exact trace and moment of a family is a sum of chi(F(x, t)) over the
+(t, x) grid.  Four kernels compute it, chosen by the caller from the shape
+of F mod p: the total over t alone by :func:`first_sum_vec` when F is at
+most quadratic in T; else every trace by the first of
 :func:`correlation_row`, :func:`quadratic_row` and :func:`trace_row_vec`
-that applies (``curves.traces_from_rows``).
+that applies (``curves.traces_from_rows``).  The second moments of the
+power shapes x^n + x^h T^k need none of them: ``second_moment._brute``
+sums one character sum per coset class of t, in O(p).
 
 - :func:`first_sum_vec` gives the total over t in O(p) when F is at most
   quadratic in T (first moments);
@@ -72,15 +74,26 @@ def horner_vec(coeffs, xs: np.ndarray, p: int) -> np.ndarray:
 
 
 def powmod_vec(xs: np.ndarray, e: int, p: int) -> np.ndarray:
-    """Elementwise xs^e mod p (e >= 0), with 0^0 = 1."""
-    out = np.ones(len(xs), dtype=np.int64)
+    """Elementwise xs^e mod p (e >= 0), with 0^0 = 1.
+
+    Square-and-multiply from the low bit of e, in place on two arrays: the
+    first factor is copied, not multiplied in, and the last square is
+    skipped, so x^3 costs two products.
+    """
     base = xs % p
+    out = None
     while e:
         if e & 1:
-            out = (out * base) % p
-        base = (base * base) % p
+            if out is None:
+                out = base.copy()
+            else:
+                out *= base
+                out %= p
         e >>= 1
-    return out
+        if e:
+            base *= base
+            base %= p
+    return np.ones(len(xs), dtype=np.int64) if out is None else out
 
 
 def _nonzero_terms(t_coeff_rows) -> list[tuple[int, np.ndarray]]:

@@ -91,6 +91,26 @@ class PrimeCtx:
         return self._chi
 
 
+def primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group mod an odd prime p.
+
+    r generates iff r^((p-1)/q) != 1 for every prime q | p - 1; the q come
+    from trial division of p - 1, which is O(sqrt p).
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    qs, m, q = [], p - 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            qs.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        qs.append(m)
+    return next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
+
+
 def legendre(a: int, ctx: PrimeCtx) -> int:
     """Legendre symbol (a/p): 0 if p | a, +1 for nonzero squares, -1 otherwise."""
     p = ctx.p

@@ -20,6 +20,26 @@ The dominant part of the closed form is always a multiple of p^2 - p; its
 coefficient is the c_2 of the bias report, and the p-coefficient of that
 part, c_1 = -c_2, is the lower-order term whose prime average is the bias
 statistic.
+
+The brute column needs no trace row.  Write a(w) = -sum_x chi(x^n + x^h w),
+so the fiber at t has trace a(t^k), with 0^0 = 1.  Substituting x -> lam x
+for lam != 0, with n odd,
+
+    a(w) = chi(lam^n) a(lam^(h-n) w) = chi(lam) a(lam^(h-n) w),
+
+so a(w)^2 depends only on the coset of w modulo the (n-h)-th powers, which
+are the e-th powers with e = gcd(n - h, p - 1).  With r a primitive root
+and t = r^s, t^k = r^(ks) lies in the coset of index ks mod e; as s runs
+over 0..p-2 that index runs over the multiples of g = gcd(k, e), each
+(p - 1) g / e times, so for k >= 1
+
+    sum_{t != 0} a(t^k)^2 = ((p - 1) g / e) sum_{i = 0, g, 2g, .. < e} a(r^i)^2,
+
+and the t = 0 fiber adds a(0)^2 = (sum_x chi(x))^2 = 0.  For k = 0,
+g = gcd(0, e) = e leaves the one class i = 0, and the t = 0 fiber is the
+w = 1 fiber again.  Each a(r^i) is a sum over the histogram
+H(u) = sum_{x != 0, x^(n-h) = u} chi(x^h), which lives on the (p - 1) / e
+e-th powers, so all e / g of them together cost O(p).
 """
 
 from __future__ import annotations
@@ -29,8 +49,9 @@ from functools import partial
 from math import gcd
 from typing import Optional
 
-from ._kernels import check_dense
-from .curves import t_coeff_rows, traces_from_rows
+import numpy as np
+
+from ._kernels import check_dense, powmod_vec
 from .finite_field import (
     InternalCheckError,
     PrimeCtx,
@@ -38,9 +59,9 @@ from .finite_field import (
     double_sum_S,
     power_pair_count,
     primes_in,
+    primitive_root,
 )
 from .moments import scan
-from .polynomials import BiPoly
 
 
 @dataclass(frozen=True)
@@ -85,12 +106,59 @@ def second_moment_brute(fam: PowerFamily, ctx: PrimeCtx) -> int:
 def _brute(n: int, h: int, k: int, ctx: PrimeCtx, include_t0: bool = True) -> int:
     """Sum of squared traces of x^n + x^h T^k over t, from t = 1 unless include_t0.
 
-    The traces come from the shared row -> trace path of every family; the
-    shape c(x) + g(x) W(T) keeps it at O(p log p).
+    Exact for any n odd, 0 <= h < n and k >= 0, in O(p log p) integer work
+    whatever the size of n, with no trace row: the traces are direct
+    character sums, one per class of t, and a(t^k)^2 is the same on each
+    class (module docstring):
+
+        sum_{t != 0} a_t^2 = ((p - 1) g / e) sum_{i = 0, g, .. < e} a(r^i)^2
+
+    with e = gcd(n - h, p - 1), g = gcd(k, e) and r = primitive_root(p).
+    The t = 0 fiber adds a(1)^2 for k = 0 and a(0)^2 = 0 otherwise.
     """
-    rows = t_coeff_rows(BiPoly.term(1, n, 0) + BiPoly.term(1, h, k), ctx)
-    traces = traces_from_rows(rows, ctx)
-    return sum(a * a for a in traces[0 if include_t0 else 1 :])
+    p = ctx.p
+    e = gcd(n - h, p - 1)
+    g = gcd(k, e)
+    a = _class_traces(n, h, _class_points(p, e, g), ctx).tolist()
+    total = (p - 1) * g // e * sum(v * v for v in a)
+    return total + a[0] ** 2 if include_t0 and k == 0 else total
+
+
+def _class_points(p: int, e: int, g: int) -> np.ndarray:
+    """r^i mod p for i = 0, g, 2g, .. < e, r = primitive_root(p), by doubling."""
+    ws = np.ones(1, dtype=np.int64)
+    if e > g:
+        step = pow(primitive_root(p), g, p)
+        while len(ws) < e // g:
+            ws = np.concatenate((ws, ws * pow(step, len(ws), p) % p))
+    return ws[: e // g]
+
+
+def _class_traces(n: int, h: int, ws: np.ndarray, ctx: PrimeCtx) -> np.ndarray:
+    """a(w) = -sum_x chi(x^n + x^h w) at each nonzero w of ws, exact in int64.
+
+    x = 0 gives chi(w) for h = 0 and nothing otherwise; for x != 0,
+    chi(x^n + x^h w) = chi(x^h) chi(x^(n-h) + w), so
+
+        a(w) = -[h = 0] chi(w) - sum_u H(u) chi(u + w),
+
+    with H(u) = sum_{x != 0, x^(n-h) = u} chi(x)^h, the count of the x with
+    chi(x^h) = +1 less the count of those with -1 (one integer bincount of
+    2 u + [chi(x^h) = -1] holds both).  x^(n-h) = x^((n-h) mod (p-1)) for
+    x != 0.  H lives on the (p - 1) / e values of x^(n-h), so the sums cost
+    (p - 1) / e per w.
+    """
+    p = ctx.p
+    chi = ctx.chi
+    u = powmod_vec(np.arange(1, p, dtype=np.int64), (n - h) % (p - 1), p)
+    key = 2 * u
+    if h % 2:
+        key += chi[1:] < 0
+    counts = np.bincount(key, minlength=2 * p).reshape(p, 2)
+    H = counts[:, 0] - counts[:, 1]
+    us = np.flatnonzero(H)
+    a = -(np.concatenate((chi, chi))[ws[:, None] + us] @ H[us])
+    return a - chi[ws] if h == 0 else a
 
 
 def second_moment_closed(fam: PowerFamily, ctx: PrimeCtx) -> Optional[int]:

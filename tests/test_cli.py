@@ -281,6 +281,34 @@ def test_second_moment_csv_and_bias(capsys):
     assert obj["mean_c1"] < 0
 
 
+@pytest.mark.parametrize("h, k", [(0, 1), (10**9 - 4, 10**9 - 1)])
+def test_second_moment_huge_n_runs_at_once(capsys, h, k):
+    # x^n was once evaluated by Horner over an n-long coefficient list at every
+    # prime: --n 2000001 --h 0 --k 1 --pmax 20 took 53 s and 93 MB
+    from hyprank.curves import t_coeff_rows, traces_from_rows
+    from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
+    from hyprank.polynomials import BiPoly
+
+    n = 10**9 + 1
+    t0 = time.perf_counter()
+    code, out = run(capsys, "second-moment", "--n", str(n), "--h", str(h), "--k", str(k),
+                    "--pmax", "60")
+    assert code == 0 and time.perf_counter() - t0 < 1.0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == primes_in(PrimeRange(3, 60))
+    assert any(int(r[1]) for r in rows)
+
+    def reduced(m, p):  # the same power function on all of F_p, x = 0 too
+        return (m - 1) % (p - 1) + 1 if m else 0
+
+    for p, brute, closed, app, _, _ in rows:
+        p = int(p)
+        ctx = PrimeCtx(p)
+        F = BiPoly.term(1, reduced(n, p), 0) + BiPoly.term(1, reduced(h, p), reduced(k, p))
+        assert int(brute) == sum(a * a for a in traces_from_rows(t_coeff_rows(F, ctx), ctx)), p
+        assert app == "0" or closed == brute, p
+
+
 def test_second_moment_invalid_params(capsys):
     code, _ = run(capsys, "second-moment", "--n", "4", "--h", "0", "--k", "1",
                   "--pmax", "20")
@@ -316,13 +344,14 @@ def test_fft_rounding_guard_is_internal_failure(capsys, monkeypatch, shift):
     import numpy as np
 
     from hyprank.finite_field import InternalCheckError, PrimeCtx
-    from hyprank.second_moment import PowerFamily, second_moment_brute
+    from hyprank.moments import make_power, power_sum
 
+    # the power families' moment scan takes the FFT row; second-moment needs none
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + shift)
     with pytest.raises(InternalCheckError):
-        second_moment_brute(PowerFamily(5, 2, 1), PrimeCtx(101))
-    code = main(["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "20"])
+        power_sum(make_power(5, 0, 1), 2, PrimeCtx(101))
+    code = main(["moments", "--family", "builtin:power:5,0,1", "--r", "2", "--pmax", "20"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
@@ -643,15 +672,26 @@ GOLDEN = [
     (("moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "2",
       "--pmax", "40"),
      "38909983066380dd50adc5c4b48fa0b4b64525a444537cdf526adf56f45909e0", 0, ""),
+    # these two were recorded while the brute column still came from FFT trace
+    # rows; the first has no row the closed form applies to, the second mixes both
+    (("second-moment", "--n", "5", "--h", "1", "--k", "2", "--pmax", "60"),
+     "c9e6dd158824a33150e42d4701c114f9c4181944b3f7af9a1e28d3a1500ce0c2", 0,
+     "michel deviation (pA2 - p^2)/p^1.5: min=-7.6811 max=12.3122\n"),
+    (("second-moment", "--n", "7", "--h", "1", "--k", "3", "--pmax", "60"),
+     "dbb513085c3e6bd1a918e3720bc46d14b791d79c2ddce201703e0a9f3f071c2c", 0,
+     "michel deviation (pA2 - p^2)/p^1.5: min=-7.6811 max=19.4358\n"),
 ]
 
 
 def _golden_ids():
-    """The first three arguments; a repeat also names its --pmax."""
+    """The first three arguments; a repeat also names its --pmax, and a second
+    repeat is named by its whole argv."""
     ids = []
     for argv, *_ in GOLDEN:
         name = " ".join(argv[:3])
-        ids.append(f"{name} --pmax {argv[argv.index('--pmax') + 1]}" if name in ids else name)
+        if name in ids:
+            name = f"{name} --pmax {argv[argv.index('--pmax') + 1]}"
+        ids.append(" ".join(argv) if name in ids else name)
     return ids
 
 

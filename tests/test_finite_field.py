@@ -1,6 +1,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyprank import _kernels, finite_field, oracles
@@ -13,6 +14,7 @@ from hyprank.finite_field import (
     nu2,
     power_pair_count,
     primes_in,
+    primitive_root,
     quadratic_char_sum,
 )
 from hyprank.oracles import double_sum_brute, power_pair_count_brute, quadratic_sum_table
@@ -231,3 +233,45 @@ def test_primes_in_every_small_window():
         for hi in range(lo, 120):
             want = [p for p in range(lo, hi + 1) if p > 2 and is_prime(p)]
             assert primes_in(PrimeRange(lo, hi)) == want, (lo, hi)
+
+
+def test_primitive_root_is_the_least_generator_to_ten_thousand():
+    # the powers r^j, j < p - 1, listed by doubling, must be every unit; then
+    # c = r^j generates exactly when gcd(j, p - 1) = 1, and no c < r may
+    for p in primes_in(PrimeRange(3, 10**4)):
+        r = primitive_root(p)
+        pows = np.ones(1, dtype=np.int64)
+        while len(pows) < p - 1:
+            pows = np.concatenate((pows, pows * pow(r, len(pows), p) % p))
+        pows = pows[: p - 1]
+        assert np.bincount(pows, minlength=p)[1:].min() == 1, p
+        log = np.zeros(p, dtype=np.int64)
+        log[pows] = np.arange(p - 1)
+        assert np.flatnonzero(np.gcd(log[1:], p - 1) == 1)[0] + 1 == r, p
+    assert [primitive_root(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 191, 409)] == [
+        2, 2, 3, 2, 2, 3, 2, 5, 19, 21]
+
+
+# the four largest primes below 2^26, and 2^18 3^5 + 1 and 2^15 3^7 + 1 on either
+# side of it, whose p - 1 has only the prime factors 2 and 3
+@pytest.mark.parametrize("p", [67108859, 67108837, 67108819, 67108777, 63700993, 71663617])
+def test_primitive_root_near_two_to_the_twenty_six(p):
+    assert is_prime(p)
+    qs = {q for q in range(2, 10**4) if (p - 1) % q == 0 and is_prime(q)}
+    rest = p - 1
+    for q in qs:
+        while rest % q == 0:
+            rest //= q
+    if rest > 1:
+        assert is_prime(rest)
+        qs.add(rest)
+    r = primitive_root(p)
+    assert pow(r, p - 1, p) == 1
+    assert all(pow(r, (p - 1) // q, p) != 1 for q in qs)
+    assert all(any(pow(c, (p - 1) // q, p) == 1 for q in qs) for c in range(2, r))
+
+
+@pytest.mark.parametrize("bad", [2, 1, 9, 91, 2**26])
+def test_primitive_root_refuses_non_odd_primes(bad):
+    with pytest.raises(ValueError):
+        primitive_root(bad)

@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprank import _kernels
+from hyprank.curves import t_coeff_rows, traces_from_rows
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import make_power, power_sum
+from hyprank.oracles import trace_of_poly
+from hyprank.polynomials import BiPoly
 from hyprank.second_moment import (
     PowerFamily,
+    _brute,
     bias_report,
     michel_deviation,
     second_moment_brute,
@@ -121,12 +125,13 @@ def test_brute_equals_power_sum_of_the_family_on_smooth_shapes():
 
 
 def test_scan_never_takes_the_dense_kernel(monkeypatch):
-    # every power shape, singular (h >= 2) and constant (k = 0) ones too, has
-    # rank-one rows, so its traces stay on the O(p log p) correlation
-    def dense(rows, ctx):
-        raise AssertionError("dense trace kernel called")
+    # the brute column sums over coset classes of t, so no power shape,
+    # singular (h >= 2) and constant (k = 0) ones too, builds a trace row
+    def kernel(rows, ctx):
+        raise AssertionError("trace kernel called")
 
-    monkeypatch.setattr(_kernels, "trace_row_vec", dense)
+    for name in ("trace_row_vec", "quadratic_row", "correlation_row"):
+        monkeypatch.setattr(_kernels, name, kernel)
     for n, h, k in [(3, 0, 0), (3, 2, 0), (5, 2, 0), (5, 4, 3), (7, 3, 0), (7, 6, 5), (5, 1, 2)]:
         fam = PowerFamily(n, h, k)
         for p, brute, closed, c2, c1 in second_moment_scan(fam, PrimeRange(3, 400)):
@@ -152,8 +157,6 @@ def test_periodicity_equals_full_sums_for_positive_k():
 
 
 def _brute_any(n, h, k, ctx):
-    from hyprank.second_moment import _brute
-
     return _brute(n, h, k, ctx)
 
 
@@ -248,3 +251,54 @@ def euler_second_moment(n, h, k, p):
 )
 def test_brute_matches_euler_on_singular_and_constant_shapes(shape, p):
     assert second_moment_brute(PowerFamily(*shape), PrimeCtx(p)) == euler_second_moment(*shape, p)
+
+
+def power_poly(n, h, k):
+    return BiPoly.term(1, n, 0) + BiPoly.term(1, h, k)
+
+
+def row_sums(traces):
+    """The sums of squares of a trace row from t = 0 and from t = 1."""
+    tail = sum(a * a for a in traces[1:])
+    return traces[0] ** 2 + tail, tail
+
+
+# the grids hold p | n (n = 3, 5, 7, 9 at p = 3, 5, 7), p | n - h and
+# e = gcd(n - h, p - 1) = p - 1 (both at p = 3, 5, 7)
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_class_sums_equal_fft_rows_to_300(n):
+    for p in primes_in(PrimeRange(3, 300)):
+        ctx = PrimeCtx(p)
+        for h in range(n):
+            for k in range(n):
+                full, tail = row_sums(traces_from_rows(t_coeff_rows(power_poly(n, h, k), ctx), ctx))
+                assert (_brute(n, h, k, ctx), _brute(n, h, k, ctx, include_t0=False)) == (
+                    full, tail), (n, h, k, p)
+
+
+def test_class_sums_equal_dense_rows_and_fiber_sums_to_50():
+    for p in primes_in(PrimeRange(3, 50)):
+        ctx = PrimeCtx(p)
+        for n in (3, 5, 7, 9):
+            for h in range(n):
+                for k in range(n):
+                    F = power_poly(n, h, k)
+                    dense = _kernels.trace_row_vec(t_coeff_rows(F, ctx), ctx)
+                    assert dense == [trace_of_poly(F.specialize_t(t), ctx) for t in range(p)]
+                    assert (_brute(n, h, k, ctx), _brute(n, h, k, ctx, include_t0=False)) == (
+                        row_sums(dense)), (n, h, k, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12).map(lambda m: 2 * m + 1),
+    h=st.integers(0, 24),
+    k=st.integers(0, 24),
+    p=st.sampled_from(primes_in(PrimeRange(3, 2000))),
+    include_t0=st.booleans(),
+)
+def test_class_sums_equal_fft_rows_hypothesis(n, h, k, p, include_t0):
+    h, k = h % n, k % n
+    ctx = PrimeCtx(p)
+    full, tail = row_sums(traces_from_rows(t_coeff_rows(power_poly(n, h, k), ctx), ctx))
+    assert _brute(n, h, k, ctx, include_t0) == (full if include_t0 else tail)
