@@ -284,7 +284,7 @@ def test_second_moment_csv_and_bias(capsys):
 @pytest.mark.parametrize("h, k", [(0, 1), (10**9 - 4, 10**9 - 1)])
 def test_second_moment_huge_n_runs_at_once(capsys, h, k):
     # x^n was once evaluated by Horner over an n-long coefficient list at every
-    # prime: --n 2000001 --h 0 --k 1 --pmax 20 took 53 s and 93 MB
+    # prime: --n 2000001 --h 0 --k 1 --pmax 20 took 51 s and 78 MB
     from hyprank.curves import t_coeff_rows, traces_from_rows
     from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
     from hyprank.polynomials import BiPoly

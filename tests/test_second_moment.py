@@ -152,12 +152,8 @@ def test_periodicity_equals_full_sums_for_positive_k():
         for p in (5, 7, 11):
             ctx = PrimeCtx(p)
             lhs = second_moment_brute(PowerFamily(n, h, k), ctx)
-            rhs = _brute_any(n, h, k + (n - h), ctx)
+            rhs = _brute(n, h, k + (n - h), ctx)
             assert lhs == rhs
-
-
-def _brute_any(n, h, k, ctx):
-    return _brute(n, h, k, ctx)
 
 
 def test_gcd_reduction():
