@@ -28,8 +28,10 @@ sums its products in float64, as one BLAS product per block of t: with m
 nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
 below 2^53, so it is exact in any order of summation, and it refuses larger
 m and p (see :func:`trace_row_vec`).  The one kernel that is not a character
-sum, :func:`frobenius_gcd_degrees`, works across many odd primes at once, in
-int64 below FROB_LIMIT = 2^31, else Python ints.
+sum, :func:`frobenius_gcd_degrees`, works across many odd primes at once, on
+(d, #primes) residue arrays with the primes on the contiguous axis: in int64
+below FROB_LIMIT = 2^31, summing as many products before a reduction as
+2^63 allows, else in Python ints, reducing every product.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ MAX_ROWS = 1 << 11
 # Largest distance from an integer that a rounded FFT correlation may show.
 ROUND_TOL = 0.25
 
-# frobenius_gcd_degrees reduces after every product, so residues below 2^31 keep
-# each product below 2^62 and each sum of d reduced terms far below 2^63.
+# Primes from which frobenius_gcd_degrees works in Python ints.  Below it a
+# product of residues is below 2^62, so int64 sums k = _lazy_products(p_max)
+# >= 2 of them on top of a residue before it reduces: about 9e4 at p = 10^7,
+# fewer than 9 from p = 1.013e9 on, fewer than 3 from 1.754e9 on.
 FROB_LIMIT = 1 << 31
 
 
@@ -373,59 +377,73 @@ def frobenius_gcd_degrees(f, primes, depth: int = 1) -> np.ndarray:
 
     ``f`` lists the integer coefficients, low to high and of any size, of a
     polynomial of degree d >= 1 whose lead no prime divides; every prime is
-    odd.  Each prime is one row of residues mod f-bar, the monic f mod p:
+    odd.  The residues mod f-bar, the monic f mod p, are coefficient-major
+    (d, #primes) arrays, so every array operation runs along the primes:
     x^p by square-and-multiply over the bits of p, with a per-prime mask for
     the multiplication by x, and x^(p^i) as x^(p^(i-1)) composed with x^p.
     D_i is d minus the rank of the multiplication by h = x^(p^i) - x on
-    F_p[x]/(f-bar), whose rows h x^j come from :func:`_times_x`.  Products
-    are reduced at once: int64 is exact below FROB_LIMIT, then Python ints.
+    F_p[x]/(f-bar), whose rows h x^j come from :func:`_times_x`.  Below
+    FROB_LIMIT the rows are int64 and :func:`_mulmod` sums up to
+    k = (2^63 - 1 - p_max) // (p_max - 1)^2 products before it reduces;
+    from FROB_LIMIT on they are Python ints, and k = 1 reduces every product.
     """
     d = len(f) - 1
-    dtype = np.int64 if max(primes) < FROB_LIMIT else object
-    p = np.asarray(primes, dtype=dtype).reshape(-1, 1)
-    inv = _inverse(_residues(f[-1], p), p)
-    m = np.concatenate([_residues(c, p) * inv % p for c in f[:-1]], axis=1)
-    y = np.zeros((len(p), d), dtype=dtype)
-    y[:, 0] = 1
-    x = _times_x(y, m, p)  # x mod f-bar, also for d = 1
-    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
-        y = _mulmod(y, y, m, p)
-        y = np.where((p >> bit) & 1 == 1, _times_x(y, m, p), y)
+    pmax = int(max(primes))
+    dtype = np.int64 if pmax < FROB_LIMIT else object
+    p = np.asarray(primes, dtype=dtype)
+    k = _lazy_products(pmax)
+    inv = 1 if f[-1] == 1 else _inverse(residues(f[-1], p), p)
+    neg_m = np.stack([-residues(c, p) * inv % p for c in f[:-1]])  # f-bar = x^d - neg_m(x)
+    y = np.zeros((d, len(p)), dtype=dtype)
+    y[0] = 1
+    x = _times_x(y, neg_m, p)  # x mod f-bar, also for d = 1
+    for bit in range(pmax.bit_length() - 1, -1, -1):
+        y = _mulmod(y, y, neg_m, p, k)
+        y = np.where((p >> bit) & 1 == 1, _times_x(y, neg_m, p), y)
     xp = y
     out = np.empty((len(p), depth), dtype=np.int64)
-    mult = np.empty((len(p), d, d), dtype=dtype)
+    mult = np.empty((d, d, len(p)), dtype=dtype)
     for i in range(depth):
-        y = _compose(y, xp, m, p) if i else xp
-        mult[:, 0] = (y - x) % p
+        y = _compose(y, xp, neg_m, p, k) if i else xp
+        mult[0] = (y - x) % p
         for j in range(1, d):
-            mult[:, j] = _times_x(mult[:, j - 1], m, p)
+            mult[j] = _times_x(mult[j - 1], neg_m, p)
         out[:, i] = d - _rank(mult, p)
     return out
 
 
+def _lazy_products(pmax: int) -> int:
+    """How many products of residues mod p <= pmax a sum on top of a residue may take.
+
+    The largest k with k (pmax - 1)^2 + pmax < 2^63, which keeps int64 exact
+    (k >= 2 below FROB_LIMIT); 1 where there is none, for the Python ints.
+    """
+    return max(1, ((1 << 63) - 1 - pmax) // (pmax - 1) ** 2)
+
+
 def _rank(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rank of each (d, d) residue matrix a[k] mod p[k]; overwrites a.
+    """Rank of each (d, d) residue matrix a[:, :, k] mod p[k]; overwrites a.
 
     Fraction-free elimination by columns c: each prime's pivot is its first
     unused row nonzero at c, and every other unused row r becomes
     (pivot_c * r - r_c * pivot) mod p, with no inverse and products < p^2.
     """
-    ks, d = np.arange(len(a)), a.shape[1]
-    free = np.ones((len(a), d), dtype=bool)  # rows not yet taken as a pivot
+    d, ks = len(a), np.arange(a.shape[2])
+    free = np.ones((d, len(ks)), dtype=bool)  # rows not yet taken as a pivot
     for c in range(d):
-        nonzero = (a[:, :, c] != 0) & free
-        found = nonzero.any(axis=1)
-        r = nonzero.argmax(axis=1)
-        free[ks, r] &= ~found
-        cleared = (free & found[:, None])[:, :, None]
-        rest = a[:, :, c + 1 :]
-        rest *= np.where(cleared, a[ks, r, c][:, None, None], 1)
-        rest -= np.where(cleared, a[:, :, c : c + 1], 0) * a[ks, r, c + 1 :][:, None]
-        rest %= p[:, :, None]
-    return d - free.sum(axis=1)
+        nonzero = (a[:, c] != 0) & free
+        found = nonzero.any(axis=0)
+        r = nonzero.argmax(axis=0)
+        free[r, ks] &= ~found
+        cleared = (free & found)[:, None]
+        rest = a[:, c + 1 :]
+        rest *= np.where(cleared, a[r, c, ks], 1)
+        rest -= np.where(cleared, a[:, c : c + 1], 0) * a[r, c + 1 :, ks].T
+        rest %= p
+    return d - free.sum(axis=0)
 
 
-def _residues(c: int, p: np.ndarray) -> np.ndarray:
+def residues(c: int, p: np.ndarray) -> np.ndarray:
     """c mod p for an integer c of any size, read in 31-bit limbs from the top."""
     r = np.zeros_like(p)
     a = abs(c)
@@ -445,29 +463,46 @@ def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * b mod the monic x^d + m(x), row by row; all rows (n, d) residues."""
-    d = a.shape[1]
-    prod = np.zeros((len(a), 2 * d - 1), dtype=a.dtype)
+def _mulmod(a: np.ndarray, b: np.ndarray, neg_m: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
+    """a * b mod the monic x^d - neg_m(x); all (d, #primes) residues.
+
+    Each coefficient of the product is a sum of products below (p - 1)^2,
+    reduced only once it could hold more than k of them on top of a residue
+    (``load`` counts them): with k (p_max - 1)^2 + p_max < 2^63 that is exact
+    in int64.  The coefficients of x^(2d-2) .. x^d are folded down, each one
+    reduced first, by x^c = x^(c-d) neg_m(x).
+    """
+    d = len(a)
+    prod = np.zeros((2 * d - 1, a.shape[1]), dtype=a.dtype)
+    load = 0
     for i in range(d):
-        prod[:, i : i + d] += a[:, i : i + 1] * b % p
-    for k in range(2 * d - 2, d - 1, -1):  # x^k = x^(k-d) * (-m(x))
-        prod[:, k - d : k] -= prod[:, k : k + 1] % p * m % p
-    return prod[:, :d] % p
+        if load == k:
+            prod %= p
+            load = 0
+        prod[i : i + d] += a[i] * b
+        load += 1
+    for c in range(2 * d - 2, d - 1, -1):
+        if load == k:
+            prod[:c] %= p
+            load = 0
+        prod[c - d : c] += prod[c] % p * neg_m
+        load += 1
+    return prod[:d] % p
 
 
-def _times_x(y: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x * y mod the monic x^d + m(x), row by row."""
-    z = np.zeros_like(y)
-    z[:, 1:] = y[:, :-1]
-    return (z - y[:, -1:] * m % p) % p
+def _times_x(y: np.ndarray, neg_m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * y mod the monic x^d - neg_m(x); one product per coefficient, then one reduction."""
+    z = y[-1] * neg_m
+    z[1:] += y[:-1]
+    z %= p
+    return z
 
 
-def _compose(g: np.ndarray, h: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """g(h) mod the monic x^d + m(x), row by row, by Horner's rule."""
+def _compose(g: np.ndarray, h: np.ndarray, neg_m: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
+    """g(h) mod the monic x^d - neg_m(x), by Horner's rule."""
     acc = np.zeros_like(g)
-    acc[:, 0] = g[:, -1]
-    for k in range(g.shape[1] - 2, -1, -1):
-        acc = _mulmod(acc, h, m, p)
-        acc[:, 0] = (acc[:, 0] + g[:, k]) % p[:, 0]
+    acc[0] = g[-1]
+    for c in range(len(g) - 2, -1, -1):
+        acc = _mulmod(acc, h, neg_m, p, k)
+        acc[0] = (acc[0] + g[c]) % p
     return acc

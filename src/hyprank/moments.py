@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -19,7 +18,8 @@ from typing import Optional
 from ._kernels import check_dense, first_sum_vec
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
-from .polynomials import BiPoly, IntPoly, degree_patterns_mod, squarefree_over_q
+from .polynomials import (BiPoly, IntPoly, degree_patterns_mod, linear_factor_counts,
+                          squarefree_over_q)
 
 
 class NonGenericPrime(Exception):
@@ -118,19 +118,18 @@ def _closed_form(fam: HyperFamily, primes: list[int]) -> list[Optional[int]]:
 def _shift_square_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
     """y^2 = f(x) + T^2:  -p * A_1(p) = (L_f - 1) * p, L_f = #roots of f mod p.
 
-    Generic where f mod p is squarefree, i.e. where its degree pattern is
-    defined; L_f is then the number of linear factors.
+    Generic where f mod p is squarefree, i.e. where ``linear_factor_counts``
+    gives L_f rather than None.
     """
-    patterns = degree_patterns_mod(f, primes)
-    return [None if pat is None else (pat.count(1) - 1) * p for p, pat in zip(primes, patterns)]
+    return [None if n is None else (n - 1) * p for p, n in zip(primes, linear_factor_counts(f, primes))]
 
 
 def _linear_twist_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
     """y^2 = f(x) * T + 1:  -p * A_1(p) = L_f * p, generic where f mod p is
     squarefree and p does not divide the leading coefficient."""
-    patterns = degree_patterns_mod(f, primes)
-    return [None if pat is None or f.lead % p == 0 else pat.count(1) * p
-            for p, pat in zip(primes, patterns)]
+    lead = f.lead
+    return [None if n is None or lead % p == 0 else n * p
+            for p, n in zip(primes, linear_factor_counts(f, primes))]
 
 
 def _big_rank_law(cr, primes: list[int]) -> list[Optional[int]]:
@@ -194,6 +193,8 @@ def scan(task, primes: list[int], jobs: int = 1) -> list:
     ctxs = map(PrimeCtx, primes)  # lazily: a serial scan holds one chi table
     if jobs <= 1:
         return [task(ctx) for ctx in ctxs]
+    from concurrent.futures import ProcessPoolExecutor  # deferred: keeps `import hyprank` light
+
     chunk = max(1, len(primes) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(task, ctxs, chunksize=chunk))

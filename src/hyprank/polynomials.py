@@ -20,13 +20,14 @@ polynomial, and a parser for the textual polynomial syntax used by the CLI
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import comb, lcm, prod
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from ._kernels import frobenius_gcd_degrees
+from ._kernels import FROB_LIMIT, frobenius_gcd_degrees, residues
 from .finite_field import PrimeCtx
 
 
@@ -473,28 +474,68 @@ def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
     needed: what is left of the degree d is one factor.  At a prime that
     divides lead(f) the pattern is that of the lift of f mod p.
     """
-    if f.degree < 1:
-        return [() if f.coeffs and f.coeffs[0] % p else None for p in primes]
-    patterns = _patterns(f, (p for p in primes if f.lead % p))
-    return [next(patterns) if f.lead % p
-            else degree_patterns_mod(IntPoly([c % p for c in f.coeffs]), [p])[0]
-            for p in primes]
-
-
-def _patterns(f: IntPoly, primes: Iterator[int]) -> Iterator[tuple | None]:
-    """The pattern at each prime, none dividing lead(f), FROB_BLOCK at a time."""
-    ramified = _resultant(f, f.derivative())
     d = f.degree
+    if d < 1:
+        return [() if f.coeffs and f.coeffs[0] % p else None for p in primes]
+    return _frobenius_scan(f, primes, max(1, d // 2), partial(_patterns, d), degree_patterns_mod)
+
+
+def linear_factor_counts(f: IntPoly, primes: list[int]) -> list:
+    """``pat.count(1)`` of :func:`degree_patterns_mod` at every odd prime, with no pattern built.
+
+    That is L_f, the number of distinct roots of f mod p, or None where f
+    mod p is not squarefree.  At a prime that does not divide lead(f) it is
+    the column D_1 of ``_kernels.frobenius_gcd_degrees``, and None where p
+    divides Res(f, f'); at a prime that divides lead(f) it is the count of
+    the lift of f mod p.
+    """
+    if f.degree < 1:
+        return [0 if f.coeffs and f.coeffs[0] % p else None for p in primes]
+    return _frobenius_scan(f, primes, 1, lambda parts: parts[:, 0].tolist(), linear_factor_counts)
+
+
+def _frobenius_scan(f: IntPoly, primes: list[int], depth: int, read, lift) -> list:
+    """One value per odd prime, FROB_BLOCK primes at a time, for deg f >= 1.
+
+    ``read`` turns the (#primes, depth) gcd degrees of the primes in a block
+    that do not divide lead(f) into their values, which become None where p
+    divides Res(f, f'); the value at a prime that divides lead(f) is
+    ``lift(f mod p, [p])[0]``.  Both divisibility masks come from residues
+    of lead(f) and Res(f, f') over a block's primes at once.
+    """
+    lead, ramified = f.lead, _resultant(f, f.derivative())
+    out = []
+    primes = iter(primes)
     while block := list(islice(primes, FROB_BLOCK)):
-        parts = frobenius_gcd_degrees(f.coeffs, block, max(1, d // 2))
-        for k in range(2, d // 2 + 1):  # column k - 1 becomes k * N_k
-            parts[:, k - 1] -= parts[:, [j - 1 for j in range(1, k) if k % j == 0]].sum(axis=1)
-        # one tuple per distinct row, however many primes share it
-        rows, inverse = np.unique(parts, axis=0, return_inverse=True)
-        tuples = [tuple([k for k, v in enumerate(row, 1) for _ in range(v // k)]
-                        + ([d - sum(row)] if sum(row) < d else [])) for row in rows.tolist()]
-        for p, i in zip(block, inverse.reshape(-1).tolist()):
-            yield None if ramified % p == 0 else tuples[i]
+        ps = np.array(block, dtype=np.int64 if max(block) < FROB_LIMIT else object)
+        live = residues(lead, ps) != 0
+        if live.all():
+            values = read(frobenius_gcd_degrees(f.coeffs, block, depth))
+        else:
+            values = [None] * len(block)
+            on = np.flatnonzero(live).tolist()
+            if on:
+                parts = frobenius_gcd_degrees(f.coeffs, [block[i] for i in on], depth)
+                for i, v in zip(on, read(parts)):
+                    values[i] = v
+            for i in np.flatnonzero(~live).tolist():
+                p = block[i]
+                values[i] = lift(IntPoly([c % p for c in f.coeffs]), [p])[0]
+        for i in np.flatnonzero(live & (residues(ramified, ps) == 0)).tolist():
+            values[i] = None
+        out += values
+    return out
+
+
+def _patterns(d: int, parts: np.ndarray) -> list[tuple]:
+    """The factor-degree tuples of f of degree d from rows of gcd degrees D_1..D_(d/2)."""
+    for k in range(2, d // 2 + 1):  # column k - 1 becomes k * N_k
+        parts[:, k - 1] -= parts[:, [j - 1 for j in range(1, k) if k % j == 0]].sum(axis=1)
+    # one tuple per distinct row, however many primes share it
+    rows, inverse = np.unique(parts, axis=0, return_inverse=True)
+    tuples = [tuple([k for k, v in enumerate(row, 1) for _ in range(v // k)]
+                    + ([d - sum(row)] if sum(row) < d else [])) for row in rows.tolist()]
+    return [tuples[i] for i in inverse.reshape(-1).tolist()]
 
 
 def _resultant(a: IntPoly, b: IntPoly) -> int:

@@ -417,6 +417,8 @@ def test_jobs_must_be_positive(capsys):
 
 
 def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
+    import concurrent.futures
+
     import hyprank.moments as moments
 
     seen = []
@@ -434,7 +436,7 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(moments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(moments.os, "cpu_count", lambda: 4)
     argv = ["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60"]
     code, serial = run(capsys, *argv)

@@ -38,6 +38,41 @@ def test_is_prime_basics():
     assert not is_prime(18446744073709551555)
 
 
+def _is_prime_twelve_bases(n):
+    """Miller-Rabin on the first twelve primes, after trial division by them."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_agrees_with_twelve_bases():
+    # below 4759123141 is_prime uses the bases (2, 7, 61): 7 and 61 are
+    # prime though they fail their own base; the rest are strong
+    # pseudoprimes to small base sets, 4759123141 the first for (2, 7, 61)
+    assert [n for n in range(300000) if is_prime(n) != _is_prime_twelve_bases(n)] == []
+    for n in (25326001, 3215031751, 4759123141, 1122004669633, 2152302898747,
+              3474749660383, 341550071728321):
+        assert is_prime(n) == _is_prime_twelve_bases(n) is False, n
+    assert is_prime(7) and is_prime(61)
+
+
 def test_ctx_rejects_two_and_composites():
     with pytest.raises(ValueError):
         PrimeCtx(2)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,6 +229,17 @@ def test_only_the_cli_imports_the_oracles():
             if any(name.split(".")[-1] == "oracles" for name in names):
                 importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+def test_importing_the_cli_loads_no_pool_machinery():
+    # concurrent.futures is imported inside moments.scan, once a pool is due
+    src = str(Path(moments.__file__).parents[1])
+    code = ("import sys, hyprank.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_moment_series_deterministic_across_workers():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprank import polynomials
-from hyprank._kernels import FROB_LIMIT, _rank
+from hyprank._kernels import FROB_LIMIT, _lazy_products, _rank
 from hyprank.construction import RootData, build_family
 from hyprank.finite_field import PrimeCtx, PrimeRange, is_prime, primes_in
 from hyprank.polynomials import (
@@ -24,6 +24,7 @@ from hyprank.polynomials import (
     degree_pattern_mod,
     degree_patterns_mod,
     disc_t_quarter,
+    linear_factor_counts,
     mod_gcd,
     parse_bipoly,
     parse_int_poly,
@@ -467,6 +468,63 @@ def test_batched_frobenius_above_two_to_the_sixty_one():
         _assert_batch_matches_per_prime(f, primes)
 
 
+def _lazy_window(d):
+    """The primes within 300 of where _lazy_products(p) falls below d."""
+    lo, hi = 3, FROB_LIMIT  # _lazy_products(lo) >= d > _lazy_products(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _lazy_products(mid) >= d else (lo, mid)
+    return [n for n in range(hi - 300, hi + 300) if is_prime(n)]
+
+
+@pytest.mark.parametrize("d, fs", [
+    (3, ["(x+23)*(x-32)*(x+32)", "6*x^3 + x + 1"]),
+    (9, ["x^9 - x + 1", "3*x^9 + 2*x^5 - 7*x^2 + x + 1", "(x^3 - 2)*(x^2 + 1)*(x-5)*(x+6)*(x^2 + x + 3)"]),
+], ids=["d3_near_1.75e9", "d9_near_1.0e9"])
+def test_batched_frobenius_where_the_lazy_sums_shrink_below_d(d, fs):
+    # below the window's bound a block sums all d products of a coefficient
+    # before it reduces; a block that reaches past it reduces in between
+    primes = _lazy_window(d)
+    below = [p for p in primes if _lazy_products(p) >= d]
+    assert below and len(below) < len(primes) and _lazy_products(primes[-1]) < d
+    for f in map(parse_int_poly, fs):
+        assert f.degree == d
+        expected = [degree_pattern_mod(f, PrimeCtx(p)) for p in primes]
+        assert degree_patterns_mod(f, below) == expected[: len(below)]
+        assert degree_patterns_mod(f, primes) == expected
+        assert linear_factor_counts(f, primes) == [None if pat is None else pat.count(1)
+                                                   for pat in expected]
+
+
+def _assert_counts_match_per_prime(f, primes):
+    counts = linear_factor_counts(f, primes)
+    for p, n in zip(primes, counts):
+        pattern = degree_pattern_mod(f, PrimeCtx(p))
+        assert n == (None if pattern is None else pattern.count(1)), p
+        if n is not None:
+            assert n == root_count_mod(f, PrimeCtx(p)), p
+
+
+@pytest.mark.parametrize("i", range(3), ids=["shift_square", "linear_twist", "big_rank"])
+def test_linear_factor_counts_match_per_prime_to_ten_thousand(i):
+    _assert_counts_match_per_prime(_builtin_fs()[i], primes_in(PrimeRange(3, 10**4)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_polys(), st.sets(st.sampled_from(primes_in(PrimeRange(301, 10**4))), max_size=20))
+def test_linear_factor_counts_match_per_prime_hypothesis(f, larger):
+    # every odd prime up to 10^4 against root_count_mod and the batched
+    # patterns; the per-prime factorization on the primes up to 300, where
+    # p | lead(f) and p | disc(f) are common, and on a sample of the rest
+    primes = primes_in(PrimeRange(3, 10**4))
+    counts = linear_factor_counts(f, primes)
+    assert counts == [None if pat is None else pat.count(1) for pat in degree_patterns_mod(f, primes)]
+    for p, n in zip(primes, counts):
+        if n is not None:
+            assert n == root_count_mod(f, PrimeCtx(p)), p
+    _assert_counts_match_per_prime(f, primes_in(PrimeRange(3, 300)) + sorted(larger))
+
+
 def test_batched_frobenius_never_takes_the_per_prime_path(monkeypatch):
     # primes that divide lead(f), down to a constant lift, and primes from
     # 2^31 on all go through frobenius_rows, not the ModPoly reference
@@ -522,8 +580,8 @@ def test_rank_kernel_matches_gaussian_elimination(p):
         mats += [[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(3)]
         mats += [low_rank(k) for k in range(1, d)]
         dtype = np.int64 if p < FROB_LIMIT else object
-        a = np.array(mats, dtype=dtype)
-        got = _rank(a, np.full((len(mats), 1), p, dtype=dtype)).tolist()
+        a = np.ascontiguousarray(np.moveaxis(np.array(mats, dtype=dtype), 0, -1))
+        got = _rank(a, np.full(len(mats), p, dtype=dtype)).tolist()
         assert got == [_rank_mod(m, p) for m in mats], d
 
 
