@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprank import polynomials
-from hyprank._kernels import FROB_LIMIT, _lazy_products, _rank
+from hyprank._kernels import FROB_LIMIT, _lazy_products, _mulmod, _rank
 from hyprank.construction import RootData, build_family
 from hyprank.finite_field import PrimeCtx, PrimeRange, is_prime, primes_in
 from hyprank.polynomials import (
@@ -583,6 +583,32 @@ def test_rank_kernel_matches_gaussian_elimination(p):
         a = np.ascontiguousarray(np.moveaxis(np.array(mats, dtype=dtype), 0, -1))
         got = _rank(a, np.full(len(mats), p, dtype=dtype)).tolist()
         assert got == [_rank_mod(m, p) for m in mats], d
+
+
+def _mulmod_reference(a, b, neg_m, p):
+    """a * b mod x^d - neg_m(x) over p, in Python ints."""
+    d = len(a)
+    prod = [sum(a[i] * b[c - i] for i in range(d) if 0 <= c - i < d) for c in range(2 * d - 1)]
+    for c in range(2 * d - 2, d - 1, -1):
+        for j in range(d):
+            prod[c - d + j] += prod[c] % p * neg_m[j]
+    return [v % p for v in prod[:d]]
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 1753413059, 1012333519, 10**7 + 19, 10007],
+                         ids=["k2", "k2_near_1.75e9", "k8_near_1.0e9", "1e7", "1e4"])
+def test_mulmod_sums_no_more_products_than_int64_holds(p):
+    # all residues p - 1 make every partial sum as large as it can be
+    assert is_prime(p)
+    rng = random.Random(p)
+    k = _lazy_products(p)
+    for d in (1, 2, 3, 5, 9):
+        cases = [[[p - 1] * d] * 3] + [[[rng.randrange(p) for _ in range(d)] for _ in range(3)]
+                                       for _ in range(3)]
+        for a, b, neg_m in cases:
+            got = _mulmod(*(np.array(v, dtype=np.int64).reshape(d, 1) for v in (a, b, neg_m)),
+                          np.array([p], dtype=np.int64), k)
+            assert got[:, 0].tolist() == _mulmod_reference(a, b, neg_m, p), (d, k)
 
 
 def _enumerated(f: IntPoly, p: int):
