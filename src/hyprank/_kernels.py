@@ -10,7 +10,10 @@ power shapes x^n + x^h T^k need none of them: ``second_moment._brute``
 sums one character sum per coset class of t, in O(p).
 
 - :func:`first_sum_vec` gives the total over t in O(p) when F is at most
-  quadratic in T (first moments);
+  quadratic in T (first moments).  It is the one kernel that takes no
+  per-prime context: it works on a block of primes (:func:`prime_blocks`)
+  at once, from F's integer coefficients, with the cells (p, x) of all
+  its primes laid end to end in flat arrays;
 - :func:`correlation_row` gives every trace in O(p log p), by FFT, when
   F = c(x) + g(x) W(T) mod p (all power families, shift_square, ...); it
   returns None for any other shape;
@@ -22,6 +25,8 @@ sums one character sum per coset class of t, in O(p).
   deg_T F >= 3.
 
 Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The
+first-moment kernel evaluates F's coefficients by Horner's rule in int64,
+reducing only where a step could pass 2^63, and forms b^2 - 4ac < 2^54.  The
 quadratic kernel sums values of chi in int8 chunks of at most 127 windows,
 then in int32, which is exact since |a_t| <= p < 2^31.  The dense kernel
 sums its products in float64, as one BLAS product per block of t: with m
@@ -39,7 +44,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx, quadratic_sums
+from .finite_field import (TABLE_LIMIT, InternalCheckError, PrimeCtx, chi_tables,
+                           quadratic_sums, spread)
 
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
@@ -48,11 +54,21 @@ CHUNK = 128
 # it sums in int8; odd, so its transposed copy does not thrash the cache.
 QUAD_BLOCK = 127
 
+# Cells (prime, x) per block of first_sum_vec: the block size that kept peak
+# memory where one context per prime had it (2^14 cells raised it).
+BLOCK_CELLS = 1 << 13
+
 # Nonzero T-coefficient rows the trace kernels accept; see trace_row_vec.
 MAX_ROWS = 1 << 11
 
 # Largest distance from an integer that a rounded FFT correlation may show.
 ROUND_TOL = 0.25
+
+# Primes up to which residues reduces an integer past int64 in Python ints,
+# one prime at a time: at 70 to 537 bits that is faster than its limbs below
+# about 250 primes, and 2 to 40 times faster at 60 primes or fewer, the most
+# a block of first_sum_vec holds.
+PY_RESIDUES = 128
 
 # Primes from which frobenius_gcd_degrees works in Python ints.  Below it a
 # product of residues is below 2^62, so int64 sums k = _lazy_products(p_max)
@@ -241,35 +257,96 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> list[int] | None:
     return (-K - C[w]).tolist()
 
 
-def _quadratic_rows(t_coeff_rows, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows c, b, a of F = c(x) + b(x) T + a(x) T^2; a missing or None row is zero."""
-    if any(row is not None for row in t_coeff_rows[3:]):
-        raise ValueError("the quadratic-in-T kernels need deg_T F <= 2")
-    zero = np.zeros(p, dtype=np.int64)
-    c, b, a = (
-        t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
-        for j in range(3)
-    )
-    return c, b, a
+def prime_blocks(primes) -> list[list[int]]:
+    """The primes in runs of consecutive ones of at most BLOCK_CELLS cells.
+
+    A prime has p cells, one per x; a prime of more than BLOCK_CELLS cells
+    forms a block of its own.
+    """
+    blocks, cells = [], BLOCK_CELLS
+    for p in primes:
+        if cells + p > BLOCK_CELLS:
+            blocks.append([])
+            cells = 0
+        blocks[-1].append(p)
+        cells += p
+    return blocks
 
 
-def first_sum_vec(t_coeff_rows, ctx: PrimeCtx) -> int:
-    """sum_t a_t = -sum_x S_x for F = c(x) + b(x) T + a(x) T^2, in O(p).
+def quadratic_in_t(t_coeffs, primes) -> np.ndarray:
+    """Whether deg_T F <= 2 mod p at each of the primes, as a bool array.
+
+    ``t_coeffs[j]`` lists the integer coefficients, low to high in x and of
+    any size, of the coefficient of T^j of F; every one past T^2 must
+    vanish mod p.
+    """
+    ps = np.asarray(primes, dtype=np.int64)
+    keep = np.ones(len(ps), dtype=bool)
+    for coeffs in t_coeffs[3:]:
+        for c in coeffs:
+            keep &= residues(c, ps) == 0
+    return keep
+
+
+def first_sum_vec(t_coeffs, primes) -> list[int]:
+    """sum_t a_t = -sum_x S_x at each prime, for F = c(x) + b(x) T + a(x) T^2.
+
+    One O(sum p) pass over a block of odd primes below TABLE_LIMIT, laid
+    end to end: the cells off_i .. off_i + p_i - 1 of every flat array hold
+    x = 0..p_i - 1 at the i-th prime.  ``t_coeffs`` is laid out as for
+    :func:`quadratic_in_t` (ValueError unless deg_T F <= 2 mod every prime);
+    each integer coefficient is reduced once per block by :func:`residues`,
+    c, b and a are evaluated at every cell by :func:`_horner_cells`, and chi
+    is read from the block's tables (``finite_field.chi_tables``).
 
     The sums over t and x are swapped: S_x = sum_t chi(a t^2 + b t + c) is
-    ``finite_field.quadratic_sums`` evaluated at every x at once, except
-    where a = b = 0: there t does not occur and S_x = p chi(c).
-
-    ``t_coeff_rows`` is laid out as for :func:`trace_row_vec`; rows 0, 1, 2
-    are c, b, a, and a missing or None row counts as zero.  Exact in int64
-    for p < 2^26, and |S_x| <= p sums to < 2^52.
+    ``finite_field.quadratic_sums`` at every cell at once, except where
+    a = b = 0: there t does not occur and S_x = p chi(c).  One
+    ``np.add.reduceat`` gives the totals.  Exact in int64 for p < 2^26:
+    with a, b, c in [0, p) the law's terms stay below 2^54, and |S_x| <= p
+    sums to < 2^52 per prime.
     """
-    p = ctx.p
-    chi = ctx.chi
-    c, b, a = _quadratic_rows(t_coeff_rows, p)
-    quad = quadratic_sums(a, b, c, chi[a].astype(np.int64), p).sum(dtype=np.int64)
-    const = chi[c[(a == 0) & (b == 0)]].sum(dtype=np.int64)
-    return -(int(quad) + p * int(const))
+    top = max(primes)
+    check_dense(top)
+    ps = np.array(primes, dtype=np.int64)
+    if not quadratic_in_t(t_coeffs, ps).all():
+        raise ValueError("the quadratic-in-T kernels need deg_T F <= 2")
+    offs = np.cumsum(ps) - ps
+    base = spread(offs, ps)  # the offset of each cell's prime
+    xs = np.arange(sum(primes), dtype=np.int64) - base
+    mod = spread(ps, ps)
+    c, b, a = (_horner_cells(t_coeffs[j] if j < len(t_coeffs) else (), xs, ps, mod, top)
+               for j in range(3))
+    chi = chi_tables(primes)
+    sums = quadratic_sums(a, b, c, chi[a + base], mod)
+    const = np.flatnonzero((a == 0) & (b == 0))
+    at = np.searchsorted(offs, const, side="right") - 1
+    sums[const] = ps[at] * chi[offs[at] + c[const]]
+    return np.negative(np.add.reduceat(sums, offs)).tolist()
+
+
+def _horner_cells(coeffs, xs, ps, mod, pmax: int) -> np.ndarray:
+    """A polynomial with integer coefficients at every cell, mod the cell's prime.
+
+    Horner's rule in place on int64, reducing only where the next step
+    could pass 2^63: ``bound`` holds the largest value a cell may have, so
+    at p < 2^13 a quartic takes one reduction, at the end.
+    """
+    top = pmax - 1
+    acc = np.zeros(len(xs), dtype=np.int64)
+    bound = 0
+    for c in reversed(coeffs):
+        if bound:
+            if bound * top + top >= 1 << 63:
+                acc %= mod
+                bound = top
+            acc *= xs
+        if c:
+            acc += spread(residues(c, ps), ps)
+        bound = bound * top + top
+    if bound > top:
+        acc %= mod
+    return acc
 
 
 def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
@@ -301,7 +378,11 @@ def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
     """
     p = ctx.p
     chi = ctx.chi
-    c, b, a = _quadratic_rows(t_coeff_rows, p)
+    if any(row is not None for row in t_coeff_rows[3:]):
+        raise ValueError("the quadratic-in-T kernels need deg_T F <= 2")
+    zero = np.zeros(p, dtype=np.int64)
+    c, b, a = (t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
+               for j in range(3))
     acc = np.zeros(p, dtype=np.int32)
     lin = a == 0
     bl, cl = b[lin], c[lin]
@@ -444,7 +525,17 @@ def _rank(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def residues(c: int, p: np.ndarray) -> np.ndarray:
-    """c mod p for an integer c of any size, read in 31-bit limbs from the top."""
+    """c mod p for an integer c of any size.
+
+    In one array step below 2^63 in absolute value.  Beyond, at each prime
+    in Python ints for at most PY_RESIDUES primes, else in 31-bit limbs
+    from the top: one limb costs three array steps, which pays off only
+    across many primes.
+    """
+    if abs(c) < 1 << 63:
+        return c % p
+    if len(p) <= PY_RESIDUES:
+        return np.array([c % q for q in p.tolist()], dtype=p.dtype)
     r = np.zeros_like(p)
     a = abs(c)
     for shift in range(31 * ((a.bit_length() - 1) // 31), -1, -31):

@@ -8,6 +8,7 @@ of the Nagao partial sum (standard doubles).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from ._kernels import check_dense, first_sum_vec
+from ._kernels import check_dense, first_sum_vec, prime_blocks, quadratic_in_t
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (BiPoly, IntPoly, degree_patterns_mod, linear_factor_counts,
@@ -76,19 +77,26 @@ def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
     """p * A_r(p) = sum of a_t^r over the full period, exact.
 
     The kernel follows from the shape of F mod p: for r = 1 and deg_T <= 2
-    the sums over t and x are swapped (``first_sum_vec``, O(p)); every other
-    case sums the trace row of ``traces_from_rows``: O(p log p) for rank-one
-    F, else O(p^2), in int8 windows of the table chi(u^2 + d) for
-    deg_T F <= 2 (``quadratic_row``, the r >= 2 moments of big_rank) and in
-    float64 blocks beyond (``trace_row_vec``).
+    the sums over t and x are swapped (``first_sum_vec`` on this one prime,
+    O(p)); every other case sums the trace row of ``traces_from_rows``:
+    O(p log p) for rank-one F, else O(p^2), in int8 windows of the table
+    chi(u^2 + d) for deg_T F <= 2 (``quadratic_row``, the r >= 2 moments of
+    big_rank) and in float64 blocks beyond (``trace_row_vec``).
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
     fam.check_prime(ctx)
-    rows = t_coeff_rows(fam.F, ctx)
-    if r == 1 and len(rows) <= 3:
-        return first_sum_vec(rows, ctx)
-    return sum(a**r for a in traces_from_rows(rows, ctx))
+    if r == 1:
+        check_dense(ctx.p)
+        coeffs = _t_coeffs(fam.F)
+        if quadratic_in_t(coeffs, [ctx.p])[0]:
+            return first_sum_vec(coeffs, [ctx.p])[0]
+    return sum(a**r for a in traces_from_rows(t_coeff_rows(fam.F, ctx), ctx))
+
+
+def _t_coeffs(F: BiPoly) -> list[list[int]]:
+    """The integer coefficients, low to high in x, of each T^j of F."""
+    return [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
 
 
 def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
@@ -179,30 +187,63 @@ def _genus_from_degree(f: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 # series over prime ranges
 
+# Cells (the sum of p) up to which a scan of blocks runs serially at any
+# jobs.  On a 2-core host a pool of two cost about 35 ms more than the serial
+# scan it ran (start, pickling, shutdown), the time the serial kernel takes
+# for about 6e5 cells; two workers halve the rest, so the pool breaks even
+# near 1.2e6 cells.  Measured: slower at 7.9e5 cells, faster at 1.5e6.
+POOL_CELLS = 1 << 20
 
-def scan(task, primes: list[int], jobs: int = 1) -> list:
-    """``[task(PrimeCtx(p)) for p in primes]``, in the order of ``primes``.
 
-    The one driver for character-sum scans: it builds one context per prime,
-    in this process, and runs serially unless min(jobs, CPUs, #primes) > 1,
-    in which case the contexts go to that many worker processes.  A pooled
-    ``task`` must pickle, so callers pass a private module-level function or
-    a partial of one, never a public name that may have been rebound.
+def scan(task, items: list, jobs: int = 1, *, blocks: bool = False) -> list:
+    """``[task(PrimeCtx(p)) for p in items]``, in the order of ``items``.
+
+    The one driver for character-sum scans.  With ``blocks`` the items are
+    blocks of primes (``prime_blocks``), passed as they are: the first-moment
+    kernel builds no per-prime context.  Otherwise the scan builds one
+    context per prime, in this process.  It runs serially unless
+    min(jobs, CPUs, #items) > 1, in which case the items go to that many
+    worker processes; a scan of blocks that holds at most POOL_CELLS cells
+    runs serially too, as it takes less time than starting the pool.  A
+    pooled ``task`` must pickle, so callers pass a private module-level
+    function or a partial of one, never a public name that may have been
+    rebound.
     """
-    jobs = min(jobs, os.cpu_count() or 1, len(primes))
-    ctxs = map(PrimeCtx, primes)  # lazily: a serial scan holds one chi table
+    if blocks and sum(map(sum, items)) <= POOL_CELLS:
+        jobs = 1
+    jobs = min(jobs, os.cpu_count() or 1, len(items))
+    # lazily: a serial scan holds one chi table
+    args = items if blocks else map(PrimeCtx, items)
     if jobs <= 1:
-        return [task(ctx) for ctx in ctxs]
+        return [task(arg) for arg in args]
     from concurrent.futures import ProcessPoolExecutor  # deferred: keeps `import hyprank` light
 
-    chunk = max(1, len(primes) // (4 * jobs))
+    chunk = max(1, len(items) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, ctxs, chunksize=chunk))
+        return list(pool.map(task, args, chunksize=chunk))
 
 
 def _power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
     """``power_sum`` under a private name, which a pool pickles by reference."""
     return power_sum(fam, r, ctx)
+
+
+def _block_first_sums(t_coeffs, block: list[int]) -> list[int]:
+    """``first_sum_vec`` under a private name, which a pool pickles by reference."""
+    return first_sum_vec(t_coeffs, block)
+
+
+def _first_sums(fam: HyperFamily, primes: list[int], jobs: int) -> list[int]:
+    """p * A_1(p) at each prime: ``first_sum_vec`` block by block at the
+    primes where deg_T F <= 2 mod p, ``power_sum`` at the others."""
+    coeffs = _t_coeffs(fam.F)
+    quad = quadratic_in_t(coeffs, primes).tolist()
+    swapped = [p for p, q in zip(primes, quad) if q]
+    rest = [p for p, q in zip(primes, quad) if not q]
+    by_block = scan(partial(_block_first_sums, coeffs), prime_blocks(swapped), jobs, blocks=True)
+    sums = dict(zip(swapped, itertools.chain.from_iterable(by_block)))
+    sums.update(zip(rest, scan(partial(_power_sum, fam, 1), rest, jobs)))
+    return [sums[p] for p in primes]
 
 
 def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -> MomentSeries:
@@ -212,12 +253,16 @@ def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -
     Rows are emitted for every computed prime, ordered by p; non-generic
     primes keep their exact value with the generic flag cleared.  A range
     that reaches past the dense-kernel limit fails before any work starts.
-    The power sums go through ``scan``; the predictions are one batched
-    call of the closed form, in this process.
+    The power sums go through ``scan``, for r = 1 as ``nagao_sum`` takes
+    them; the predictions are one batched call of the closed form, in this
+    process.
     """
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
     check_dense(max(primes, default=0))
-    sums = scan(partial(_power_sum, fam, r), primes, jobs)
+    if r == 1:
+        sums = _first_sums(fam, primes, jobs)
+    else:
+        sums = scan(partial(_power_sum, fam, r), primes, jobs)
     if r != 1 or fam.closed_form is None:
         rows = [MomentRow(p, Fraction(s, p), None, None) for p, s in zip(primes, sums)]
     else:
@@ -230,16 +275,18 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
               predicted: bool = False) -> NagaoEstimate:
     """Partial Nagao sums over [lo, hi] under both normalizations.
 
-    By default -A_1(p) is computed exactly by ``power_sum`` through
-    ``scan``: O(p) per prime when deg_T F <= 2 (shift_square, linear_twist,
-    big_rank); beyond, O(p log p) when F is rank-one in T and O(p^2) from the
-    dense float64 trace row (``trace_row_vec``) otherwise, so the quadratic
-    kernel never runs here.  A range past the dense-kernel limit is refused
-    up front.  With ``predicted`` it comes from one batched call of the
-    family's closed form instead (ValueError for a family without one),
-    which builds no per-prime context and ignores ``jobs``; primes where the
-    closed form does not apply are skipped.  This skips the exact sum, which
-    matters for large cutoffs.
+    By default -A_1(p) is computed exactly through ``scan``: at the primes
+    where deg_T F <= 2 mod p (every prime of shift_square, linear_twist,
+    big_rank) by ``first_sum_vec``, in O(p) and block by block with no
+    per-prime context; at the others by ``power_sum``, O(p log p) when F is
+    rank-one in T and O(p^2) from the dense float64 trace row
+    (``trace_row_vec``) otherwise, so the quadratic kernel never runs here.
+    A range past the dense-kernel limit is refused up front.  With
+    ``predicted`` it comes from one batched call of the family's closed form
+    instead (ValueError for a family without one), which builds no per-prime
+    context and ignores ``jobs``; primes where the closed form does not
+    apply are skipped.  This skips the exact sum, which matters for large
+    cutoffs.
     """
     all_primes = primes_in(PrimeRange(prange.lo, prange.hi))
     dropped = set(prange.skip | fam.bad_primes)
@@ -248,7 +295,7 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
         sums = _closed_form(fam, primes)
     else:
         check_dense(max(primes, default=0))
-        sums = [-s for s in scan(partial(_power_sum, fam, 1), primes, jobs)]
+        sums = [-s for s in _first_sums(fam, primes, jobs)]
     P = prange.hi
     theta = 0.0
     pi_sum = 0.0

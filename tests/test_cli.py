@@ -419,6 +419,7 @@ def test_jobs_must_be_positive(capsys):
 def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
     import concurrent.futures
 
+    import hyprank._kernels as _kernels
     import hyprank.moments as moments
 
     seen = []
@@ -438,15 +439,31 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(moments.os, "cpu_count", lambda: 4)
-    argv = ["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60"]
+    # --r 2 takes one trace row per prime: a pool of up to one worker per prime
+    argv = ["moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2", "--pmax", "60"]
     code, serial = run(capsys, *argv)
     assert code == 0 and seen == []
     code, out = run(capsys, *argv, "--jobs", "100000")
     assert code == 0 and out == serial
     assert seen == [4]  # min(jobs, cpu_count, 17 primes)
-    code, _ = run(capsys, "moments", "--family", "builtin:shift_square", "--f", F3,
+    code, _ = run(capsys, "moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2",
                   "--pmin", "20", "--pmax", "30", "--jobs", "100000")
     assert code == 0 and seen == [4, 2]  # only 23 and 29 in range
+    # a first moment runs in blocks of primes, pooled only past POOL_CELLS cells
+    r1 = ["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60"]
+    seen.clear()
+    code, serial = run(capsys, *r1)
+    code, out = run(capsys, *r1, "--jobs", "100000")
+    assert code == 0 and out == serial and seen == []  # 438 cells: one block, no pool
+    monkeypatch.setattr(moments, "POOL_CELLS", 437)
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 64)
+    code, out = run(capsys, *r1, "--jobs", "100000")
+    assert code == 0 and out == serial and seen == [4]  # 10 blocks
+    code, out = run(capsys, *r1, "--jobs", "2")
+    assert code == 0 and out == serial and seen == [4, 2]
+    monkeypatch.setattr(moments, "POOL_CELLS", 438)
+    code, out = run(capsys, *r1, "--jobs", "100000")
+    assert code == 0 and out == serial and seen == [4, 2]
     for argv, pools in (
         (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"], [4]),
         # closed-form scans run in this process: no pool
@@ -476,8 +493,10 @@ def test_one_context_per_prime(capsys, monkeypatch):
     primes = primes_in(PrimeRange(3, 100))
     assert len(primes) == 24
     for argv, contexts in (
-        (["moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "1"], primes),
-        # closed-form scans are one batched pass: no per-prime context
+        # first moments run in blocks of primes, and closed-form scans in one
+        # batched pass: no per-prime context
+        (["moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "1"], []),
+        (["moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "2"], primes),
         (["nagao", "--family", "builtin:linear_twist", "--f", F3, "--predicted"], []),
         (["second-moment", "--n", "5", "--h", "2", "--k", "1"], primes),
         (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--bias"], primes),
@@ -682,6 +701,17 @@ GOLDEN = [
     (("second-moment", "--n", "7", "--h", "1", "--k", "3", "--pmax", "60"),
      "dbb513085c3e6bd1a918e3720bc46d14b791d79c2ddce201703e0a9f3f071c2c", 0,
      "michel deviation (pA2 - p^2)/p^1.5: min=-7.6811 max=19.4358\n"),
+    # these three were recorded while every first moment still took one
+    # context per prime; to 20000 the scan has blocks of many primes, then
+    # single-prime blocks, and a pool at --jobs 2 gives the same bytes
+    (("nagao", "--family", "builtin:big_rank", "--genus", "2",
+      "--roots=-9,4,-16,-15,-23,13,-7,-24,21,1", "--pmax", "1000"),
+     "416dd356a9061c8af58d425411697489b0ab2733075b19c9b806227f4a570a3c", 0, ""),
+    (("moments", "--family", "builtin:shift_square", "--f", F3, "--r", "1", "--pmax", "20000"),
+     "caab1045ce60da97442517c8016edbe39f271c33a126e32af83f7093c2e8955f", 0, ""),
+    (("moments", "--family", "builtin:shift_square", "--f", F3, "--r", "1", "--pmax", "20000",
+      "--jobs", "2"),
+     "caab1045ce60da97442517c8016edbe39f271c33a126e32af83f7093c2e8955f", 0, ""),
 ]
 
 

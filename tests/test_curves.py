@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyprank._kernels import (
+    BLOCK_CELLS,
     CHUNK,
     _exact_in_float,
     _reduce_near,
@@ -13,6 +14,7 @@ from hyprank._kernels import (
     first_sum_vec,
     horner_vec,
     powmod_vec,
+    prime_blocks,
     quadratic_row,
     trace_row_vec,
 )
@@ -196,7 +198,31 @@ def test_trace_row_matches_euler_enumeration(genus, lower, lead_t, scale, p):
 QUAD_PRIMES = primes_in(PrimeRange(3, 61))
 
 
-@settings(max_examples=60, deadline=None)
+ODD_PRIMES_TO_300 = primes_in(PrimeRange(3, 300))
+
+
+def euler_first_sums(F: BiPoly, primes) -> list[int]:
+    """sum_t a_t = -sum_(t, x) (F(x, t)/p) at each prime over the whole grid,
+    in int64 with Euler's criterion tabulated, without chi."""
+    out = []
+    for p in primes:
+        ar = np.arange(p, dtype=np.int64)
+        euler = powmod_vec(ar, (p - 1) // 2, p)
+        v = np.zeros((p, p), dtype=np.int64)  # v[t, x]
+        for j in range(F.deg_t + 1):
+            row = sum(c % p * powmod_vec(ar, i, p) % p for (i, jj), c in F.terms.items() if jj == j)
+            v += powmod_vec(ar, j, p)[:, None] * (row % p)
+            v %= p
+        e = euler[v]
+        out.append(int((e == p - 1).sum()) - int((e == 1).sum()))
+    return out
+
+
+def _first_sums_by_block(coeffs, blocks) -> list[int]:
+    return [s for block in blocks for s in first_sum_vec(coeffs, block)]
+
+
+@settings(max_examples=25, deadline=None)
 @given(
     genus=st.integers(1, 2),
     lower=st.dictionaries(
@@ -205,38 +231,68 @@ QUAD_PRIMES = primes_in(PrimeRange(3, 61))
         max_size=6,
     ),
     lead_t=st.integers(0, 2),
-    scale=st.sampled_from(["one", "p", "huge"]),
+    lead=st.sampled_from([1, 5, 5 * 293]),
+    scale=st.sampled_from(["one", "1001", "huge"]),
     drop_t2=st.booleans(),
-    p=st.sampled_from(QUAD_PRIMES),
+    cuts=st.lists(st.integers(1, len(ODD_PRIMES_TO_300) - 1), max_size=4),
 )
 # a = b = 0 at x = 1: F = x^3 + (x - 1) T^2 + (x - 1) T + 2
 @example(genus=1, lower={(1, 2): 1, (0, 2): -1, (1, 1): 1, (0, 1): -1, (0, 0): 2},
-         lead_t=0, scale="one", drop_t2=False, p=5)
+         lead_t=0, lead=1, scale="one", drop_t2=False, cuts=[1, 2])
 # a = 0 at x = 0 with b != 0 there: F = x^3 + x T^2 + T + 1
-@example(genus=1, lower={(1, 2): 1, (0, 1): 1, (0, 0): 1}, lead_t=0, scale="one",
-         drop_t2=False, p=7)
-# the T^2 coefficient is divisible by p, so deg_T drops to 1 mod p
-@example(genus=2, lower={(2, 2): 3, (0, 2): 1, (1, 1): 2, (0, 0): -1}, lead_t=0,
-         scale="one", drop_t2=True, p=11)
-@example(genus=2, lower={(4, 1): 5, (0, 2): 1, (0, 0): 3}, lead_t=2, scale="p",
-         drop_t2=False, p=13)
-@example(genus=1, lower={(2, 1): -(2**100), (0, 2): 2**99 + 1}, lead_t=1, scale="huge",
-         drop_t2=False, p=61)
-def test_first_sum_vec_matches_dense_and_euler(genus, lower, lead_t, scale, drop_t2, p):
+@example(genus=1, lower={(1, 2): 1, (0, 1): 1, (0, 0): 1}, lead_t=0, lead=1, scale="one",
+         drop_t2=False, cuts=[30])
+# 3 and 61 divide the T^2 coefficient, so deg_T drops to 1 mod them
+@example(genus=2, lower={(2, 2): 3, (0, 2): 1, (1, 1): 2, (0, 0): -1}, lead_t=0, lead=1,
+         scale="one", drop_t2=True, cuts=[])
+# 5 and 293 divide the lead of a(x); F = 0 mod 7, 11 and 13
+@example(genus=2, lower={(4, 1): 5, (0, 2): 1, (0, 0): 3}, lead_t=2, lead=5 * 293,
+         scale="1001", drop_t2=False, cuts=[3, 4, 5, 6])
+@example(genus=1, lower={(2, 1): -(2**100), (0, 2): 2**99 + 1}, lead_t=1, lead=5,
+         scale="huge", drop_t2=False, cuts=[59])
+def test_first_sum_vec_matches_dense_and_euler(genus, lower, lead_t, lead, scale, drop_t2,
+                                               cuts):
+    """The block kernel at every odd prime <= 300, in blocks cut anywhere, in
+    the scans' own blocks and one prime at a time, against the sum of the
+    dense trace row and Euler's criterion."""
     n = 2 * genus + 1
     terms = {(i, j): c for (i, j), c in lower.items() if i < n}
-    terms[(n, lead_t)] = 1
+    terms[(n, lead_t)] = lead
     if drop_t2:
-        terms = {(i, j): c * p if j == 2 else c for (i, j), c in terms.items()}
-    s = {"one": 1, "p": p, "huge": 3**70 * p + 1}[scale]  # "p": F = 0 mod p
+        terms = {(i, j): c * 3 * 61 if j == 2 else c for (i, j), c in terms.items()}
+    s = {"one": 1, "1001": 1001, "huge": 3**70 * 1001 + 1}[scale]  # 1001 = 7 * 11 * 13
     F = BiPoly({k: s * c for k, c in terms.items()})
-    try:
-        fam = HyperFamily("q", genus, F)
-    except ValueError:
-        assume(False)
-    ctx = PrimeCtx(p)
-    swapped = first_sum_vec(t_coeff_rows(fam.F, ctx), ctx)
-    assert swapped == sum(trace_row(fam, ctx)) == sum(euler_trace_row(F, p))
+    coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
+    primes = ODD_PRIMES_TO_300
+    dense = [sum(trace_row_vec(t_coeff_rows(F, ctx), ctx)) for ctx in map(PrimeCtx, primes)]
+    assert dense == euler_first_sums(F, primes)
+    edges = [0, *sorted(set(cuts)), len(primes)]
+    assert _first_sums_by_block(coeffs, [primes[a:b] for a, b in zip(edges, edges[1:])]) == dense
+    assert _first_sums_by_block(coeffs, prime_blocks(primes)) == dense
+    assert _first_sums_by_block(coeffs, [[p] for p in primes]) == dense
+
+
+def test_prime_blocks_cut_at_block_cells():
+    primes = primes_in(PrimeRange(3, 20000))
+    blocks = prime_blocks(primes)
+    assert [p for block in blocks for p in block] == primes
+    assert all(sum(b) <= BLOCK_CELLS or len(b) == 1 for b in blocks)
+    # no block would have room for the first prime of the next
+    assert all(sum(a) + b[0] > BLOCK_CELLS for a, b in zip(blocks, blocks[1:]))
+    assert len(blocks[0]) > 1 and blocks[-1] == [primes[-1]]
+    assert prime_blocks([]) == []
+
+
+def test_first_sum_vec_where_deg_t_drops_to_two():
+    # the drops family: 7 x T^3 vanishes mod 7 alone
+    F = parse_bipoly("x^3 + 7*x*T^3 + T^2 + 1")
+    coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
+    ctx = PrimeCtx(7)
+    assert first_sum_vec(coeffs, [7]) == [sum(trace_row_vec(t_coeff_rows(F, ctx), ctx))]
+    assert first_sum_vec(coeffs, [7]) == euler_first_sums(F, [7])
+    for block in ([5], [5, 7], [7, 11]):
+        with pytest.raises(ValueError, match="deg_T F <= 2"):
+            first_sum_vec(coeffs, block)
 
 
 COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100))
@@ -279,9 +335,10 @@ def test_correlation_row_declines_rows_that_are_not_proportional():
 def test_first_sum_vec_refuses_cubic_rows():
     fam = fam_of("x^3 + x*T^3 + 1", 1)
     ctx = PrimeCtx(5)
-    for kernel in (first_sum_vec, quadratic_row):
-        with pytest.raises(ValueError, match="deg_T F <= 2"):
-            kernel(t_coeff_rows(fam.F, ctx), ctx)
+    with pytest.raises(ValueError, match="deg_T F <= 2"):
+        quadratic_row(t_coeff_rows(fam.F, ctx), ctx)
+    with pytest.raises(ValueError, match="deg_T F <= 2"):
+        first_sum_vec([[1], [], [], [0, 1]], [5])
 
 
 def test_trace_row_refuses_many_rows():
@@ -380,6 +437,8 @@ def test_dense_kernel_at_maximal_entries(m, p):
         "a mask per row": ([mask(j) for j in range(m)], False),
     }
     ctx = PrimeCtx(p)
+    if m <= 3:  # first_sum_vec takes coefficients: the constant rows p - 1
+        assert first_sum_vec([[p - 1]] * m, [p]) == [sum(trace_row_vec([top] * m, ctx))]
     for name, (rows, rank_one) in cases.items():
         dense = trace_row_vec(rows, ctx)
         corr = correlation_row(rows, ctx)
@@ -388,7 +447,6 @@ def test_dense_kernel_at_maximal_entries(m, p):
         if corr is not None:
             assert dense == corr, name
         if m <= 3:
-            assert sum(dense) == first_sum_vec(rows, ctx), name
             assert dense == quadratic_row(rows, ctx), name
         if p <= 101 or not rank_one:
             assert dense == int_trace_row(rows, p), name

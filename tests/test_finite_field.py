@@ -8,6 +8,7 @@ from hyprank import _kernels, finite_field, oracles
 from hyprank.finite_field import (
     PrimeCtx,
     PrimeRange,
+    chi_tables,
     double_sum_S,
     is_prime,
     legendre,
@@ -28,6 +29,16 @@ def euler_criterion(a, p):
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def test_chi_tables_lay_the_prime_tables_end_to_end():
+    primes = primes_in(PrimeRange(3, 120))
+    flat = chi_tables(primes)
+    assert flat.dtype == np.int8
+    assert flat.tolist() == [euler_criterion(a, p) for p in primes for a in range(p)]
+    assert flat.tolist() == np.concatenate([PrimeCtx(p).chi for p in primes]).tolist()
+    with pytest.raises(ValueError, match="too large"):
+        chi_tables([3, 67108879])
 
 
 def test_is_prime_basics():

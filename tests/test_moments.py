@@ -179,6 +179,18 @@ def test_moment_invariant_under_parameter_shift():
             assert moment(base, r, PrimeCtx(p)) == moment(shifted, r, PrimeCtx(p))
 
 
+def test_first_moment_scans_route_each_prime_by_its_deg_t():
+    # deg_T = 2 mod 7 alone: 7 takes the block kernel, every other prime its
+    # trace row, and the merged series keeps the order of the primes
+    drops = HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + T^2 + 1"))
+    prange = PrimeRange(3, 40)
+    primes = primes_in(prange)
+    want = [sum(trace_row(drops, PrimeCtx(p))) for p in primes]
+    assert [row.value * row.p for row in moment_series(drops, 1, prange).rows] == want
+    assert nagao_sum(drops, prange) == nagao_sum(drops, prange, jobs=2)
+    assert [power_sum(drops, 1, PrimeCtx(p)) for p in primes] == want
+
+
 def test_moment_series_rows_and_flags():
     fam = make_shift_square(IntPoly.from_roots([1, 2, 9]))  # 9 = 2 mod 7: collision at 7
     series = moment_series(fam, 1, PrimeRange(3, 40))
