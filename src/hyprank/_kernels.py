@@ -44,8 +44,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .finite_field import (TABLE_LIMIT, InternalCheckError, PrimeCtx, chi_tables,
-                           quadratic_sums, spread)
+from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx, chi_tables, quadratic_sums
 
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
@@ -294,10 +293,12 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
     One O(sum p) pass over a block of odd primes below TABLE_LIMIT, laid
     end to end: the cells off_i .. off_i + p_i - 1 of every flat array hold
     x = 0..p_i - 1 at the i-th prime.  ``t_coeffs`` is laid out as for
-    :func:`quadratic_in_t` (ValueError unless deg_T F <= 2 mod every prime);
-    each integer coefficient is reduced once per block by :func:`residues`,
-    c, b and a are evaluated at every cell by :func:`_horner_cells`, and chi
-    is read from the block's tables (``finite_field.chi_tables``).
+    :func:`quadratic_in_t` (ValueError unless deg_T F <= 2 mod every prime;
+    a caller that has routed its primes by ``quadratic_in_t`` passes
+    ``t_coeffs[:3]``, which leaves nothing to check again).  Each integer
+    coefficient is reduced once per block by :func:`residues`, c, b and a
+    are evaluated at every cell by :func:`_horner_cells`, and chi is read
+    from the block's tables (``finite_field.chi_tables``).
 
     The sums over t and x are swapped: S_x = sum_t chi(a t^2 + b t + c) is
     ``finite_field.quadratic_sums`` at every cell at once, except where
@@ -309,12 +310,12 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
     top = max(primes)
     check_dense(top)
     ps = np.array(primes, dtype=np.int64)
-    if not quadratic_in_t(t_coeffs, ps).all():
+    if len(t_coeffs) > 3 and not quadratic_in_t(t_coeffs, ps).all():
         raise ValueError("the quadratic-in-T kernels need deg_T F <= 2")
     offs = np.cumsum(ps) - ps
-    base = spread(offs, ps)  # the offset of each cell's prime
+    base = _spread(offs, ps)  # the offset of each cell's prime
     xs = np.arange(sum(primes), dtype=np.int64) - base
-    mod = spread(ps, ps)
+    mod = _spread(ps, ps)
     c, b, a = (_horner_cells(t_coeffs[j] if j < len(t_coeffs) else (), xs, ps, mod, top)
                for j in range(3))
     chi = chi_tables(primes)
@@ -342,11 +343,17 @@ def _horner_cells(coeffs, xs, ps, mod, pmax: int) -> np.ndarray:
                 bound = top
             acc *= xs
         if c:
-            acc += spread(residues(c, ps), ps)
+            acc += _spread(residues(c, ps), ps)
         bound = bound * top + top
     if bound > top:
         acc %= mod
     return acc
+
+
+def _spread(values, counts):
+    """values[i] repeated counts[i] times, as one array; values[0] itself
+    when there is one value, which numpy broadcasts for free."""
+    return values[0] if len(values) == 1 else np.repeat(values, counts)
 
 
 def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> list[int]:

@@ -8,6 +8,7 @@ Legendre sum of F(x, t) over x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,6 +49,11 @@ class HyperFamily:
             )
         if not _generic_fiber_squarefree(self.F):
             raise ValueError("generic fiber of the family is not squarefree")
+
+    @cached_property
+    def t_coeffs(self) -> list[list[int]]:
+        """The integer coefficients, low to high in x, of each T^j of F."""
+        return [self.F.t_coeff(j).coeffs for j in range(self.F.deg_t + 1)]
 
     def check_prime(self, ctx: PrimeCtx) -> None:
         """Refuse a prime in the family's bad-prime skip set."""

@@ -99,30 +99,31 @@ def chi_tables(primes: list[int]) -> np.ndarray:
     The table of primes[i] starts at primes[0] + ... + primes[i - 1] and
     holds (a/p) in {-1, 0, +1} at a = 0..p-1: every x in 1..(p-1)/2 marks
     x^2 mod p as a square.  ``PrimeCtx.chi`` is the table of one prime, so
-    the tables of single primes and of blocks of them share one encoding.
-    The offsets are Python ints, so one prime costs no more array steps
-    than a table of its own.
+    the tables of single primes and of blocks of them share one encoding;
+    one prime takes no offsets, so it costs no more array steps than a
+    table of its own.
     """
-    if max(primes) >= TABLE_LIMIT:
-        raise ValueError(f"residue table too large for p = {max(primes)}")
-    offs = list(itertools.accumulate(primes[:-1], initial=0))
-    half = [(p - 1) // 2 for p in primes]
-    chi = np.full(offs[-1] + primes[-1], -1, dtype=np.int8)
-    chi[offs] = 0
-    xs = np.arange(1, sum(half) + 1, dtype=np.int64)
-    if len(primes) > 1:
+    top = max(primes)
+    if top >= TABLE_LIMIT:
+        raise ValueError(f"residue table too large for p = {top}")
+    if len(primes) == 1:
+        chi = np.full(top, -1, dtype=np.int8)
+        chi[0] = 0
+        xs = np.arange(1, (top + 1) // 2, dtype=np.int64)
+        xs *= xs
+        xs %= top
+    else:
+        offs = list(itertools.accumulate(primes[:-1], initial=0))
+        half = [(p - 1) // 2 for p in primes]
+        chi = np.full(sum(primes), -1, dtype=np.int8)
+        chi[offs] = 0
+        xs = np.arange(1, sum(half) + 1, dtype=np.int64)
         xs -= np.repeat(list(itertools.accumulate(half[:-1], initial=0)), half)
-    xs *= xs
-    xs %= spread(primes, half)
-    xs += spread(offs, half)
+        xs *= xs
+        xs %= np.repeat(primes, half)
+        xs += np.repeat(offs, half)
     chi[xs] = 1
     return chi
-
-
-def spread(values, counts):
-    """values[i] repeated counts[i] times, as one array; values[0] itself
-    when there is one value, which numpy broadcasts for free."""
-    return values[0] if len(values) == 1 else np.repeat(values, counts)
 
 
 def primitive_root(p: int) -> int:

@@ -88,15 +88,10 @@ def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
     fam.check_prime(ctx)
     if r == 1:
         check_dense(ctx.p)
-        coeffs = _t_coeffs(fam.F)
+        coeffs = fam.t_coeffs
         if quadratic_in_t(coeffs, [ctx.p])[0]:
-            return first_sum_vec(coeffs, [ctx.p])[0]
+            return first_sum_vec(coeffs[:3], [ctx.p])[0]
     return sum(a**r for a in traces_from_rows(t_coeff_rows(fam.F, ctx), ctx))
-
-
-def _t_coeffs(F: BiPoly) -> list[list[int]]:
-    """The integer coefficients, low to high in x, of each T^j of F."""
-    return [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
 
 
 def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
@@ -187,7 +182,7 @@ def _genus_from_degree(f: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 # series over prime ranges
 
-# Cells (the sum of p) up to which a scan of blocks runs serially at any
+# Cells (the sum of p) up to which a first-moment scan runs serially at any
 # jobs.  On a 2-core host a pool of two cost about 35 ms more than the serial
 # scan it ran (start, pickling, shutdown), the time the serial kernel takes
 # for about 6e5 cells; two workers halve the rest, so the pool breaks even
@@ -195,37 +190,30 @@ def _genus_from_degree(f: IntPoly) -> int:
 POOL_CELLS = 1 << 20
 
 
-def scan(task, items: list, jobs: int = 1, *, blocks: bool = False) -> list:
-    """``[task(PrimeCtx(p)) for p in items]``, in the order of ``items``.
+def scan(task, items: list, jobs: int = 1) -> list:
+    """``[task(item) for item in items]``, in the order of ``items``.
 
-    The one driver for character-sum scans.  With ``blocks`` the items are
-    blocks of primes (``prime_blocks``), passed as they are: the first-moment
-    kernel builds no per-prime context.  Otherwise the scan builds one
-    context per prime, in this process.  It runs serially unless
-    min(jobs, CPUs, #items) > 1, in which case the items go to that many
-    worker processes; a scan of blocks that holds at most POOL_CELLS cells
-    runs serially too, as it takes less time than starting the pool.  A
-    pooled ``task`` must pickle, so callers pass a private module-level
-    function or a partial of one, never a public name that may have been
-    rebound.
+    The one driver for character-sum scans.  The items are primes, each
+    task building its one ``PrimeCtx`` where it runs, or blocks of primes
+    (``prime_blocks``) for the first-moment kernel, which builds no
+    per-prime context.  It runs serially unless min(jobs, CPUs, #items) > 1,
+    in which case the items go to that many worker processes.  A pooled
+    ``task`` must pickle, so callers pass a private module-level function or
+    a partial of one, never a public name that may have been rebound.
     """
-    if blocks and sum(map(sum, items)) <= POOL_CELLS:
-        jobs = 1
     jobs = min(jobs, os.cpu_count() or 1, len(items))
-    # lazily: a serial scan holds one chi table
-    args = items if blocks else map(PrimeCtx, items)
     if jobs <= 1:
-        return [task(arg) for arg in args]
+        return [task(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # deferred: keeps `import hyprank` light
 
     chunk = max(1, len(items) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, args, chunksize=chunk))
+        return list(pool.map(task, items, chunksize=chunk))
 
 
-def _power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
-    """``power_sum`` under a private name, which a pool pickles by reference."""
-    return power_sum(fam, r, ctx)
+def _power_sum(fam: HyperFamily, r: int, p: int) -> int:
+    """``power_sum`` at p, under a private name that a pool pickles by reference."""
+    return power_sum(fam, r, PrimeCtx(p))
 
 
 def _block_first_sums(t_coeffs, block: list[int]) -> list[int]:
@@ -235,12 +223,15 @@ def _block_first_sums(t_coeffs, block: list[int]) -> list[int]:
 
 def _first_sums(fam: HyperFamily, primes: list[int], jobs: int) -> list[int]:
     """p * A_1(p) at each prime: ``first_sum_vec`` block by block at the
-    primes where deg_T F <= 2 mod p, ``power_sum`` at the others."""
-    coeffs = _t_coeffs(fam.F)
+    primes where deg_T F <= 2 mod p, ``power_sum`` at the others.  The
+    blocks are pooled only past POOL_CELLS cells in all, below which the
+    pool costs more than it saves."""
+    coeffs = fam.t_coeffs
     quad = quadratic_in_t(coeffs, primes).tolist()
     swapped = [p for p, q in zip(primes, quad) if q]
     rest = [p for p, q in zip(primes, quad) if not q]
-    by_block = scan(partial(_block_first_sums, coeffs), prime_blocks(swapped), jobs, blocks=True)
+    block_jobs = jobs if sum(swapped) > POOL_CELLS else 1
+    by_block = scan(partial(_block_first_sums, coeffs[:3]), prime_blocks(swapped), block_jobs)
     sums = dict(zip(swapped, itertools.chain.from_iterable(by_block)))
     sums.update(zip(rest, scan(partial(_power_sum, fam, 1), rest, jobs)))
     return [sums[p] for p in primes]

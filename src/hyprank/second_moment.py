@@ -175,10 +175,11 @@ def second_moment_closed(fam: PowerFamily, ctx: PrimeCtx) -> Optional[int]:
     return val
 
 
-def _second_moment_row(fam: PowerFamily, ctx: PrimeCtx) -> tuple:
-    row = _bias_row(fam, ctx)
+def _second_moment_row(fam: PowerFamily, p: int) -> tuple:
+    ctx = PrimeCtx(p)
+    row = _decompose(fam, ctx)
     closed, c2, c1 = (None, None, None) if row is None else (row.p_a2, row.c2, row.c1)
-    return ctx.p, second_moment_brute(fam, ctx), closed, c2, c1
+    return p, second_moment_brute(fam, ctx), closed, c2, c1
 
 
 def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> list[tuple]:
@@ -189,7 +190,12 @@ def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> l
     return scan(partial(_second_moment_row, fam), primes, jobs)
 
 
-def _bias_row(fam: PowerFamily, ctx: PrimeCtx) -> Optional[BiasRow]:
+def _bias_row(fam: PowerFamily, p: int) -> Optional[BiasRow]:
+    return _decompose(fam, PrimeCtx(p))
+
+
+def _decompose(fam: PowerFamily, ctx: PrimeCtx) -> Optional[BiasRow]:
+    """The closed form at p as c2 (p^2 - p) + rem; None where it does not apply."""
     p = ctx.p
     val = second_moment_closed(fam, ctx)
     if val is None:

@@ -421,6 +421,28 @@ def int_trace_row(rows, p):
     return out
 
 
+def interpolate_mod_p(values, p):
+    """The coefficients, low to high, of the polynomial of degree < p that
+    takes values[x] at x = 0..p-1, mod p.
+
+    For f = sum_k c_k x^k of degree < p, sum_x f(x) x^j = -c_(p-1-j) at
+    0 <= j <= p - 2 (with 0^0 = 1), and c_0 = f(0).
+    """
+    xs = np.arange(p, dtype=np.int64)
+    v = np.asarray(values, dtype=np.int64) % p
+    coeffs = [0] * p
+    coeffs[0] = int(v[0])
+    power = np.ones(p, dtype=np.int64)  # x^j
+    for j in range(p - 1):
+        coeffs[p - 1 - j] = -int(v @ power) % p
+        power = power * xs % p
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * xs + c) % p
+    assert acc.tolist() == v.tolist()
+    return coeffs
+
+
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 1999])
 def test_dense_kernel_at_maximal_entries(m, p):
@@ -437,8 +459,6 @@ def test_dense_kernel_at_maximal_entries(m, p):
         "a mask per row": ([mask(j) for j in range(m)], False),
     }
     ctx = PrimeCtx(p)
-    if m <= 3:  # first_sum_vec takes coefficients: the constant rows p - 1
-        assert first_sum_vec([[p - 1]] * m, [p]) == [sum(trace_row_vec([top] * m, ctx))]
     for name, (rows, rank_one) in cases.items():
         dense = trace_row_vec(rows, ctx)
         corr = correlation_row(rows, ctx)
@@ -447,6 +467,9 @@ def test_dense_kernel_at_maximal_entries(m, p):
         if corr is not None:
             assert dense == corr, name
         if m <= 3:
+            # first_sum_vec takes coefficients: those of degree < p that give each row
+            coeffs = [interpolate_mod_p(row, p) for row in rows]
+            assert first_sum_vec(coeffs, [p]) == [sum(dense)], name
             assert dense == quadratic_row(rows, ctx), name
         if p <= 101 or not rank_one:
             assert dense == int_trace_row(rows, p), name

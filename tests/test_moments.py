@@ -204,26 +204,48 @@ def test_moment_series_rows_and_flags():
         assert (row.value * row.p).denominator == 1
 
 
+def _scan_tasks(tree) -> set:
+    """Names of the functions that a module passes to ``scan``, bare or in a partial."""
+    tasks = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "scan":
+            task = node.args[0]
+            if isinstance(task, ast.Call) and getattr(task.func, "id", None) == "partial":
+                task = task.args[0]
+            tasks.add(task.id)
+    return tasks
+
+
 def test_scan_is_the_only_prime_driver():
-    # outside moments.scan (and the enumeration oracles) nothing builds a
-    # per-prime context or starts a pool, and the CLI never walks primes
+    # outside moments.scan nothing starts a pool, outside the per-prime tasks
+    # that scan runs (and the enumeration oracles) nothing builds a per-prime
+    # context, and the CLI never walks primes
     src = Path(moments.__file__).parent
+    builders = set()
     for path in sorted(src.glob("*.py")):
         if path.name == "oracles.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
-        if path.name == "moments.py":
-            scan = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "scan")
-            allowed = {id(n) for n in ast.walk(scan)}
+        tasks = _scan_tasks(tree)
+        owner = {}
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in allowed:
+            if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                assert name not in ("PrimeCtx", "ProcessPoolExecutor"), (path.name, node.lineno)
+                where = owner.get(id(node))
+                if name == "ProcessPoolExecutor":
+                    assert (path.name, where) == ("moments.py", "scan"), (path.name, node.lineno)
+                if name == "PrimeCtx":
+                    assert where in tasks, (path.name, node.lineno)
+                    builders.add(where)
         if path.name == "cli.py":
             imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
             assert not imported & {"PrimeCtx", "primes_in"}
+    # the first-moment blocks build none
+    assert builders == {"_power_sum", "_second_moment_row", "_bias_row"}
 
 
 def test_only_the_cli_imports_the_oracles():
