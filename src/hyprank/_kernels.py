@@ -1,34 +1,46 @@
 """The character-sum engines over the (t, x) grid and their vectorised helpers.
 
 Every exact trace and moment of a family is a sum of chi(F(x, t)) over the
-(t, x) grid.  Four kernels compute it, chosen by the caller from the shape
-of F mod p: the total over t alone by :func:`first_sum_vec` when F is at
-most quadratic in T; else every trace by the first of
+(t, x) grid.  The kernels that compute it are chosen by the caller from the
+shape of F mod p.  Where F is at most quadratic in T, the power sums of a
+block of primes come from F's integer coefficients (:func:`first_sum_vec`
+for r = 1, :func:`quadratic_power_sums` for r >= 2); else, and where F is
+rank-one mod p at r >= 2, every trace comes from the first of
 :func:`correlation_row`, :func:`quadratic_row` and :func:`trace_row_vec`
 that applies (``curves.traces_from_rows``).  The second moments of the
 power shapes x^n + x^h T^k need none of them: ``second_moment._brute``
 sums one character sum per coset class of t, in O(p).
 
-- :func:`first_sum_vec` gives the total over t in O(p) when F is at most
-  quadratic in T (first moments).  It is the one kernel that takes no
-  per-prime context: it works on a block of primes (:func:`prime_blocks`)
-  at once, from F's integer coefficients, with the cells (p, x) of all
-  its primes laid end to end in flat arrays;
+- :func:`first_sum_vec` gives the total over t in O(p) (first moments);
+- :func:`quadratic_power_sums` gives sum_t a_t^r in O(p^2) int8 copies
+  (the r >= 2 moments of big_rank), by the windows core of
+  :func:`quadratic_row`, and declines the primes where F is rank-one;
 - :func:`correlation_row` gives every trace in O(p log p), by FFT, when
   F = c(x) + g(x) W(T) mod p (all power families, shift_square, ...); it
   returns None for any other shape;
 - :func:`quadratic_row` gives every trace in O(p^2) int8 copies for any F
-  at most quadratic in T (big_rank), by completing the square: each trace
-  row is a signed sum of windows of the per-prime table chi(u^2 + d);
+  at most quadratic in T, by completing the square: each trace row is a
+  signed sum of windows of the per-prime table chi(u^2 + d);
 - :func:`trace_row_vec` gives every trace in O(p^2) for any F.  It is the
-  reference the other three are tested against, and the path for
+  reference the others are tested against, and the path for
   deg_T F >= 3.
 
+The two block kernels take no per-prime context: they work on a block of
+primes (:func:`prime_blocks`, of BLOCK_CELLS cells for r = 1 and QUAD_CELLS
+for r >= 2) at once, with the cells (p, x) of all its
+primes laid end to end in flat arrays (:func:`_block_cells`).  For r >= 2
+one pass over the cells completes every square, with one batched inverse,
+and each prime then runs only the windows core, :func:`_trace_windows`,
+which :func:`quadratic_row` calls too.
+
 Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The
-first-moment kernel evaluates F's coefficients by Horner's rule in int64,
-reducing only where a step could pass 2^63, and forms b^2 - 4ac < 2^54.  The
-quadratic kernel sums values of chi in int8 chunks of at most 127 windows,
-then in int32, which is exact since |a_t| <= p < 2^31.  The dense kernel
+block kernels evaluate F's coefficients by Horner's rule in int64, reducing
+only where a step could pass 2^63; the first-moment kernel forms
+b^2 - 4ac < 2^54, and the products of the completed squares stay below
+2p^2 < 2^53.  The quadratic kernels sum values of chi in int8 chunks of at
+most 127 windows, then in int32, which is exact since |a_t| <= p < 2^31, and
+take sum_t a_t^r in int64 only where p max|a_t|^r < 2^63, else from the
+histogram of the a_t in Python ints (:func:`_power_total`).  The dense kernel
 sums its products in float64, as one BLAS product per block of t: with m
 nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
 below 2^53, so it is exact in any order of summation, and it refuses larger
@@ -42,7 +54,6 @@ below FROB_LIMIT = 2^31, summing as many products before a reduction as
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx, chi_tables, quadratic_sums
 
@@ -56,6 +67,12 @@ QUAD_BLOCK = 127
 # Cells (prime, x) per block of first_sum_vec: the block size that kept peak
 # memory where one context per prime had it (2^14 cells raised it).
 BLOCK_CELLS = 1 << 13
+
+# Cells per block of quadratic_power_sums, whose square completion holds
+# about twice the int64 arrays per cell: at 2^13 cells the peak RSS of
+# moments --r 2 on big_rank (g = 2, to 1000) rose 0.17 MB over one context
+# per prime, at 2^12 it stayed within 0.06 MB.
+QUAD_CELLS = 1 << 12
 
 # Nonzero T-coefficient rows the trace kernels accept; see trace_row_vec.
 MAX_ROWS = 1 << 11
@@ -256,15 +273,17 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> list[int] | None:
     return (-K - C[w]).tolist()
 
 
-def prime_blocks(primes) -> list[list[int]]:
-    """The primes in runs of consecutive ones of at most BLOCK_CELLS cells.
+def prime_blocks(primes, limit: int | None = None) -> list[list[int]]:
+    """The primes in runs of consecutive ones of at most ``limit`` cells
+    (BLOCK_CELLS by default).
 
-    A prime has p cells, one per x; a prime of more than BLOCK_CELLS cells
+    A prime has p cells, one per x; a prime of more than ``limit`` cells
     forms a block of its own.
     """
-    blocks, cells = [], BLOCK_CELLS
+    limit = BLOCK_CELLS if limit is None else limit
+    blocks, cells = [], limit
     for p in primes:
-        if cells + p > BLOCK_CELLS:
+        if cells + p > limit:
             blocks.append([])
             cells = 0
         blocks[-1].append(p)
@@ -290,22 +309,64 @@ def quadratic_in_t(t_coeffs, primes) -> np.ndarray:
 def first_sum_vec(t_coeffs, primes) -> list[int]:
     """sum_t a_t = -sum_x S_x at each prime, for F = c(x) + b(x) T + a(x) T^2.
 
-    One O(sum p) pass over a block of odd primes below TABLE_LIMIT, laid
-    end to end: the cells off_i .. off_i + p_i - 1 of every flat array hold
+    One O(sum p) pass over the cells of a block of primes
+    (:func:`_block_cells`).  The sums over t and x are swapped:
+    S_x = sum_t chi(a t^2 + b t + c) is ``finite_field.quadratic_sums`` at
+    every cell at once, except where a = b = 0: there t does not occur and
+    S_x = p chi(c).  One ``np.add.reduceat`` gives the totals.  Exact in
+    int64 for p < 2^26: with a, b, c in [0, p) the law's terms stay below
+    2^54, and |S_x| <= p sums to < 2^52 per prime.
+    """
+    ps, offs, base, mod, (c, b, a), chi = _block_cells(t_coeffs, primes)
+    sums = quadratic_sums(a, b, c, chi[a + base], mod)
+    const = np.flatnonzero((a == 0) & (b == 0))
+    at = np.searchsorted(offs, const, side="right") - 1
+    sums[const] = ps[at] * chi[offs[at] + c[const]]
+    return np.negative(np.add.reduceat(sums, offs)).tolist()
+
+
+def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int | None]:
+    """sum_t a_t^r at each prime, for F = c(x) + b(x) T + a(x) T^2, or None
+    at the primes where F is rank-one mod p.
+
+    The block route of :func:`quadratic_row`.  One pass over the cells of a
+    block of primes (:func:`_block_cells`) gives a, b and c at every cell,
+    the rank-one test (:func:`_rank_one`; those primes are left to
+    :func:`correlation_row`, which is O(p log p)) and the completed squares
+    of :func:`_complete_square`, with one batched inverse for the block.
+    Each prime then runs only the windows core, :func:`_trace_windows`, and
+    :func:`_power_total` sums the r-th powers of its traces exactly.
+    """
+    ps, offs, base, mod, (c, b, a), chi = _block_cells(t_coeffs, primes)
+    one = _rank_one(a, b, ps, offs, mod)
+    if one.all():
+        return [None] * len(primes)
+    cells = _complete_square(a, b, c, mod, chi, base)
+    del base, mod, c, b, a  # the loop holds only the cells: peak memory stays near one prime's
+    out = []
+    for p, lo, skip in zip(primes, offs.tolist(), one.tolist()):
+        if skip:
+            out.append(None)
+        else:
+            hi = lo + p
+            traces = _trace_windows(chi[lo:hi], *(v[lo:hi] for v in cells))
+            out.append(_power_total(traces, r))
+    return out
+
+
+def _block_cells(t_coeffs, primes):
+    """The cells (p, x) of a block of odd primes below TABLE_LIMIT, laid end
+    to end, and c, b, a and chi at every one of them.
+
+    The cells off_i .. off_i + p_i - 1 of every flat array hold
     x = 0..p_i - 1 at the i-th prime.  ``t_coeffs`` is laid out as for
     :func:`quadratic_in_t` (ValueError unless deg_T F <= 2 mod every prime;
     a caller that has routed its primes by ``quadratic_in_t`` passes
     ``t_coeffs[:3]``, which leaves nothing to check again).  Each integer
     coefficient is reduced once per block by :func:`residues`, c, b and a
-    are evaluated at every cell by :func:`_horner_cells`, and chi is read
-    from the block's tables (``finite_field.chi_tables``).
-
-    The sums over t and x are swapped: S_x = sum_t chi(a t^2 + b t + c) is
-    ``finite_field.quadratic_sums`` at every cell at once, except where
-    a = b = 0: there t does not occur and S_x = p chi(c).  One
-    ``np.add.reduceat`` gives the totals.  Exact in int64 for p < 2^26:
-    with a, b, c in [0, p) the law's terms stay below 2^54, and |S_x| <= p
-    sums to < 2^52 per prime.
+    are evaluated at every cell by :func:`_horner_cells`, and chi is the
+    block's tables end to end (``finite_field.chi_tables``).  Returns the
+    primes, their offsets, each cell's offset and prime, (c, b, a) and chi.
     """
     top = max(primes)
     check_dense(top)
@@ -316,14 +377,9 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
     base = _spread(offs, ps)  # the offset of each cell's prime
     xs = np.arange(sum(primes), dtype=np.int64) - base
     mod = _spread(ps, ps)
-    c, b, a = (_horner_cells(t_coeffs[j] if j < len(t_coeffs) else (), xs, ps, mod, top)
-               for j in range(3))
-    chi = chi_tables(primes)
-    sums = quadratic_sums(a, b, c, chi[a + base], mod)
-    const = np.flatnonzero((a == 0) & (b == 0))
-    at = np.searchsorted(offs, const, side="right") - 1
-    sums[const] = ps[at] * chi[offs[at] + c[const]]
-    return np.negative(np.add.reduceat(sums, offs)).tolist()
+    rows = tuple(_horner_cells(t_coeffs[j] if j < len(t_coeffs) else (), xs, ps, mod, top)
+                 for j in range(3))
+    return ps, offs, base, mod, rows, chi_tables(primes)
 
 
 def _horner_cells(coeffs, xs, ps, mod, pmax: int) -> np.ndarray:
@@ -365,17 +421,13 @@ def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
 
     with s = b / (2a) and d = c / a - s^2 = (4ac - b^2) / (4a^2) mod p.  The
     table D depends on p alone, so each trace row is a signed sum of windows
-    (slices of length p) of doubled rows of D.  D is built QUAD_BLOCK rows
-    at a time, and only for the blocks of d that occur: column u of a block
-    of rows d0 <= d < d0 + QUAD_BLOCK is the slice of chi (extended
-    periodically) at d0 + u^2, so a block is (p + 1) / 2 row copies, one int8
-    transpose, a mirror copy (D[d][-u] = D[d][u]) and a doubling copy, with no
-    per-point gather and no multiply.  Where a(x) = 0 the row of x is a window
-    of chi, chi(b) chi(t + c / b), or the constant chi(c) where b = 0 too.
-
-    Windows are summed in chunks of at most QUAD_BLOCK < 128, each exactly
-    in int8, into an int32 row: |a_t| <= p < 2^31.  ``t_coeff_rows`` is laid
-    out as for :func:`trace_row_vec`, with no row past T^2 (ValueError).
+    (slices of length p) of doubled rows of D.  Where a(x) = 0 the row of x
+    is a window of chi, chi(b) chi(t + c / b), or the constant chi(c) where
+    b = 0 too.  :func:`_complete_square` gives s, d and the signs at every
+    x, and :func:`_trace_windows`, the windows core that the block route
+    :func:`quadratic_power_sums` shares, sums the windows.  ``t_coeff_rows``
+    is laid out as for :func:`trace_row_vec`, with no row past T^2
+    (ValueError).
 
     Peak working memory is about (3 QUAD_BLOCK + 230) p bytes, some 610 p:
     3 QUAD_BLOCK p for the doubled block, its transposed rows or one chunk
@@ -390,33 +442,96 @@ def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
     zero = np.zeros(p, dtype=np.int64)
     c, b, a = (t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
                for j in range(3))
+    mod = np.full(1, p, dtype=np.int64)
+    return _trace_windows(chi, *_complete_square(a, b, c, mod, chi, 0)).tolist()
+
+
+def _rank_one(a, b, ps, offs, mod) -> np.ndarray:
+    """Whether the rows b, a have rank at most one mod p, at each prime of a block.
+
+    That is the shape :func:`correlation_row` takes: b = lambda a or
+    a = lambda b, rank 0 included.  Each prime's pivot is its first cell
+    where (a, b) != (0, 0), or its cell x = 0 when there is none, and the
+    rank is at most one where a b0 - b a0 = 0 at every cell; exact in int64
+    (< p^2).
+    """
+    first = np.minimum.reduceat(np.where((a != 0) | (b != 0), np.arange(len(a)), len(a)), offs)
+    pivot = np.where(first < len(a), first, offs)
+    off_line = a * _spread(b[pivot], ps)
+    off_line -= b * _spread(a[pivot], ps)
+    off_line %= mod
+    return ~np.logical_or.reduceat(off_line != 0, offs)
+
+
+def _complete_square(a, b, c, mod, chi, base):
+    """s, d, the sign and the kind of every cell, and the constant terms.
+
+    Where a != 0: s = b / (2a), d = c / a - s^2 and the sign chi(a); where
+    a = 0 != b: the offset c / b in s and the sign chi(b); where a = b = 0:
+    chi(c) in ``const``.  The cells are those of :func:`_block_cells` (or of
+    one prime, with ``base`` 0), and the inverses of 2a or b come from one
+    batched :func:`_inverse`.  Returns (s, d, neg, square, linear, const).
+    """
+    square = a != 0
+    linear = ~square & (b != 0)
+    neg = chi[np.where(square, a, b) + base] < 0
+    const = np.where(square | linear, 0, chi[c + base])
+    inv = np.where(square, a, b)
+    inv[inv == 0] = 1
+    np.multiply(inv, 2, out=inv, where=square)
+    inv %= mod
+    inv = _inverse(inv, mod)
+    s = np.where(square, b, c)
+    s *= inv
+    s %= mod
+    d = inv  # 2 c inv - s^2, in place: the work arrays stay few
+    d *= c
+    d *= 2
+    d -= s * s
+    d %= mod
+    return s, d, neg, square, linear, const
+
+
+def _trace_windows(chi, s, d, neg, square, linear, const) -> np.ndarray:
+    """The windows core: every trace a_t at one prime, as an int64 array.
+
+    a_t = -sum_x chi(F(x, t)), from the cells of :func:`_complete_square`:
+    a signed window of D[d] at s where a != 0 (:func:`_add_square_windows`),
+    a signed window of chi at s where a = 0 != b, and the constants.
+    Windows are summed in chunks of at most QUAD_BLOCK < 128, each exactly in
+    int8, into an int32 row: |a_t| <= p < 2^31.
+    """
+    p = len(chi)
     acc = np.zeros(p, dtype=np.int32)
-    lin = a == 0
-    bl, cl = b[lin], c[lin]
-    const = int(chi[cl[bl == 0]].sum(dtype=np.int64))
-    on = bl != 0
-    if on.any():
-        bl, cl = bl[on], cl[on]
+    if linear.any():
         chi2 = np.concatenate((chi, chi[:-1]))
         signed = _windows(np.stack((chi2, -chi2)), p)  # row 1 for chi(b) = -1
-        _add_windows(acc, signed, (chi[bl] < 0).astype(np.intp),
-                     cl * powmod_vec(bl, p - 2, p) % p, np.add)
-    if not lin.all():
-        a, b, c = a[~lin], b[~lin], c[~lin]
-        inv2a = powmod_vec(2 * a % p, p - 2, p)
-        s = b * inv2a % p
-        d = (2 * c * inv2a - s * s) % p
-        _add_square_windows(acc, d, s, chi[a] < 0, chi)
+        _add_windows(acc, signed, neg[linear].astype(np.intp), s[linear], np.add)
+    if square.any():
+        _add_square_windows(acc, d[square], s[square], neg[square], chi)
     out = np.negative(acc, dtype=np.int64)
-    out -= const
-    return out.tolist()
+    out -= int(const.sum(dtype=np.int64))
+    return out
+
+
+def _power_total(traces: np.ndarray, r: int) -> int:
+    """sum_t a_t^r, exact: in int64 where p max|a_t|^r < 2^63, else from the
+    histogram of the values, in Python ints."""
+    if len(traces) * int(np.abs(traces).max()) ** r < 1 << 63:
+        return int((traces**r).sum())
+    values, counts = np.unique(traces, return_counts=True)
+    return sum(n * v**r for v, n in zip(values.tolist(), counts.tolist()))
 
 
 def _add_square_windows(acc, d, s, neg, chi) -> None:
     """acc[t] += sum_i (-1 if neg[i] else 1) chi((t + s[i])^2 + d[i]).
 
     The terms are taken by block of d and, within a block, by sign; a block
-    of the table is built once, for the first of its two runs.
+    of the table is built once, for the first of its two runs.  Column u of
+    a block of rows d0 <= d < d0 + QUAD_BLOCK is the slice of chi (extended
+    periodically) at d0 + u^2, so a block is (p + 1) / 2 row copies, one int8
+    transpose and :func:`_mirror_double`, with no per-point gather and no
+    multiply.
     """
     p = len(chi)
     E = QUAD_BLOCK
@@ -424,29 +539,61 @@ def _add_square_windows(acc, d, s, neg, chi) -> None:
     key = d // E * 2 + neg
     order = np.argsort(key, kind="stable")
     key, d, s = key[order], d[order], s[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
     # column u of the block of rows d0.. is chi_ext[d0 + u^2 : d0 + u^2 + E]
     chi_ext = np.resize(chi, 2 * p + E)
-    columns = as_strided(chi_ext, shape=(2 * p, E), strides=(1, 1), writeable=False)
+    columns = np.ndarray((2 * p, E), np.int8, buffer=chi_ext, strides=(1, 1))
     sq = np.arange(h, dtype=np.int64) ** 2 % p
-    block = np.empty((E, 2 * p - 1), dtype=np.int8)
-    windows = _windows(block, p)
+    words, block, windows = _square_block(p)
     built = -1
     for lo, hi in zip(starts, starts[1:] + [len(key)]):
         blk, negate = divmod(int(key[lo]), 2)
         d0 = blk * E
         if blk != built:
             block[:, :h] = columns[d0 + sq].T
-            block[:, h:p] = block[:, h - 1 : 0 : -1]
-            block[:, p:] = block[:, : p - 1]
+            _mirror_double(words, block)
             built = blk
         _add_windows(acc, windows, d[lo:hi] - d0, s[lo:hi], np.subtract if negate else np.add)
 
 
-def _windows(src: np.ndarray, p: int) -> np.ndarray:
-    """The read-only view w[i, o] = src[i, o : o + p] of a table of >= 2p - 1 columns."""
-    return as_strided(src, shape=(len(src), p, p), strides=(src.strides[0], 1, 1),
-                      writeable=False)
+def _square_block(p: int):
+    """An empty block of QUAD_BLOCK rows of the doubled table: the uint64
+    words it lies in, the (QUAD_BLOCK, 2p - 1) int8 block and its windows.
+    Each row is padded to whole words, with column h = (p + 1) / 2 at the
+    start of a word."""
+    lead = -((p + 1) // 2) % 8
+    words = np.empty((QUAD_BLOCK, (lead + 2 * p + 6) // 8), dtype=np.uint64)
+    return words, words.view(np.int8)[:, lead : lead + 2 * p - 1], _windows(words, p, lead)
+
+
+def _mirror_double(words, block) -> None:
+    """Columns h.. of a block of :func:`_square_block` from its columns 0..h - 1.
+
+    The mirror D[d][p - u] = D[d][u] fills columns h..p - 1, then the
+    doubling copy columns p..2p - 2.  The mirror runs on 8-byte words: the
+    words left of column h, in reverse order and each byteswapped, are the
+    columns right of it, and the last at most 7 columns are copied byte by
+    byte.  numpy reverses an int8 copy one element at a time.
+    """
+    p = (block.shape[1] + 1) // 2
+    h = (p + 1) // 2
+    n, mid = (h - 1) // 8, (-h % 8 + h) // 8  # whole words of the mirror; column h's word
+    mirror = words[:, mid : mid + n]
+    mirror[...] = words[:, mid - n : mid][:, ::-1]
+    mirror.byteswap(inplace=True)
+    block[:, h + 8 * n : p] = block[:, h - 1 - 8 * n : 0 : -1]
+    block[:, p:] = block[:, : p - 1]
+
+
+def _windows(buf: np.ndarray, p: int, offset: int = 0) -> np.ndarray:
+    """The read-only view w[i, o] = the bytes o .. o + p - 1 of row i of the
+    C-contiguous ``buf``, counted from byte ``offset`` of the row; a row holds
+    at least offset + 2p - 1 bytes.  A buffer view, which numpy builds several
+    times faster than ``as_strided`` does."""
+    w = np.ndarray((len(buf), p, p), np.int8, buffer=buf, offset=offset,
+                   strides=(buf.strides[0], 1, 1))
+    w.flags.writeable = False
+    return w
 
 
 def _add_windows(acc, windows, rows, offs, add) -> None:
@@ -551,13 +698,18 @@ def residues(c: int, p: np.ndarray) -> np.ndarray:
 
 
 def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a^(p-2) mod p, the inverse of each nonzero residue, by per-prime bits of p - 2."""
+    """a^(p-2) mod p, the inverse of each nonzero residue, by per-prime bits
+    of p - 2; overwrites a.  Every step is in place, so the work arrays are
+    a, the result and the exponents."""
     e = p - 2
     out = np.ones_like(a)
     while e.any():
-        out = np.where(e & 1 == 1, out * a % p, out)
-        a = a * a % p
-        e = e >> 1
+        odd = e & 1 == 1
+        np.multiply(out, a, out=out, where=odd)
+        np.remainder(out, p, out=out, where=odd)
+        a *= a
+        a %= p
+        e >>= 1
     return out
 
 

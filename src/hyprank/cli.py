@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .construction import InternalCheckError, RootData, build_family, to_monic_model
 from .finite_field import PrimeRange
@@ -40,12 +41,12 @@ class RangeConfigError(Exception):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise RangeConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.func(args)
+        # looked up at each call, so a wrapper set on the module later still runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -60,7 +61,9 @@ def main(argv=None) -> int:
         return 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hyprank",
         description="Moment statistics and rank heuristics for one-parameter "
@@ -99,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     family_opts(p)
     p.add_argument("--r", type=int, default=1, help="moment order (default 1)")
     common(p, pmax_required=True)
-    p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("nagao", help="log-weighted partial sums of -A_1(p)")
     family_opts(p)
@@ -108,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use the closed-form per-prime values instead of brute force",
     )
     common(p, pmax_required=True)
-    p.set_defaults(func=cmd_nagao)
 
     p = sub.add_parser("construct", help="build the rank-(4g+2) family from roots")
     p.add_argument("--genus", type=int, required=True)
@@ -119,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("second-moment", help="second moments of y^2 = x^n + x^h T^k")
     p.add_argument("--n", type=int, required=True)
@@ -127,20 +127,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bias", action="store_true", help="closed-form bias report only")
     common(p, pmax_required=True)
-    p.set_defaults(func=cmd_second_moment)
 
     p = sub.add_parser("verify-lemmas", help="closed forms vs exhaustive enumeration")
     p.add_argument("--pmax", type=int, default=60)
     p.add_argument("--nmax", type=int, default=12, help="largest exponent checked")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser("sn-witness", help="symmetric-group certificate scan")
     p.add_argument("--f", required=True, help="squarefree polynomial in x; "
                    "a leading minus needs the = form, --f=-x^3+1")
     common(p, pmax_default=200)
-    p.set_defaults(func=cmd_sn_witness)
 
     return parser
 

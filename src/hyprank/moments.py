@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from ._kernels import check_dense, first_sum_vec, prime_blocks, quadratic_in_t
+from ._kernels import (QUAD_CELLS, check_dense, first_sum_vec, prime_blocks, quadratic_in_t,
+                       quadratic_power_sums)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (BiPoly, IntPoly, degree_patterns_mod, linear_factor_counts,
@@ -76,21 +77,29 @@ class NagaoEstimate:
 def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
     """p * A_r(p) = sum of a_t^r over the full period, exact.
 
-    The kernel follows from the shape of F mod p: for r = 1 and deg_T <= 2
-    the sums over t and x are swapped (``first_sum_vec`` on this one prime,
-    O(p)); every other case sums the trace row of ``traces_from_rows``:
-    O(p log p) for rank-one F, else O(p^2), in int8 windows of the table
-    chi(u^2 + d) for deg_T F <= 2 (``quadratic_row``, the r >= 2 moments of
-    big_rank) and in float64 blocks beyond (``trace_row_vec``).
+    The kernel follows from the shape of F mod p.  Where deg_T F <= 2 the
+    block kernels of ``_block_sums`` run on this one prime: for r = 1 the
+    sums over t and x are swapped (``first_sum_vec``, O(p)); for r >= 2 the
+    trace row is a sum of int8 windows of the table chi(u^2 + d)
+    (``quadratic_power_sums``, O(p^2), the r >= 2 moments of big_rank),
+    whose r-th powers are summed in numpy.  Where F is rank-one mod p, or
+    deg_T F >= 3, the trace row of ``traces_from_rows`` is summed instead:
+    O(p log p) for rank-one F, else O(p^2) in float64 blocks
+    (``trace_row_vec``).
     """
     if r < 1:
         raise ValueError("moment order must be >= 1")
     fam.check_prime(ctx)
-    if r == 1:
-        check_dense(ctx.p)
-        coeffs = fam.t_coeffs
-        if quadratic_in_t(coeffs, [ctx.p])[0]:
-            return first_sum_vec(coeffs[:3], [ctx.p])[0]
+    coeffs = fam.t_coeffs
+    if quadratic_in_t(coeffs, [ctx.p])[0]:
+        total = _block_sums(coeffs[:3], r, [ctx.p])[0]
+        if total is not None:
+            return total
+    return _row_power_sum(fam, r, ctx)
+
+
+def _row_power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
+    """sum_t a_t^r over the trace row of ``traces_from_rows``."""
     return sum(a**r for a in traces_from_rows(t_coeff_rows(fam.F, ctx), ctx))
 
 
@@ -189,13 +198,26 @@ def _genus_from_degree(f: IntPoly) -> int:
 # near 1.2e6 cells.  Measured: slower at 7.9e5 cells, faster at 1.5e6.
 POOL_CELLS = 1 << 20
 
+# The same break-even, measured the same way, for the blocks of
+# quadratic_power_sums, in the sum of p^2 over their primes: a pool of two
+# was as fast as the serial scan at 1.1e7, faster at 2.6e7.
+POOL_SQUARES = 1 << 24
+
+# And for the scans that take one trace row per prime, in points of the
+# dense kernel: a prime costs p^2 on trace_row_vec, and about FFT_POINTS
+# p log2(p) on correlation_row near the break-even.  Measured: the dense
+# scan was slower pooled at 7.0e6 points, faster at 8.7e6; the FFT scan
+# broke even near 8e5 p log2(p).
+POOL_POINTS = 1 << 23
+FFT_POINTS = 10
+
 
 def scan(task, items: list, jobs: int = 1) -> list:
     """``[task(item) for item in items]``, in the order of ``items``.
 
     The one driver for character-sum scans.  The items are primes, each
     task building its one ``PrimeCtx`` where it runs, or blocks of primes
-    (``prime_blocks``) for the first-moment kernel, which builds no
+    (``prime_blocks``) for the quadratic-in-T block kernels, which build no
     per-prime context.  It runs serially unless min(jobs, CPUs, #items) > 1,
     in which case the items go to that many worker processes.  A pooled
     ``task`` must pickle, so callers pass a private module-level function or
@@ -212,29 +234,53 @@ def scan(task, items: list, jobs: int = 1) -> list:
 
 
 def _power_sum(fam: HyperFamily, r: int, p: int) -> int:
-    """``power_sum`` at p, under a private name that a pool pickles by reference."""
-    return power_sum(fam, r, PrimeCtx(p))
+    """p * A_r(p) from the trace row at p, for the primes the block kernels
+    leave; a private name, which a pool pickles by reference."""
+    return _row_power_sum(fam, r, PrimeCtx(p))
 
 
-def _block_first_sums(t_coeffs, block: list[int]) -> list[int]:
-    """``first_sum_vec`` under a private name, which a pool pickles by reference."""
-    return first_sum_vec(t_coeffs, block)
+def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int | None]:
+    """p * A_r(p) at each prime of a block where deg_T F <= 2: ``first_sum_vec``
+    for r = 1, else ``quadratic_power_sums`` (None where F is rank-one mod p).
+    A private module-level name, which a pool pickles by reference."""
+    return first_sum_vec(t_coeffs, block) if r == 1 else quadratic_power_sums(t_coeffs, r, block)
 
 
-def _first_sums(fam: HyperFamily, primes: list[int], jobs: int) -> list[int]:
-    """p * A_1(p) at each prime: ``first_sum_vec`` block by block at the
-    primes where deg_T F <= 2 mod p, ``power_sum`` at the others.  The
-    blocks are pooled only past POOL_CELLS cells in all, below which the
-    pool costs more than it saves."""
+def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int) -> list[int]:
+    """p * A_r(p) at each prime: block by block (``_block_sums``) at the
+    primes where deg_T F <= 2 mod p, from the trace row one prime at a time
+    (``_power_sum``) at the others and, for r >= 2, where F is rank-one.
+    Each scan starts a pool only past its break-even work (``POOL_CELLS``,
+    ``POOL_SQUARES`` and ``POOL_POINTS``), below which the pool costs more
+    than it saves."""
     coeffs = fam.t_coeffs
+    fft = _rank_one_in_t(coeffs)
     quad = quadratic_in_t(coeffs, primes).tolist()
-    swapped = [p for p, q in zip(primes, quad) if q]
-    rest = [p for p, q in zip(primes, quad) if not q]
-    block_jobs = jobs if sum(swapped) > POOL_CELLS else 1
-    by_block = scan(partial(_block_first_sums, coeffs[:3]), prime_blocks(swapped), block_jobs)
-    sums = dict(zip(swapped, itertools.chain.from_iterable(by_block)))
-    sums.update(zip(rest, scan(partial(_power_sum, fam, 1), rest, jobs)))
+    # at r >= 2 the block kernel would decline every prime of an F rank-one over Q
+    blocked = [p for p, q in zip(primes, quad) if q and (r == 1 or not fft)]
+    if r == 1:
+        blocks, pool = prime_blocks(blocked), sum(blocked) > POOL_CELLS
+    else:
+        blocks, pool = prime_blocks(blocked, QUAD_CELLS), sum(p * p for p in blocked) > POOL_SQUARES
+    by_block = scan(partial(_block_sums, coeffs[:3], r), blocks, jobs if pool else 1)
+    sums = dict(zip(blocked, itertools.chain.from_iterable(by_block)))
+    rest = [p for p in primes if sums.get(p) is None]
+    work = sum(FFT_POINTS * p * p.bit_length() if fft or p in sums else p * p for p in rest)
+    sums.update(zip(rest, scan(partial(_power_sum, fam, r), rest,
+                               jobs if work > POOL_POINTS else 1)))
     return [sums[p] for p in primes]
+
+
+def _rank_one_in_t(t_coeffs) -> bool:
+    """Whether every coefficient of T^j, j >= 1, is a rational multiple of one
+    polynomial g(x), so that ``correlation_row`` takes F at every prime."""
+    rows = [c for c in t_coeffs[1:] if any(c)]
+    if not rows:
+        return True
+    g = rows[0]
+    k = next(i for i, v in enumerate(g) if v)
+    return all(len(row) == len(g) and all(v * g[k] == w * row[k] for v, w in zip(row, g))
+               for row in rows[1:])
 
 
 def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -> MomentSeries:
@@ -244,16 +290,16 @@ def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -
     Rows are emitted for every computed prime, ordered by p; non-generic
     primes keep their exact value with the generic flag cleared.  A range
     that reaches past the dense-kernel limit fails before any work starts.
-    The power sums go through ``scan``, for r = 1 as ``nagao_sum`` takes
-    them; the predictions are one batched call of the closed form, in this
-    process.
+    The power sums come from ``_power_sums``, for r = 1 as ``nagao_sum``
+    takes them: at the primes where deg_T F <= 2 mod p block by block, with
+    no per-prime context (``first_sum_vec`` for r = 1,
+    ``quadratic_power_sums`` for r >= 2), and one prime at a time through
+    ``power_sum`` where F is rank-one mod p (r >= 2) or deg_T F >= 3.  The
+    predictions are one batched call of the closed form, in this process.
     """
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
     check_dense(max(primes, default=0))
-    if r == 1:
-        sums = _first_sums(fam, primes, jobs)
-    else:
-        sums = scan(partial(_power_sum, fam, r), primes, jobs)
+    sums = _power_sums(fam, r, primes, jobs)
     if r != 1 or fam.closed_form is None:
         rows = [MomentRow(p, Fraction(s, p), None, None) for p, s in zip(primes, sums)]
     else:
@@ -286,7 +332,7 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
         sums = _closed_form(fam, primes)
     else:
         check_dense(max(primes, default=0))
-        sums = [-s for s in _first_sums(fam, primes, jobs)]
+        sums = [-s for s in _power_sums(fam, 1, primes, jobs)]
     P = prange.hi
     theta = 0.0
     pi_sum = 0.0

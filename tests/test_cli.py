@@ -421,6 +421,7 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
 
     import hyprank._kernels as _kernels
     import hyprank.moments as moments
+    from hyprank.finite_field import PrimeRange, primes_in
 
     seen = []
 
@@ -439,13 +440,20 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(moments.os, "cpu_count", lambda: 4)
-    # --r 2 takes one trace row per prime: a pool of up to one worker per prime
+    # --r 2 on shift_square takes one FFT trace row per prime, pooled only
+    # past POOL_POINTS points: FFT_POINTS p log2(p) a prime
+    primes = primes_in(PrimeRange(3, 60))
     argv = ["moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2", "--pmax", "60"]
     code, serial = run(capsys, *argv)
     assert code == 0 and seen == []
     code, out = run(capsys, *argv, "--jobs", "100000")
+    assert code == 0 and out == serial and seen == []
+    work = sum(moments.FFT_POINTS * p * p.bit_length() for p in primes)
+    monkeypatch.setattr(moments, "POOL_POINTS", work - 1)
+    code, out = run(capsys, *argv, "--jobs", "100000")
     assert code == 0 and out == serial
-    assert seen == [4]  # min(jobs, cpu_count, 17 primes)
+    assert seen == [4]  # min(jobs, cpu_count, 16 primes)
+    monkeypatch.setattr(moments, "POOL_POINTS", 0)
     code, _ = run(capsys, "moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2",
                   "--pmin", "20", "--pmax", "30", "--jobs", "100000")
     assert code == 0 and seen == [4, 2]  # only 23 and 29 in range
@@ -464,6 +472,26 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
     monkeypatch.setattr(moments, "POOL_CELLS", 438)
     code, out = run(capsys, *r1, "--jobs", "100000")
     assert code == 0 and out == serial and seen == [4, 2]
+    # a prime of deg_T F >= 3 that is not rank-one costs p^2 points
+    cubic = ["moments", "--family-expr", "x^3 + x*T^3 + T + 1", "--genus", "1", "--r", "2",
+             "--pmax", "60"]
+    seen.clear()
+    code, serial = run(capsys, *cubic)
+    for limit, pools in ((sum(p * p for p in primes), []), (sum(p * p for p in primes) - 1, [4])):
+        monkeypatch.setattr(moments, "POOL_POINTS", limit)
+        code, out = run(capsys, *cubic, "--jobs", "100000")
+        assert code == 0 and out == serial and seen == pools
+    # higher moments of F quadratic in T run in blocks of QUAD_CELLS cells,
+    # pooled past POOL_SQUARES (the sum of p^2)
+    quad = ["moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "2",
+            "--pmax", "60"]
+    seen.clear()
+    code, serial = run(capsys, *quad)
+    monkeypatch.setattr(moments, "QUAD_CELLS", 64)
+    for limit, pools in ((sum(p * p for p in primes), []), (sum(p * p for p in primes) - 1, [4])):
+        monkeypatch.setattr(moments, "POOL_SQUARES", limit)
+        code, out = run(capsys, *quad, "--jobs", "100000")
+        assert code == 0 and out == serial and seen == pools
     for argv, pools in (
         (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"], [4]),
         # closed-form scans run in this process: no pool
@@ -477,6 +505,32 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
         code, out = run(capsys, *argv, "--jobs", "100000")
         assert code == 0 and out == serial, argv
         assert seen == pools, argv
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    from hyprank import cli
+
+    assert cli._parser() is cli._parser()
+    ok = ["moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2", "--pmax", "40",
+          "--format", "json"]
+    bad = [
+        (["moments", "--family", "builtin:nope", "--pmax", "40"], 2),
+        (["moments", "--family", "builtin:shift_square", "--f", "x^3 +", "--pmax", "40"], 2),
+        (["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "40", "--jobs", "0"], 3),
+        (["nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "2"], 3),
+    ]
+    first = run(capsys, *ok)
+    labelled = run(capsys, *ok, "--label", "L")
+    assert json.loads(labelled[1])["label"] == "L"
+    for _ in range(2):
+        # no option of one call leaks into the next
+        assert run(capsys, *ok) == first
+        assert run(capsys, *ok, "--label", "L") == labelled
+        assert [run(capsys, *argv)[0] for argv, _ in bad] == [code for _, code in bad]
+        with pytest.raises(SystemExit) as exc:  # argparse's own refusal
+            main(["moments", "--r", "two"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 def test_one_context_per_prime(capsys, monkeypatch):
@@ -494,9 +548,12 @@ def test_one_context_per_prime(capsys, monkeypatch):
     assert len(primes) == 24
     for argv, contexts in (
         # first moments run in blocks of primes, and closed-form scans in one
-        # batched pass: no per-prime context
+        # batched pass: no per-prime context; a rank-one F takes one per prime
+        # at r >= 2
         (["moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "1"], []),
         (["moments", "--family", "builtin:linear_twist", "--f", F3, "--r", "2"], primes),
+        # so do the higher moments of F quadratic in T that is not rank-one
+        (["moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "2"], []),
         (["nagao", "--family", "builtin:linear_twist", "--f", F3, "--predicted"], []),
         (["second-moment", "--n", "5", "--h", "2", "--k", "1"], primes),
         (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--bias"], primes),
@@ -712,6 +769,11 @@ GOLDEN = [
     (("moments", "--family", "builtin:shift_square", "--f", F3, "--r", "1", "--pmax", "20000",
       "--jobs", "2"),
      "caab1045ce60da97442517c8016edbe39f271c33a126e32af83f7093c2e8955f", 0, ""),
+    # the big_rank leg of the benchmark's higher_moment_dense workload (seed 1),
+    # recorded while every r >= 2 trace row still took one context per prime
+    (("moments", "--family", "builtin:big_rank", "--genus", "2",
+      "--roots=-9,4,-16,-15,-23,13,-7,-24,21,1", "--r", "2", "--pmax", "1000", "--jobs", "1"),
+     "f1dafc041dc0bcadcec55c4f80672bc15558d2e03791f81247c7a68c14aff397", 0, ""),
 ]
 
 

@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 from hyprank._kernels import (
     BLOCK_CELLS,
     CHUNK,
+    QUAD_CELLS,
     _exact_in_float,
+    _mirror_double,
+    _power_total,
     _reduce_near,
+    _square_block,
     correlation_row,
     first_sum_vec,
     horner_vec,
     powmod_vec,
     prime_blocks,
+    quadratic_power_sums,
     quadratic_row,
     trace_row_vec,
 )
@@ -201,29 +206,31 @@ QUAD_PRIMES = primes_in(PrimeRange(3, 61))
 ODD_PRIMES_TO_300 = primes_in(PrimeRange(3, 300))
 
 
+def euler_trace_rows(F: BiPoly, p: int) -> list[int]:
+    """-sum_x (F(x, t)/p) for t = 0..p-1 over the whole grid, in int64 with
+    Euler's criterion tabulated, without chi."""
+    ar = np.arange(p, dtype=np.int64)
+    euler = powmod_vec(ar, (p - 1) // 2, p)
+    v = np.zeros((p, p), dtype=np.int64)  # v[t, x]
+    for j in range(F.deg_t + 1):
+        row = sum(c % p * powmod_vec(ar, i, p) % p for (i, jj), c in F.terms.items() if jj == j)
+        v += powmod_vec(ar, j, p)[:, None] * (row % p)
+        v %= p
+    e = euler[v]
+    return ((e == p - 1).sum(axis=1) - (e == 1).sum(axis=1)).tolist()
+
+
 def euler_first_sums(F: BiPoly, primes) -> list[int]:
-    """sum_t a_t = -sum_(t, x) (F(x, t)/p) at each prime over the whole grid,
-    in int64 with Euler's criterion tabulated, without chi."""
-    out = []
-    for p in primes:
-        ar = np.arange(p, dtype=np.int64)
-        euler = powmod_vec(ar, (p - 1) // 2, p)
-        v = np.zeros((p, p), dtype=np.int64)  # v[t, x]
-        for j in range(F.deg_t + 1):
-            row = sum(c % p * powmod_vec(ar, i, p) % p for (i, jj), c in F.terms.items() if jj == j)
-            v += powmod_vec(ar, j, p)[:, None] * (row % p)
-            v %= p
-        e = euler[v]
-        out.append(int((e == p - 1).sum()) - int((e == 1).sum()))
-    return out
+    """sum_t a_t at each prime, from :func:`euler_trace_rows`."""
+    return [sum(euler_trace_rows(F, p)) for p in primes]
 
 
 def _first_sums_by_block(coeffs, blocks) -> list[int]:
     return [s for block in blocks for s in first_sum_vec(coeffs, block)]
 
 
-@settings(max_examples=25, deadline=None)
-@given(
+# F = lead x^(2g+1) T^lead_t + lower terms of degree <= 2 in T, scaled
+QUADRATIC_FAMILIES = dict(
     genus=st.integers(1, 2),
     lower=st.dictionaries(
         st.tuples(st.integers(0, 4), st.integers(0, 2)),
@@ -236,6 +243,26 @@ def _first_sums_by_block(coeffs, blocks) -> list[int]:
     drop_t2=st.booleans(),
     cuts=st.lists(st.integers(1, len(ODD_PRIMES_TO_300) - 1), max_size=4),
 )
+
+
+def quadratic_family(genus, lower, lead_t, lead, scale, drop_t2) -> BiPoly:
+    """The F of QUADRATIC_FAMILIES; drop_t2 multiplies the T^2 terms by 3 * 61."""
+    n = 2 * genus + 1
+    terms = {(i, j): c for (i, j), c in lower.items() if i < n}
+    terms[(n, lead_t)] = lead
+    if drop_t2:
+        terms = {(i, j): c * 3 * 61 if j == 2 else c for (i, j), c in terms.items()}
+    s = {"one": 1, "1001": 1001, "huge": 3**70 * 1001 + 1}[scale]  # 1001 = 7 * 11 * 13
+    return BiPoly({k: s * c for k, c in terms.items()})
+
+
+def cut_blocks(primes, cuts) -> list[list[int]]:
+    edges = [0, *sorted(set(cuts)), len(primes)]
+    return [primes[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(**QUADRATIC_FAMILIES)
 # a = b = 0 at x = 1: F = x^3 + (x - 1) T^2 + (x - 1) T + 2
 @example(genus=1, lower={(1, 2): 1, (0, 2): -1, (1, 1): 1, (0, 1): -1, (0, 0): 2},
          lead_t=0, lead=1, scale="one", drop_t2=False, cuts=[1, 2])
@@ -255,32 +282,133 @@ def test_first_sum_vec_matches_dense_and_euler(genus, lower, lead_t, lead, scale
     """The block kernel at every odd prime <= 300, in blocks cut anywhere, in
     the scans' own blocks and one prime at a time, against the sum of the
     dense trace row and Euler's criterion."""
-    n = 2 * genus + 1
-    terms = {(i, j): c for (i, j), c in lower.items() if i < n}
-    terms[(n, lead_t)] = lead
-    if drop_t2:
-        terms = {(i, j): c * 3 * 61 if j == 2 else c for (i, j), c in terms.items()}
-    s = {"one": 1, "1001": 1001, "huge": 3**70 * 1001 + 1}[scale]  # 1001 = 7 * 11 * 13
-    F = BiPoly({k: s * c for k, c in terms.items()})
+    F = quadratic_family(genus, lower, lead_t, lead, scale, drop_t2)
     coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
     primes = ODD_PRIMES_TO_300
     dense = [sum(trace_row_vec(t_coeff_rows(F, ctx), ctx)) for ctx in map(PrimeCtx, primes)]
     assert dense == euler_first_sums(F, primes)
-    edges = [0, *sorted(set(cuts)), len(primes)]
-    assert _first_sums_by_block(coeffs, [primes[a:b] for a, b in zip(edges, edges[1:])]) == dense
+    assert _first_sums_by_block(coeffs, cut_blocks(primes, cuts)) == dense
     assert _first_sums_by_block(coeffs, prime_blocks(primes)) == dense
     assert _first_sums_by_block(coeffs, [[p] for p in primes]) == dense
 
 
+def _power_sums_by_block(coeffs, r, blocks) -> list:
+    return [s for block in blocks for s in quadratic_power_sums(coeffs, r, block)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(**QUADRATIC_FAMILIES, r=st.integers(2, 4))
+# a = b = 0 at x = 1: F = x^3 + (x - 1) T^2 + (x - 1) T + 2, rank-one at every p
+@example(genus=1, lower={(1, 2): 1, (0, 2): -1, (1, 1): 1, (0, 1): -1, (0, 0): 2},
+         lead_t=0, lead=1, scale="one", drop_t2=False, cuts=[1, 2], r=2)
+# a = 0 at x = 0 with b != 0 there: F = x^3 + x T^2 + T + 1
+@example(genus=1, lower={(1, 2): 1, (0, 1): 1, (0, 0): 1}, lead_t=0, lead=1, scale="one",
+         drop_t2=False, cuts=[30], r=3)
+# b = 0 at x = 0 with a != 0 there: F = x^3 + (x + 1) T^2 + x T + 1
+@example(genus=1, lower={(1, 2): 1, (0, 2): 1, (1, 1): 1, (0, 0): 1}, lead_t=0, lead=1,
+         scale="one", drop_t2=False, cuts=[], r=4)
+# b - a = 7: F = x^3 + (x + 1) T^2 + (x + 8) T + 1 is rank-one mod 7 alone
+@example(genus=1, lower={(1, 2): 1, (0, 2): 1, (1, 1): 1, (0, 1): 8, (0, 0): 1}, lead_t=0,
+         lead=1, scale="one", drop_t2=False, cuts=[2, 3], r=2)
+# 3 and 61 divide the T^2 coefficient, so deg_T drops to 1 mod them
+@example(genus=2, lower={(2, 2): 3, (0, 2): 1, (1, 1): 2, (0, 0): -1}, lead_t=0, lead=1,
+         scale="one", drop_t2=True, cuts=[], r=3)
+# 5 and 293 divide the lead of a(x); F = 0 mod 7, 11 and 13
+@example(genus=2, lower={(4, 1): 5, (0, 2): 1, (0, 0): 3}, lead_t=2, lead=5 * 293,
+         scale="1001", drop_t2=False, cuts=[3, 4, 5, 6], r=4)
+@example(genus=1, lower={(2, 1): -(2**100), (0, 2): 2**99 + 1}, lead_t=1, lead=5,
+         scale="huge", drop_t2=False, cuts=[59], r=2)
+def test_quadratic_power_sums_match_rows_and_euler(genus, lower, lead_t, lead, scale, drop_t2,
+                                                   cuts, r):
+    """The block route of the r >= 2 moments at every odd prime <= 300, in
+    blocks cut anywhere, in the scans' own blocks and one prime at a time,
+    against quadratic_row, the dense trace row and Euler's criterion.  It
+    declines (None) exactly the primes that correlation_row takes."""
+    F = quadratic_family(genus, lower, lead_t, lead, scale, drop_t2)
+    coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
+    primes = ODD_PRIMES_TO_300
+    sums = _power_sums_by_block(coeffs, r, cut_blocks(primes, cuts))
+    assert _power_sums_by_block(coeffs, r, prime_blocks(primes, QUAD_CELLS)) == sums
+    assert _power_sums_by_block(coeffs, r, [[p] for p in primes]) == sums
+    for p, total in zip(primes, sums):
+        ctx = PrimeCtx(p)
+        rows = t_coeff_rows(F, ctx)
+        dense = trace_row_vec(rows, ctx)
+        assert dense == euler_trace_rows(F, p), p
+        assert (total is None) == (correlation_row(rows, ctx) is not None), p
+        if total is not None:
+            assert quadratic_row(rows, ctx) == dense, p
+            assert total == sum(a**r for a in dense), p
+
+
+def test_quadratic_power_sums_on_a_prime_past_block_cells():
+    # 8209, the first prime past BLOCK_CELLS = 2^13 > QUAD_CELLS, forms a block alone
+    F = parse_bipoly("x^5 - x + (x^2 - 1)*T^2 + 3*x^3*T + 5")
+    coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
+    p = 8209
+    assert prime_blocks([8191, p]) == prime_blocks([8191, p], QUAD_CELLS) == [[8191], [p]]
+    ctx = PrimeCtx(p)
+    row = quadratic_row(t_coeff_rows(F, ctx), ctx)
+    for r in (2, 3):
+        assert quadratic_power_sums(coeffs, r, [p]) == [sum(a**r for a in row)]
+
+
+def test_quadratic_power_sums_where_deg_t_drops_to_two():
+    # 7 x T^3 vanishes mod 7 alone, which leaves a = x, b = 1: not rank-one
+    F = parse_bipoly("x^3 + 7*x*T^3 + x*T^2 + T + 1")
+    coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
+    ctx = PrimeCtx(7)
+    dense = trace_row_vec(t_coeff_rows(F, ctx), ctx)
+    assert dense == euler_trace_rows(F, 7)
+    for r in (2, 3, 4):
+        assert quadratic_power_sums(coeffs, r, [7]) == [sum(a**r for a in dense)]
+    for block in ([5], [5, 7], [7, 11]):
+        with pytest.raises(ValueError, match="deg_T F <= 2"):
+            quadratic_power_sums(coeffs, 2, block)
+
+
+@pytest.mark.parametrize("r, n", [(2, 1009), (3, 1009), (4, 10007), (7, 101)])
+def test_power_total_exact_on_both_sides_of_the_int64_bound(r, n):
+    """Synthetic rows of n values with max |a| = m, at the largest m with
+    n m^r < 2^63 and one past it, where an int64 sum would wrap."""
+    top = int(((1 << 63) / n) ** (1 / r))
+    while n * (top + 1) ** r < 1 << 63:
+        top += 1
+    while n * top**r >= 1 << 63:
+        top -= 1
+    rng = np.random.default_rng(r)
+    for m in (top, top + 1):
+        mixed = rng.integers(-m, m + 1, n)
+        mixed[:2] = m, -m
+        for traces in (np.full(n, m, dtype=np.int64), mixed):
+            assert _power_total(traces, r) == sum(int(a) ** r for a in traces), (m, r)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 997, 10007])
+def test_word_mirror_equals_the_byte_copy(p):
+    """Every class of p mod 8 (and of h = (p + 1) / 2 mod 8), p = 3 with no
+    whole word and p = 7 with its tail alone among them."""
+    h = (p + 1) // 2
+    words, block, _ = _square_block(p)
+    block[:, :h] = np.random.default_rng(p).integers(-1, 2, (len(block), h))
+    want = np.empty_like(block)
+    want[:, :h] = block[:, :h]
+    want[:, h:p] = want[:, h - 1 : 0 : -1]
+    want[:, p:] = want[:, : p - 1]
+    _mirror_double(words, block)
+    assert np.array_equal(block, want)
+
+
 def test_prime_blocks_cut_at_block_cells():
     primes = primes_in(PrimeRange(3, 20000))
-    blocks = prime_blocks(primes)
-    assert [p for block in blocks for p in block] == primes
-    assert all(sum(b) <= BLOCK_CELLS or len(b) == 1 for b in blocks)
-    # no block would have room for the first prime of the next
-    assert all(sum(a) + b[0] > BLOCK_CELLS for a, b in zip(blocks, blocks[1:]))
-    assert len(blocks[0]) > 1 and blocks[-1] == [primes[-1]]
-    assert prime_blocks([]) == []
+    for limit, cells in ((None, BLOCK_CELLS), (QUAD_CELLS, QUAD_CELLS)):
+        blocks = prime_blocks(primes, limit)
+        assert [p for block in blocks for p in block] == primes
+        assert all(sum(b) <= cells or len(b) == 1 for b in blocks)
+        # no block would have room for the first prime of the next
+        assert all(sum(a) + b[0] > cells for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks[0]) > 1 and blocks[-1] == [primes[-1]]
+        assert prime_blocks([], limit) == []
 
 
 def test_first_sum_vec_where_deg_t_drops_to_two():

@@ -129,11 +129,14 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
     monkeypatch.setattr(moments, "t_coeff_rows",
                         lambda F, ctx: seen.append(("rows",)) or rows(F, ctx))
     quad = HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1"))
+    rank_one = HyperFamily("rank_one", 1, parse_bipoly("x^3 + x*T^2 + x*T + 1"))
     cubic = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
     drops = HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + T^2 + 1"))
     for fam, r, p, want in [
         (quad, 1, 101, []),
-        (quad, 2, 101, [("dense", "quad")]),
+        # deg_T <= 2 and not rank-one: the block route on this one prime
+        (quad, 2, 101, []),
+        (rank_one, 2, 101, [("dense", "rank_one")]),
         (cubic, 1, 101, [("dense", "cubic")]),
         (drops, 1, 7, []),  # deg_T = 2 mod 7
         (drops, 1, 11, [("dense", "drops")]),
@@ -189,6 +192,33 @@ def test_first_moment_scans_route_each_prime_by_its_deg_t():
     assert [row.value * row.p for row in moment_series(drops, 1, prange).rows] == want
     assert nagao_sum(drops, prange) == nagao_sum(drops, prange, jobs=2)
     assert [power_sum(drops, 1, PrimeCtx(p)) for p in primes] == want
+
+
+def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
+    # drops is deg_T 3 at every prime but 7, where it is quadratic and not
+    # rank-one; rank7 is quadratic everywhere and rank-one mod 7 alone
+    drops = HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + x*T^2 + T + 1"))
+    rank7 = HyperFamily("rank7", 1, parse_bipoly("x^3 + (x + 1)*T^2 + (x + 8)*T + 1"))
+    prange = PrimeRange(3, 60)
+    primes = primes_in(prange)
+    rows = []
+    row_power_sum = moments._row_power_sum
+    monkeypatch.setattr(moments, "_row_power_sum",
+                        lambda fam, r, ctx: rows.append(ctx.p) or row_power_sum(fam, r, ctx))
+    for fam, by_row in ((drops, [p for p in primes if p != 7]), (rank7, [7])):
+        for r in (2, 3):
+            want = [sum(a**r for a in trace_row(fam, PrimeCtx(p))) for p in primes]
+            rows.clear()
+            assert [row.value * row.p for row in moment_series(fam, r, prange).rows] == want
+            assert rows == by_row, (fam.label, r)  # the others took the blocks
+            assert [power_sum(fam, r, PrimeCtx(p)) for p in primes] == want
+    monkeypatch.undo()
+    # with every gate open, two real worker processes give the same series
+    monkeypatch.setattr(moments, "POOL_SQUARES", 0)
+    monkeypatch.setattr(moments, "POOL_POINTS", 0)
+    monkeypatch.setattr(moments, "QUAD_CELLS", 64)
+    for fam in (drops, rank7, _rank6()):
+        assert moment_series(fam, 2, prange, jobs=2) == moment_series(fam, 2, prange), fam.label
 
 
 def test_moment_series_rows_and_flags():
