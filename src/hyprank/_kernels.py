@@ -1,15 +1,11 @@
 """The character-sum engines over the (t, x) grid and their vectorised helpers.
 
 Every exact trace and moment of a family is a sum of chi(F(x, t)) over the
-(t, x) grid.  The kernels that compute it are chosen by the caller from the
-shape of F mod p.  Where F is at most quadratic in T, the power sums of a
-block of primes come from F's integer coefficients (:func:`first_sum_vec`
-for r = 1, :func:`quadratic_power_sums` for r >= 2); else, and where F is
-rank-one mod p at r >= 2, every trace comes from the first of
-:func:`correlation_row`, :func:`quadratic_row` and :func:`trace_row_vec`
-that applies (``curves.traces_from_rows``).  The second moments of the
-power shapes x^n + x^h T^k need none of them: ``second_moment._brute``
-sums one character sum per coset class of t, in O(p).
+(t, x) grid.  ``moments._power_sums`` picks the kernel of each prime from
+the shape of F mod p; every trace row below is an int64 array of length p,
+and :func:`power_total` takes sum_t a_t^r from it exactly.  The second
+moments of the power shapes x^n + x^h T^k need none of them:
+``second_moment._brute`` sums one character sum per coset class of t, in O(p).
 
 - :func:`first_sum_vec` gives the total over t in O(p) (first moments);
 - :func:`quadratic_power_sums` gives sum_t a_t^r in O(p^2) int8 copies
@@ -40,7 +36,7 @@ b^2 - 4ac < 2^54, and the products of the completed squares stay below
 2p^2 < 2^53.  The quadratic kernels sum values of chi in int8 chunks of at
 most 127 windows, then in int32, which is exact since |a_t| <= p < 2^31, and
 take sum_t a_t^r in int64 only where p max|a_t|^r < 2^63, else from the
-histogram of the a_t in Python ints (:func:`_power_total`).  The dense kernel
+histogram of the a_t in Python ints (:func:`power_total`).  The dense kernel
 sums its products in float64, as one BLAS product per block of t: with m
 nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
 below 2^53, so it is exact in any order of summation, and it refuses larger
@@ -165,8 +161,8 @@ def _reduce_near(a: np.ndarray, p: int, q: np.ndarray) -> None:
     a -= q
 
 
-def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
-    """Traces -sum_x chi(F(x, t)) for all t = 0..p-1.
+def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray:
+    """Traces -sum_x chi(F(x, t)) for all t = 0..p-1, as an int64 array.
 
     ``t_coeff_rows[j]`` holds the values at every x of the coefficient of
     T^j, as an int64 array of length p with entries in [0, p), or None when
@@ -185,7 +181,7 @@ def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
     p = ctx.p
     terms = _nonzero_terms(t_coeff_rows)
     if not terms:
-        return [0] * p
+        return np.zeros(p, dtype=np.int64)
     if not _exact_in_float(len(terms), p):
         raise ValueError(
             f"{len(terms)} nonzero T-coefficient rows at p = {p}: the dense "
@@ -206,10 +202,10 @@ def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
         r = b.view(np.int64)
         np.copyto(r, a, casting="unsafe")
         out[lo:hi] = chi2[r].sum(axis=1, dtype=np.int64)
-    return np.negative(out).tolist()
+    return np.negative(out, out=out)
 
 
-def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> list[int] | None:
+def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray | None:
     """The traces of :func:`trace_row_vec` in O(p log p), or None.
 
     Applies when every row j >= 1 is lambda_j times one row g mod p, that is
@@ -249,7 +245,7 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> list[int] | None:
         if np.any((row - lam[j] * g) % p):
             return None
     if g is None:
-        return [-int(chi[c].sum(dtype=np.int64))] * p
+        return np.full(p, -int(chi[c].sum(dtype=np.int64)), dtype=np.int64)
     from numpy.fft import irfft, rfft  # deferred: keeps `import hyprank` light
 
     on = g != 0
@@ -270,7 +266,7 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> list[int] | None:
     if int(C.sum()) != 0:
         raise InternalCheckError(f"FFT correlation at p = {p} does not sum to 0")
     w = horner_vec(lam, np.arange(p, dtype=np.int64), p)
-    return (-K - C[w]).tolist()
+    return -K - C[w]
 
 
 def prime_blocks(primes, limit: int | None = None) -> list[list[int]]:
@@ -335,7 +331,7 @@ def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int | None]:
     :func:`correlation_row`, which is O(p log p)) and the completed squares
     of :func:`_complete_square`, with one batched inverse for the block.
     Each prime then runs only the windows core, :func:`_trace_windows`, and
-    :func:`_power_total` sums the r-th powers of its traces exactly.
+    :func:`power_total` sums the r-th powers of its traces exactly.
     """
     ps, offs, base, mod, (c, b, a), chi = _block_cells(t_coeffs, primes)
     one = _rank_one(a, b, ps, offs, mod)
@@ -350,7 +346,7 @@ def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int | None]:
         else:
             hi = lo + p
             traces = _trace_windows(chi[lo:hi], *(v[lo:hi] for v in cells))
-            out.append(_power_total(traces, r))
+            out.append(power_total(traces, r))
     return out
 
 
@@ -412,7 +408,7 @@ def _spread(values, counts):
     return values[0] if len(values) == 1 else np.repeat(values, counts)
 
 
-def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
+def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray:
     """The traces of :func:`trace_row_vec` for F = c(x) + b(x) T + a(x) T^2.
 
     Completing the square where a(x) != 0 gives
@@ -443,7 +439,7 @@ def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> list[int]:
     c, b, a = (t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
                for j in range(3))
     mod = np.full(1, p, dtype=np.int64)
-    return _trace_windows(chi, *_complete_square(a, b, c, mod, chi, 0)).tolist()
+    return _trace_windows(chi, *_complete_square(a, b, c, mod, chi, 0))
 
 
 def _rank_one(a, b, ps, offs, mod) -> np.ndarray:
@@ -514,9 +510,10 @@ def _trace_windows(chi, s, d, neg, square, linear, const) -> np.ndarray:
     return out
 
 
-def _power_total(traces: np.ndarray, r: int) -> int:
-    """sum_t a_t^r, exact: in int64 where p max|a_t|^r < 2^63, else from the
-    histogram of the values, in Python ints."""
+def power_total(traces: np.ndarray, r: int) -> int:
+    """sum_t a_t^r over an int64 trace row, exact: in int64 where
+    p max|a_t|^r < 2^63, else from the histogram of the values, in Python
+    ints.  The one place a trace row is raised to the r-th power."""
     if len(traces) * int(np.abs(traces).max()) ** r < 1 << 63:
         return int((traces**r).sum())
     values, counts = np.unique(traces, return_counts=True)

@@ -235,6 +235,7 @@ def cmd_moments(args) -> int:
     if prange is None:
         _emit(header + "\n" if args.format == "csv" else _dump({"label": fam.label, "r": args.r, "rows": []}), args.out)
         return 0
+    _check_printable(args.r, prange.hi)
     series = moment_series(fam, args.r, prange, jobs=args.jobs)
     if args.format == "csv":
         lines = [header]
@@ -259,6 +260,20 @@ def cmd_moments(args) -> int:
         }
         _emit(_dump(obj), args.out)
     return 0
+
+
+def _check_printable(r: int, pmax: int) -> None:
+    """Refuse an r whose p * A_r(p) may not print: |p * A_r(p)| <= p^(r + 1),
+    which prints while pmax^(r + 1) < 10^limit, Python's digit limit (none
+    before 3.10.7).  With b the bit length of pmax, the power is formed only
+    between 2^((r + 1) (b - 1)) and 2^((r + 1) b): below 8^limit it passes,
+    past 16^limit it is refused."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    b = pmax.bit_length()
+    if limit and (r + 1) * b > 3 * limit and (
+            (r + 1) * (b - 1) >= 4 * limit or pmax ** (r + 1) >= 10**limit):
+        raise RangeConfigError(f"--r {r} up to --pmax {pmax}: p * A_r(p) may have more than "
+                               f"the {limit} digits Python prints")
 
 
 def cmd_nagao(args) -> int:

@@ -123,17 +123,14 @@ def t_coeff_rows(F: BiPoly, ctx: PrimeCtx) -> list[np.ndarray | None]:
 def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
     """Traces of every specialization t = 0..p-1 at one prime."""
     fam.check_prime(ctx)
-    return traces_from_rows(t_coeff_rows(fam.F, ctx), ctx)
+    return traces_from_rows(t_coeff_rows(fam.F, ctx), ctx).tolist()
 
 
-def traces_from_rows(rows, ctx: PrimeCtx) -> list[int]:
-    """Traces at t = 0..p-1 from the T-coefficient rows of ``t_coeff_rows``.
-
-    The first kernel that applies, by the shape of F mod p: an FFT
-    correlation (O(p log p)) when F = c(x) + g(x) W(T); else, for
-    deg_T F <= 2, signed windows of the per-prime table chi(u^2 + d)
-    (``quadratic_row``, O(p^2) int8 copies); else the dense float64 sum of
-    chi over (t, x) (O(p^2)).  All three give the same integers.
+def traces_from_rows(rows, ctx: PrimeCtx) -> np.ndarray:
+    """Traces at t = 0..p-1, as an int64 array, from the T-coefficient rows
+    of ``t_coeff_rows``: the first of ``correlation_row`` (rank-one F),
+    ``quadratic_row`` (deg_T F <= 2) and ``trace_row_vec`` that applies.
+    ``moments._power_sums`` says which primes of a scan take a row.
     """
     row = _kernels.correlation_row(rows, ctx)
     if row is not None:

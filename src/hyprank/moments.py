@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from ._kernels import (QUAD_CELLS, check_dense, first_sum_vec, prime_blocks, quadratic_in_t,
-                       quadratic_power_sums)
+from ._kernels import (QUAD_CELLS, check_dense, first_sum_vec, power_total, prime_blocks,
+                       quadratic_in_t, quadratic_power_sums)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (BiPoly, IntPoly, degree_patterns_mod, linear_factor_counts,
@@ -75,32 +75,12 @@ class NagaoEstimate:
 
 
 def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
-    """p * A_r(p) = sum of a_t^r over the full period, exact.
-
-    The kernel follows from the shape of F mod p.  Where deg_T F <= 2 the
-    block kernels of ``_block_sums`` run on this one prime: for r = 1 the
-    sums over t and x are swapped (``first_sum_vec``, O(p)); for r >= 2 the
-    trace row is a sum of int8 windows of the table chi(u^2 + d)
-    (``quadratic_power_sums``, O(p^2), the r >= 2 moments of big_rank),
-    whose r-th powers are summed in numpy.  Where F is rank-one mod p, or
-    deg_T F >= 3, the trace row of ``traces_from_rows`` is summed instead:
-    O(p log p) for rank-one F, else O(p^2) in float64 blocks
-    (``trace_row_vec``).
-    """
+    """p * A_r(p) = sum of a_t^r over the full period, exact, by the route of
+    ``_power_sums`` at this one prime."""
     if r < 1:
         raise ValueError("moment order must be >= 1")
     fam.check_prime(ctx)
-    coeffs = fam.t_coeffs
-    if quadratic_in_t(coeffs, [ctx.p])[0]:
-        total = _block_sums(coeffs[:3], r, [ctx.p])[0]
-        if total is not None:
-            return total
-    return _row_power_sum(fam, r, ctx)
-
-
-def _row_power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
-    """sum_t a_t^r over the trace row of ``traces_from_rows``."""
-    return sum(a**r for a in traces_from_rows(t_coeff_rows(fam.F, ctx), ctx))
+    return _power_sums(fam, r, [ctx.p], 1)[0]
 
 
 def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
@@ -196,6 +176,8 @@ def _genus_from_degree(f: IntPoly) -> int:
 # scan it ran (start, pickling, shutdown), the time the serial kernel takes
 # for about 6e5 cells; two workers halve the rest, so the pool breaks even
 # near 1.2e6 cells.  Measured: slower at 7.9e5 cells, faster at 1.5e6.
+# second_moment_scan's O(p) class sums take the same gate: their pool of two
+# was slower to 1500 (2e5 cells), as fast at 1.5e6 cells, faster past that.
 POOL_CELLS = 1 << 20
 
 # The same break-even, measured the same way, for the blocks of
@@ -236,7 +218,8 @@ def scan(task, items: list, jobs: int = 1) -> list:
 def _power_sum(fam: HyperFamily, r: int, p: int) -> int:
     """p * A_r(p) from the trace row at p, for the primes the block kernels
     leave; a private name, which a pool pickles by reference."""
-    return _row_power_sum(fam, r, PrimeCtx(p))
+    ctx = PrimeCtx(p)
+    return power_total(traces_from_rows(t_coeff_rows(fam.F, ctx), ctx), r)
 
 
 def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int | None]:
@@ -247,12 +230,20 @@ def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int | None]:
 
 
 def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int) -> list[int]:
-    """p * A_r(p) at each prime: block by block (``_block_sums``) at the
-    primes where deg_T F <= 2 mod p, from the trace row one prime at a time
-    (``_power_sum``) at the others and, for r >= 2, where F is rank-one.
-    Each scan starts a pool only past its break-even work (``POOL_CELLS``,
-    ``POOL_SQUARES`` and ``POOL_POINTS``), below which the pool costs more
-    than it saves."""
+    """p * A_r(p) at each prime, exact: the one route of every moment.
+
+    At the primes where deg_T F <= 2 mod p the block kernels of
+    ``_block_sums`` run, with no per-prime context: ``first_sum_vec`` for
+    r = 1, O(p) with the sums over t and x swapped, and for r >= 2
+    ``quadratic_power_sums``, O(p^2) int8 copies, which declines the primes
+    where F is rank-one mod p (an F rank-one over Q, ``_rank_one_in_t``,
+    skips the blocks).  Every other prime takes its trace row, one prime at
+    a time (``_power_sum``): ``traces_from_rows`` gives it in O(p log p)
+    where F is rank-one mod p (``correlation_row``), else in O(p^2) in
+    float64 blocks (``trace_row_vec``, deg_T F >= 3), and ``power_total``
+    sums its r-th powers.  Each scan starts a pool only past its break-even
+    work (``POOL_CELLS``, ``POOL_SQUARES`` and ``POOL_POINTS``), below which
+    the pool costs more than it saves."""
     coeffs = fam.t_coeffs
     fft = _rank_one_in_t(coeffs)
     quad = quadratic_in_t(coeffs, primes).tolist()
@@ -290,12 +281,8 @@ def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -
     Rows are emitted for every computed prime, ordered by p; non-generic
     primes keep their exact value with the generic flag cleared.  A range
     that reaches past the dense-kernel limit fails before any work starts.
-    The power sums come from ``_power_sums``, for r = 1 as ``nagao_sum``
-    takes them: at the primes where deg_T F <= 2 mod p block by block, with
-    no per-prime context (``first_sum_vec`` for r = 1,
-    ``quadratic_power_sums`` for r >= 2), and one prime at a time through
-    ``power_sum`` where F is rank-one mod p (r >= 2) or deg_T F >= 3.  The
-    predictions are one batched call of the closed form, in this process.
+    The power sums come from ``_power_sums``, and the predictions from one
+    batched call of the closed form, in this process.
     """
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
     check_dense(max(primes, default=0))
@@ -312,13 +299,8 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
               predicted: bool = False) -> NagaoEstimate:
     """Partial Nagao sums over [lo, hi] under both normalizations.
 
-    By default -A_1(p) is computed exactly through ``scan``: at the primes
-    where deg_T F <= 2 mod p (every prime of shift_square, linear_twist,
-    big_rank) by ``first_sum_vec``, in O(p) and block by block with no
-    per-prime context; at the others by ``power_sum``, O(p log p) when F is
-    rank-one in T and O(p^2) from the dense float64 trace row
-    (``trace_row_vec``) otherwise, so the quadratic kernel never runs here.
-    A range past the dense-kernel limit is refused up front.  With
+    By default -A_1(p) is computed exactly by ``_power_sums``, and a range
+    past the dense-kernel limit is refused up front.  With
     ``predicted`` it comes from one batched call of the family's closed form
     instead (ValueError for a family without one), which builds no per-prime
     context and ignores ``jobs``; primes where the closed form does not

@@ -28,7 +28,7 @@ def trace_of_poly(fx: IntPoly, ctx: PrimeCtx) -> int:
 
     The per-fiber reference that the trace-row kernels are tested against;
     it holds for every fiber, singular ones and fibers whose reduction drops
-    degree included.  Scans take whole rows from ``curves.trace_row`` instead.
+    degree included.  Scans take whole rows from ``curves.traces_from_rows`` instead.
     """
     p = ctx.p
     check_dense(p)

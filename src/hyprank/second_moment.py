@@ -61,7 +61,7 @@ from .finite_field import (
     primes_in,
     primitive_root,
 )
-from .moments import scan
+from .moments import POOL_CELLS, scan
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,12 @@ def _second_moment_row(fam: PowerFamily, p: int) -> tuple:
 
 def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> list[tuple]:
     """(p, brute p*A_2, closed p*A_2, c2, c1) per prime, the last three None where
-    the closed form does not apply; a range past the dense limit fails up front."""
+    the closed form does not apply; a range past the dense limit fails up front.
+    The class sums are O(p) a prime, like the first-moment blocks, so the scan
+    starts a pool only past their break-even, ``POOL_CELLS`` (the sum of p)."""
     primes = primes_in(prange)
     check_dense(max(primes, default=0))
-    return scan(partial(_second_moment_row, fam), primes, jobs)
+    return scan(partial(_second_moment_row, fam), primes, jobs if sum(primes) > POOL_CELLS else 1)
 
 
 def _bias_row(fam: PowerFamily, p: int) -> Optional[BiasRow]:

@@ -51,6 +51,36 @@ def test_moments_rejects_order_below_one(capsys, bounds):
     assert captured.err == "error: moment order must be >= 1\n"
 
 
+def test_moments_refuses_orders_whose_values_may_not_print(capsys, monkeypatch):
+    # |p A_r(p)| <= p^(r + 1), so at --pmax 40 every value prints while
+    # 40^(r + 1) < 10^limit; past that the scan is refused before it starts
+    import sys
+
+    from hyprank import cli
+    from hyprank.finite_field import PrimeRange, primes_in
+
+    limit = 1000
+    top = next(r for r in range(1, limit) if 40 ** (r + 2) >= 10**limit)  # 623
+    argv = ["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "40"]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out = run(capsys, *argv, "--r", str(top))
+        assert code == 0 and len(out.splitlines()) == 1 + len(primes_in(PrimeRange(3, 40)))
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(cli, "moment_series", no_scan)
+        for r in (top + 1, 4_000_000):
+            code = main([*argv, "--r", str(r)])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", r
+            assert f"more than the {limit} digits" in captured.err, r
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_moments_malformed_polynomial(capsys):
     code, _ = run(
         capsys, "moments", "--family", "builtin:shift_square", "--f", "(x-1",
@@ -421,6 +451,7 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
 
     import hyprank._kernels as _kernels
     import hyprank.moments as moments
+    import hyprank.second_moment as second_moment
     from hyprank.finite_field import PrimeRange, primes_in
 
     seen = []
@@ -492,8 +523,16 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
         monkeypatch.setattr(moments, "POOL_SQUARES", limit)
         code, out = run(capsys, *quad, "--jobs", "100000")
         assert code == 0 and out == serial and seen == pools
+    # second-moment's O(p) class sums are pooled only past POOL_CELLS cells
+    sm = ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"]
+    seen.clear()
+    code, serial = run(capsys, *sm)
+    for limit, pools in ((sum(primes), []), (sum(primes) - 1, [4])):
+        monkeypatch.setattr(second_moment, "POOL_CELLS", limit)
+        code, out = run(capsys, *sm, "--jobs", "100000")
+        assert code == 0 and out == serial and seen == pools
     for argv, pools in (
-        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"], [4]),
+        (sm, [4]),
         # closed-form scans run in this process: no pool
         (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"], []),
         (["sn-witness", "--f", "x^3 + x + 1", "--pmax", "60"], []),

@@ -11,19 +11,19 @@ from hyprank._kernels import (
     QUAD_CELLS,
     _exact_in_float,
     _mirror_double,
-    _power_total,
     _reduce_near,
     _square_block,
     correlation_row,
     first_sum_vec,
     horner_vec,
+    power_total,
     powmod_vec,
     prime_blocks,
     quadratic_power_sums,
     quadratic_row,
     trace_row_vec,
 )
-from hyprank.curves import HyperFamily, t_coeff_rows, trace_row
+from hyprank.curves import HyperFamily, t_coeff_rows, trace_row, traces_from_rows
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import power_sum
 from hyprank.oracles import trace_of_poly
@@ -333,11 +333,11 @@ def test_quadratic_power_sums_match_rows_and_euler(genus, lower, lead_t, lead, s
     for p, total in zip(primes, sums):
         ctx = PrimeCtx(p)
         rows = t_coeff_rows(F, ctx)
-        dense = trace_row_vec(rows, ctx)
+        dense = trace_row_vec(rows, ctx).tolist()
         assert dense == euler_trace_rows(F, p), p
         assert (total is None) == (correlation_row(rows, ctx) is not None), p
         if total is not None:
-            assert quadratic_row(rows, ctx) == dense, p
+            assert quadratic_row(rows, ctx).tolist() == dense, p
             assert total == sum(a**r for a in dense), p
 
 
@@ -348,7 +348,7 @@ def test_quadratic_power_sums_on_a_prime_past_block_cells():
     p = 8209
     assert prime_blocks([8191, p]) == prime_blocks([8191, p], QUAD_CELLS) == [[8191], [p]]
     ctx = PrimeCtx(p)
-    row = quadratic_row(t_coeff_rows(F, ctx), ctx)
+    row = quadratic_row(t_coeff_rows(F, ctx), ctx).tolist()
     for r in (2, 3):
         assert quadratic_power_sums(coeffs, r, [p]) == [sum(a**r for a in row)]
 
@@ -358,7 +358,7 @@ def test_quadratic_power_sums_where_deg_t_drops_to_two():
     F = parse_bipoly("x^3 + 7*x*T^3 + x*T^2 + T + 1")
     coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
     ctx = PrimeCtx(7)
-    dense = trace_row_vec(t_coeff_rows(F, ctx), ctx)
+    dense = trace_row_vec(t_coeff_rows(F, ctx), ctx).tolist()
     assert dense == euler_trace_rows(F, 7)
     for r in (2, 3, 4):
         assert quadratic_power_sums(coeffs, r, [7]) == [sum(a**r for a in dense)]
@@ -381,7 +381,7 @@ def test_power_total_exact_on_both_sides_of_the_int64_bound(r, n):
         mixed = rng.integers(-m, m + 1, n)
         mixed[:2] = m, -m
         for traces in (np.full(n, m, dtype=np.int64), mixed):
-            assert _power_total(traces, r) == sum(int(a) ** r for a in traces), (m, r)
+            assert power_total(traces, r) == sum(int(a) ** r for a in traces), (m, r)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 997, 10007])
@@ -450,7 +450,28 @@ def test_correlation_row_matches_dense_and_euler(c, g_roots, g_cofactor, w, p):
     rows = [horner_vec((c + g * w[0]).coeffs, xs, p)]
     rows += [None if wj % p == 0 else horner_vec((g * wj).coeffs, xs, p) for wj in w[1:]]
     ctx = PrimeCtx(p)
-    assert correlation_row(rows, ctx) == trace_row_vec(rows, ctx) == euler_trace_row(F, p)
+    corr, dense = correlation_row(rows, ctx).tolist(), trace_row_vec(rows, ctx).tolist()
+    assert corr == dense == euler_trace_row(F, p)
+
+
+def test_trace_rows_are_int64_arrays_of_length_p():
+    """Every row kernel and traces_from_rows return an int64 array of length
+    p, the constant rows (no nonzero row, no T, a T-row zero at every x)
+    included, and all of them the same traces."""
+    for p in (3, 7, 101):
+        ctx = PrimeCtx(p)
+        c = horner_vec([1, 1, 0, 1], np.arange(p, dtype=np.int64), p)  # x^3 + x + 1
+        cases = [[None, None, None], [c], [c, np.zeros(p, dtype=np.int64)]]
+        cases += [t_coeff_rows(parse_bipoly(text), ctx) for text in (
+            "x^3 + x*T^2 + T + 1", "x^3 + x*T + 1", "x^3 + x*T^3 + T + 1")]
+        for rows in cases:
+            dense = trace_row_vec(rows, ctx)
+            kernels = [dense, traces_from_rows(rows, ctx)]
+            kernels += [row for row in [correlation_row(rows, ctx)] if row is not None]
+            kernels += [quadratic_row(rows, ctx)] if len(rows) <= 3 else []
+            for row in kernels:
+                assert type(row) is np.ndarray and row.dtype == np.int64, (p, len(rows))
+                assert row.shape == (p,) and np.array_equal(row, dense), (p, len(rows))
 
 
 def test_correlation_row_declines_rows_that_are_not_proportional():
@@ -588,17 +609,17 @@ def test_dense_kernel_at_maximal_entries(m, p):
     }
     ctx = PrimeCtx(p)
     for name, (rows, rank_one) in cases.items():
-        dense = trace_row_vec(rows, ctx)
+        dense = trace_row_vec(rows, ctx).tolist()
         corr = correlation_row(rows, ctx)
         if rank_one:
             assert corr is not None, name
         if corr is not None:
-            assert dense == corr, name
+            assert dense == corr.tolist(), name
         if m <= 3:
             # first_sum_vec takes coefficients: those of degree < p that give each row
             coeffs = [interpolate_mod_p(row, p) for row in rows]
             assert first_sum_vec(coeffs, [p]) == [sum(dense)], name
-            assert dense == quadratic_row(rows, ctx), name
+            assert dense == quadratic_row(rows, ctx).tolist(), name
         if p <= 101 or not rank_one:
             assert dense == int_trace_row(rows, p), name
 
@@ -651,7 +672,8 @@ def random_quadratic_rows(p, seed, zero_a, zero_b, disc):
 def test_quadratic_row_matches_dense_and_euler(p, seed, zero_a, zero_b, disc):
     rows = random_quadratic_rows(p, seed, zero_a, zero_b, disc)
     ctx = PrimeCtx(p)
-    assert quadratic_row(rows, ctx) == trace_row_vec(rows, ctx) == int_trace_row(rows, p)
+    quad, dense = quadratic_row(rows, ctx).tolist(), trace_row_vec(rows, ctx).tolist()
+    assert quad == dense == int_trace_row(rows, p)
 
 
 @pytest.mark.parametrize("p, disc", [(1999, "free"), (1999, "zero"), (1999, "square"),
@@ -659,8 +681,8 @@ def test_quadratic_row_matches_dense_and_euler(p, seed, zero_a, zero_b, disc):
 def test_quadratic_row_at_larger_primes(p, disc):
     rows = random_quadratic_rows(p, p, 0.01, 0.01, disc)
     ctx = PrimeCtx(p)
-    row = quadratic_row(rows, ctx)
-    assert row == trace_row_vec(rows, ctx)
+    row = quadratic_row(rows, ctx).tolist()
+    assert row == trace_row_vec(rows, ctx).tolist()
     if p < 2000:
         assert row == int_trace_row(rows, p)
 
@@ -675,7 +697,7 @@ def test_quadratic_row_matches_euler_on_families(text, genus):
     fam = fam_of(text, genus)
     for p in (3, 5, 7, 11, 13, 31):
         rows = t_coeff_rows(fam.F, PrimeCtx(p))
-        assert quadratic_row(rows, PrimeCtx(p)) == euler_trace_row(fam.F, p), p
+        assert quadratic_row(rows, PrimeCtx(p)).tolist() == euler_trace_row(fam.F, p), p
 
 
 def test_quadratic_row_sums_full_chunks_of_equal_windows():
@@ -686,7 +708,7 @@ def test_quadratic_row_sums_full_chunks_of_equal_windows():
     for c0 in (0, 1, 2, p - 1):
         rows = [np.full(p, c0, dtype=np.int64), None, np.ones(p, dtype=np.int64)]
         want = [-p * int(ctx.chi[(t * t + c0) % p]) for t in range(p)]
-        assert quadratic_row(rows, ctx) == trace_row_vec(rows, ctx) == want
+        assert quadratic_row(rows, ctx).tolist() == trace_row_vec(rows, ctx).tolist() == want
 
 
 def test_quadratic_row_memory_stays_below_the_dense_blocks():

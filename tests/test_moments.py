@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyprank import _kernels, moments
@@ -165,7 +166,8 @@ def test_quadratic_rows_never_take_the_dense_kernel(monkeypatch):
         ctx = PrimeCtx(p)
         for fam in (rank6, quad):
             if p not in fam.bad_primes:
-                assert trace_row(fam, ctx) == dense(t_coeff_rows(fam.F, ctx), ctx), (fam.label, p)
+                want = dense(t_coeff_rows(fam.F, ctx), ctx).tolist()
+                assert trace_row(fam, ctx) == want, (fam.label, p)
                 assert power_sum(fam, 2, ctx) == sum(a * a for a in trace_row(fam, ctx))
     assert calls == []
     cubic = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
@@ -202,9 +204,9 @@ def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
     prange = PrimeRange(3, 60)
     primes = primes_in(prange)
     rows = []
-    row_power_sum = moments._row_power_sum
-    monkeypatch.setattr(moments, "_row_power_sum",
-                        lambda fam, r, ctx: rows.append(ctx.p) or row_power_sum(fam, r, ctx))
+    row_power_sum = moments._power_sum
+    monkeypatch.setattr(moments, "_power_sum",
+                        lambda fam, r, p: rows.append(p) or row_power_sum(fam, r, p))
     for fam, by_row in ((drops, [p for p in primes if p != 7]), (rank7, [7])):
         for r in (2, 3):
             want = [sum(a**r for a in trace_row(fam, PrimeCtx(p))) for p in primes]
@@ -219,6 +221,29 @@ def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
     monkeypatch.setattr(moments, "QUAD_CELLS", 64)
     for fam in (drops, rank7, _rank6()):
         assert moment_series(fam, 2, prange, jobs=2) == moment_series(fam, 2, prange), fam.label
+
+
+@pytest.mark.parametrize("fam", [
+    # quadratic in T and not rank-one: the blocks at every r
+    HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1")),
+    # rank-one: the blocks at r = 1, the FFT row at r >= 2
+    make_linear_twist(F3),
+    # deg_T 3 and not rank-one: the dense row
+    HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1")),
+    # deg_T 3 but 2 mod 7, where it takes the blocks
+    HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + x*T^2 + T + 1")),
+], ids=lambda fam: fam.label)
+def test_power_sum_series_and_trace_row_agree_to_200(fam):
+    """power_sum, the moment_series row and power_total of the trace row give
+    the same p * A_r(p) at every prime <= 200, for r = 1..4."""
+    prange = PrimeRange(3, 200)
+    primes = primes_in(prange)
+    rows = [trace_row(fam, PrimeCtx(p)) for p in primes]
+    for r in range(1, 5):
+        want = [sum(a**r for a in row) for row in rows]
+        assert [_kernels.power_total(np.array(row), r) for row in rows] == want, r
+        assert [row.value * row.p for row in moment_series(fam, r, prange).rows] == want, r
+        assert [power_sum(fam, r, PrimeCtx(p)) for p in primes] == want, r
 
 
 def test_moment_series_rows_and_flags():
