@@ -7,7 +7,11 @@ and :func:`power_total` takes sum_t a_t^r from it exactly.  The second
 moments of the power shapes x^n + x^h T^k need none of them:
 ``second_moment._brute`` sums one character sum per coset class of t, in O(p).
 
-- :func:`first_sum_vec` gives the total over t in O(p) (first moments);
+- :func:`first_sum_vec` gives the total over t in O(p) (first moments):
+  with the sums over t and x swapped, the quadratic law makes the sum over
+  t at x equal -chi(a(x)) wherever D = b^2 - 4ac is nonzero mod p, so one
+  row of D finds the few cells where it is not, and sum_x chi(a(x)) is a
+  closed form where a is a monomial mod p;
 - :func:`quadratic_power_sums` gives sum_t a_t^r in O(p^2) int8 copies
   (the r >= 2 moments of big_rank), by the windows core of
   :func:`quadratic_row`, and declines the primes where F is rank-one;
@@ -23,19 +27,22 @@ moments of the power shapes x^n + x^h T^k need none of them:
 
 The two block kernels take no per-prime context: they work on a block of
 primes (:func:`prime_blocks`, of BLOCK_CELLS cells for r = 1 and QUAD_CELLS
-for r >= 2) at once, with the cells (p, x) of all its
-primes laid end to end in flat arrays (:func:`_block_cells`).  For r >= 2
+for r >= 2) at once, with the cells (p, x) of all its primes laid end to
+end in flat arrays (:func:`_cells`).  For r = 1 the only rows over all
+cells are D's, and a's where a is no monomial.  For r >= 2
 one pass over the cells completes every square, with one batched inverse,
 and each prime then runs only the windows core, :func:`_trace_windows`,
 which :func:`quadratic_row` calls too.
 
 Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The
-block kernels evaluate F's coefficients by Horner's rule in int64, reducing
-only where a step could pass 2^63; the first-moment kernel forms
-b^2 - 4ac < 2^54, and the products of the completed squares stay below
-2p^2 < 2^53.  The quadratic kernels sum values of chi in int8 chunks of at
-most 127 windows, then in int32, which is exact since |a_t| <= p < 2^31, and
-take sum_t a_t^r in int64 only where p max|a_t|^r < 2^63, else from the
+block kernels evaluate polynomials with integer coefficients by Horner's
+rule in int64 (:func:`_horner_cells`), reducing only where a step could
+pass 2^63, so a row of D = b^2 - 4ac, whose coefficients may have hundreds
+of bits, is exact at every cell; the law at the zeros of D takes a < p,
+and the products of the completed squares stay below 2p^2 < 2^53.  The
+quadratic kernels sum values of chi in int8 chunks of at most 127
+windows, then in int32, which is exact since |a_t| <= p < 2^31, and take
+sum_t a_t^r in int64 only where p max|a_t|^r < 2^63, else from the
 histogram of the a_t in Python ints (:func:`power_total`).  The dense kernel
 sums its products in float64, as one BLAS product per block of t: with m
 nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
@@ -48,6 +55,8 @@ below FROB_LIMIT = 2^31, summing as many products before a reduction as
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -69,6 +78,13 @@ BLOCK_CELLS = 1 << 13
 # moments --r 2 on big_rank (g = 2, to 1000) rose 0.17 MB over one context
 # per prime, at 2^12 it stayed within 0.06 MB.
 QUAD_CELLS = 1 << 12
+
+# Integer coefficients below this in absolute value enter _horner_cells as
+# they are, with no per-prime residue row: a block of many primes then skips
+# one np.repeat per coefficient, and the bound on the cells decides the
+# reductions.  first_sum_vec on shift_square to 1500 took 0.87 times as long
+# as with residue rows throughout, 0.91 at a limit of 2^12.
+RAW_LIMIT = 1 << 31
 
 # Nonzero T-coefficient rows the trace kernels accept; see trace_row_vec.
 MAX_ROWS = 1 << 11
@@ -305,20 +321,94 @@ def quadratic_in_t(t_coeffs, primes) -> np.ndarray:
 def first_sum_vec(t_coeffs, primes) -> list[int]:
     """sum_t a_t = -sum_x S_x at each prime, for F = c(x) + b(x) T + a(x) T^2.
 
-    One O(sum p) pass over the cells of a block of primes
-    (:func:`_block_cells`).  The sums over t and x are swapped:
-    S_x = sum_t chi(a t^2 + b t + c) is ``finite_field.quadratic_sums`` at
-    every cell at once, except where a = b = 0: there t does not occur and
-    S_x = p chi(c).  One ``np.add.reduceat`` gives the totals.  Exact in
-    int64 for p < 2^26: with a, b, c in [0, p) the law's terms stay below
-    2^54, and |S_x| <= p sums to < 2^52 per prime.
+    The sums over t and x are swapped.  Where a != 0, completing the square
+    turns S_x = sum_t chi(a t^2 + b t + c) into the sum of chi(a u^2 - D / 4a),
+    D = b^2 - 4ac, which the quadratic law (``finite_field.quadratic_sums``)
+    gives as -chi(a) where D != 0 and (p - 1) chi(a) where D = 0.  Where
+    a = 0, S_x = 0 = -chi(a) while b != 0, and D = b^2 = 0 forces b = 0,
+    where t does not occur and S_x = p chi(c).  So
+
+        sum_x S_x = p sum_{D(x) = 0} w(x) - sum_x chi(a(x)),
+
+    with w = chi(a), or chi(c) where a = 0.
+
+    One O(sum p) pass over the cells of a block of primes (:func:`_cells`)
+    evaluates D, formed once over Z (:func:`_discriminant`; b where a = 0
+    over Z, as D = b^2 has b's zeros), and one ``np.add.reduceat`` counts
+    its zeros per prime.  a, and c where a = 0, are evaluated at those zeros
+    alone: at most deg D of them a prime, unless D = 0 mod p.  Where
+    a = alpha x^k mod p (a constant, 0, or x^n as in big_rank),
+    sum_x chi(a(x)) is chi(alpha) times p for k = 0, p - 1 for even k and 0
+    for odd k, and the block builds no chi tables unless D vanishes mod
+    one of its primes: its few characters come from Euler's criterion
+    (:func:`_legendre`).  Any other a takes the tables and its row at every
+    cell.
+
+    Exact in int64 for p < 2^26: a Horner row reduces before any step could
+    pass 2^63 (:func:`_horner_cells`), so D's row holds D(x) mod p whatever
+    the size of its integer coefficients, and every total is below p^2.
     """
-    ps, offs, base, mod, (c, b, a), chi = _block_cells(t_coeffs, primes)
-    sums = quadratic_sums(a, b, c, chi[a + base], mod)
-    const = np.flatnonzero((a == 0) & (b == 0))
-    at = np.searchsorted(offs, const, side="right") - 1
-    sums[const] = ps[at] * chi[offs[at] + c[const]]
-    return np.negative(np.add.reduceat(sums, offs)).tolist()
+    ps, offs, base, xs, mod = _cells(t_coeffs, primes)
+    top = max(primes)
+    c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
+    disc = _discriminant(c, b, a) if any(a) else b
+    zero = _horner_cells(_residue_rows(disc, ps), xs, ps, mod, top) == 0
+    counts = np.add.reduceat(zero, offs, dtype=np.int64)
+    at = np.flatnonzero(zero)
+    pid = np.repeat(np.arange(len(ps)), counts)  # the prime of each zero
+    zmod, zoff = ps[pid], offs[pid]
+    ra = _residue_rows(a, ps)
+    az = _horner_cells(ra, xs[at], counts, zmod, top)
+    # a = alpha x^k mod p where at most one of its coefficients is nonzero mod p
+    res_a = np.array([np.zeros_like(ps) if r is None else r % ps for r in ra or [None]])
+    k = (res_a != 0).argmax(axis=0)
+    monomial = (res_a != 0).sum(axis=0) <= 1
+    # a nonzero D mod p has at most deg D zeros
+    chi = None if monomial.all() and (counts < len(disc)).all() else chi_tables(primes)
+    if monomial.all():  # sum_x chi(alpha x^k) = chi(alpha) times p, p - 1 or 0
+        chi_a = _legendre(res_a[k, np.arange(len(ps))], ps, offs, chi)
+        chi_a *= np.where(k == 0, ps, (ps - 1) * (k % 2 == 0))
+    else:
+        chi_a = np.add.reduceat(chi[_horner_cells(ra, xs, ps, mod, top) + base], offs,
+                                dtype=np.int64)
+    # S_x + chi(a) at the zeros: the law for a u^2, (p - 1) chi(a), plus chi(a)
+    jump = _legendre(az, zmod, zoff, chi)
+    jump += quadratic_sums(az, 0, 0, jump, zmod)
+    flat = np.flatnonzero(az == 0)  # there b = 0 too, and S_x = p chi(c)
+    if len(flat):
+        per = np.bincount(pid[flat], minlength=len(ps))
+        cz = _horner_cells(_residue_rows(c, ps), xs[at[flat]], per, zmod[flat], top)
+        jump[flat] = zmod[flat] * _legendre(cz, zmod[flat], zoff[flat], chi)
+    total = np.concatenate(([0], np.cumsum(jump)))
+    ends = np.cumsum(counts)
+    return (chi_a - total[ends] + total[ends - counts]).tolist()
+
+
+@functools.lru_cache(maxsize=16)
+def _discriminant(c, b, a) -> list[int]:
+    """The integer coefficients, low to high, of b^2 - 4ac, from those of c,
+    b and a as tuples; [] when it is 0.  Cached, as every block of a scan
+    asks for the same one."""
+    out = [0] * max(2 * len(b), len(a) + len(c))
+    for i, u in enumerate(b):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    for i, u in enumerate(a):
+        for j, v in enumerate(c):
+            out[i + j] -= 4 * u * v
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _legendre(values, mods, offs, chi) -> np.ndarray:
+    """(v/p) at each value v in [0, p), p its entry of ``mods``, as int64:
+    read from the block's tables ``chi`` at ``offs``, or, where the block
+    has none, by Euler's criterion in Python ints."""
+    if chi is not None:
+        return chi[values + offs].astype(np.int64)
+    return np.array([0 if not v else 1 if pow(v, p >> 1, p) == 1 else -1
+                     for v, p in zip(values.tolist(), mods.tolist())], dtype=np.int64)
 
 
 def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int | None]:
@@ -351,53 +441,76 @@ def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int | None]:
 
 
 def _block_cells(t_coeffs, primes):
+    """The cells of :func:`_cells`, and c, b, a and chi at every one of them.
+
+    Each integer coefficient is taken once per block by
+    :func:`_residue_rows`, c, b and a are evaluated at every cell by
+    :func:`_horner_cells`, and chi is the block's tables end to end
+    (``finite_field.chi_tables``).  Returns the primes, their offsets, each
+    cell's offset and prime, (c, b, a) and chi.
+    """
+    ps, offs, base, xs, mod = _cells(t_coeffs, primes)
+    top = max(primes)
+    rows = tuple(_horner_cells(_residue_rows(t_coeffs[j] if j < len(t_coeffs) else (), ps),
+                               xs, ps, mod, top) for j in range(3))
+    return ps, offs, base, mod, rows, chi_tables(primes)
+
+
+def _cells(t_coeffs, primes):
     """The cells (p, x) of a block of odd primes below TABLE_LIMIT, laid end
-    to end, and c, b, a and chi at every one of them.
+    to end.
 
     The cells off_i .. off_i + p_i - 1 of every flat array hold
     x = 0..p_i - 1 at the i-th prime.  ``t_coeffs`` is laid out as for
     :func:`quadratic_in_t` (ValueError unless deg_T F <= 2 mod every prime;
     a caller that has routed its primes by ``quadratic_in_t`` passes
-    ``t_coeffs[:3]``, which leaves nothing to check again).  Each integer
-    coefficient is reduced once per block by :func:`residues`, c, b and a
-    are evaluated at every cell by :func:`_horner_cells`, and chi is the
-    block's tables end to end (``finite_field.chi_tables``).  Returns the
-    primes, their offsets, each cell's offset and prime, (c, b, a) and chi.
+    ``t_coeffs[:3]``, which leaves nothing to check again).  Returns the
+    primes, their offsets, and each cell's offset, x and prime.
     """
-    top = max(primes)
-    check_dense(top)
+    check_dense(max(primes))
     ps = np.array(primes, dtype=np.int64)
     if len(t_coeffs) > 3 and not quadratic_in_t(t_coeffs, ps).all():
         raise ValueError("the quadratic-in-T kernels need deg_T F <= 2")
     offs = np.cumsum(ps) - ps
     base = _spread(offs, ps)  # the offset of each cell's prime
     xs = np.arange(sum(primes), dtype=np.int64) - base
-    mod = _spread(ps, ps)
-    rows = tuple(_horner_cells(t_coeffs[j] if j < len(t_coeffs) else (), xs, ps, mod, top)
-                 for j in range(3))
-    return ps, offs, base, mod, rows, chi_tables(primes)
+    return ps, offs, base, xs, _spread(ps, ps)
 
 
-def _horner_cells(coeffs, xs, ps, mod, pmax: int) -> np.ndarray:
-    """A polynomial with integer coefficients at every cell, mod the cell's prime.
+def _residue_rows(coeffs, ps) -> list:
+    """Each integer coefficient of a polynomial for :func:`_horner_cells`:
+    None where it is 0, itself where |c| < RAW_LIMIT, else its residues mod
+    the primes of a block (:func:`residues`)."""
+    return [None if not c else c if abs(c) < RAW_LIMIT else residues(c, ps) for c in coeffs]
 
-    Horner's rule in place on int64, reducing only where the next step
-    could pass 2^63: ``bound`` holds the largest value a cell may have, so
-    at p < 2^13 a quartic takes one reduction, at the end.
+
+def _horner_cells(res, xs, counts, mod, pmax: int) -> np.ndarray:
+    """A polynomial at cells, mod each cell's prime, from its coefficients as
+    :func:`_residue_rows` gives them.
+
+    The i-th prime has counts[i] cells, laid end to end: all p_i of them
+    (:func:`_cells`), or any selection.  Horner's rule in place on int64,
+    reducing only where the next step could pass 2^63: ``bound`` holds the
+    largest absolute value a cell may have, so at p < 2^13 a quartic takes
+    one reduction, at the end.  Only a constant residue row takes none.
     """
     top = pmax - 1
     acc = np.zeros(len(xs), dtype=np.int64)
-    bound = 0
-    for c in reversed(coeffs):
+    bound, raw = 0, False
+    for r in reversed(res):
+        size = 0 if r is None else abs(r) if isinstance(r, int) else top
         if bound:
-            if bound * top + top >= 1 << 63:
+            if bound * top + size >= 1 << 63:
                 acc %= mod
                 bound = top
             acc *= xs
-        if c:
-            acc += _spread(residues(c, ps), ps)
-        bound = bound * top + top
-    if bound > top:
+        if isinstance(r, int):
+            acc += r
+            raw = True
+        elif r is not None:
+            acc += _spread(r, counts)
+        bound = bound * top + size
+    if bound > top or raw:
         acc %= mod
     return acc
 

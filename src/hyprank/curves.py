@@ -7,6 +7,7 @@ Legendre sum of F(x, t) over x.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -54,6 +55,14 @@ class HyperFamily:
     def t_coeffs(self) -> list[list[int]]:
         """The integer coefficients, low to high in x, of each T^j of F."""
         return [self.F.t_coeff(j).coeffs for j in range(self.F.deg_t + 1)]
+
+    def with_closed_form(self, label: str, closed_form) -> "HyperFamily":
+        """This family under another label and closed form, with no second
+        check of F."""
+        fam = copy.copy(self)
+        object.__setattr__(fam, "label", label)
+        object.__setattr__(fam, "closed_form", closed_form)
+        return fam
 
     def check_prime(self, ctx: PrimeCtx) -> None:
         """Refuse a prime in the family's bad-prime skip set."""

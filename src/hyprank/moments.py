@@ -76,11 +76,12 @@ class NagaoEstimate:
 
 def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
     """p * A_r(p) = sum of a_t^r over the full period, exact, by the route of
-    ``_power_sums`` at this one prime."""
+    ``_power_sums`` at this one prime; a trace row takes ``ctx`` and its
+    table."""
     if r < 1:
         raise ValueError("moment order must be >= 1")
     fam.check_prime(ctx)
-    return _power_sums(fam, r, [ctx.p], 1)[0]
+    return _power_sums(fam, r, [ctx.p], 1, ctx)[0]
 
 
 def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
@@ -156,10 +157,11 @@ def make_power(n: int, h: int, k: int, label: str | None = None) -> HyperFamily:
 
 
 def make_big_rank(construction, label: str | None = None) -> HyperFamily:
-    """A finished quadratic-in-T construction's family, with its first-moment law."""
+    """A finished quadratic-in-T construction's family, with its first-moment
+    law; its F was checked when the construction built it."""
     fam = construction.family
-    return HyperFamily(fam.label if label is None else label, fam.genus, fam.F,
-                       fam.bad_primes, closed_form=partial(_big_rank_law, construction))
+    return fam.with_closed_form(fam.label if label is None else label,
+                                partial(_big_rank_law, construction))
 
 
 def _genus_from_degree(f: IntPoly) -> int:
@@ -172,13 +174,14 @@ def _genus_from_degree(f: IntPoly) -> int:
 # series over prime ranges
 
 # Cells (the sum of p) up to which a first-moment scan runs serially at any
-# jobs.  On a 2-core host a pool of two cost about 35 ms more than the serial
-# scan it ran (start, pickling, shutdown), the time the serial kernel takes
-# for about 6e5 cells; two workers halve the rest, so the pool breaks even
-# near 1.2e6 cells.  Measured: slower at 7.9e5 cells, faster at 1.5e6.
-# second_moment_scan's O(p) class sums take the same gate: their pool of two
-# was slower to 1500 (2e5 cells), as fast at 1.5e6 cells, faster past that.
-POOL_CELLS = 1 << 20
+# jobs.  On a 2-core host a pool of two cost about 55 ms (start, pickling,
+# shutdown) on top of half the serial time, so it breaks even where the
+# serial scan takes about 0.11 s, near 4e6 cells.  Brute nagao on
+# shift_square, pool of two against serial, medians of 5 fresh processes
+# each: slower at 3.0e6 cells (0.110 against 0.106 s, faster in 1 of 5),
+# even near 4.0e6 (0.118 against 0.126 s, 3 of 5), faster at 6.0e6 (4 of
+# 5) and 8.0e6 (0.148 against 0.206 s, 4 of 5).
+POOL_CELLS = 1 << 22
 
 # The same break-even, measured the same way, for the blocks of
 # quadratic_power_sums, in the sum of p^2 over their primes: a pool of two
@@ -215,10 +218,11 @@ def scan(task, items: list, jobs: int = 1) -> list:
         return list(pool.map(task, items, chunksize=chunk))
 
 
-def _power_sum(fam: HyperFamily, r: int, p: int) -> int:
+def _power_sum(fam: HyperFamily, r: int, p) -> int:
     """p * A_r(p) from the trace row at p, for the primes the block kernels
-    leave; a private name, which a pool pickles by reference."""
-    ctx = PrimeCtx(p)
+    leave; p is the prime, or its ``PrimeCtx`` where the caller has one.  A
+    private name, which a pool pickles by reference."""
+    ctx = PrimeCtx(p) if isinstance(p, int) else p
     return power_total(traces_from_rows(t_coeff_rows(fam.F, ctx), ctx), r)
 
 
@@ -229,7 +233,8 @@ def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int | None]:
     return first_sum_vec(t_coeffs, block) if r == 1 else quadratic_power_sums(t_coeffs, r, block)
 
 
-def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int) -> list[int]:
+def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
+                ctx: PrimeCtx | None = None) -> list[int]:
     """p * A_r(p) at each prime, exact: the one route of every moment.
 
     At the primes where deg_T F <= 2 mod p the block kernels of
@@ -241,9 +246,10 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int) -> list[
     a time (``_power_sum``): ``traces_from_rows`` gives it in O(p log p)
     where F is rank-one mod p (``correlation_row``), else in O(p^2) in
     float64 blocks (``trace_row_vec``, deg_T F >= 3), and ``power_total``
-    sums its r-th powers.  Each scan starts a pool only past its break-even
-    work (``POOL_CELLS``, ``POOL_SQUARES`` and ``POOL_POINTS``), below which
-    the pool costs more than it saves."""
+    sums its r-th powers; ``ctx``, the context of the one prime of
+    ``primes`` where the caller has it, serves that row.  Each scan starts a
+    pool only past its break-even work (``POOL_CELLS``, ``POOL_SQUARES`` and
+    ``POOL_POINTS``), below which the pool costs more than it saves."""
     coeffs = fam.t_coeffs
     fft = _rank_one_in_t(coeffs)
     quad = quadratic_in_t(coeffs, primes).tolist()
@@ -257,7 +263,8 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int) -> list[
     sums = dict(zip(blocked, itertools.chain.from_iterable(by_block)))
     rest = [p for p in primes if sums.get(p) is None]
     work = sum(FFT_POINTS * p * p.bit_length() if fft or p in sums else p * p for p in rest)
-    sums.update(zip(rest, scan(partial(_power_sum, fam, r), rest,
+    rows = [p if ctx is None else ctx for p in rest]
+    sums.update(zip(rest, scan(partial(_power_sum, fam, r), rows,
                                jobs if work > POOL_POINTS else 1)))
     return [sums[p] for p in primes]
 

@@ -61,7 +61,12 @@ from .finite_field import (
     primes_in,
     primitive_root,
 )
-from .moments import POOL_CELLS, scan
+from .moments import scan
+
+# Cells (the sum of p) up to which second_moment_scan runs serially at any
+# jobs: on a 2-core host its pool of two was slower to 1500 (2e5 cells), as
+# fast at 1.5e6 cells, and faster past that.
+POOL_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -813,6 +813,14 @@ GOLDEN = [
     (("moments", "--family", "builtin:big_rank", "--genus", "2",
       "--roots=-9,4,-16,-15,-23,13,-7,-24,21,1", "--r", "2", "--pmax", "1000", "--jobs", "1"),
      "f1dafc041dc0bcadcec55c4f80672bc15558d2e03791f81247c7a68c14aff397", 0, ""),
+    # these two were recorded while the first-moment kernel still applied the
+    # quadratic law at every cell: a linear twist (a = 0), and a constant
+    # T^2 coefficient that 3, 5 and 7 divide
+    (("nagao", "--family", "builtin:linear_twist", "--f", F3, "--pmax", "3000"),
+     "d7e500a6218d615c69d09e4ed517b662e196a9e1e6cd92516384dc003f53cd9f", 0, ""),
+    (("moments", "--family-expr", "x^3 + x*T + 105*T^2 + 1", "--genus", "1", "--r", "1",
+      "--pmax", "60"),
+     "8535ade26f2452f67a6c246d7fb69f4cc869ef3a080b9edf74f6da4b921244a3", 0, ""),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hyprank import _kernels
 from hyprank._kernels import (
     BLOCK_CELLS,
     CHUNK,
@@ -23,11 +25,12 @@ from hyprank._kernels import (
     quadratic_row,
     trace_row_vec,
 )
+from hyprank.construction import RootData, build_family
 from hyprank.curves import HyperFamily, t_coeff_rows, trace_row, traces_from_rows
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
-from hyprank.moments import power_sum
+from hyprank.moments import make_linear_twist, make_shift_square, power_sum
 from hyprank.oracles import trace_of_poly
-from hyprank.polynomials import BiPoly, IntPoly, mod_gcd, parse_bipoly, reduce_mod
+from hyprank.polynomials import BiPoly, IntPoly, mod_gcd, parse_bipoly, parse_int_poly, reduce_mod
 from support import hasse_weil_bound
 
 
@@ -421,6 +424,79 @@ def test_first_sum_vec_where_deg_t_drops_to_two():
     for block in ([5], [5, 7], [7, 11]):
         with pytest.raises(ValueError, match="deg_T F <= 2"):
             first_sum_vec(coeffs, block)
+
+
+# F by the shape of a, b and c mod p that first_sum_vec meets
+FIRST_SUM_SHAPES = {
+    # a = 105 is constant, and 0 mod 3, 5 and 7
+    "constant a, p | a": "x^3 + x*T + 105*T^2 + 1",
+    # linear twists: a is 0, and D = b^2 has b's zeros, with c = 1 and c varying
+    "a = 0, c = 1": "(x - 1)*(x - 2)*(x - 3)*T + 1",
+    "a = 0, c varies": "(x^3 + x + 1)*T + x^2 + 3",
+    # D = -28 a x vanishes mod 7 at every x; a = b = 0 at a(1) = 7
+    "D = 0 mod 7": "(x^3 + x + 5)*(T + 1)^2 + 7*x",
+    # D = -28 x^3 (x + 1) with a = x^3: a monomial, and D = 0 mod 7
+    "D = 0 mod 7, a = x^3": "x^3*(T + 1)^2 + 7*x + 7",
+    # D = 0 over Z: every cell of every prime is a zero of D
+    "D = 0, a varies": "(x^3 + x + 1)*(T + 1)^2",
+    "D = 0, no T": "x^3 + x + 1",
+    # a = b = 0 at x = 1, and a = x - 1 is no monomial
+    "a = b = 0 at x = 1": "x^3 + (x - 1)*T^2 + (x - 1)*T + 2",
+    # a with roots: no monomial, and monomials of odd and even degree
+    "a = x^2 - 1": "x^3 + (x^2 - 1)*T^2 + x*T + 1",
+    "a = 3 x^3": "3*x^3*T^2 + x*T + x + 1",
+    "a = x^2": "x^3 + x^2*T^2 + T + 1",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _first_sum_references(text: str) -> tuple[list[int], list[int]]:
+    """sum_t a_t at every odd prime <= 300 from the dense trace row and from
+    Euler's criterion on the whole grid."""
+    F = parse_bipoly(text)
+    dense = [int(trace_row_vec(t_coeff_rows(F, ctx), ctx).sum())
+             for ctx in map(PrimeCtx, ODD_PRIMES_TO_300)]
+    return dense, euler_first_sums(F, ODD_PRIMES_TO_300)
+
+
+@pytest.mark.parametrize("shape", FIRST_SUM_SHAPES)
+@settings(max_examples=8, deadline=None)
+@given(cuts=st.lists(st.integers(1, len(ODD_PRIMES_TO_300) - 1), max_size=4))
+def test_first_sum_vec_on_every_shape_of_a(shape, cuts):
+    """The zeros of D = b^2 - 4ac at every odd prime <= 300, 3 included, in
+    blocks cut anywhere, in the scans' own blocks and one prime at a time,
+    against the dense trace row and Euler's criterion."""
+    F = parse_bipoly(FIRST_SUM_SHAPES[shape])
+    coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
+    dense, euler = _first_sum_references(FIRST_SUM_SHAPES[shape])
+    assert dense == euler
+    primes = ODD_PRIMES_TO_300
+    assert _first_sums_by_block(coeffs, cut_blocks(primes, cuts)) == dense
+    assert _first_sums_by_block(coeffs, prime_blocks(primes)) == dense
+    assert _first_sums_by_block(coeffs, [[p] for p in primes]) == dense
+
+
+def test_first_sum_vec_builds_chi_tables_only_where_a_is_no_monomial(monkeypatch):
+    """A block reads chi from tables only where a is not alpha x^k mod one of
+    its primes, or D vanishes mod one: shift_square, linear twists and
+    big_rank build none away from their bad primes."""
+    built = []
+    real = _kernels.chi_tables
+    monkeypatch.setattr(_kernels, "chi_tables", lambda primes: built.append(primes) or real(primes))
+    f = parse_int_poly("(x - 1)*(x - 2)*(x - 3)")
+    rank = build_family(RootData(2, (-9, 4, -16, -15, -23, 13, -7, -24, 21, 1))).family
+    for fam in (make_shift_square(f), make_linear_twist(f), rank):
+        good = [p for p in ODD_PRIMES_TO_300 if p not in fam.bad_primes]
+        _first_sums_by_block(fam.t_coeffs, prime_blocks(good))
+    assert built == []
+    blocks = prime_blocks(ODD_PRIMES_TO_300)
+    by_shape = {"a = x^2 - 1": blocks, "D = 0 mod 7, a = x^3": [b for b in blocks if 7 in b],
+                "a = x^2": [], "constant a, p | a": [], "D = 0, no T": blocks}
+    for shape, want in by_shape.items():
+        F = parse_bipoly(FIRST_SUM_SHAPES[shape])
+        built.clear()
+        _first_sums_by_block([F.t_coeff(j).coeffs for j in range(F.deg_t + 1)], blocks)
+        assert built == want, shape
 
 
 COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100))

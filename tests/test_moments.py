@@ -2,12 +2,13 @@ import ast
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyprank import _kernels, moments
+from hyprank import _kernels, curves, finite_field, moments
 from hyprank.construction import RootData, build_family
 from hyprank.curves import HyperFamily, t_coeff_rows, trace_row
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
@@ -52,6 +53,44 @@ def test_moment_value_times_p_is_integral():
 
 def _rank6():
     return make_big_rank(build_family(RootData(1, (1, 2, 3, 4, 5, 6))))
+
+
+def test_make_big_rank_checks_the_family_once(monkeypatch):
+    # build_family's HyperFamily checks F; make_big_rank reuses it unchecked
+    rd = RootData(2, (-9, 4, -16, -15, -23, 13, -7, -24, 21, 1))
+    checks = []
+    real = curves._generic_fiber_squarefree
+    monkeypatch.setattr(curves, "_generic_fiber_squarefree", lambda F: checks.append(F) or real(F))
+    cr = build_family(rd)
+    fam = make_big_rank(cr)
+    assert len(checks) == 1
+    monkeypatch.undo()
+    # the family a second check would have built
+    want = HyperFamily(cr.family.label, 2, cr.family.F, cr.family.bad_primes,
+                       closed_form=partial(moments._big_rank_law, cr))
+    primes = primes_in(PrimeRange(3, 240))[:50]
+    assert (fam.label, fam.genus, fam.F, fam.bad_primes) == (want.label, 2, want.F, want.bad_primes)
+    assert fam.closed_form(primes) == want.closed_form(primes)
+    assert None in fam.closed_form(primes) and cr.family.closed_form is None
+    assert make_big_rank(cr, "named").label == "named" and fam.label == cr.family.label
+
+
+def test_power_sum_takes_the_callers_context_to_the_trace_row(monkeypatch):
+    # deg_T 3: every prime takes its trace row, at the caller's context and table
+    fam = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
+    ctxs = [PrimeCtx(p) for p in (5, 101, 307)]
+    for ctx in ctxs:
+        ctx.chi
+    built, tables = [], []
+    real_ctx, real_tables = moments.PrimeCtx, finite_field.chi_tables
+    monkeypatch.setattr(moments, "PrimeCtx", lambda p: built.append(p) or real_ctx(p))
+    monkeypatch.setattr(finite_field, "chi_tables", lambda ps: tables.append(ps) or real_tables(ps))
+    sums = [power_sum(fam, r, ctx) for ctx in ctxs for r in (1, 2)]
+    assert built == [] and tables == []
+    assert moment_series(fam, 1, PrimeRange(101, 101)).rows[0].value * 101 == sums[2]
+    assert built == [101] and len(tables) == 1  # a scan builds its own
+    monkeypatch.undo()
+    assert sums == [sum(a**r for a in trace_row(fam, ctx)) for ctx in ctxs for r in (1, 2)]
 
 
 def test_predict_first_moment_examples():
