@@ -7,11 +7,15 @@ and :func:`power_total` takes sum_t a_t^r from it exactly.  The second
 moments of the power shapes x^n + x^h T^k need none of them:
 ``second_moment._brute`` sums one character sum per coset class of t, in O(p).
 
-- :func:`first_sum_vec` gives the total over t in O(p) (first moments):
+- :func:`first_sum_roots` gives the total over t in O(d^2 log p) (first
+  moments) where the weight a, or c where a = 0, is a monomial alpha x^k:
+  then the sum needs only the roots of D = b^2 - 4ac mod p, counted by
+  Frobenius gcd degrees, and split into squares and non-squares for odd k;
+- :func:`first_sum_vec` gives the same total in O(p) at the primes the
+  root counts leave (p | alpha or p | lead(D)) and for any other weight:
   with the sums over t and x swapped, the quadratic law makes the sum over
-  t at x equal -chi(a(x)) wherever D = b^2 - 4ac is nonzero mod p, so one
-  row of D finds the few cells where it is not, and sum_x chi(a(x)) is a
-  closed form where a is a monomial mod p;
+  t at x equal -chi(a(x)) wherever D is nonzero mod p, so one row of D
+  finds the few cells where it is not;
 - :func:`quadratic_power_sums` gives sum_t a_t^r in O(p^2) int8 copies
   (the r >= 2 moments of big_rank), by the windows core of
   :func:`quadratic_row`, and declines the primes where F is rank-one;
@@ -29,7 +33,7 @@ The two block kernels take no per-prime context: they work on a block of
 primes (:func:`prime_blocks`, of BLOCK_CELLS cells for r = 1 and QUAD_CELLS
 for r >= 2) at once, with the cells (p, x) of all its primes laid end to
 end in flat arrays (:func:`_cells`).  For r = 1 the only rows over all
-cells are D's, and a's where a is no monomial.  For r >= 2
+cells are D's and a's.  For r >= 2
 one pass over the cells completes every square, with one batched inverse,
 and each prime then runs only the windows core, :func:`_trace_windows`,
 which :func:`quadratic_row` calls too.
@@ -47,8 +51,9 @@ histogram of the a_t in Python ints (:func:`power_total`).  The dense kernel
 sums its products in float64, as one BLAS product per block of t: with m
 nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
 below 2^53, so it is exact in any order of summation, and it refuses larger
-m and p (see :func:`trace_row_vec`).  The one kernel that is not a character
-sum, :func:`frobenius_gcd_degrees`, works across many odd primes at once, on
+m and p (see :func:`trace_row_vec`).  The kernels that are not a character
+sum, :func:`frobenius_gcd_degrees` and the root counts of
+:func:`first_sum_roots`, work across many odd primes at once, on
 (d, #primes) residue arrays with the primes on the contiguous axis: in int64
 below FROB_LIMIT = 2^31, summing as many products before a reduction as
 2^63 allows, else in Python ints, reducing every product.
@@ -57,6 +62,7 @@ below FROB_LIMIT = 2^31, summing as many products before a reduction as
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -334,15 +340,12 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
 
     One O(sum p) pass over the cells of a block of primes (:func:`_cells`)
     evaluates D, formed once over Z (:func:`_discriminant`; b where a = 0
-    over Z, as D = b^2 has b's zeros), and one ``np.add.reduceat`` counts
-    its zeros per prime.  a, and c where a = 0, are evaluated at those zeros
-    alone: at most deg D of them a prime, unless D = 0 mod p.  Where
-    a = alpha x^k mod p (a constant, 0, or x^n as in big_rank),
-    sum_x chi(a(x)) is chi(alpha) times p for k = 0, p - 1 for even k and 0
-    for odd k, and the block builds no chi tables unless D vanishes mod
-    one of its primes: its few characters come from Euler's criterion
-    (:func:`_legendre`).  Any other a takes the tables and its row at every
-    cell.
+    over Z, as D = b^2 has b's zeros), and a, whose characters the block's
+    tables give (``finite_field.chi_tables``); one ``np.add.reduceat``
+    counts the zeros of D per prime.  c is evaluated at the zeros where
+    a = 0 alone.  The scans send this kernel only the primes that
+    :func:`first_sum_roots` leaves, O(1) of them a family, and every prime
+    of a weight that is no monomial.
 
     Exact in int64 for p < 2^26: a Horner row reduces before any step could
     pass 2^63 (:func:`_horner_cells`), so D's row holds D(x) mod p whatever
@@ -354,34 +357,85 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
     disc = _discriminant(c, b, a) if any(a) else b
     zero = _horner_cells(_residue_rows(disc, ps), xs, ps, mod, top) == 0
     counts = np.add.reduceat(zero, offs, dtype=np.int64)
+    chi = chi_tables(primes)
+    a_row = _horner_cells(_residue_rows(a, ps), xs, ps, mod, top)
     at = np.flatnonzero(zero)
     pid = np.repeat(np.arange(len(ps)), counts)  # the prime of each zero
     zmod, zoff = ps[pid], offs[pid]
-    ra = _residue_rows(a, ps)
-    az = _horner_cells(ra, xs[at], counts, zmod, top)
-    # a = alpha x^k mod p where at most one of its coefficients is nonzero mod p
-    res_a = np.array([np.zeros_like(ps) if r is None else r % ps for r in ra or [None]])
-    k = (res_a != 0).argmax(axis=0)
-    monomial = (res_a != 0).sum(axis=0) <= 1
-    # a nonzero D mod p has at most deg D zeros
-    chi = None if monomial.all() and (counts < len(disc)).all() else chi_tables(primes)
-    if monomial.all():  # sum_x chi(alpha x^k) = chi(alpha) times p, p - 1 or 0
-        chi_a = _legendre(res_a[k, np.arange(len(ps))], ps, offs, chi)
-        chi_a *= np.where(k == 0, ps, (ps - 1) * (k % 2 == 0))
-    else:
-        chi_a = np.add.reduceat(chi[_horner_cells(ra, xs, ps, mod, top) + base], offs,
-                                dtype=np.int64)
+    az = a_row[at]
     # S_x + chi(a) at the zeros: the law for a u^2, (p - 1) chi(a), plus chi(a)
-    jump = _legendre(az, zmod, zoff, chi)
+    jump = chi[az + zoff].astype(np.int64)
     jump += quadratic_sums(az, 0, 0, jump, zmod)
     flat = np.flatnonzero(az == 0)  # there b = 0 too, and S_x = p chi(c)
     if len(flat):
         per = np.bincount(pid[flat], minlength=len(ps))
         cz = _horner_cells(_residue_rows(c, ps), xs[at[flat]], per, zmod[flat], top)
-        jump[flat] = zmod[flat] * _legendre(cz, zmod[flat], zoff[flat], chi)
+        jump[flat] = zmod[flat] * chi[cz + zoff[flat]]
     total = np.concatenate(([0], np.cumsum(jump)))
     ends = np.cumsum(counts)
+    chi_a = np.add.reduceat(chi[a_row + base], offs, dtype=np.int64)
     return (chi_a - total[ends] + total[ends - counts]).tolist()
+
+
+def first_sum_roots(t_coeffs, primes) -> list[int | None]:
+    """The sums of :func:`first_sum_vec` from root counts of D alone, or None
+    at the primes left to it.
+
+    Where the weight of :func:`first_sum_vec` is a monomial alpha x^k over
+    Z (a, or c where a = 0 over Z), W = sum_{D(x) = 0} w(x) needs only how
+    many roots D has and which of them are squares.  At a prime that
+    divides neither alpha nor lead(D) (the others take None), write
+    z = [p | D(0)], and N+ and N- for the nonzero roots of D mod p that are
+    squares and that are not.  At x = 0 with k >= 1, a = 0 and D = b^2 = 0,
+    so w(0) = chi(c(0)); hence
+
+        W = chi(alpha) (z + N+ + N-)              for k = 0,
+        W = z chi(c(0)) + chi(alpha) (N+ + N-)    for even k >= 2,
+        W = z chi(c(0)) + chi(alpha) (N+ - N-)    for odd k,
+
+    and sum_t a_t = chi(alpha) (p, p - 1 or 0 by k) - p W, whose first term
+    is 0 where a = 0.  For even k, z + N+ + N- is the column D_1 of
+    :func:`frobenius_gcd_degrees`; for odd k, :func:`_square_root_counts`
+    gives N+ and N-.  Both hold whether or not D is squarefree mod p, since
+    x^p - x and x^((p - 1)/2) -+ 1 are.  The characters of alpha and c(0)
+    come from Euler's criterion (:func:`_characters`).  O(d^2 log p + d^3)
+    a prime for D of degree d, in place of O(p).  ``t_coeffs`` holds the
+    integer coefficients of T^0, T^1, T^2, as for :func:`first_sum_vec`.
+    """
+    c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
+    disc = _discriminant(c, b, a) if any(a) else b
+    weight = a if any(a) else c
+    powers = [i for i, v in enumerate(weight) if v]
+    out = [None] * len(primes)
+    if len(powers) != 1 or not disc:
+        return out
+    k = powers[0]
+    alpha = weight[k]
+    ps = prime_array(primes)
+    res = residues(alpha, ps)
+    on = np.flatnonzero((res != 0) & (residues(disc[-1], ps) != 0))
+    if not len(on):
+        return out
+    p = ps[on]
+    chi_alpha = _characters(res[on], p)
+    disc = _primitive(tuple(disc))  # the same roots where p does not divide lead(D)
+    z = residues(disc[0], p) == 0
+    if len(disc) == 1:  # a constant D has no root
+        roots = 0
+    elif k % 2 == 0:
+        roots = frobenius_gcd_degrees(disc, p)[:, 0] - z
+    else:
+        plus, minus = _square_root_counts(disc, p)
+        roots = plus - minus
+    total = -p * chi_alpha * roots
+    if z.any():  # w(0) = chi(alpha) for k = 0, else chi(c(0))
+        q = p[z]
+        total[z] -= q * (chi_alpha[z] if k == 0 else _characters(residues(c[0] if c else 0, q), q))
+    if any(a):
+        total += chi_alpha * (p if k == 0 else p - 1 if k % 2 == 0 else 0)
+    for i, v in zip(on.tolist(), total.tolist()):
+        out[i] = v
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -401,14 +455,13 @@ def _discriminant(c, b, a) -> list[int]:
     return out
 
 
-def _legendre(values, mods, offs, chi) -> np.ndarray:
-    """(v/p) at each value v in [0, p), p its entry of ``mods``, as int64:
-    read from the block's tables ``chi`` at ``offs``, or, where the block
-    has none, by Euler's criterion in Python ints."""
-    if chi is not None:
-        return chi[values + offs].astype(np.int64)
-    return np.array([0 if not v else 1 if pow(v, p >> 1, p) == 1 else -1
-                     for v, p in zip(values.tolist(), mods.tolist())], dtype=np.int64)
+@functools.lru_cache(maxsize=16)
+def _primitive(f) -> list[int]:
+    """f divided by its content, with a positive lead; f a tuple of integers,
+    not all 0.  The content of a discriminant can be most of its bits: 477
+    of the 544 of big_rank's (g = 2)."""
+    g = functools.reduce(math.gcd, f)
+    return [v // g for v in f] if f[-1] > 0 else [-v // g for v in f]
 
 
 def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int | None]:
@@ -724,37 +777,89 @@ def frobenius_gcd_degrees(f, primes, depth: int = 1) -> np.ndarray:
     polynomial of degree d >= 1 whose lead no prime divides; every prime is
     odd.  The residues mod f-bar, the monic f mod p, are coefficient-major
     (d, #primes) arrays, so every array operation runs along the primes:
-    x^p by square-and-multiply over the bits of p, with a per-prime mask for
-    the multiplication by x, and x^(p^i) as x^(p^(i-1)) composed with x^p.
-    D_i is d minus the rank of the multiplication by h = x^(p^i) - x on
-    F_p[x]/(f-bar), whose rows h x^j come from :func:`_times_x`.  Below
-    FROB_LIMIT the rows are int64 and :func:`_mulmod` sums up to
-    k = (2^63 - 1 - p_max) // (p_max - 1)^2 products before it reduces;
-    from FROB_LIMIT on they are Python ints, and k = 1 reduces every product.
+    x^p by :func:`_x_power`, and x^(p^i) as x^(p^(i-1)) composed with x^p.
+    D_i is the kernel dimension of the multiplication by h = x^(p^i) - x on
+    F_p[x]/(f-bar) (:func:`_gcd_degrees`).  Below FROB_LIMIT the rows are
+    int64 and :func:`_mulmod` sums up to k = (2^63 - 1 - p_max) // (p_max - 1)^2
+    products before it reduces; from FROB_LIMIT on they are Python ints,
+    and k = 1 reduces every product.
     """
-    d = len(f) - 1
-    pmax = int(max(primes))
-    dtype = np.int64 if pmax < FROB_LIMIT else object
-    p = np.asarray(primes, dtype=dtype)
-    k = _lazy_products(pmax)
-    inv = 1 if f[-1] == 1 else _inverse(residues(f[-1], p), p)
-    neg_m = np.stack([-residues(c, p) * inv % p for c in f[:-1]])  # f-bar = x^d - neg_m(x)
-    y = np.zeros((d, len(p)), dtype=dtype)
-    y[0] = 1
-    x = _times_x(y, neg_m, p)  # x mod f-bar, also for d = 1
-    for bit in range(pmax.bit_length() - 1, -1, -1):
-        y = _mulmod(y, y, neg_m, p, k)
-        y = np.where((p >> bit) & 1 == 1, _times_x(y, neg_m, p), y)
-    xp = y
+    p, neg_m, k = _residue_ring(f, primes)
+    one = np.zeros_like(neg_m)
+    one[0] = 1
+    x = _times_x(one, neg_m, p)  # x mod f-bar, also for d = 1
+    xp = _x_power(p, neg_m, p, k)
     out = np.empty((len(p), depth), dtype=np.int64)
-    mult = np.empty((d, d, len(p)), dtype=dtype)
     for i in range(depth):
         y = _compose(y, xp, neg_m, p, k) if i else xp
-        mult[0] = (y - x) % p
-        for j in range(1, d):
-            mult[j] = _times_x(mult[j - 1], neg_m, p)
-        out[:, i] = d - _rank(mult, p)
+        out[:, i] = _gcd_degrees((y - x) % p, neg_m, p)
     return out
+
+
+def _square_root_counts(f, primes) -> tuple[np.ndarray, np.ndarray]:
+    """N+ and N-: how many distinct nonzero roots of f mod p are squares,
+    and how many are not, at each prime; f as for :func:`frobenius_gcd_degrees`.
+
+    A nonzero root r is a square exactly where r^((p - 1)/2) = 1, so
+    N+- = deg gcd(f mod p, h -+ 1) with h = x^((p - 1)/2) mod f-bar
+    (:func:`_x_power`).  Both are kernel dimensions (:func:`_gcd_degrees`),
+    taken by one :func:`_rank` of the two multiplications stacked along the
+    prime axis.
+    """
+    p, neg_m, k = _residue_ring(f, primes)
+    h = _x_power(p >> 1, neg_m, p, k)
+    n = len(p)
+    both = np.concatenate((h, h), axis=1)
+    both[0, :n] -= 1
+    both[0, n:] += 1
+    twice = np.concatenate((p, p))
+    both[0] %= twice
+    dims = _gcd_degrees(both, np.concatenate((neg_m, neg_m), axis=1), twice)
+    return dims[:n], dims[n:]
+
+
+def prime_array(primes) -> np.ndarray:
+    """The primes as int64 below FROB_LIMIT, else as Python ints."""
+    return np.asarray(primes, dtype=np.int64 if np.max(primes) < FROB_LIMIT else object)
+
+
+def _residue_ring(f, primes):
+    """F_p[x]/(f-bar) at each prime: the primes (:func:`prime_array`),
+    neg_m with f-bar = x^d - neg_m(x) as (d, #primes) residues, and the
+    products :func:`_mulmod` may sum before it reduces."""
+    p = prime_array(primes)
+    inv = 1 if f[-1] == 1 else _inverse(residues(f[-1], p), p)
+    neg_m = np.stack([-residues(c, p) * inv % p for c in f[:-1]])
+    return p, neg_m, _lazy_products(int(p.max()))
+
+
+def _x_power(e: np.ndarray, neg_m: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
+    """x^e mod the monic x^d - neg_m(x), with one exponent e >= 0 a prime.
+
+    Square-and-multiply over the bits of max(e), with a per-prime mask for
+    the multiplication by x.
+    """
+    y = np.zeros_like(neg_m)
+    y[0] = 1
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        y = _mulmod(y, y, neg_m, p, k)
+        y = np.where((e >> bit) & 1 == 1, _times_x(y, neg_m, p), y)
+    return y
+
+
+def _gcd_degrees(h: np.ndarray, neg_m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """deg gcd(h, f-bar) at each prime, f-bar = x^d - neg_m(x), for (d, #primes) residues h.
+
+    That is the kernel dimension of the multiplication by h on
+    F_p[x]/(f-bar): d minus the rank of the matrix of rows h x^j, which
+    come from :func:`_times_x`.
+    """
+    d = len(h)
+    mult = np.empty((d, *h.shape), dtype=h.dtype)
+    mult[0] = h
+    for j in range(1, d):
+        mult[j] = _times_x(mult[j - 1], neg_m, p)
+    return d - _rank(mult, p)
 
 
 def _lazy_products(pmax: int) -> int:
@@ -771,20 +876,39 @@ def _rank(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     Fraction-free elimination by columns c: each prime's pivot is its first
     unused row nonzero at c, and every other unused row r becomes
-    (pivot_c * r - r_c * pivot) mod p, with no inverse and products < p^2.
+    pivot_c * r - r_c * pivot, with no inverse.  Column c and the pivot
+    row are reduced mod p before they are used, and the other columns only
+    once the next step could pass 2^63 (``bound`` holds the largest
+    absolute value an entry may have): below p = 2^10 that is every fifth
+    column.  Python-int matrices are reduced at every step.  The rows above
+    the first unused row of every prime are left alone: no step reads them
+    again.
     """
     d, ks = len(a), np.arange(a.shape[2])
     free = np.ones((d, len(ks)), dtype=bool)  # rows not yet taken as a pivot
+    top = int(p.max()) - 1
+    room = (1 << 63) - 1 if a.dtype == np.int64 else 0
+    bound = top
     for c in range(d):
-        nonzero = (a[:, c] != 0) & free
+        lo = int(free.argmax(axis=0).min())  # rows above lo are pivots at every prime
+        col = a[lo:, c]
+        if bound > top:
+            col %= p
+        nonzero = (col != 0) & free[lo:]
         found = nonzero.any(axis=0)
-        r = nonzero.argmax(axis=0)
+        r = nonzero.argmax(axis=0) + lo
         free[r, ks] &= ~found
-        cleared = (free & found)[:, None]
-        rest = a[:, c + 1 :]
+        cleared = (free[lo:] & found)[:, None]
+        rest = a[lo:, c + 1 :]
+        if (bound + top) * top > room:
+            rest %= p
+            bound = top
+        pivot = a[r, c + 1 :, ks].T
+        if bound > top:
+            pivot %= p
         rest *= np.where(cleared, a[r, c, ks], 1)
-        rest -= np.where(cleared, a[:, c : c + 1], 0) * a[r, c + 1 :, ks].T
-        rest %= p
+        rest -= np.where(cleared, col[:, None], 0) * pivot
+        bound = (bound + top) * top
     return d - free.sum(axis=0)
 
 
@@ -808,10 +932,19 @@ def residues(c: int, p: np.ndarray) -> np.ndarray:
 
 
 def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a^(p-2) mod p, the inverse of each nonzero residue, by per-prime bits
-    of p - 2; overwrites a.  Every step is in place, so the work arrays are
-    a, the result and the exponents."""
-    e = p - 2
+    """a^(p-2) mod p, the inverse of each nonzero residue; overwrites a."""
+    return _power(a, p - 2, p)
+
+
+def _characters(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(a/p) at each prime, for residues a, by Euler's criterion; overwrites a."""
+    e = _power(a, p >> 1, p)
+    return np.where(e == p - 1, -1, e)
+
+
+def _power(a: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^e mod p at each prime, by per-prime bits of e; overwrites a and e.
+    Every step is in place, so the work arrays are a, the result and e."""
     out = np.ones_like(a)
     while e.any():
         odd = e & 1 == 1

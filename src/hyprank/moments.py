@@ -16,12 +16,12 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from ._kernels import (QUAD_CELLS, check_dense, first_sum_vec, power_total, prime_blocks,
-                       quadratic_in_t, quadratic_power_sums)
+from ._kernels import (QUAD_CELLS, check_dense, first_sum_roots, first_sum_vec, power_total,
+                       prime_blocks, quadratic_in_t, quadratic_power_sums)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
-from .polynomials import (BiPoly, IntPoly, degree_patterns_mod, linear_factor_counts,
-                          squarefree_over_q)
+from .polynomials import (FROB_BLOCK, BiPoly, IntPoly, degree_patterns_mod,
+                          linear_factor_counts, squarefree_over_q)
 
 
 class NonGenericPrime(Exception):
@@ -237,30 +237,41 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
                 ctx: PrimeCtx | None = None) -> list[int]:
     """p * A_r(p) at each prime, exact: the one route of every moment.
 
-    At the primes where deg_T F <= 2 mod p the block kernels of
-    ``_block_sums`` run, with no per-prime context: ``first_sum_vec`` for
-    r = 1, O(p) with the sums over t and x swapped, and for r >= 2
-    ``quadratic_power_sums``, O(p^2) int8 copies, which declines the primes
-    where F is rank-one mod p (an F rank-one over Q, ``_rank_one_in_t``,
-    skips the blocks).  Every other prime takes its trace row, one prime at
-    a time (``_power_sum``): ``traces_from_rows`` gives it in O(p log p)
-    where F is rank-one mod p (``correlation_row``), else in O(p^2) in
-    float64 blocks (``trace_row_vec``, deg_T F >= 3), and ``power_total``
-    sums its r-th powers; ``ctx``, the context of the one prime of
-    ``primes`` where the caller has it, serves that row.  Each scan starts a
-    pool only past its break-even work (``POOL_CELLS``, ``POOL_SQUARES`` and
-    ``POOL_POINTS``), below which the pool costs more than it saves."""
+    At the primes where deg_T F <= 2 mod p, r = 1 first takes
+    ``first_sum_roots``, FROB_BLOCK primes at a time in this process: where
+    the weight a (or c, where a = 0 over Z) is a monomial alpha x^k, it
+    needs root counts of D = b^2 - 4ac alone, O(d^2 log p) a prime, at every
+    prime that divides neither alpha nor lead(D).  The block kernels of
+    ``_block_sums`` take the rest, with no per-prime context:
+    ``first_sum_vec`` for r = 1, O(p) with the sums over t and x swapped,
+    and for r >= 2 ``quadratic_power_sums``, O(p^2) int8 copies, which
+    declines the primes where F is rank-one mod p (an F rank-one over Q,
+    ``_rank_one_in_t``, skips the blocks).  Every other prime takes its
+    trace row, one prime at a time (``_power_sum``): ``traces_from_rows``
+    gives it in O(p log p) where F is rank-one mod p (``correlation_row``),
+    else in O(p^2) in float64 blocks (``trace_row_vec``, deg_T F >= 3), and
+    ``power_total`` sums its r-th powers; ``ctx``, the context of the one
+    prime of ``primes`` where the caller has it, serves that row.  Each scan
+    that may run in a pool starts one only past its break-even work
+    (``POOL_CELLS``, ``POOL_SQUARES`` and ``POOL_POINTS``), below which the
+    pool costs more than it saves."""
     coeffs = fam.t_coeffs
     fft = _rank_one_in_t(coeffs)
     quad = quadratic_in_t(coeffs, primes).tolist()
     # at r >= 2 the block kernel would decline every prime of an F rank-one over Q
     blocked = [p for p, q in zip(primes, quad) if q and (r == 1 or not fft)]
+    sums = {}
     if r == 1:
+        for lo in range(0, len(blocked), FROB_BLOCK):
+            block = blocked[lo : lo + FROB_BLOCK]
+            sums.update((p, s) for p, s in zip(block, first_sum_roots(coeffs[:3], block))
+                        if s is not None)
+        blocked = [p for p in blocked if p not in sums]
         blocks, pool = prime_blocks(blocked), sum(blocked) > POOL_CELLS
     else:
         blocks, pool = prime_blocks(blocked, QUAD_CELLS), sum(p * p for p in blocked) > POOL_SQUARES
     by_block = scan(partial(_block_sums, coeffs[:3], r), blocks, jobs if pool else 1)
-    sums = dict(zip(blocked, itertools.chain.from_iterable(by_block)))
+    sums.update(zip(blocked, itertools.chain.from_iterable(by_block)))
     rest = [p for p in primes if sums.get(p) is None]
     work = sum(FFT_POINTS * p * p.bit_length() if fft or p in sums else p * p for p in rest)
     rows = [p if ctx is None else ctx for p in rest]

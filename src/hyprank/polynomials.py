@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._kernels import FROB_LIMIT, frobenius_gcd_degrees, residues
+from ._kernels import frobenius_gcd_degrees, prime_array, residues
 from .finite_field import PrimeCtx
 
 
@@ -507,7 +507,7 @@ def _frobenius_scan(f: IntPoly, primes: list[int], depth: int, read, lift) -> li
     out = []
     primes = iter(primes)
     while block := list(islice(primes, FROB_BLOCK)):
-        ps = np.array(block, dtype=np.int64 if max(block) < FROB_LIMIT else object)
+        ps = prime_array(block)
         live = residues(lead, ps) != 0
         if live.all():
             values = read(frobenius_gcd_degrees(f.coeffs, block, depth))

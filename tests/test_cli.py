@@ -488,8 +488,10 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
     code, _ = run(capsys, "moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2",
                   "--pmin", "20", "--pmax", "30", "--jobs", "100000")
     assert code == 0 and seen == [4, 2]  # only 23 and 29 in range
-    # a first moment runs in blocks of primes, pooled only past POOL_CELLS cells
-    r1 = ["moments", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60"]
+    # a first moment whose weight a is no monomial runs in blocks of primes,
+    # pooled only past POOL_CELLS cells
+    r1 = ["moments", "--family-expr", "x^3 + (x^2 - 1)*T^2 + x*T + 1", "--genus", "1",
+          "--pmax", "60"]
     seen.clear()
     code, serial = run(capsys, *r1)
     code, out = run(capsys, *r1, "--jobs", "100000")
@@ -821,6 +823,19 @@ GOLDEN = [
     (("moments", "--family-expr", "x^3 + x*T + 105*T^2 + 1", "--genus", "1", "--r", "1",
       "--pmax", "60"),
      "8535ade26f2452f67a6c246d7fb69f4cc869ef3a080b9edf74f6da4b921244a3", 0, ""),
+    # these four were recorded while every brute first moment still took the
+    # O(p) pass of first_sum_vec: big_rank (a = x^5), odd k on a, and a
+    # c-weight c = 2x where a = 0
+    (("nagao", "--family", "builtin:big_rank", "--genus", "2", "--roots", "1..10",
+      "--pmax", "10000"),
+     "b2d1247962eff23220e56e93508a756c0253d26fa0683aa8227fd75628ce1752", 0, ""),
+    (("nagao", "--family-expr", "3*x^3*T^2 + x*T + x + 1", "--genus", "1", "--pmax", "5000"),
+     "13ca2c8e3a5a4fca339e4b42f6c091700a67b14c83763bc9a19e460f8696a02f", 0, ""),
+    (("nagao", "--family-expr", "(x^3 + x + 1)*T + 2*x", "--genus", "1", "--pmax", "5000"),
+     "277d1009950558b6d8327797434403b3e12f0d62143e9ca53a7a6daf180068fd", 0, ""),
+    (("moments", "--family-expr", "(x^3 + x + 1)*T + 2*x", "--genus", "1", "--r", "1",
+      "--pmax", "60"),
+     "0308bfa347c1da0c7a9e3595741a62e9b2be1e01439cfbf47a997e27a3f67649", 0, ""),
 ]
 
 

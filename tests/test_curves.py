@@ -25,12 +25,11 @@ from hyprank._kernels import (
     quadratic_row,
     trace_row_vec,
 )
-from hyprank.construction import RootData, build_family
 from hyprank.curves import HyperFamily, t_coeff_rows, trace_row, traces_from_rows
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
-from hyprank.moments import make_linear_twist, make_shift_square, power_sum
+from hyprank.moments import power_sum
 from hyprank.oracles import trace_of_poly
-from hyprank.polynomials import BiPoly, IntPoly, mod_gcd, parse_bipoly, parse_int_poly, reduce_mod
+from hyprank.polynomials import BiPoly, IntPoly, mod_gcd, parse_bipoly, reduce_mod
 from support import hasse_weil_bound
 
 
@@ -476,27 +475,109 @@ def test_first_sum_vec_on_every_shape_of_a(shape, cuts):
     assert _first_sums_by_block(coeffs, [[p] for p in primes]) == dense
 
 
-def test_first_sum_vec_builds_chi_tables_only_where_a_is_no_monomial(monkeypatch):
-    """A block reads chi from tables only where a is not alpha x^k mod one of
-    its primes, or D vanishes mod one: shift_square, linear twists and
-    big_rank build none away from their bad primes."""
-    built = []
-    real = _kernels.chi_tables
-    monkeypatch.setattr(_kernels, "chi_tables", lambda primes: built.append(primes) or real(primes))
-    f = parse_int_poly("(x - 1)*(x - 2)*(x - 3)")
-    rank = build_family(RootData(2, (-9, 4, -16, -15, -23, 13, -7, -24, 21, 1))).family
-    for fam in (make_shift_square(f), make_linear_twist(f), rank):
-        good = [p for p in ODD_PRIMES_TO_300 if p not in fam.bad_primes]
-        _first_sums_by_block(fam.t_coeffs, prime_blocks(good))
-    assert built == []
-    blocks = prime_blocks(ODD_PRIMES_TO_300)
-    by_shape = {"a = x^2 - 1": blocks, "D = 0 mod 7, a = x^3": [b for b in blocks if 7 in b],
-                "a = x^2": [], "constant a, p | a": [], "D = 0, no T": blocks}
-    for shape, want in by_shape.items():
-        F = parse_bipoly(FIRST_SUM_SHAPES[shape])
-        built.clear()
-        _first_sums_by_block([F.t_coeff(j).coeffs for j in range(F.deg_t + 1)], blocks)
-        assert built == want, shape
+ODD_PRIMES_TO_1500 = primes_in(PrimeRange(3, 1500))
+
+
+def _route_declines(weight, disc, p) -> bool:
+    """Whether first_sum_roots leaves p to first_sum_vec: the weight is no
+    monomial alpha x^k over Z, or p divides alpha or lead(D)."""
+    terms = [v for v in weight if v]
+    return len(terms) != 1 or terms[0] % p == 0 or not disc or disc[-1] % p == 0
+
+
+# F = c + b T + a T^2 with a monomial weight: a = alpha x^k, or a = 0 and c = alpha x^k
+MONOMIAL_WEIGHTS = dict(
+    on_a=st.booleans(),
+    k=st.integers(0, 5),
+    alpha=st.sampled_from([1, -1, 2, 3, -5, 7 * 11, 3 * 5 * 7, 3**40 + 2]),
+    b=st.lists(st.integers(-9, 9), max_size=5),
+    c=st.lists(st.integers(-9, 9), max_size=5),
+    lead=st.sampled_from([1, 3, 13, 3 * 7]),
+    zero_at_0=st.booleans(),
+)
+
+
+def monomial_weight_family(on_a, k, alpha, b, c, lead, zero_at_0) -> list[list[int]]:
+    """The t_coeffs [c, b, a] of MONOMIAL_WEIGHTS.  ``lead`` scales the top
+    coefficient of b, which leads D where deg b^2 > deg ac; ``zero_at_0``
+    clears b(0), and c(0) where a is constant, so that D(0) = 0."""
+    weight = [0] * k + [alpha]
+    b = b + [lead]
+    if zero_at_0:
+        b[0] = 0
+        if on_a and k == 0 and c:
+            c[0] = 0
+    c = c if on_a else weight
+    rows = [c, b, weight if on_a else []]
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(**MONOMIAL_WEIGHTS)
+# big_rank's shape: odd k with c(0) != 0, and D(0) = b(0)^2 = 0
+@example(on_a=True, k=5, alpha=1, b=[0, 3, 1], c=[2, 0, -1], lead=1, zero_at_0=True)
+# even k >= 2 with D(0) = 0, alpha divisible by 3, 5 and 7
+@example(on_a=True, k=2, alpha=3 * 5 * 7, b=[0, 1], c=[4, 1], lead=1, zero_at_0=True)
+# a = 0 and c = alpha x of degree 1: D = b, and 3 and 7 divide its lead
+@example(on_a=False, k=1, alpha=2, b=[1, 1, 0, 5], c=[], lead=3 * 7, zero_at_0=False)
+# a = 0, c = alpha x^2 and D(0) = b(0) = 0
+@example(on_a=False, k=2, alpha=-1, b=[0, 2], c=[], lead=13, zero_at_0=True)
+# k = 0 with D(0) = 0, and 3 dividing lead(D) = lead(b)^2
+@example(on_a=True, k=0, alpha=-5, b=[1, 1], c=[1, 0, 1], lead=3, zero_at_0=True)
+# a constant D: no roots at any prime
+@example(on_a=True, k=3, alpha=1, b=[], c=[], lead=1, zero_at_0=False)
+def test_first_sum_roots_matches_first_sum_vec_and_dense(on_a, k, alpha, b, c, lead, zero_at_0):
+    """The root-count route at every odd prime <= 1500, 3 included, against
+    first_sum_vec there and against the sum of the dense trace row at every
+    odd prime <= 300; it declines exactly the primes that divide alpha or
+    lead(D)."""
+    coeffs = monomial_weight_family(on_a, k, alpha, b, c, lead, zero_at_0)
+    c, b, a = coeffs
+    disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a)) if a else b
+    primes = ODD_PRIMES_TO_1500
+    got = _kernels.first_sum_roots(coeffs, primes)
+    assert [s is None for s in got] == [_route_declines(a or c, disc, p) for p in primes]
+    want = _first_sums_by_block(coeffs, prime_blocks(primes))
+    assert [s for s in got if s is not None] == [w for s, w in zip(got, want) if s is not None]
+    F = BiPoly({(i, j): v for j, row in enumerate(coeffs) for i, v in enumerate(row) if v})
+    for p, s in zip(primes, got):
+        if p > 300:
+            break
+        if s is not None:
+            ctx = PrimeCtx(p)
+            assert s == int(trace_row_vec(t_coeff_rows(F, ctx), ctx).sum()), p
+
+
+@pytest.mark.parametrize("text", ["3*x^3*T^2 + x*T + x + 1", "(x^3 + x + 1)*T + 2*x"])
+def test_first_sum_roots_matches_dense_to_1500(text):
+    """Odd k on a (with D(0) = 0 at every prime, and 3 | alpha), and odd k on
+    c where a = 0: the route against the sum of the dense trace row at
+    every odd prime <= 1500."""
+    F = parse_bipoly(text)
+    coeffs = [F.t_coeff(j).coeffs for j in range(3)]
+    got = _kernels.first_sum_roots(coeffs, ODD_PRIMES_TO_1500)
+    assert sum(s is None for s in got) <= 1
+    for p, s in zip(ODD_PRIMES_TO_1500, got):
+        if s is not None:
+            ctx = PrimeCtx(p)
+            assert s == int(trace_row_vec(t_coeff_rows(F, ctx), ctx).sum()), p
+
+
+def test_first_sum_roots_declines_exactly_the_fallback_primes_of_every_shape():
+    """Every prime of a weight that is no monomial, and the primes that
+    divide alpha or lead(D) of one that is, on the shapes first_sum_vec is
+    tested on."""
+    for text in FIRST_SUM_SHAPES.values():
+        F = parse_bipoly(text)
+        coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)][:3]
+        c, b, a = (coeffs + [[], []])[:3]
+        got = _kernels.first_sum_roots(coeffs, ODD_PRIMES_TO_300)
+        disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a)) if a else b
+        assert [s is None for s in got] == [_route_declines(a or c, disc, p)
+                                            for p in ODD_PRIMES_TO_300], text
 
 
 COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100))

@@ -235,6 +235,46 @@ def test_first_moment_scans_route_each_prime_by_its_deg_t():
     assert [power_sum(drops, 1, PrimeCtx(p)) for p in primes] == want
 
 
+def _first_sum_vec_primes(fam, primes) -> list[int]:
+    """The primes a first-moment scan must leave to first_sum_vec: all of
+    them where the weight (a, or c where a = 0 over Z) is no monomial
+    alpha x^k over Z, else those that divide alpha or lead(b^2 - 4ac)."""
+    c, b, a = (fam.F.t_coeff(j) for j in range(3))
+    weight = a if a.coeffs else c
+    disc = b * b - a * c * 4 if a.coeffs else b
+    terms = [v for v in weight.coeffs if v]
+    if len(terms) != 1 or not disc.coeffs:
+        return list(primes)
+    return [p for p in primes if terms[0] % p == 0 or disc.lead % p == 0]
+
+
+def test_first_moment_scans_send_first_sum_vec_only_the_fallback_primes(monkeypatch):
+    """Every other prime of a deg_T <= 2 family takes the root counts of D."""
+    seen = []
+    real = moments.first_sum_vec
+    monkeypatch.setattr(moments, "first_sum_vec", lambda t, block: seen.extend(block) or real(t, block))
+    families = [
+        make_shift_square(F3), make_linear_twist(F7),
+        make_big_rank(build_family(RootData(1, tuple(range(1, 7))))),
+        make_big_rank(build_family(RootData(2, tuple(range(1, 11))))),
+        HyperFamily("odd k", 1, parse_bipoly("3*x^3*T^2 + x*T + x + 1")),
+        HyperFamily("c weight", 1, parse_bipoly("(x^3 + x + 1)*T + 2*x")),
+        HyperFamily("lead(D) = 9", 1, parse_bipoly("x^3 + 3*x^2*T + T^2 + 1")),
+        HyperFamily("no monomial", 1, parse_bipoly("x^3 + (x^2 - 1)*T^2 + x*T + 1")),
+    ]
+    prange = PrimeRange(3, 2000)
+    for fam in families:
+        primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
+        seen.clear()
+        series = moment_series(fam, 1, prange)
+        assert seen == _first_sum_vec_primes(fam, primes), fam.label
+        seen.clear()
+        nagao_sum(fam, prange)
+        assert seen == _first_sum_vec_primes(fam, primes), fam.label
+        assert [row.p for row in series.rows] == primes
+    assert seen == primes  # the last family reaches first_sum_vec at every prime
+
+
 def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
     # drops is deg_T 3 at every prime but 7, where it is quadratic and not
     # rank-one; rank7 is quadratic everywhere and rank-one mod 7 alone
