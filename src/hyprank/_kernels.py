@@ -17,14 +17,12 @@ moments of the power shapes x^n + x^h T^k need none of them:
   t at x equal -chi(a(x)) wherever D is nonzero mod p, so one row of D
   finds the few cells where it is not;
 - :func:`quadratic_power_sums` gives sum_t a_t^r in O(p^2) int8 copies
-  (the r >= 2 moments of big_rank), by the windows core of
-  :func:`quadratic_row`, and declines the primes where F is rank-one;
+  for any F at most quadratic in T, rank-one mod p or not (the r >= 2
+  moments of big_rank), by completing the square: each trace row is a
+  signed sum of windows of the per-prime table chi(u^2 + d);
 - :func:`correlation_row` gives every trace in O(p log p), by FFT, when
   F = c(x) + g(x) W(T) mod p (all power families, shift_square, ...); it
   returns None for any other shape;
-- :func:`quadratic_row` gives every trace in O(p^2) int8 copies for any F
-  at most quadratic in T, by completing the square: each trace row is a
-  signed sum of windows of the per-prime table chi(u^2 + d);
 - :func:`trace_row_vec` gives every trace in O(p^2) for any F.  It is the
   reference the others are tested against, and the path for
   deg_T F >= 3.
@@ -35,8 +33,7 @@ for r >= 2) at once, with the cells (p, x) of all its primes laid end to
 end in flat arrays (:func:`_cells`).  For r = 1 the only rows over all
 cells are D's and a's.  For r >= 2
 one pass over the cells completes every square, with one batched inverse,
-and each prime then runs only the windows core, :func:`_trace_windows`,
-which :func:`quadratic_row` calls too.
+and each prime then runs only the windows core, :func:`_trace_windows`.
 
 Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The
 block kernels evaluate polynomials with integer coefficients by Horner's
@@ -71,8 +68,8 @@ from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx, chi_tables,
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
 
-# Rows of chi(u^2 + d) that quadratic_row builds at a time, and the most windows
-# it sums in int8; odd, so its transposed copy does not thrash the cache.
+# Rows of chi(u^2 + d) that the windows core builds at a time, and the most
+# windows it sums in int8; odd, so its transposed copy does not thrash the cache.
 QUAD_BLOCK = 127
 
 # Cells (prime, x) per block of first_sum_vec: the block size that kept peak
@@ -464,49 +461,47 @@ def _primitive(f) -> list[int]:
     return [v // g for v in f] if f[-1] > 0 else [-v // g for v in f]
 
 
-def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int | None]:
-    """sum_t a_t^r at each prime, for F = c(x) + b(x) T + a(x) T^2, or None
-    at the primes where F is rank-one mod p.
+def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int]:
+    """sum_t a_t^r at each prime, for F = c(x) + b(x) T + a(x) T^2.
 
-    The block route of :func:`quadratic_row`.  One pass over the cells of a
-    block of primes (:func:`_block_cells`) gives a, b and c at every cell,
-    the rank-one test (:func:`_rank_one`; those primes are left to
-    :func:`correlation_row`, which is O(p log p)) and the completed squares
-    of :func:`_complete_square`, with one batched inverse for the block.
-    Each prime then runs only the windows core, :func:`_trace_windows`, and
-    :func:`power_total` sums the r-th powers of its traces exactly.
-    """
-    ps, offs, base, mod, (c, b, a), chi = _block_cells(t_coeffs, primes)
-    one = _rank_one(a, b, ps, offs, mod)
-    if one.all():
-        return [None] * len(primes)
-    cells = _complete_square(a, b, c, mod, chi, base)
-    del base, mod, c, b, a  # the loop holds only the cells: peak memory stays near one prime's
-    out = []
-    for p, lo, skip in zip(primes, offs.tolist(), one.tolist()):
-        if skip:
-            out.append(None)
-        else:
-            hi = lo + p
-            traces = _trace_windows(chi[lo:hi], *(v[lo:hi] for v in cells))
-            out.append(power_total(traces, r))
-    return out
+    Completing the square where a(x) != 0 gives
 
+        chi(F(x, t)) = chi(a) D[d][t + s],   D[d][u] = chi(u^2 + d),
 
-def _block_cells(t_coeffs, primes):
-    """The cells of :func:`_cells`, and c, b, a and chi at every one of them.
+    with s = b / (2a) and d = c / a - s^2 = (4ac - b^2) / (4a^2) mod p.  The
+    table D depends on p alone, so each trace row is a signed sum of windows
+    (slices of length p) of doubled rows of D.  Where a(x) = 0 the row of x
+    is a window of chi, chi(b) chi(t + c / b), or the constant chi(c) where
+    b = 0 too.  That covers every F of degree <= 2 in T, rank-one mod p or
+    not.  ``t_coeffs`` is laid out as for :func:`quadratic_in_t`
+    (ValueError unless deg_T F <= 2 mod every prime).
 
-    Each integer coefficient is taken once per block by
-    :func:`_residue_rows`, c, b and a are evaluated at every cell by
-    :func:`_horner_cells`, and chi is the block's tables end to end
-    (``finite_field.chi_tables``).  Returns the primes, their offsets, each
-    cell's offset and prime, (c, b, a) and chi.
+    One pass over the cells of a block of primes (:func:`_cells`) evaluates
+    a, b and c at every cell (:func:`_horner_cells`, each integer
+    coefficient taken once per block by :func:`_residue_rows`) and completes
+    every square (:func:`_complete_square`), with one batched inverse for
+    the block and chi from the block's tables end to end
+    (``finite_field.chi_tables``).  Each prime then runs only the windows
+    core, :func:`_trace_windows`, and :func:`power_total` sums the r-th
+    powers of its traces exactly.
+
+    Peak working memory on a block of one prime is about 590 p bytes
+    (measured at p = 4001 and 10007): 3 QUAD_BLOCK p for the doubled block
+    and one chunk of windows, and the rest for arrays over the cells.  That
+    is under a third of the 2 CHUNK p 8 = 2048 p bytes of the float blocks
+    of :func:`trace_row_vec`.
     """
     ps, offs, base, xs, mod = _cells(t_coeffs, primes)
-    top = max(primes)
-    rows = tuple(_horner_cells(_residue_rows(t_coeffs[j] if j < len(t_coeffs) else (), ps),
-                               xs, ps, mod, top) for j in range(3))
-    return ps, offs, base, mod, rows, chi_tables(primes)
+    c, b, a = (_horner_cells(_residue_rows(t_coeffs[j] if j < len(t_coeffs) else (), ps),
+                             xs, ps, mod, max(primes)) for j in range(3))
+    chi = chi_tables(primes)
+    cells = _complete_square(a, b, c, mod, chi, base)
+    del base, xs, mod, c, b, a  # the loop holds only the cells: peak memory stays near one prime's
+    out = []
+    for p, lo in zip(primes, offs.tolist()):
+        traces = _trace_windows(chi[lo : lo + p], *(v[lo : lo + p] for v in cells))
+        out.append(power_total(traces, r))
+    return out
 
 
 def _cells(t_coeffs, primes):
@@ -574,65 +569,15 @@ def _spread(values, counts):
     return values[0] if len(values) == 1 else np.repeat(values, counts)
 
 
-def quadratic_row(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray:
-    """The traces of :func:`trace_row_vec` for F = c(x) + b(x) T + a(x) T^2.
-
-    Completing the square where a(x) != 0 gives
-
-        chi(F(x, t)) = chi(a) D[d][t + s],   D[d][u] = chi(u^2 + d),
-
-    with s = b / (2a) and d = c / a - s^2 = (4ac - b^2) / (4a^2) mod p.  The
-    table D depends on p alone, so each trace row is a signed sum of windows
-    (slices of length p) of doubled rows of D.  Where a(x) = 0 the row of x
-    is a window of chi, chi(b) chi(t + c / b), or the constant chi(c) where
-    b = 0 too.  :func:`_complete_square` gives s, d and the signs at every
-    x, and :func:`_trace_windows`, the windows core that the block route
-    :func:`quadratic_power_sums` shares, sums the windows.  ``t_coeff_rows``
-    is laid out as for :func:`trace_row_vec`, with no row past T^2
-    (ValueError).
-
-    Peak working memory is about (3 QUAD_BLOCK + 230) p bytes, some 610 p:
-    3 QUAD_BLOCK p for the doubled block, its transposed rows or one chunk
-    of windows, and the rest for int64 arrays over x (measured at p = 4001
-    and 10007, with a fixed ~10 kB on top).  That is under a third of the
-    2 CHUNK p 8 = 2048 p bytes of the float blocks of :func:`trace_row_vec`.
-    """
-    p = ctx.p
-    chi = ctx.chi
-    if any(row is not None for row in t_coeff_rows[3:]):
-        raise ValueError("the quadratic-in-T kernels need deg_T F <= 2")
-    zero = np.zeros(p, dtype=np.int64)
-    c, b, a = (t_coeff_rows[j] if j < len(t_coeff_rows) and t_coeff_rows[j] is not None else zero
-               for j in range(3))
-    mod = np.full(1, p, dtype=np.int64)
-    return _trace_windows(chi, *_complete_square(a, b, c, mod, chi, 0))
-
-
-def _rank_one(a, b, ps, offs, mod) -> np.ndarray:
-    """Whether the rows b, a have rank at most one mod p, at each prime of a block.
-
-    That is the shape :func:`correlation_row` takes: b = lambda a or
-    a = lambda b, rank 0 included.  Each prime's pivot is its first cell
-    where (a, b) != (0, 0), or its cell x = 0 when there is none, and the
-    rank is at most one where a b0 - b a0 = 0 at every cell; exact in int64
-    (< p^2).
-    """
-    first = np.minimum.reduceat(np.where((a != 0) | (b != 0), np.arange(len(a)), len(a)), offs)
-    pivot = np.where(first < len(a), first, offs)
-    off_line = a * _spread(b[pivot], ps)
-    off_line -= b * _spread(a[pivot], ps)
-    off_line %= mod
-    return ~np.logical_or.reduceat(off_line != 0, offs)
-
-
 def _complete_square(a, b, c, mod, chi, base):
     """s, d, the sign and the kind of every cell, and the constant terms.
 
     Where a != 0: s = b / (2a), d = c / a - s^2 and the sign chi(a); where
     a = 0 != b: the offset c / b in s and the sign chi(b); where a = b = 0:
-    chi(c) in ``const``.  The cells are those of :func:`_block_cells` (or of
-    one prime, with ``base`` 0), and the inverses of 2a or b come from one
-    batched :func:`_inverse`.  Returns (s, d, neg, square, linear, const).
+    chi(c) in ``const``.  The cells are those of :func:`_cells`, ``base``
+    their offsets into the block's chi, and the inverses of 2a or b come
+    from one batched :func:`_inverse`.  Returns (s, d, neg, square, linear,
+    const).
     """
     square = a != 0
     linear = ~square & (b != 0)
@@ -803,19 +748,15 @@ def _square_root_counts(f, primes) -> tuple[np.ndarray, np.ndarray]:
     A nonzero root r is a square exactly where r^((p - 1)/2) = 1, so
     N+- = deg gcd(f mod p, h -+ 1) with h = x^((p - 1)/2) mod f-bar
     (:func:`_x_power`).  Both are kernel dimensions (:func:`_gcd_degrees`),
-    taken by one :func:`_rank` of the two multiplications stacked along the
-    prime axis.
+    ranked one after the other, so the rank holds one (d, d, #primes)
+    matrix at a time.
     """
     p, neg_m, k = _residue_ring(f, primes)
     h = _x_power(p >> 1, neg_m, p, k)
-    n = len(p)
-    both = np.concatenate((h, h), axis=1)
-    both[0, :n] -= 1
-    both[0, n:] += 1
-    twice = np.concatenate((p, p))
-    both[0] %= twice
-    dims = _gcd_degrees(both, np.concatenate((neg_m, neg_m), axis=1), twice)
-    return dims[:n], dims[n:]
+    h[0] = (h[0] - 1) % p
+    plus = _gcd_degrees(h, neg_m, p)
+    h[0] = (h[0] + 2) % p
+    return plus, _gcd_degrees(h, neg_m, p)
 
 
 def prime_array(primes) -> np.ndarray:

@@ -137,13 +137,10 @@ def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
 
 def traces_from_rows(rows, ctx: PrimeCtx) -> np.ndarray:
     """Traces at t = 0..p-1, as an int64 array, from the T-coefficient rows
-    of ``t_coeff_rows``: the first of ``correlation_row`` (rank-one F),
-    ``quadratic_row`` (deg_T F <= 2) and ``trace_row_vec`` that applies.
-    ``moments._power_sums`` says which primes of a scan take a row.
+    of ``t_coeff_rows``: ``correlation_row`` where F is rank-one mod p, else
+    the dense ``trace_row_vec``.  ``moments._power_sums`` says which primes
+    of a scan take a row: those where deg_T F >= 3 mod p, or where F is
+    rank-one over Q.
     """
     row = _kernels.correlation_row(rows, ctx)
-    if row is not None:
-        return row
-    if len(rows) <= 3:
-        return _kernels.quadratic_row(rows, ctx)
-    return _kernels.trace_row_vec(rows, ctx)
+    return _kernels.trace_row_vec(rows, ctx) if row is None else row

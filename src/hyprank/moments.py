@@ -226,10 +226,10 @@ def _power_sum(fam: HyperFamily, r: int, p) -> int:
     return power_total(traces_from_rows(t_coeff_rows(fam.F, ctx), ctx), r)
 
 
-def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int | None]:
+def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int]:
     """p * A_r(p) at each prime of a block where deg_T F <= 2: ``first_sum_vec``
-    for r = 1, else ``quadratic_power_sums`` (None where F is rank-one mod p).
-    A private module-level name, which a pool pickles by reference."""
+    for r = 1, else ``quadratic_power_sums``.  A private module-level name,
+    which a pool pickles by reference."""
     return first_sum_vec(t_coeffs, block) if r == 1 else quadratic_power_sums(t_coeffs, r, block)
 
 
@@ -244,21 +244,20 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
     prime that divides neither alpha nor lead(D).  The block kernels of
     ``_block_sums`` take the rest, with no per-prime context:
     ``first_sum_vec`` for r = 1, O(p) with the sums over t and x swapped,
-    and for r >= 2 ``quadratic_power_sums``, O(p^2) int8 copies, which
-    declines the primes where F is rank-one mod p (an F rank-one over Q,
-    ``_rank_one_in_t``, skips the blocks).  Every other prime takes its
-    trace row, one prime at a time (``_power_sum``): ``traces_from_rows``
-    gives it in O(p log p) where F is rank-one mod p (``correlation_row``),
-    else in O(p^2) in float64 blocks (``trace_row_vec``, deg_T F >= 3), and
-    ``power_total`` sums its r-th powers; ``ctx``, the context of the one
-    prime of ``primes`` where the caller has it, serves that row.  Each scan
-    that may run in a pool starts one only past its break-even work
-    (``POOL_CELLS``, ``POOL_SQUARES`` and ``POOL_POINTS``), below which the
-    pool costs more than it saves."""
+    and for r >= 2 ``quadratic_power_sums``, O(p^2) int8 copies, at every
+    such prime where F is not rank-one over Q (``_rank_one_in_t``).  Every
+    other prime takes its trace row, one prime at a time (``_power_sum``):
+    ``traces_from_rows`` gives it in O(p log p) where F is rank-one mod p
+    (``correlation_row``), else in O(p^2) in float64 blocks
+    (``trace_row_vec``, deg_T F >= 3), and ``power_total`` sums its r-th
+    powers; ``ctx``, the context of the one prime of ``primes`` where the
+    caller has it, serves that row.  Each scan that may run in a pool starts
+    one only past its break-even work (``POOL_CELLS``, ``POOL_SQUARES`` and
+    ``POOL_POINTS``), below which the pool costs more than it saves."""
     coeffs = fam.t_coeffs
     fft = _rank_one_in_t(coeffs)
     quad = quadratic_in_t(coeffs, primes).tolist()
-    # at r >= 2 the block kernel would decline every prime of an F rank-one over Q
+    # at r >= 2 an F rank-one over Q takes the FFT, O(p log p), at every prime
     blocked = [p for p, q in zip(primes, quad) if q and (r == 1 or not fft)]
     sums = {}
     if r == 1:
@@ -272,8 +271,8 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
         blocks, pool = prime_blocks(blocked, QUAD_CELLS), sum(p * p for p in blocked) > POOL_SQUARES
     by_block = scan(partial(_block_sums, coeffs[:3], r), blocks, jobs if pool else 1)
     sums.update(zip(blocked, itertools.chain.from_iterable(by_block)))
-    rest = [p for p in primes if sums.get(p) is None]
-    work = sum(FFT_POINTS * p * p.bit_length() if fft or p in sums else p * p for p in rest)
+    rest = [p for p in primes if p not in sums]
+    work = sum(FFT_POINTS * p * p.bit_length() if fft else p * p for p in rest)
     rows = [p if ctx is None else ctx for p in rest]
     sums.update(zip(rest, scan(partial(_power_sum, fam, r), rows,
                                jobs if work > POOL_POINTS else 1)))

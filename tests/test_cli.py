@@ -1,11 +1,14 @@
+import ast
 import hashlib
 import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyprank import oracles
+from hyprank import _kernels, oracles
 from hyprank.cli import main, parse_roots
 
 F3 = "(x-1)*(x-2)*(x-3)"
@@ -836,6 +839,14 @@ GOLDEN = [
     (("moments", "--family-expr", "(x^3 + x + 1)*T + 2*x", "--genus", "1", "--r", "1",
       "--pmax", "60"),
      "0308bfa347c1da0c7a9e3595741a62e9b2be1e01439cfbf47a997e27a3f67649", 0, ""),
+    # these two were recorded while quadratic_power_sums still left the primes
+    # where F is rank-one mod p to the FFT row: this F is rank-one mod 7 alone
+    (("moments", "--family-expr", "x^3 + (x + 1)*T^2 + (x + 8)*T + 1", "--genus", "1",
+      "--r", "2", "--pmax", "60"),
+     "9c3fed5c8848d53a3aef6d63e88ae15b7cea4dfaaaf7c7b81e13b02ce2d2fe5f", 0, ""),
+    (("moments", "--family-expr", "x^3 + (x + 1)*T^2 + (x + 8)*T + 1", "--genus", "1",
+      "--r", "3", "--pmax", "60"),
+     "e42b00586e05920bcf01893ed8922f0dc998701526e687ba35d04412f6075ac4", 0, ""),
 ]
 
 
@@ -857,3 +868,48 @@ def test_golden_output(capsys, argv, stdout_sha256, exit_code, stderr):
     captured = capsys.readouterr()
     assert (code, captured.err) == (exit_code, stderr)
     assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
+
+
+# one small run of each route of the CLI: the FFT row (shift_square at r = 2),
+# the windows (big_rank at r = 2), the root counts with odd k (brute nagao on
+# big_rank), the O(p) first moments of a weight that is no monomial, the
+# dense row (deg_T 3 at r = 2), the closed forms, the Frobenius degree
+# patterns, the power-shape class sums and the lemma oracles
+ROUTES = [
+    ("moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2", "--pmax", "40"),
+    ("moments", "--family", "builtin:big_rank", "--genus", "1", "--roots", "1..6",
+     "--r", "2", "--pmax", "40"),
+    ("nagao", "--family", "builtin:big_rank", "--genus", "1", "--roots", "1..6",
+     "--pmax", "200"),
+    ("moments", "--family-expr", "x^3 + (x+1)*T^2 + T + 1", "--genus", "1", "--pmax", "40"),
+    ("moments", "--family-expr", "x^3 + x*T^3 + T + 1", "--genus", "1", "--r", "2",
+     "--pmax", "40"),
+    ("nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "200", "--predicted"),
+    ("sn-witness", "--f", "x^5 - x - 1", "--pmax", "100"),
+    ("second-moment", "--n", "5", "--h", "1", "--k", "2", "--pmax", "40"),
+    ("verify-lemmas", "--pmax", "11"),
+]
+
+
+def test_cli_routes_call_every_kernel_function(capsys):
+    """Every top-level function of hyprank._kernels runs on some CLI route:
+    code that no route reaches is either dead or a test reference, and
+    belongs in neither module."""
+    tree = ast.parse(Path(_kernels.__file__).read_text())
+    names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in names:  # a cached result would run no code
+        getattr(getattr(_kernels, name), "cache_clear", lambda: None)()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == _kernels.__name__:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(list(argv)) for argv in ROUTES]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(ROUTES)
+    assert sorted(names - called) == []

@@ -22,7 +22,6 @@ from hyprank._kernels import (
     powmod_vec,
     prime_blocks,
     quadratic_power_sums,
-    quadratic_row,
     trace_row_vec,
 )
 from hyprank.curves import HyperFamily, t_coeff_rows, trace_row, traces_from_rows
@@ -324,8 +323,8 @@ def test_quadratic_power_sums_match_rows_and_euler(genus, lower, lead_t, lead, s
                                                    cuts, r):
     """The block route of the r >= 2 moments at every odd prime <= 300, in
     blocks cut anywhere, in the scans' own blocks and one prime at a time,
-    against quadratic_row, the dense trace row and Euler's criterion.  It
-    declines (None) exactly the primes that correlation_row takes."""
+    against the dense trace row and Euler's criterion.  It gives a value at
+    every prime, those where F is rank-one mod p included."""
     F = quadratic_family(genus, lower, lead_t, lead, scale, drop_t2)
     coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
     primes = ODD_PRIMES_TO_300
@@ -334,13 +333,9 @@ def test_quadratic_power_sums_match_rows_and_euler(genus, lower, lead_t, lead, s
     assert _power_sums_by_block(coeffs, r, [[p] for p in primes]) == sums
     for p, total in zip(primes, sums):
         ctx = PrimeCtx(p)
-        rows = t_coeff_rows(F, ctx)
-        dense = trace_row_vec(rows, ctx).tolist()
+        dense = trace_row_vec(t_coeff_rows(F, ctx), ctx).tolist()
         assert dense == euler_trace_rows(F, p), p
-        assert (total is None) == (correlation_row(rows, ctx) is not None), p
-        if total is not None:
-            assert quadratic_row(rows, ctx).tolist() == dense, p
-            assert total == sum(a**r for a in dense), p
+        assert type(total) is int and total == sum(a**r for a in dense), p
 
 
 def test_quadratic_power_sums_on_a_prime_past_block_cells():
@@ -350,7 +345,7 @@ def test_quadratic_power_sums_on_a_prime_past_block_cells():
     p = 8209
     assert prime_blocks([8191, p]) == prime_blocks([8191, p], QUAD_CELLS) == [[8191], [p]]
     ctx = PrimeCtx(p)
-    row = quadratic_row(t_coeff_rows(F, ctx), ctx).tolist()
+    row = trace_row_vec(t_coeff_rows(F, ctx), ctx).tolist()
     for r in (2, 3):
         assert quadratic_power_sums(coeffs, r, [p]) == [sum(a**r for a in row)]
 
@@ -625,7 +620,6 @@ def test_trace_rows_are_int64_arrays_of_length_p():
             dense = trace_row_vec(rows, ctx)
             kernels = [dense, traces_from_rows(rows, ctx)]
             kernels += [row for row in [correlation_row(rows, ctx)] if row is not None]
-            kernels += [quadratic_row(rows, ctx)] if len(rows) <= 3 else []
             for row in kernels:
                 assert type(row) is np.ndarray and row.dtype == np.int64, (p, len(rows))
                 assert row.shape == (p,) and np.array_equal(row, dense), (p, len(rows))
@@ -639,10 +633,8 @@ def test_correlation_row_declines_rows_that_are_not_proportional():
 
 
 def test_first_sum_vec_refuses_cubic_rows():
-    fam = fam_of("x^3 + x*T^3 + 1", 1)
-    ctx = PrimeCtx(5)
     with pytest.raises(ValueError, match="deg_T F <= 2"):
-        quadratic_row(t_coeff_rows(fam.F, ctx), ctx)
+        quadratic_power_sums([[1], [], [], [0, 1]], 2, [5])
     with pytest.raises(ValueError, match="deg_T F <= 2"):
         first_sum_vec([[1], [], [], [0, 1]], [5])
 
@@ -749,6 +741,25 @@ def interpolate_mod_p(values, p):
     return coeffs
 
 
+def coeffs_of_rows(rows, p):
+    """The coefficients of degree < p that give each value row
+    (:func:`interpolate_mod_p`), [] for a row that is None."""
+    return [[] if row is None else interpolate_mod_p(row, p) for row in rows]
+
+
+ORDERS = (1, 2, 3, 4)
+
+
+def row_power_sums(row) -> list[int]:
+    """sum_t a_t^r of a trace row for r = 1..4."""
+    return [sum(a**r for a in row) for r in ORDERS]
+
+
+def window_power_sums(coeffs, p) -> list[int]:
+    """The same sums from quadratic_power_sums, on a block of the one prime p."""
+    return [quadratic_power_sums(coeffs, r, [p])[0] for r in ORDERS]
+
+
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 1999])
 def test_dense_kernel_at_maximal_entries(m, p):
@@ -776,13 +787,13 @@ def test_dense_kernel_at_maximal_entries(m, p):
             # first_sum_vec takes coefficients: those of degree < p that give each row
             coeffs = [interpolate_mod_p(row, p) for row in rows]
             assert first_sum_vec(coeffs, [p]) == [sum(dense)], name
-            assert dense == quadratic_row(rows, ctx).tolist(), name
+            assert window_power_sums(coeffs, p) == row_power_sums(dense), name
         if p <= 101 or not rank_one:
             assert dense == int_trace_row(rows, p), name
 
 
-# the quadratic kernel: windows of chi(u^2 + d) against the dense kernel and
-# Euler's criterion
+# the windows of chi(u^2 + d) of quadratic_power_sums against the dense
+# kernel and Euler's criterion
 
 ODD_PRIMES_TO_200 = primes_in(PrimeRange(3, 200))
 
@@ -828,20 +839,19 @@ def random_quadratic_rows(p, seed, zero_a, zero_b, disc):
 @pytest.mark.parametrize("p", ODD_PRIMES_TO_200)
 def test_quadratic_row_matches_dense_and_euler(p, seed, zero_a, zero_b, disc):
     rows = random_quadratic_rows(p, seed, zero_a, zero_b, disc)
-    ctx = PrimeCtx(p)
-    quad, dense = quadratic_row(rows, ctx).tolist(), trace_row_vec(rows, ctx).tolist()
-    assert quad == dense == int_trace_row(rows, p)
+    dense = trace_row_vec(rows, PrimeCtx(p)).tolist()
+    assert dense == int_trace_row(rows, p)
+    assert window_power_sums(coeffs_of_rows(rows, p), p) == row_power_sums(dense)
 
 
 @pytest.mark.parametrize("p, disc", [(1999, "free"), (1999, "zero"), (1999, "square"),
                                      (1999, "constant"), (10007, "free"), (10007, "constant")])
 def test_quadratic_row_at_larger_primes(p, disc):
     rows = random_quadratic_rows(p, p, 0.01, 0.01, disc)
-    ctx = PrimeCtx(p)
-    row = quadratic_row(rows, ctx).tolist()
-    assert row == trace_row_vec(rows, ctx).tolist()
+    dense = trace_row_vec(rows, PrimeCtx(p)).tolist()
+    assert window_power_sums(coeffs_of_rows(rows, p), p) == row_power_sums(dense)
     if p < 2000:
-        assert row == int_trace_row(rows, p)
+        assert dense == int_trace_row(rows, p)
 
 
 @pytest.mark.parametrize("text, genus", [
@@ -853,8 +863,7 @@ def test_quadratic_row_at_larger_primes(p, disc):
 def test_quadratic_row_matches_euler_on_families(text, genus):
     fam = fam_of(text, genus)
     for p in (3, 5, 7, 11, 13, 31):
-        rows = t_coeff_rows(fam.F, PrimeCtx(p))
-        assert quadratic_row(rows, PrimeCtx(p)).tolist() == euler_trace_row(fam.F, p), p
+        assert window_power_sums(fam.t_coeffs, p) == row_power_sums(euler_trace_row(fam.F, p)), p
 
 
 def test_quadratic_row_sums_full_chunks_of_equal_windows():
@@ -865,18 +874,18 @@ def test_quadratic_row_sums_full_chunks_of_equal_windows():
     for c0 in (0, 1, 2, p - 1):
         rows = [np.full(p, c0, dtype=np.int64), None, np.ones(p, dtype=np.int64)]
         want = [-p * int(ctx.chi[(t * t + c0) % p]) for t in range(p)]
-        assert quadratic_row(rows, ctx).tolist() == trace_row_vec(rows, ctx).tolist() == want
+        assert trace_row_vec(rows, ctx).tolist() == want
+        assert window_power_sums([[c0], [], [1]], p) == row_power_sums(want)
 
 
 def test_quadratic_row_memory_stays_below_the_dense_blocks():
-    """All x in one block of d, with the most windows per chunk, at p ~ 4000."""
+    """All x in one block of d, with the most windows per chunk, at p ~ 4000,
+    on a block of the one prime."""
     p = 4001
-    ctx = PrimeCtx(p)
-    rows = random_quadratic_rows(p, 0, 0.0, 0.0, "constant")
-    ctx.chi  # the table belongs to the context, not to the kernel
+    coeffs = coeffs_of_rows(random_quadratic_rows(p, 0, 0.0, 0.0, "constant"), p)
     tracemalloc.start()
     try:
-        quadratic_row(rows, ctx)
+        quadratic_power_sums(coeffs, 2, [p])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -10,7 +10,7 @@ import pytest
 
 from hyprank import _kernels, curves, finite_field, moments
 from hyprank.construction import RootData, build_family
-from hyprank.curves import HyperFamily, t_coeff_rows, trace_row
+from hyprank.curves import HyperFamily, trace_row
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import (
     NonGenericPrime,
@@ -193,25 +193,36 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
 
 
 def test_quadratic_rows_never_take_the_dense_kernel(monkeypatch):
-    # deg_T F <= 2 rows that are not rank-one go to quadratic_row; rows of
-    # degree 3 in T still reach the float64 dense kernel
-    dense = _kernels.trace_row_vec
-    calls = []
-    monkeypatch.setattr(_kernels, "trace_row_vec",
-                        lambda rows, ctx: calls.append(len(rows)) or dense(rows, ctx))
+    # the higher moments of deg_T F <= 2 families that are not rank-one over
+    # Q take the blocks at every prime, rank-one mod p (mod7, at 7) or not;
+    # rows of degree 3 in T still reach the float64 dense kernel
     rank6 = make_big_rank(build_family(RootData(1, tuple(range(1, 7)))))
     quad = HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1"))
-    for p in primes_in(PrimeRange(3, 200)):
-        ctx = PrimeCtx(p)
-        for fam in (rank6, quad):
-            if p not in fam.bad_primes:
-                want = dense(t_coeff_rows(fam.F, ctx), ctx).tolist()
-                assert trace_row(fam, ctx) == want, (fam.label, p)
-                assert power_sum(fam, 2, ctx) == sum(a * a for a in trace_row(fam, ctx))
+    mod7 = HyperFamily("mod7", 1, parse_bipoly("x^3 + (x + 1)*T^2 + (x + 8)*T + 1"))
+    prange = PrimeRange(3, 200)
+    want = {}
+    for fam in (rank6, quad, mod7):
+        primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
+        rows = [trace_row(fam, PrimeCtx(p)) for p in primes]
+        want[fam.label] = primes, {r: [sum(a**r for a in row) for row in rows] for r in (2, 3)}
+    calls = []
+
+    def spy(name):
+        real = getattr(_kernels, name)
+        return lambda rows, ctx: calls.append((name, len(rows))) or real(rows, ctx)
+
+    for name in ("trace_row_vec", "correlation_row"):
+        monkeypatch.setattr(_kernels, name, spy(name))
+    for fam in (rank6, quad, mod7):
+        primes, sums = want[fam.label]
+        for r, values in sums.items():
+            assert [power_sum(fam, r, PrimeCtx(p)) for p in primes] == values, (fam.label, r)
+            series = moment_series(fam, r, prange)
+            assert [row.value * row.p for row in series.rows] == values, (fam.label, r)
     assert calls == []
     cubic = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
-    trace_row(cubic, PrimeCtx(101))
-    assert calls == [4]
+    power_sum(cubic, 2, PrimeCtx(101))
+    assert calls == [("correlation_row", 4), ("trace_row_vec", 4)]
 
 
 def test_moment_invariant_under_parameter_shift():
@@ -277,7 +288,8 @@ def test_first_moment_scans_send_first_sum_vec_only_the_fallback_primes(monkeypa
 
 def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
     # drops is deg_T 3 at every prime but 7, where it is quadratic and not
-    # rank-one; rank7 is quadratic everywhere and rank-one mod 7 alone
+    # rank-one; rank7 is quadratic everywhere and rank-one mod 7 alone, which
+    # the blocks take as well
     drops = HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + x*T^2 + T + 1"))
     rank7 = HyperFamily("rank7", 1, parse_bipoly("x^3 + (x + 1)*T^2 + (x + 8)*T + 1"))
     prange = PrimeRange(3, 60)
@@ -286,7 +298,7 @@ def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
     row_power_sum = moments._power_sum
     monkeypatch.setattr(moments, "_power_sum",
                         lambda fam, r, p: rows.append(p) or row_power_sum(fam, r, p))
-    for fam, by_row in ((drops, [p for p in primes if p != 7]), (rank7, [7])):
+    for fam, by_row in ((drops, [p for p in primes if p != 7]), (rank7, [])):
         for r in (2, 3):
             want = [sum(a**r for a in trace_row(fam, PrimeCtx(p))) for p in primes]
             rows.clear()

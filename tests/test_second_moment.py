@@ -130,7 +130,7 @@ def test_scan_never_takes_the_dense_kernel(monkeypatch):
     def kernel(rows, ctx):
         raise AssertionError("trace kernel called")
 
-    for name in ("trace_row_vec", "quadratic_row", "correlation_row"):
+    for name in ("trace_row_vec", "correlation_row"):
         monkeypatch.setattr(_kernels, name, kernel)
     for n, h, k in [(3, 0, 0), (3, 2, 0), (5, 2, 0), (5, 4, 3), (7, 3, 0), (7, 6, 5), (5, 1, 2)]:
         fam = PowerFamily(n, h, k)
