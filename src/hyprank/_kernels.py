@@ -7,10 +7,13 @@ and :func:`power_total` takes sum_t a_t^r from it exactly.  The second
 moments of the power shapes x^n + x^h T^k need none of them:
 ``second_moment._brute`` sums one character sum per coset class of t, in O(p).
 
-- :func:`first_sum_roots` gives the total over t in O(d^2 log p) (first
-  moments) where the weight a, or c where a = 0, is a monomial alpha x^k:
-  then the sum needs only the roots of D = b^2 - 4ac mod p, counted by
-  Frobenius gcd degrees, and split into squares and non-squares for odd k;
+- :func:`first_sum_roots` gives the total over t (first moments) where
+  the weight a, or c where a = 0, is a monomial alpha x^k: then the sum
+  needs only the roots of D = b^2 - 4ac mod p, split into squares and
+  non-squares for odd k.  The integer roots of D are split off once
+  (:func:`_split_roots`) and give theirs in O(d) a prime, residues and
+  characters of integers; only a cofactor of degree >= 1 takes the
+  Frobenius gcd degrees, O(d^2 log p);
 - :func:`first_sum_vec` gives the same total in O(p) at the primes the
   root counts leave (p | alpha or p | lead(D)) and for any other weight:
   with the sums over t and x swapped, the quadratic law makes the sum over
@@ -53,7 +56,11 @@ sum, :func:`frobenius_gcd_degrees` and the root counts of
 :func:`first_sum_roots`, work across many odd primes at once, on
 (d, #primes) residue arrays with the primes on the contiguous axis: in int64
 below FROB_LIMIT = 2^31, summing as many products before a reduction as
-2^63 allows, else in Python ints, reducing every product.
+2^63 allows, else in Python ints, reducing every product.  The split of D
+that precedes them is exact over Z and made once per D: Fujiwara's bound B
+on its roots in integers, D at every residue of one prime q > 2B, and each
+lifted zero checked in Python ints (:func:`_integer_roots`), with no BLAS
+or LAPACK call.
 """
 
 from __future__ import annotations
@@ -63,7 +70,8 @@ import math
 
 import numpy as np
 
-from .finite_field import TABLE_LIMIT, InternalCheckError, PrimeCtx, chi_tables, quadratic_sums
+from .finite_field import (TABLE_LIMIT, InternalCheckError, PrimeCtx, chi_tables, is_prime,
+                           quadratic_sums)
 
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
@@ -95,11 +103,19 @@ MAX_ROWS = 1 << 11
 # Largest distance from an integer that a rounded FFT correlation may show.
 ROUND_TOL = 0.25
 
-# Primes up to which residues reduces an integer past int64 in Python ints,
-# one prime at a time: at 70 to 537 bits that is faster than its limbs below
-# about 250 primes, and 2 to 40 times faster at 60 primes or fewer, the most
-# a block of first_sum_vec holds.
-PY_RESIDUES = 128
+# Primes per 31-bit limb up to which residues reduces an integer past int64
+# in Python ints, one prime at a time, rather than by its limbs, whose cost
+# grows with the limbs.  Best of 7 x 100 calls, primes from 3 on (2-core
+# host): Python ints overtook the limbs near 120 primes at 70 bits (3 limbs),
+# 180 at 128 bits (5), 300 at 256 bits (9), 360 at 400 bits (13) and 500 to
+# 640 at 544 bits (18); at 155 primes a 544-bit integer took 27 us in Python
+# ints against 55 us in limbs, at 1024 primes 149 against 125 us.
+PY_RESIDUES = 32
+
+# Largest bound on the integer roots of D for which _integer_roots looks for
+# them: it evaluates D at every residue of a prime q > 2B, O(q d) array steps.
+# Above it D is not split, and every prime takes the Frobenius chain.
+ROOT_BOUND = 1 << 16
 
 # Primes from which frobenius_gcd_degrees works in Python ints.  Below it a
 # product of residues is below 2^62, so int64 sums k = _lazy_products(p_max)
@@ -375,7 +391,7 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
 
 
 def first_sum_roots(t_coeffs, primes) -> list[int | None]:
-    """The sums of :func:`first_sum_vec` from root counts of D alone, or None
+    """The sums of :func:`first_sum_vec` from the roots of D alone, or None
     at the primes left to it.
 
     Where the weight of :func:`first_sum_vec` is a monomial alpha x^k over
@@ -391,13 +407,40 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
         W = z chi(c(0)) + chi(alpha) (N+ - N-)    for odd k,
 
     and sum_t a_t = chi(alpha) (p, p - 1 or 0 by k) - p W, whose first term
-    is 0 where a = 0.  For even k, z + N+ + N- is the column D_1 of
-    :func:`frobenius_gcd_degrees`; for odd k, :func:`_square_root_counts`
-    gives N+ and N-.  Both hold whether or not D is squarefree mod p, since
-    x^p - x and x^((p - 1)/2) -+ 1 are.  The characters of alpha and c(0)
-    come from Euler's criterion (:func:`_characters`).  O(d^2 log p + d^3)
-    a prime for D of degree d, in place of O(p).  ``t_coeffs`` holds the
-    integer coefficients of T^0, T^1, T^2, as for :func:`first_sum_vec`.
+    is 0 where a = 0.  With chi(0) = 0, N+ + N- = #R - z and
+    N+ - N- = sum_{s in R} chi(s), R the set of roots of D mod p.
+
+    R comes from a split of D over Z, made once per D (:func:`_split_roots`).
+    D is first divided by its content, which p does not divide, so R is
+    unchanged; D is then primitive with a positive lead.  Dividing out each
+    integer root r_i with its multiplicity m_i (by monic x - r_i, so within
+    Z[x]) gives D = g (x - r_1)^(m_1) ... (x - r_n)^(m_n), the r_i
+    distinct, g in Z[x] with no integer root and lead(g) = lead(D).  As p
+    does not divide lead(D), g mod p keeps its degree, and R = S u G with S
+    the residues of the r_i and G the roots of g mod p.  Let
+
+        K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)),
+
+    a nonzero integer fixed by D.  p does not divide K_i exactly where
+    r_i mod p is no root of g and differs from every earlier r_j mod p, so
+    the r_i with p not dividing K_i give each residue of S outside G once,
+    and R is the disjoint union of those residues and G.  Hence, with G+
+    and G- the nonzero roots of g mod p that are squares and that are not,
+
+        #R = #{i : p does not divide K_i} + #G,
+        sum_{s in R} chi(s) = sum_{p does not divide K_i} chi(r_i) + G+ - G-.
+
+    #G is the column D_1 of :func:`frobenius_gcd_degrees` on g, and G+ and
+    G- come from :func:`_square_root_counts`; both hold whether or not g is
+    squarefree mod p, since x^p - x and x^((p - 1)/2) -+ 1 are.  Neither
+    runs where g is a constant, as it is wherever D splits over Z (big_rank,
+    and shift_square and linear_twist of an f with integer roots): then a
+    prime costs one residue of each K_i, and for odd k Euler's criterion on
+    the r_i that are no squares in Z (:func:`_integer_characters`), in
+    place of the O(d^2 log p + d^3) of the Frobenius chain and its ranks.
+    The characters of alpha and c(0) come from the same helper.
+    ``t_coeffs`` holds the integer coefficients of T^0, T^1, T^2, as for
+    :func:`first_sum_vec`.
     """
     c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
     disc = _discriminant(c, b, a) if any(a) else b
@@ -409,29 +452,121 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
     k = powers[0]
     alpha = weight[k]
     ps = prime_array(primes)
-    res = residues(alpha, ps)
-    on = np.flatnonzero((res != 0) & (residues(disc[-1], ps) != 0))
+    on = np.flatnonzero((residues(alpha, ps) != 0) & (residues(disc[-1], ps) != 0))
     if not len(on):
         return out
     p = ps[on]
-    chi_alpha = _characters(res[on], p)
+    chi_alpha = _integer_characters([alpha], p)[0]
     disc = _primitive(tuple(disc))  # the same roots where p does not divide lead(D)
     z = residues(disc[0], p) == 0
-    if len(disc) == 1:  # a constant D has no root
-        roots = 0
-    elif k % 2 == 0:
-        roots = frobenius_gcd_degrees(disc, p)[:, 0] - z
-    else:
-        plus, minus = _square_root_counts(disc, p)
-        roots = plus - minus
-    total = -p * chi_alpha * roots
+    roots, g, keys = _split_roots(tuple(disc))
+    live = np.array([residues(key, p) != 0 for key in keys], dtype=bool).reshape(len(keys), len(p))
+    if k % 2 == 0:  # N+ + N- = #R - z
+        count = live.sum(axis=0) - z
+        if len(g) > 1:
+            count += frobenius_gcd_degrees(g, p)[:, 0]
+    else:  # N+ - N-, the sum of chi over R
+        count = (live * _integer_characters(roots, p)).sum(axis=0)
+        if len(g) > 1:
+            plus, minus = _square_root_counts(g, p)
+            count += plus - minus
+    total = -p * chi_alpha * count
     if z.any():  # w(0) = chi(alpha) for k = 0, else chi(c(0))
         q = p[z]
-        total[z] -= q * (chi_alpha[z] if k == 0 else _characters(residues(c[0] if c else 0, q), q))
+        total[z] -= q * (chi_alpha[z] if k == 0 else _integer_characters([c[0] if c else 0], q)[0])
     if any(a):
         total += chi_alpha * (p if k == 0 else p - 1 if k % 2 == 0 else 0)
     for i, v in zip(on.tolist(), total.tolist()):
         out[i] = v
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _split_roots(f) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The distinct integer roots r_i of f, its cofactor g, and the keys K_i
+    of :func:`first_sum_roots`, for f a tuple of integers, primitive with a
+    positive lead.
+
+    f = g (x - r_1)^(m_1) ... (x - r_n)^(m_n) with g in Z[x] free of integer
+    roots, each root divided out with its multiplicity by exact synthetic
+    division, and K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)), never 0.
+    The roots are those of :func:`_integer_roots`, so where it finds none
+    g = f, which leaves the route as exact and only slower.  Cached, as the
+    scans ask once per FROB_BLOCK for the same D.
+    """
+    roots = _integer_roots(f)
+    g = list(f)
+    for r in roots:
+        while True:
+            quotient, rest = _divide_linear(g, r)
+            if rest:
+                break
+            g = quotient
+    keys = []
+    for i, r in enumerate(roots):
+        key = _divide_linear(g, r)[1]  # g(r)
+        for s in roots[:i]:
+            key *= r - s
+        keys.append(key)
+    return tuple(roots), tuple(g), tuple(keys)
+
+
+def _integer_roots(f) -> list[int]:
+    """The distinct integer roots of f, ascending, f a tuple of integers with
+    a nonzero lead; [] for a constant, or where the bound B passes ROOT_BOUND.
+
+    Every complex root lies in |x| <= B = 2 max_j t_j, with t_j the least
+    integer such that t_j^j |f_d| >= |f_(d-j)| for j < d and
+    t_d^d 2 |f_d| >= |f_0| (Fujiwara's bound, in integers).  A prime q > 2B
+    then sends the integers of [-B, B] to distinct residues: D is evaluated
+    at every residue of q (:func:`horner_vec`), each zero is lifted to its
+    representative in (-q/2, q/2) and kept where f vanishes there over Z.
+    O(q d) array steps, no BLAS.
+    """
+    d = len(f) - 1
+    if not d:
+        return []
+    lead = abs(f[-1])
+    half = ROOT_BOUND // 2
+    bound = 0
+    for j in range(1, d + 1):
+        size, scale = abs(f[d - j]), lead if j < d else 2 * lead
+        if half**j * scale < size:
+            return []
+        lo, hi = 0, half  # the least t in [0, half] with t^j scale >= size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if mid**j * scale >= size else (mid + 1, hi)
+        bound = max(bound, 2 * lo)
+    q = 2 * bound + 1
+    while not is_prime(q):
+        q += 2
+    zeros = np.flatnonzero(horner_vec(list(f), np.arange(q, dtype=np.int64), q) == 0).tolist()
+    lifted = (x if 2 * x < q else x - q for x in zeros)
+    return sorted(r for r in lifted if not _divide_linear(f, r)[1])
+
+
+def _divide_linear(f, r: int) -> tuple[list[int], int]:
+    """The quotient of f by x - r over Z and the remainder f(r), by
+    synthetic division (Horner's rule) in Python ints."""
+    acc, quotient = 0, []
+    for c in reversed(f):
+        acc = acc * r + c
+        quotient.append(acc)
+    rest = quotient.pop()
+    return quotient[::-1], rest
+
+
+def _integer_characters(values, p: np.ndarray) -> np.ndarray:
+    """(v/p) for each integer v of ``values`` at each prime, as a
+    (len(values), #primes) int64 array: [p does not divide v] where v is a
+    square in Z, with no exponent step, else Euler's criterion, one batch
+    for all the others (:func:`_characters`)."""
+    res = np.array([residues(v, p) for v in values], dtype=p.dtype).reshape(len(values), len(p))
+    out = (res != 0).astype(np.int64)
+    odd = [i for i, v in enumerate(values) if v < 0 or math.isqrt(v) ** 2 != v]
+    if odd:
+        out[odd] = _characters(res[odd], p)
     return out
 
 
@@ -857,13 +992,13 @@ def residues(c: int, p: np.ndarray) -> np.ndarray:
     """c mod p for an integer c of any size.
 
     In one array step below 2^63 in absolute value.  Beyond, at each prime
-    in Python ints for at most PY_RESIDUES primes, else in 31-bit limbs
-    from the top: one limb costs three array steps, which pays off only
-    across many primes.
+    in Python ints for at most PY_RESIDUES primes per 31-bit limb of c,
+    else by its limbs from the top: one limb costs three array steps, which
+    pays off only across many primes.
     """
     if abs(c) < 1 << 63:
         return c % p
-    if len(p) <= PY_RESIDUES:
+    if len(p) <= PY_RESIDUES * -(-abs(c).bit_length() // 31):
         return np.array([c % q for q in p.tolist()], dtype=p.dtype)
     r = np.zeros_like(p)
     a = abs(c)

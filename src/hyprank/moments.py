@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Optional
+
+import numpy as np
 
 from ._kernels import (QUAD_CELLS, check_dense, first_sum_roots, first_sum_vec, power_total,
                        prime_blocks, quadratic_in_t, quadratic_power_sums)
@@ -240,8 +243,10 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
     At the primes where deg_T F <= 2 mod p, r = 1 first takes
     ``first_sum_roots``, FROB_BLOCK primes at a time in this process: where
     the weight a (or c, where a = 0 over Z) is a monomial alpha x^k, it
-    needs root counts of D = b^2 - 4ac alone, O(d^2 log p) a prime, at every
-    prime that divides neither alpha nor lead(D).  The block kernels of
+    needs the roots of D = b^2 - 4ac mod p alone, at every prime that
+    divides neither alpha nor lead(D): O(d) a prime from the integer roots
+    of D, split off once, and O(d^2 log p) for the Frobenius chain of the
+    cofactor they leave, where that is no constant.  The block kernels of
     ``_block_sums`` take the rest, with no per-prime context:
     ``first_sum_vec`` for r = 1, O(p) with the sums over t and x swapped,
     and for r >= 2 ``quadratic_power_sums``, O(p^2) int8 copies, at every
@@ -329,21 +334,21 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
     primes = [p for p in all_primes if p not in dropped]
     if predicted:
         sums = _closed_form(fam, primes)
+        if None in sums:
+            dropped.update(p for p, s in zip(primes, sums) if s is None)
+            primes = [p for p, s in zip(primes, sums) if s is not None]
+            sums = [s for s in sums if s is not None]
     else:
         check_dense(max(primes, default=0))
         sums = [-s for s in _power_sums(fam, 1, primes, jobs)]
     P = prange.hi
-    theta = 0.0
-    pi_sum = 0.0
-    n = 0
-    for p, s in zip(primes, sums):
-        if s is None:
-            dropped.add(p)
-        else:
-            fv = s / p
-            theta += fv * math.log(p)
-            pi_sum += fv
-            n += 1
+    n = len(primes)
+    # s / p as Python rounds it, and math.log, from which np.log differs at some p
+    fv = np.fromiter(map(operator.truediv, sums, primes), float, n)
+    logs = np.fromiter(map(math.log, primes), float, n)
+    # np.cumsum adds in order, so its last entry is the sequential sum bit for bit
+    theta = float(np.cumsum(fv * logs)[-1]) if n else 0.0
+    pi_sum = float(np.cumsum(fv)[-1]) if n else 0.0
     return NagaoEstimate(
         P=P,
         s_theta=theta / P if P > 0 else 0.0,

@@ -97,8 +97,10 @@ _SUITES = ("quadratic-char-sum", "linear-sum-vanishing", "power-pair-count",
 def _first_failure(bad: np.ndarray, case: str, p: int, *lead: int) -> str:
     """The case at the first True of ``bad`` in row-major order, or "";
     ``lead`` holds the leading indices of the slice ``bad`` was taken from."""
-    hit = np.argwhere(bad)
-    return f"({case},p)=({','.join(map(str, (*lead, *hit[0])))},{p})" if len(hit) else ""
+    if not bad.any():  # the common case: no index array to build
+        return ""
+    hit = np.argwhere(bad)[0]
+    return f"({case},p)=({','.join(map(str, (*lead, *hit)))},{p})"
 
 
 def run_lemma_suites(pmax: int, nmax: int = 12) -> list[SuiteResult]:

@@ -882,6 +882,9 @@ ROUTES = [
     ("nagao", "--family", "builtin:big_rank", "--genus", "1", "--roots", "1..6",
      "--pmax", "200"),
     ("moments", "--family-expr", "x^3 + (x+1)*T^2 + T + 1", "--genus", "1", "--pmax", "40"),
+    # odd k with a weight 2x that is no square, and D = (x + 2)(x^2 + 1): a split
+    # root that is no square and a cofactor that meets it mod 5
+    ("moments", "--family-expr", "(x + 2)*(x^2 + 1)*T + 2*x", "--genus", "1", "--pmax", "40"),
     ("moments", "--family-expr", "x^3 + x*T^3 + T + 1", "--genus", "1", "--r", "2",
      "--pmax", "40"),
     ("nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "200", "--predicted"),

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -575,6 +576,81 @@ def test_first_sum_roots_declines_exactly_the_fallback_primes_of_every_shape():
                                             for p in ODD_PRIMES_TO_300], text
 
 
+def _split_family(roots, cofactor, k, alpha, on_a) -> list[list[int]]:
+    """The t_coeffs [c, b, a] of a monomial weight alpha x^k whose D has the
+    integer roots ``roots`` (repeats are multiplicities) and the cofactor
+    ``cofactor``, times a constant: with P = cofactor * prod (x - r),
+    F = P T + alpha x^k (D = P), or F = alpha x^k T^2 - P (D = 4 alpha x^k P)."""
+    P = IntPoly(cofactor)
+    for r in roots:
+        P = P * IntPoly([-r, 1])
+    weight = [0] * k + [alpha]
+    return [weight, list(P.coeffs), []] if not on_a else [[-v for v in P.coeffs], [], weight]
+
+
+def _first_sum_roots_unsplit(coeffs, primes):
+    """first_sum_roots with a root finder that finds nothing, so that every
+    D is all cofactor and every prime takes the Frobenius chain."""
+    find = _kernels._integer_roots
+    _kernels._split_roots.cache_clear()
+    _kernels._integer_roots = lambda f: []
+    try:
+        return _kernels.first_sum_roots(coeffs, primes)
+    finally:
+        _kernels._integer_roots = find
+        _kernels._split_roots.cache_clear()
+
+
+# 2 and -1 meet mod 3, 4 and -1 mod 5, 17 and -13 mod 2, 3 and 5; 3, 5 and 7
+# divide 105; x^2 + 1 vanishes at 2 and -2 mod 5, x^2 - 2 at 3 mod 7, and
+# x^2 + x + 1 at 1 mod 3 and at 2 mod 7.  No cofactor has an integer root.
+SPLIT_ROOTS = st.sampled_from([0, 1, -1, 2, -2, 3, 4, 9, 17, -13, 35, -105, 1156])
+COFACTORS = st.sampled_from([[1], [3], [1, 0, 1], [-2, 0, 1], [1, 1, 1], [1, 1, 0, 1],
+                             [3, 0, 5], [1, 0, 2, 0, 1]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(roots=st.lists(SPLIT_ROOTS, max_size=5), cofactor=COFACTORS, k=st.integers(0, 3),
+       alpha=st.sampled_from([1, -1, 2, 4, -3, 5 * 7]), on_a=st.booleans())
+# big_rank's shape: odd k, a square alpha, and roots that are squares in Z
+@example(roots=[1, 4, 9], cofactor=[1], k=3, alpha=1, on_a=True)
+# a repeated root 0, roots that meet mod 3 and 5, and a cofactor that meets 2 mod 5
+@example(roots=[0, 0, 2, -1, 4], cofactor=[1, 0, 1], k=1, alpha=2, on_a=False)
+# no split root: D is all cofactor
+@example(roots=[], cofactor=[1, 1, 0, 1], k=2, alpha=-3, on_a=False)
+def test_first_sum_roots_on_split_discriminants(roots, cofactor, k, alpha, on_a):
+    """D with prescribed integer roots and cofactor: the split finds exactly
+    the roots, and the route agrees with first_sum_vec, and with itself
+    where nothing is split, at every odd prime <= 1500; it declines exactly
+    the primes that divide alpha or lead(D)."""
+    coeffs = _split_family(roots, cofactor, k, alpha, on_a)
+    c, b, a = coeffs
+    disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a)) if a else b
+    found, g, _ = _kernels._split_roots(tuple(_kernels._primitive(tuple(disc))))
+    assert list(found) == sorted(set(roots) | ({0} if on_a and k else set()))
+    assert len(g) == len(cofactor)
+    primes = ODD_PRIMES_TO_1500
+    got = _kernels.first_sum_roots(coeffs, primes)
+    assert [s is None for s in got] == [_route_declines(a or c, disc, p) for p in primes]
+    want = _first_sums_by_block(coeffs, prime_blocks(primes))
+    assert [s for s in got if s is not None] == [w for s, w in zip(got, want) if s is not None]
+    assert _first_sum_roots_unsplit(coeffs, primes) == got
+
+
+def test_integer_roots_up_to_the_bound():
+    """Every integer root where Fujiwara's bound is at most ROOT_BOUND, and
+    none past it, where D keeps the Frobenius chain."""
+    near = (IntPoly([-30000, 1]) * IntPoly([3, 1]) * IntPoly([1, 0, 1])).coeffs
+    assert _kernels._integer_roots(near) == [-3, 30000]
+    far = (IntPoly([-40000, 1]) * IntPoly([3, 1])).coeffs
+    assert _kernels._integer_roots(far) == []
+    assert _kernels._integer_roots((5,)) == [] and _kernels._integer_roots((0, 2)) == [0]
+    assert _kernels._integer_roots((1, 0, 2)) == []  # 2x^2 + 1: no real root
+    assert _kernels._integer_roots((-1, 2)) == []  # 2x - 1: a rational root only
+    # x^5 - x: B = 2 and q = 5, where it vanishes at every residue
+    assert _kernels._integer_roots((0, -1, 0, 0, 0, 1)) == [-1, 0, 1]
+
+
 COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100))
 
 
@@ -724,16 +800,27 @@ def interpolate_mod_p(values, p):
     takes values[x] at x = 0..p-1, mod p.
 
     For f = sum_k c_k x^k of degree < p, sum_x f(x) x^j = -c_(p-1-j) at
-    0 <= j <= p - 2 (with 0^0 = 1), and c_0 = f(0).
+    0 <= j <= p - 2 (with 0^0 = 1), and c_0 = f(0).  With j = m a + b,
+    0 <= b < m, every such sum is entry (a, b) of one float64 product of
+    the rows (x^m)^a by the rows f(x) x^b, all residues mod p: each entry
+    is a sum of p products below p^2, so below p^3 < 2^53 and exact.
     """
+    assert p**3 < 1 << 53
     xs = np.arange(p, dtype=np.int64)
     v = np.asarray(values, dtype=np.int64) % p
-    coeffs = [0] * p
-    coeffs[0] = int(v[0])
-    power = np.ones(p, dtype=np.int64)  # x^j
-    for j in range(p - 1):
-        coeffs[p - 1 - j] = -int(v @ power) % p
-        power = power * xs % p
+    m = math.isqrt(p - 1) + 1
+    outer = np.empty((-(-(p - 1) // m), p))  # (x^m)^a, with 0^0 = 1
+    inner = np.empty((m, p))  # f(x) x^b
+    row, step = np.ones(p, dtype=np.int64), powmod_vec(xs, m, p)
+    for a in range(len(outer)):
+        outer[a] = row
+        row = row * step % p
+    row = v.copy()
+    for b in range(m):
+        inner[b] = row
+        row = row * xs % p
+    sums = (outer @ inner.T).ravel()[: p - 1].astype(np.int64)  # sum_x f(x) x^j, j = m a + b
+    coeffs = [int(v[0]), *(-sums[::-1] % p).tolist()]
     acc = np.zeros(p, dtype=np.int64)
     for c in reversed(coeffs):
         acc = (acc * xs + c) % p
