@@ -130,6 +130,22 @@ def check_dense(p: int) -> None:
         raise ValueError(f"p = {p} too large for the dense kernel (limit 2^26)")
 
 
+def check_dense_range(lo: int, hi: int, dropped=frozenset()) -> None:
+    """``check_dense`` of the largest prime in [lo, hi] outside ``dropped``,
+    before anything is sieved.  That prime is found by walking down from hi
+    with ``is_prime`` while above TABLE_LIMIT: a prime gap below 2^64 is
+    under 1600, so the walk takes that many steps at most, plus one for each
+    dropped prime it passes.  A hi of 2^64 or more is left to ``primes_in``,
+    which refuses it."""
+    p, lo = hi, max(lo, TABLE_LIMIT)
+    if p >= 1 << 64:
+        return
+    while p >= lo and (p in dropped or not is_prime(p)):
+        p -= 1
+    if p >= lo:
+        check_dense(p)
+
+
 def horner_vec(coeffs, xs: np.ndarray, p: int) -> np.ndarray:
     """Evaluate a coefficient list (low to high) at every entry of xs, mod p."""
     if not coeffs:

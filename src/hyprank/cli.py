@@ -41,7 +41,9 @@ class RangeConfigError(Exception):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise RangeConfigError(f"--jobs must be >= 1, got {args.jobs}")
@@ -62,56 +64,73 @@ def main(argv=None) -> int:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, built once per process and command.
+
+    With a command, only that subcommand's parser is built under the top
+    level; the explicit metavar keeps the top-level usage line, which lists
+    every command, as it reads on the full parser.  With none, which serves
+    -h, an unknown command and an empty argv, all of them are built.
+    """
     parser = argparse.ArgumentParser(
         prog="hyprank",
         description="Moment statistics and rank heuristics for one-parameter "
         "hyperelliptic families over prime fields.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # unset on the full parser, where an empty argv reports "command" as missing
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        help_text, add_options = _SUBCOMMANDS[name]
+        add_options(sub.add_parser(name, help=help_text))
+    return parser
 
-    def common(p, pmax_default=None, pmax_required=False):
-        p.add_argument("--pmin", type=int, default=3, help="lower prime bound (default 3)")
-        p.add_argument(
-            "--pmax", type=int, default=pmax_default, required=pmax_required,
-            help="upper prime bound (inclusive)",
-        )
-        p.add_argument("--skip", default="", help="comma-separated primes to exclude")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (>= 1, capped at the CPU count); "
-                       "closed-form scans run in one process")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
 
-    def family_opts(p):
-        p.add_argument(
-            "--family",
-            help="builtin:shift_square | builtin:linear_twist | builtin:big_rank "
-            "| builtin:power:N,H,K | path to a family JSON file",
-        )
-        p.add_argument("--family-expr", help="inline polynomial in x and T")
-        p.add_argument("--f", help="polynomial f(x) for shift_square / linear_twist; "
-                       "a leading minus needs the = form, --f=-x^3+1")
-        p.add_argument("--genus", type=int, help="genus (family-expr and big_rank)")
-        p.add_argument("--roots", help="roots for big_rank, e.g. 1..10 or 1,-2,3; "
-                       "a leading negative root needs the = form, --roots=-3,5,...")
-        p.add_argument("--label", default=None)
+def _common(p, pmax_default=None, pmax_required=False):
+    p.add_argument("--pmin", type=int, default=3, help="lower prime bound (default 3)")
+    p.add_argument(
+        "--pmax", type=int, default=pmax_default, required=pmax_required,
+        help="upper prime bound (inclusive)",
+    )
+    p.add_argument("--skip", default="", help="comma-separated primes to exclude")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (>= 1, capped at the CPU count); "
+                   "closed-form scans run in one process")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("moments", help="per-prime moments of Frobenius traces")
-    family_opts(p)
+
+def _family_opts(p):
+    p.add_argument(
+        "--family",
+        help="builtin:shift_square | builtin:linear_twist | builtin:big_rank "
+        "| builtin:power:N,H,K | path to a family JSON file",
+    )
+    p.add_argument("--family-expr", help="inline polynomial in x and T")
+    p.add_argument("--f", help="polynomial f(x) for shift_square / linear_twist; "
+                   "a leading minus needs the = form, --f=-x^3+1")
+    p.add_argument("--genus", type=int, help="genus (family-expr and big_rank)")
+    p.add_argument("--roots", help="roots for big_rank, e.g. 1..10 or 1,-2,3; "
+                   "a leading negative root needs the = form, --roots=-3,5,...")
+    p.add_argument("--label", default=None)
+
+
+def _moments_opts(p):
+    _family_opts(p)
     p.add_argument("--r", type=int, default=1, help="moment order (default 1)")
-    common(p, pmax_required=True)
+    _common(p, pmax_required=True)
 
-    p = sub.add_parser("nagao", help="log-weighted partial sums of -A_1(p)")
-    family_opts(p)
+
+def _nagao_opts(p):
+    _family_opts(p)
     p.add_argument(
         "--predicted", action="store_true",
         help="use the closed-form per-prime values instead of brute force",
     )
-    common(p, pmax_required=True)
+    _common(p, pmax_required=True)
 
-    p = sub.add_parser("construct", help="build the rank-(4g+2) family from roots")
+
+def _construct_opts(p):
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--roots", required=True, help="4g+2 integers, e.g. 1..10 or 1,-2,3,...; "
                    "a leading negative root needs the = form, --roots=-3,5,...")
@@ -121,25 +140,37 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("second-moment", help="second moments of y^2 = x^n + x^h T^k")
+
+def _second_moment_opts(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bias", action="store_true", help="closed-form bias report only")
-    common(p, pmax_required=True)
+    _common(p, pmax_required=True)
 
-    p = sub.add_parser("verify-lemmas", help="closed forms vs exhaustive enumeration")
+
+def _verify_lemmas_opts(p):
     p.add_argument("--pmax", type=int, default=60)
     p.add_argument("--nmax", type=int, default=12, help="largest exponent checked")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("sn-witness", help="symmetric-group certificate scan")
+
+def _sn_witness_opts(p):
     p.add_argument("--f", required=True, help="squarefree polynomial in x; "
                    "a leading minus needs the = form, --f=-x^3+1")
-    common(p, pmax_default=200)
+    _common(p, pmax_default=200)
 
-    return parser
+
+# Each subcommand's help line and the function that adds its options, in the order -h lists them.
+_SUBCOMMANDS = {
+    "moments": ("per-prime moments of Frobenius traces", _moments_opts),
+    "nagao": ("log-weighted partial sums of -A_1(p)", _nagao_opts),
+    "construct": ("build the rank-(4g+2) family from roots", _construct_opts),
+    "second-moment": ("second moments of y^2 = x^n + x^h T^k", _second_moment_opts),
+    "verify-lemmas": ("closed forms vs exhaustive enumeration", _verify_lemmas_opts),
+    "sn-witness": ("symmetric-group certificate scan", _sn_witness_opts),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +271,9 @@ def cmd_moments(args) -> int:
     if args.format == "csv":
         lines = [header]
         for row in series.rows:
-            pred = "" if row.predicted is None else str(row.predicted * row.p)
+            pred = "" if row.p_times_predicted is None else str(row.p_times_predicted)
             gen = "" if row.generic is None else str(int(row.generic))
-            lines.append(f"{row.p},{series.r},{row.value * row.p},{pred},{gen}")
+            lines.append(f"{row.p},{series.r},{row.p_times_A},{pred},{gen}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         obj = {
@@ -251,8 +282,8 @@ def cmd_moments(args) -> int:
             "rows": [
                 {
                     "p": row.p,
-                    "p_times_A": str(row.value * row.p),
-                    "predicted": None if row.predicted is None else str(row.predicted * row.p),
+                    "p_times_A": str(row.p_times_A),
+                    "predicted": None if row.p_times_predicted is None else str(row.p_times_predicted),
                     "generic": row.generic,
                 }
                 for row in series.rows
@@ -268,12 +299,17 @@ def _check_printable(r: int, pmax: int) -> None:
     before 3.10.7).  With b the bit length of pmax, the power is formed only
     between 2^((r + 1) (b - 1)) and 2^((r + 1) b): below 8^limit it passes,
     past 16^limit it is refused."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     b = pmax.bit_length()
     if limit and (r + 1) * b > 3 * limit and (
             (r + 1) * (b - 1) >= 4 * limit or pmax ** (r + 1) >= 10**limit):
         raise RangeConfigError(f"--r {r} up to --pmax {pmax}: p * A_r(p) may have more than "
                                f"the {limit} digits Python prints")
+
+
+def _digit_limit() -> int:
+    """Python's limit on the digits of an int it prints, 0 for none (before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def cmd_nagao(args) -> int:
@@ -309,7 +345,13 @@ def cmd_construct(args) -> int:
             {"x": str(x), "y": [str(c) for c in y.coeffs]} for x, y in cr.points
         ]
     if args.monic:
-        obj["monic_F"] = to_monic_model(cr.F, rd.genus).to_json()
+        monic = to_monic_model(cr.F, rd.genus)
+        limit = _digit_limit()
+        if limit and max(map(abs, monic.terms.values())) >= 10**limit:
+            raise RangeConfigError(f"--monic at genus {rd.genus}: the monic model has a coefficient "
+                                   f"of more than the {limit} digits Python prints "
+                                   "(sys.get_int_max_str_digits())")
+        obj["monic_F"] = monic.to_json()
     _emit(_dump(obj), args.out)
     return 0
 

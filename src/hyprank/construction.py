@@ -98,35 +98,37 @@ def solve_coefficients(R: list[int], genus: int) -> tuple[RatPoly, RatPoly, Frac
 
         R_k A = sum over i+j=k of a_i a_j        (k = 1 .. 2g)
 
-    determine a_1..a_2g by successive division by 2 a_0, and the high-order
-    equations then read off the coefficients of h.  The resulting identity
-    q^2 + x^(2g+1) h = A * prod(x - rho_i^2) is verified exactly.
+    determine a_1..a_2g by successive division by 2 a_0 = A, and the
+    high-order equations then read off the coefficients of h.  The solve
+    runs in integers: b_k = a_k A^(k-1) satisfies
+
+        b_k = R_k A^(k-1) - sum over 0 < i < k of b_i b_(k-i),
+
+    so with S = A^(2g-1), Q = S q has the integer coefficients S a_0, b_k
+    A^(2g-k) and S, and H = S^2 h has H_(k-n) = R_k A S^2 - sum over i+j=k
+    of Q_i Q_j (n = 2g+1; H_n = (A - 1) S^2, the top equation).  The
+    identity q^2 + x^n h = A * prod(x - rho_i^2) is verified exactly on
+    these integer polynomials, as Q^2 + x^n H = S^2 A * prod.
     """
     n = 2 * genus + 1
     if len(R) != 4 * genus + 3 or R[-1] != 1:
         raise ValueError("R must list the 4g+3 coefficients of a monic product")
     if R[0] == 0:
         raise ValueError("R_0 must be nonzero")
-    A = Fraction(4 * R[0])
-    e = Fraction(2 * R[0])
-    a = [Fraction(0)] * (n + 1)
-    a[0] = e
-    a[n] = Fraction(1)
-    for k in range(1, 2 * genus + 1):
-        inner = sum(a[i] * a[k - i] for i in range(1, k))
-        a[k] = (R[k] * A - inner) / (2 * e)
-    hc = [Fraction(0)] * (n + 1)
-    hc[n] = A - 1
-    for k in range(n, 4 * genus + 2):
-        s = sum(a[i] * a[k - i] for i in range(max(0, k - n), min(n, k) + 1))
-        hc[k - n] = R[k] * A - s
-    q = RatPoly(a)
-    h = RatPoly(hc)
-    lhs = q * q + h.shift(n)
-    rhs = RatPoly([A * Fraction(r) for r in R])
-    if lhs != rhs:
+    A = 4 * R[0]
+    b = [0] * n
+    for k in range(1, n):
+        b[k] = R[k] * A ** (k - 1) - sum(b[i] * b[k - i] for i in range(1, k))
+    S = A ** (n - 2)
+    Q = [A // 2 * S] + [b[k] * A ** (n - 1 - k) for k in range(1, n)] + [S]
+    H = [R[k] * A * S * S - sum(Q[i] * Q[k - i] for i in range(k - n, n + 1))
+         for k in range(n, 2 * n)] + [(A - 1) * S * S]
+    Qz, Hz = IntPoly(Q), IntPoly(H)
+    if Qz * Qz + Hz.shift(n) != IntPoly([S * S * A * r for r in R]):
         raise InternalCheckError("coefficient solve failed its defining identity")
-    return q, h, A
+    q = RatPoly([Fraction(c, S) for c in Q])
+    h = RatPoly([Fraction(c, S * S) for c in H])
+    return q, h, Fraction(A)
 
 
 def clear_denominators(q: RatPoly, h: RatPoly) -> tuple[IntPoly, IntPoly, int]:
@@ -153,7 +155,7 @@ def build_family(rd: RootData, label: str | None = None) -> ConstructionResult:
     )
     D = disc_t_quarter(F)
     scale = L * L * A
-    if D != scale * IntPoly.from_roots([r * r for r in rd.rho]):
+    if D != scale * IntPoly(R):
         raise InternalCheckError("discriminant does not match the prescribed roots")
 
     points = []

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (QUAD_CELLS, check_dense, first_sum_roots, first_sum_vec, power_total,
-                       prime_blocks, quadratic_in_t, quadratic_power_sums)
+from ._kernels import (QUAD_CELLS, check_dense_range, first_sum_roots, first_sum_vec,
+                       power_total, prime_blocks, quadratic_in_t, quadratic_power_sums)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (FROB_BLOCK, BiPoly, IntPoly, degree_patterns_mod,
@@ -33,16 +33,34 @@ class NonGenericPrime(Exception):
 
 @dataclass(frozen=True)
 class MomentRow:
+    """One prime of a moment series, in exact integers.
+
+    ``p_times_A`` is p * A_r(p), the sum of a_t^r over t = 0..p-1, and
+    ``p_times_predicted`` the closed-form p * A_1(p) where it applies (None
+    elsewhere); these are what the CLI prints.  ``value``, ``predicted`` and
+    ``match`` give the moments themselves as Fractions.
+    """
+
     p: int
-    value: Fraction              # A_r(p), exact
-    predicted: Optional[Fraction]  # closed-form A_1(p) when applicable
+    p_times_A: int
+    p_times_predicted: Optional[int]
     generic: Optional[bool]      # None when no prediction is defined
 
     @property
+    def value(self) -> Fraction:
+        """A_r(p), exact."""
+        return Fraction(self.p_times_A, self.p)
+
+    @property
+    def predicted(self) -> Optional[Fraction]:
+        """The closed-form A_1(p), or None where it does not apply."""
+        return None if self.p_times_predicted is None else Fraction(self.p_times_predicted, self.p)
+
+    @property
     def match(self) -> Optional[bool]:
-        if self.predicted is None:
+        if self.p_times_predicted is None:
             return None
-        return self.value == self.predicted
+        return self.p_times_A == self.p_times_predicted
 
 
 @dataclass(frozen=True)
@@ -306,13 +324,13 @@ def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -
     The power sums come from ``_power_sums``, and the predictions from one
     batched call of the closed form, in this process.
     """
+    check_dense_range(prange.lo, prange.hi, prange.skip | fam.bad_primes)
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
-    check_dense(max(primes, default=0))
     sums = _power_sums(fam, r, primes, jobs)
     if r != 1 or fam.closed_form is None:
-        rows = [MomentRow(p, Fraction(s, p), None, None) for p, s in zip(primes, sums)]
+        rows = [MomentRow(p, s, None, None) for p, s in zip(primes, sums)]
     else:
-        rows = [MomentRow(p, Fraction(s, p), None if c is None else Fraction(-c, p), c is not None)
+        rows = [MomentRow(p, s, None if c is None else -c, c is not None)
                 for p, s, c in zip(primes, sums, fam.closed_form(primes))]
     return MomentSeries(fam.label, r, tuple(rows))
 
@@ -329,8 +347,10 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
     apply are skipped.  This skips the exact sum, which matters for large
     cutoffs.
     """
-    all_primes = primes_in(PrimeRange(prange.lo, prange.hi))
     dropped = set(prange.skip | fam.bad_primes)
+    if not predicted:
+        check_dense_range(prange.lo, prange.hi, dropped)
+    all_primes = primes_in(PrimeRange(prange.lo, prange.hi))
     primes = [p for p in all_primes if p not in dropped]
     if predicted:
         sums = _closed_form(fam, primes)
@@ -339,7 +359,6 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
             primes = [p for p, s in zip(primes, sums) if s is not None]
             sums = [s for s in sums if s is not None]
     else:
-        check_dense(max(primes, default=0))
         sums = [-s for s in _power_sums(fam, 1, primes, jobs)]
     P = prange.hi
     n = len(primes)

@@ -194,12 +194,34 @@ def _rat_mod(a: list, b: list) -> list:
     return rem
 
 
+# The prime of the squarefree certificate: 2^61 - 1, a Mersenne prime.
+SQUAREFREE_PRIME = (1 << 61) - 1
+
+
 def squarefree_over_q(f: IntPoly) -> bool:
     """True iff f has no repeated roots over Q: Res(f, f') != 0 when deg f >= 1;
-    a nonzero constant is squarefree and the zero polynomial is not."""
+    a nonzero constant is squarefree and the zero polynomial is not.
+
+    The answer is first sought mod the fixed prime l = SQUAREFREE_PRIME, in
+    O(n^2) steps on residues below 2^61 for n = deg f.  Certificate: let l
+    not divide n * lead(f).  Then f mod l keeps the degree n and f' mod l
+    the degree n - 1, since the lead n * lead(f) of f' is a unit mod l.  The
+    Sylvester matrix of (f, f') has integer entries, and its reduction mod l
+    is the Sylvester matrix of (f mod l, f' mod l), because neither degree
+    dropped; so Res(f, f') = Res(f mod l, f' mod l) mod l.  Over the field
+    F_l that resultant is nonzero exactly when gcd(f mod l, f' mod l) = 1.
+    A gcd of degree 0 thus gives Res(f, f') != 0 mod l, hence Res(f, f') != 0
+    and f squarefree over Q.  Where l divides n * lead(f), or the gcd mod l
+    is not constant (l may divide a nonzero Res(f, f')), the exact
+    ``_resultant`` over Q decides.
+    """
     if f.degree < 1:
         return not f.is_zero
-    return _resultant(f, f.derivative()) != 0
+    df, ell = f.derivative(), SQUAREFREE_PRIME
+    if (f.degree * f.lead) % ell:
+        if mod_gcd(ModPoly(ell, f.coeffs), ModPoly(ell, df.coeffs)).degree == 0:
+            return True
+    return _resultant(f, df) != 0
 
 
 class BiPoly:
@@ -354,7 +376,7 @@ class ModPoly(_DensePoly):
     def monic(self) -> "ModPoly":
         if self.is_zero:
             return self
-        inv = pow(self.coeffs[-1], self.p - 2, self.p)
+        inv = pow(self.coeffs[-1], -1, self.p)
         return self * inv
 
     def divmod(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
@@ -363,7 +385,7 @@ class ModPoly(_DensePoly):
         p = self.p
         rem = list(self.coeffs)
         d = other.degree
-        inv = pow(other.coeffs[-1], p - 2, p)
+        inv = pow(other.coeffs[-1], -1, p)
         out = [0] * (len(rem) - d)  # empty, and rem returned whole, when deg self < d
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i] % p

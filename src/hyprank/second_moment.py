@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import check_dense, powmod_vec
+from ._kernels import check_dense_range, powmod_vec
 from .finite_field import (
     InternalCheckError,
     PrimeCtx,
@@ -192,8 +192,8 @@ def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> l
     the closed form does not apply; a range past the dense limit fails up front.
     The class sums are O(p) a prime, like the first-moment blocks, so the scan
     starts a pool only past their break-even, ``POOL_CELLS`` (the sum of p)."""
+    check_dense_range(prange.lo, prange.hi, prange.skip)
     primes = primes_in(prange)
-    check_dense(max(primes, default=0))
     return scan(partial(_second_moment_row, fam), primes, jobs if sum(primes) > POOL_CELLS else 1)
 
 

@@ -217,6 +217,26 @@ def test_construct_monic_flag(capsys):
     assert ["1", 3, 0] in terms  # monic leading term x^3
 
 
+def test_construct_monic_refuses_a_model_too_long_to_print(capsys):
+    # at genus 5 the monic model has coefficients past Python's default 4300 digits
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no digit limit before Python 3.10.7")
+    argv = ["construct", "--genus", "5", "--roots", "1..22", "--monic"]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "--monic" in captured.err and "sys.get_int_max_str_digits()" in captured.err
+        assert "4300 digits" in captured.err
+        sys.set_int_max_str_digits(0)  # no limit: the same model prints
+        code, out = run(capsys, *argv)
+        assert code == 0 and ["1", 11, 0] in json.loads(out)["monic_F"]["terms"]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_leading_negative_root_in_equals_form(capsys):
     # "--roots -3,..." reads as an option; the help names the = form
     assert run(capsys, "construct", "--genus", "1", "--roots=-3,5,7,11,2,-13")[0] == 0
@@ -425,6 +445,35 @@ def test_dense_scans_refuse_primes_above_table_limit(capsys):
         assert run(capsys, *argv)[0] == 2
 
 
+def test_dense_scans_refuse_a_range_before_sieving_it(capsys):
+    # to 10^8 the sieve alone took seconds and hundreds of MB before the refusal
+    import tracemalloc
+
+    from hyprank.finite_field import PrimeRange, primes_in
+
+    for argv, skip in (
+        (["nagao", "--family", "builtin:shift_square", "--f", F3], ()),
+        (["nagao", "--family", "builtin:shift_square", "--f", F3], (99999989, 99999971)),
+        (["moments", "--family", "builtin:shift_square", "--f", F3], (99999989,)),
+        (["second-moment", "--n", "3", "--h", "0", "--k", "1"], ()),
+    ):
+        # the prime the refusal names is the largest the scan would count
+        top = max(primes_in(PrimeRange(10**8 - 1000, 10**8, frozenset(skip))))
+        argv += ["--pmax", str(10**8), "--skip", ",".join(map(str, skip))]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == f"error: p = {top} too large for the dense kernel (limit 2^26)\n"
+        assert elapsed < 0.5 and peak < 10 << 20, (argv, elapsed, peak)
+
+
 def test_closed_form_scans_run_above_table_limit(capsys):
     # no length-p table is built, so primes past 2^26 are fine here
     rng = ["--pmin", "67108850", "--pmax", "67108900"]
@@ -575,6 +624,44 @@ def test_parser_is_built_once_and_reused(capsys):
             main(["moments", "--r", "two"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_lazy_parser_matches_the_full_parser(capsys, monkeypatch):
+    from hyprank import cli
+
+    full = cli._parser()
+    assert cli._parser("nagao") is cli._parser("nagao") is not full
+    assert list(cli._parser("nagao")._subparsers._group_actions[0].choices) == ["nagao"]
+    cases = [[], ["-h"], ["bogus"], ["bogus", "--pmax", "3"], ["--pmax", "3", "nagao"]]
+    cases += [[command, "-h"] for command in cli._SUBCOMMANDS]
+    cases += [
+        # a required option missing
+        ["moments", "--family", "builtin:big_rank"],
+        ["nagao", "--pmax"],
+        ["construct", "--genus", "2"],
+        ["second-moment", "--n", "3", "--h", "0", "--pmax", "9"],
+        ["sn-witness", "--pmax", "9"],
+        # a bad value
+        ["moments", "--r", "two", "--pmax", "10"],
+        ["verify-lemmas", "--format", "csv"],
+        # trailing arguments no parser knows
+        ["nagao", "--family", "x", "--pmax", "10", "extra"],
+        ["moments", "--family", "x", "--pmax", "10", "--nope", "1"],
+        ["construct", "--genus", "1", "--roots", "1..6", "extra", "more"],
+        ["verify-lemmas", "--pmax", "7", "--", "x"],
+    ]
+
+    def outcome(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    for argv in cases:
+        lazy = outcome(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", lambda command=None: full)
+            assert outcome(argv) == lazy, argv
 
 
 def test_one_context_per_prime(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -234,6 +235,37 @@ def test_squarefree_over_q():
     lin = IntPoly((-(2**90), 3**80))
     assert not squarefree_over_q(lin * lin * irred)
     assert squarefree_over_q(lin * IntPoly((2**90, 3**80)) * irred)
+
+
+_HUGE = st.integers(min_value=-(2**200), max_value=2**200)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_HUGE, min_size=1, max_size=6),
+    st.lists(_HUGE, min_size=0, max_size=2),
+    st.one_of(st.none(), _HUGE),
+    st.one_of(st.none(), _HUGE.filter(bool)),
+)
+def test_squarefree_certificate_matches_the_resultant(g, square, a, lead):
+    """squarefree_over_q against Res(f, f') != 0, on f = g * h^2 * (x - a)(x - a - l)
+    with the leading coefficient optionally replaced by l * lead; the last two
+    drive the exact fall-back (l | lead(f), or a double root mod l)."""
+    ell = polynomials.SQUAREFREE_PRIME
+    f = IntPoly(g) * IntPoly(square) ** 2 if square else IntPoly(g)
+    if a is not None:
+        f = f * IntPoly.from_roots([a, a + ell])
+    if lead is not None and f.degree >= 1:
+        f = IntPoly(f.coeffs[:-1] + (ell * lead,))
+    if not 1 <= f.degree <= 9:
+        return
+    exact = polynomials._resultant(f, f.derivative()) != 0
+    with patch.object(polynomials, "_resultant", wraps=polynomials._resultant) as fallback:
+        assert squarefree_over_q(f) == exact
+    if a is not None or lead is not None:
+        assert fallback.call_count == 1
+    elif not exact:
+        assert fallback.call_count == 1  # the certificate never claims a square is squarefree
 
 
 def test_parser_round_trip():
