@@ -508,7 +508,8 @@ def _split_roots(f) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     division, and K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)), never 0.
     The roots are those of :func:`_integer_roots`, so where it finds none
     g = f, which leaves the route as exact and only slower.  Cached, as the
-    scans ask once per FROB_BLOCK for the same D.
+    scans ask once per FROB_BLOCK for the same D.  ``polynomials._split``
+    takes the same split of the f of the closed forms and ``sn-witness``.
     """
     roots = _integer_roots(f)
     g = list(f)

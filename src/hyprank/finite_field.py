@@ -165,9 +165,12 @@ def quadratic_sums(a, b, c, chi_a, p: int):
     otherwise.  a = 0 gives chi(a) = 0, the value of a complete linear sum;
     at (a, b) = (0, 0) the sum is p chi(c), not the 0 returned here.
     Exact on Python ints of any size and, elementwise, on int64 residue
-    arrays with p < 2^26 (b^2 < 2^52, 4ac < 2^54).
+    arrays with p < 2^26 (b^2 < 2^52, 4ac < 2^54).  The test reduces b^2
+    and 4ac apart, so operands that broadcast, such as a (p, 1) column of
+    b against a (p,) row of c, are reduced before they meet, and only the
+    comparison and the two steps after it span the (p, p) grid.
     """
-    return (p * ((b * b - 4 * a * c) % p == 0) - 1) * chi_a
+    return (b * b % p == 4 * a * c % p) * (p * chi_a) - chi_a
 
 
 def quadratic_char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
@@ -185,26 +188,40 @@ def quadratic_char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     return quadratic_sums(a, b, c, legendre(a, ctx), p)
 
 
-def power_pair_count(n: int, ctx: PrimeCtx) -> int:
-    """Number of pairs (x, y) in [0,p)^2 with x^n = y^n mod p."""
+def power_pair_count(n: int, p):
+    """Number of pairs (x, y) in [0,p)^2 with x^n = y^n mod p.
+
+    ``p`` is a :class:`PrimeCtx` or an odd prime, which give a Python int,
+    or an array of odd primes, which gives the counts elementwise in its
+    dtype: each is below n p.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = ctx.p
-    return gcd(p - 1, n) * (p - 1) + 1
+    p = _modulus(p)
+    return _gcd(p - 1, n) * (p - 1) + 1
 
 
-def double_sum_S(h: int, ctx: PrimeCtx) -> int:
+def double_sum_S(h: int, p):
     """Sum of (xy/p) over pairs with x^h = y^h mod p, for even h >= 2.
 
     Equals gcd(h, p-1)*(p-1) when the 2-adic valuation of p-1 exceeds that
-    of h, and 0 otherwise.
+    of h, i.e. when 2^(nu2(h) + 1) divides p - 1, and 0 otherwise.  ``p``
+    is taken as by :func:`power_pair_count`.
     """
     if h < 2 or h % 2 != 0:
         raise ValueError("h must be even and >= 2")
-    p = ctx.p
-    if nu2(p - 1) > nu2(h):
-        return gcd(h, p - 1) * (p - 1)
-    return 0
+    p = _modulus(p)
+    return _gcd(p - 1, h) * (p - 1) * ((p - 1) % (2 << nu2(h)) == 0)
+
+
+def _modulus(p):
+    """The prime of a PrimeCtx; an int or an array of primes as it is."""
+    return p.p if isinstance(p, PrimeCtx) else p
+
+
+def _gcd(m, n: int):
+    """gcd(m, n): a Python int for an int m, elementwise for an array m."""
+    return np.gcd(m, n) if isinstance(m, np.ndarray) else gcd(m, n)
 
 
 def nu2(m: int) -> int:

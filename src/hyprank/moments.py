@@ -133,14 +133,22 @@ def _shift_square_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
     """y^2 = f(x) + T^2:  -p * A_1(p) = (L_f - 1) * p, L_f = #roots of f mod p.
 
     Generic where f mod p is squarefree, i.e. where ``linear_factor_counts``
-    gives L_f rather than None.
+    gives L_f rather than None.  With f split over Z into k distinct
+    integer roots and a cofactor g, L_f = k + D_1(g), D_1(g) the number of
+    roots of g mod p, at every prime that does not divide lead(f): a split
+    f (g constant) takes no Frobenius step, and its Nagao limit is
+    deg f - 1.
     """
     return [None if n is None else (n - 1) * p for p, n in zip(primes, linear_factor_counts(f, primes))]
 
 
 def _linear_twist_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
     """y^2 = f(x) * T + 1:  -p * A_1(p) = L_f * p, generic where f mod p is
-    squarefree and p does not divide the leading coefficient."""
+    squarefree and p does not divide the leading coefficient.
+
+    L_f = k + D_1(g) as for :func:`_shift_square_law`, so a split f takes
+    no Frobenius step, and its Nagao limit is deg f.
+    """
     lead = f.lead
     return [None if n is None or lead % p == 0 else n * p
             for p, n in zip(primes, linear_factor_counts(f, primes))]

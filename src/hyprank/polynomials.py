@@ -20,14 +20,14 @@ polynomial, and a parser for the textual polynomial syntax used by the CLI
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, reduce
 from itertools import islice
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterable
 
 import numpy as np
 
-from ._kernels import frobenius_gcd_degrees, prime_array, residues
+from ._kernels import _primitive, _split_roots, frobenius_gcd_degrees, prime_array, residues
 from .finite_field import PrimeCtx
 
 
@@ -180,18 +180,6 @@ class RatPoly(_DensePoly):
         if any(c.denominator != 1 for c in self.coeffs):
             raise ValueError("polynomial has non-integral coefficients")
         return IntPoly([int(c) for c in self.coeffs])
-
-
-def _rat_mod(a: list, b: list) -> list:
-    rem = list(a)
-    d = len(b) - 1
-    while len(rem) > d:
-        c = rem[-1] / b[-1]
-        k = len(rem) - 1 - d
-        for j, oc in enumerate(b):
-            rem[k + j] -= c * oc
-        rem = list(_trim(rem))
-    return rem
 
 
 # The prime of the squarefree certificate: 2^61 - 1, a Mersenne prime.
@@ -485,60 +473,71 @@ FROB_BLOCK = 1 << 11
 def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
     """``degree_pattern_mod`` at every odd prime, from one batched Frobenius pass.
 
-    At a prime that does not divide lead(f), f mod p is squarefree exactly
-    when p does not divide Res(f, f'), which is computed once over Z.  For a
-    squarefree f mod p with N_k irreducible factors of degree k,
+    f is split once over Z (:func:`_split`): k distinct integer roots and
+    a cofactor g.  At a prime that does not divide lead(f) the roots give k
+    linear factors, and the rest of the pattern is that of g mod p.  For a
+    squarefree g mod p with N_j irreducible factors of degree j,
 
-        D_i = deg gcd(x^(p^i) - x, f mod p) = sum over k | i of k * N_k,
+        D_i = deg gcd(x^(p^i) - x, g mod p) = sum over j | i of j * N_j,
 
-    so k * N_k = D_k - sum over proper divisors j of k of j * N_j, taken on
-    the columns of ``_kernels.frobenius_gcd_degrees``.  Only k <= d/2 is
-    needed: what is left of the degree d is one factor.  At a prime that
-    divides lead(f) the pattern is that of the lift of f mod p.
+    so j * N_j = D_j - sum over proper divisors l of j of l * N_l, taken on
+    the columns of ``_kernels.frobenius_gcd_degrees`` on g.  Only j <=
+    deg(g)/2 is needed: what is left of deg g is one factor.  A g of degree
+    0 takes no Frobenius step.  Where f mod p is not squarefree the value
+    is None, and at a prime that divides lead(f) the pattern is that of the
+    lift of f mod p (:func:`_frobenius_scan`).
     """
     d = f.degree
     if d < 1:
         return [() if f.coeffs and f.coeffs[0] % p else None for p in primes]
-    return _frobenius_scan(f, primes, max(1, d // 2), partial(_patterns, d), degree_patterns_mod)
+    return _frobenius_scan(f, primes, _cofactor_patterns, degree_patterns_mod)
 
 
 def linear_factor_counts(f: IntPoly, primes: list[int]) -> list:
     """``pat.count(1)`` of :func:`degree_patterns_mod` at every odd prime, with no pattern built.
 
     That is L_f, the number of distinct roots of f mod p, or None where f
-    mod p is not squarefree.  At a prime that does not divide lead(f) it is
-    the column D_1 of ``_kernels.frobenius_gcd_degrees``, and None where p
-    divides Res(f, f'); at a prime that divides lead(f) it is the count of
-    the lift of f mod p.
+    mod p is not squarefree.  With f = c g (x - r_1) ... (x - r_k) split
+    over Z (:func:`_split`), at a prime that does not divide lead(f)
+
+        L_f = k + D_1(g),
+
+    D_1(g) = deg gcd(x^p - x, g mod p) the column D_1 of
+    ``_kernels.frobenius_gcd_degrees`` on the cofactor g, and 0 with no
+    Frobenius step where g is a constant, as for every f that splits over
+    Z.  At a prime that divides lead(f) it is the count of the lift of f
+    mod p.
     """
     if f.degree < 1:
         return [0 if f.coeffs and f.coeffs[0] % p else None for p in primes]
-    return _frobenius_scan(f, primes, 1, lambda parts: parts[:, 0].tolist(), linear_factor_counts)
+    return _frobenius_scan(f, primes, _cofactor_counts, linear_factor_counts)
 
 
-def _frobenius_scan(f: IntPoly, primes: list[int], depth: int, read, lift) -> list:
+def _frobenius_scan(f: IntPoly, primes: list[int], read, lift) -> list:
     """One value per odd prime, FROB_BLOCK primes at a time, for deg f >= 1.
 
-    ``read`` turns the (#primes, depth) gcd degrees of the primes in a block
-    that do not divide lead(f) into their values, which become None where p
-    divides Res(f, f'); the value at a prime that divides lead(f) is
+    ``read(k, g, ps)`` turns the split of f (:func:`_split`) into the
+    values at the primes ps of a block that do not divide lead(f), which
+    become None where p divides Res(f, f'); the value at a prime that
+    divides lead(f) (and so any prime that divides the content) is
     ``lift(f mod p, [p])[0]``.  Both divisibility masks come from residues
-    of lead(f) and Res(f, f') over a block's primes at once.
+    of lead(f) and of the integer R of :func:`_split` over a block's primes
+    at once.
     """
-    lead, ramified = f.lead, _resultant(f, f.derivative())
+    k, g, ramified = _split(f.coeffs)
+    lead = f.lead
     out = []
     primes = iter(primes)
     while block := list(islice(primes, FROB_BLOCK)):
         ps = prime_array(block)
         live = residues(lead, ps) != 0
         if live.all():
-            values = read(frobenius_gcd_degrees(f.coeffs, block, depth))
+            values = read(k, g, block)
         else:
             values = [None] * len(block)
             on = np.flatnonzero(live).tolist()
             if on:
-                parts = frobenius_gcd_degrees(f.coeffs, [block[i] for i in on], depth)
-                for i, v in zip(on, read(parts)):
+                for i, v in zip(on, read(k, g, [block[i] for i in on])):
                     values[i] = v
             for i in np.flatnonzero(~live).tolist():
                 p = block[i]
@@ -549,35 +548,122 @@ def _frobenius_scan(f: IntPoly, primes: list[int], depth: int, read, lift) -> li
     return out
 
 
-def _patterns(d: int, parts: np.ndarray) -> list[tuple]:
-    """The factor-degree tuples of f of degree d from rows of gcd degrees D_1..D_(d/2)."""
-    for k in range(2, d // 2 + 1):  # column k - 1 becomes k * N_k
-        parts[:, k - 1] -= parts[:, [j - 1 for j in range(1, k) if k % j == 0]].sum(axis=1)
+@lru_cache(maxsize=16)
+def _split(f: tuple) -> tuple[int, tuple[int, ...], int]:
+    """(k, g, R) for the integer coefficients f of a polynomial of degree >= 1.
+
+    ``_kernels._split_roots`` of the primitive part of f gives its k
+    distinct integer roots r_i, its cofactor g and the keys
+    K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)).  At a prime p that does
+    not divide lead(f), p divides Res(f, f') exactly where it divides R:
+
+    - if f has a repeated integer root (deg f > k + deg g), f mod p is
+      never squarefree, and R = 0;
+    - else f = c g (x - r_1) ... (x - r_k) is squarefree over Q exactly
+      when g is, and disc(AB) = disc(A) disc(B) Res(A, B)^2 gives
+      disc(f / c) = disc(g) K_1^2 ... K_k^2, while Res(f, f') is
+      disc(f / c) up to sign and powers of c and lead(f), which p does
+      not divide; so R = K_1 ... K_k Res(g, g'), with Res(g, g') = 1 for
+      a constant g.
+
+    Cached, so a scan, or a closed form asked one prime at a time, splits
+    f once.
+    """
+    roots, g, keys = _split_roots(tuple(_primitive(f)))
+    k = len(roots)
+    if len(f) != k + len(g):
+        return k, g, 0
+    ramified = prod(keys)
+    if len(g) > 1:
+        cofactor = IntPoly(g)
+        ramified *= _resultant(cofactor, cofactor.derivative())
+    return k, g, ramified
+
+
+def _cofactor_counts(k: int, g: tuple, primes: list[int]) -> list[int]:
+    """L_f = k + D_1(g) at each prime, for :func:`linear_factor_counts`."""
+    if len(g) == 1:
+        return [k] * len(primes)
+    return (frobenius_gcd_degrees(g, primes)[:, 0] + k).tolist()
+
+
+def _cofactor_patterns(k: int, g: tuple, primes: list[int]) -> list[tuple]:
+    """The factor degrees of k linear factors times g mod p at each prime,
+    for :func:`degree_patterns_mod`."""
+    d = len(g) - 1
+    if not d:
+        return [(1,) * k] * len(primes)
+    return _patterns(k, d, frobenius_gcd_degrees(g, primes, max(1, d // 2)))
+
+
+def _patterns(k: int, d: int, parts: np.ndarray) -> list[tuple]:
+    """The factor-degree tuples of k linear factors times a g of degree d,
+    from rows of the gcd degrees D_1..D_(d/2) of g."""
+    for j in range(2, d // 2 + 1):  # column j - 1 becomes j * N_j
+        parts[:, j - 1] -= parts[:, [i - 1 for i in range(1, j) if j % i == 0]].sum(axis=1)
     # one tuple per distinct row, however many primes share it
     rows, inverse = np.unique(parts, axis=0, return_inverse=True)
-    tuples = [tuple([k for k, v in enumerate(row, 1) for _ in range(v // k)]
+    ones = [1] * k
+    tuples = [tuple(ones + [j for j, v in enumerate(row, 1) for _ in range(v // j)]
                     + ([d - sum(row)] if sum(row) < d else [])) for row in rows.tolist()]
     return [tuples[i] for i in inverse.reshape(-1).tolist()]
 
 
 def _resultant(a: IntPoly, b: IntPoly) -> int:
-    """Res(a, b) over Z, by the Euclidean algorithm over Q.
+    """Res(a, b) over Z, by the subresultant PRS in integers (Cohen,
+    *A Course in Computational Algebraic Number Theory*, Algorithm 3.3.7).
 
-    Res(a, b) = (-1)^(deg a deg b) lead(b)^(deg a - deg r) Res(b, r) with
-    r = a mod b, down to Res(a, c) = c^(deg a) for a constant c.
+    Res(a, c) = c^(deg a) for a constant c, and Res(a, b) =
+    cont(a)^(deg b) cont(b)^(deg a) Res(a / cont(a), b / cont(b)).  Each
+    step replaces (A, B), deg A >= deg B >= 1, by
+    (B, prem(A, B) / (g h^delta)), with delta = deg A - deg B, prem the
+    pseudo-remainder lead(B)^(delta + 1) A mod B, which that division
+    leaves exact, g the lead of the last divisor and h = g^delta /
+    h^(delta - 1) updated after it; the sign follows
+    Res(A, B) = (-1)^(deg A deg B) Res(B, A).  Once B is a constant,
+    Res = lead(B)^(deg A) / h^(deg A - 1).  Every coefficient stays an
+    integer of the size of a minor of the Sylvester matrix, where Euclid
+    over Q grows its fractions far past that.
     """
-    a = [Fraction(c) for c in a.coeffs]
-    b = [Fraction(c) for c in b.coeffs]
-    acc = Fraction(1)
-    while len(b) > 1:
-        r = _rat_mod(a, b)
-        if not r:
+    if a.is_zero or b.is_zero:
+        return 0
+    if a.degree == 0:
+        return a.coeffs[0] ** b.degree
+    ca, cb = reduce(gcd, a.coeffs), reduce(gcd, b.coeffs)
+    sign, scale = 1, ca**b.degree * cb**a.degree
+    A, B = [c // ca for c in a.coeffs], [c // cb for c in b.coeffs]
+    if len(A) < len(B):
+        A, B = B, A
+        sign = (-1) ** (a.degree * b.degree)
+    g = h = 1
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            sign = -sign
+        rest = _pseudo_remainder(A, B)
+        if not rest:
             return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            acc = -acc
-        acc *= b[-1] ** (len(a) - len(r))
-        a, b = b, r
-    return int(acc * b[-1] ** (len(a) - 1)) if b else 0
+        div = g * h**delta
+        A, B = B, [c // div for c in rest]
+        g = A[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+    d = len(A) - 1
+    return sign * scale * B[0] ** d // h ** (d - 1)
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """lead(b)^(deg a - deg b + 1) a mod b in Z[x], deg a >= deg b >= 1,
+    coefficients low to high and trailing zeros trimmed."""
+    rest, lead, top = list(a), b[-1], len(b) - 1
+    unused = len(a) - top  # the factors of lead(b) still owed
+    while len(rest) > top:
+        c, shift = rest[-1], len(rest) - 1 - top
+        rest = [v * lead for v in rest]
+        for j, v in enumerate(b):
+            rest[shift + j] -= c * v
+        unused -= 1
+        rest = list(_trim(rest))
+    return [v * lead**unused for v in rest] if unused else rest
 
 
 def disc_t_quarter(F: BiPoly) -> IntPoly:

@@ -56,6 +56,8 @@ from .finite_field import (
     InternalCheckError,
     PrimeCtx,
     PrimeRange,
+    _gcd,
+    _modulus,
     double_sum_S,
     power_pair_count,
     primes_in,
@@ -166,52 +168,73 @@ def _class_traces(n: int, h: int, ws: np.ndarray, ctx: PrimeCtx) -> np.ndarray:
     return a - chi[ws] if h == 0 else a
 
 
-def second_moment_closed(fam: PowerFamily, ctx: PrimeCtx) -> Optional[int]:
-    """Closed-form p * A_2(p); None when gcd(k, n-h, p-1) != 1."""
+def second_moment_closed(fam: PowerFamily, p):
+    """Closed-form p * A_2(p); None when gcd(k, n-h, p-1) != 1.
+
+    ``p`` is a PrimeCtx or an odd prime, or an array of odd primes, which
+    gives the form at every prime elementwise in its dtype, applicable or
+    not (:func:`_applies` tells which).  Every term is below n p^2, so
+    int64 is exact where n p_max^2 < 2^63.
+    """
     n, h, k = fam.n, fam.h, fam.k
-    p = ctx.p
-    if gcd(gcd(k, n - h), p - 1) != 1:
-        return None
+    p = _modulus(p)
     if h % 2 == 1:
-        return p * double_sum_S(n - h, ctx)
-    val = p * (power_pair_count(n - h, ctx) - p)
-    if h >= 2:
-        val += p - 1 if k else p
-    return val
+        val = p * double_sum_S(n - h, p)
+    else:
+        val = p * (power_pair_count(n - h, p) - p)
+        if h >= 2:
+            val += p - 1 if k else p
+    if isinstance(p, np.ndarray) or _applies(fam, p):
+        return val
+    return None
 
 
-def _second_moment_row(fam: PowerFamily, p: int) -> tuple:
-    ctx = PrimeCtx(p)
-    row = _decompose(fam, ctx)
-    closed, c2, c1 = (None, None, None) if row is None else (row.p_a2, row.c2, row.c1)
-    return p, second_moment_brute(fam, ctx), closed, c2, c1
+def _applies(fam: PowerFamily, p):
+    """Whether gcd(k, n - h, p - 1) = 1, at an odd prime or elementwise."""
+    return _gcd(p - 1, gcd(fam.k, fam.n - fam.h)) == 1
+
+
+def _second_moment_row(fam: PowerFamily, p: int) -> int:
+    """The brute p * A_2(p) at one prime, which builds its own PrimeCtx; a
+    private module-level name, which a pool pickles by reference."""
+    return second_moment_brute(fam, PrimeCtx(p))
 
 
 def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> list[tuple]:
     """(p, brute p*A_2, closed p*A_2, c2, c1) per prime, the last three None where
     the closed form does not apply; a range past the dense limit fails up front.
     The class sums are O(p) a prime, like the first-moment blocks, so the scan
-    starts a pool only past their break-even, ``POOL_CELLS`` (the sum of p)."""
+    starts a pool only past their break-even, ``POOL_CELLS`` (the sum of p).
+    The closed column is one array pass in this process (:func:`_closed_rows`)."""
     check_dense_range(prange.lo, prange.hi, prange.skip)
     primes = primes_in(prange)
-    return scan(partial(_second_moment_row, fam), primes, jobs if sum(primes) > POOL_CELLS else 1)
+    brute = scan(partial(_second_moment_row, fam), primes, jobs if sum(primes) > POOL_CELLS else 1)
+    return [(p, b, None, None, None) if row is None else (p, b, row.p_a2, row.c2, row.c1)
+            for p, b, row in zip(primes, brute, _closed_rows(fam, primes))]
 
 
-def _bias_row(fam: PowerFamily, p: int) -> Optional[BiasRow]:
-    return _decompose(fam, PrimeCtx(p))
+def _closed_rows(fam: PowerFamily, primes: list[int]) -> list[Optional[BiasRow]]:
+    """The closed form at each prime as c2 (p^2 - p) + rem, None where it
+    does not apply, from one pass over the prime array.
 
-
-def _decompose(fam: PowerFamily, ctx: PrimeCtx) -> Optional[BiasRow]:
-    """The closed form at p as c2 (p^2 - p) + rem; None where it does not apply."""
-    p = ctx.p
-    val = second_moment_closed(fam, ctx)
-    if val is None:
-        return None
-    c2 = val // (p * p - p)
-    rem = val - c2 * (p * p - p)
-    if rem not in (0, p - 1, p):
-        raise InternalCheckError(f"unexpected closed-form remainder {rem} at p = {p}")
-    return BiasRow(p, val, c2, -c2, rem)
+    The array is int64 where n p_max^2 < 2^63, which bounds every value
+    formed (p * A_2 and p^2 are below n p^2), else of Python ints.  A
+    remainder other than 0, p - 1 or p is an internal failure.
+    """
+    if not primes:
+        return []
+    ps = np.array(primes, dtype=np.int64 if fam.n * max(primes) ** 2 < 1 << 63 else object)
+    val = second_moment_closed(fam, ps)
+    main = ps * ps - ps
+    c2 = val // main
+    rem = val - c2 * main
+    on = _applies(fam, ps)
+    bad = on & (rem != 0) & (rem != ps - 1) & (rem != ps)
+    if bad.any():
+        i = int(bad.argmax())
+        raise InternalCheckError(f"unexpected closed-form remainder {int(rem[i])} at p = {primes[i]}")
+    rows = zip(on.tolist(), primes, val.tolist(), c2.tolist(), rem.tolist())
+    return [BiasRow(p, v, c, -c, r) if ok else None for ok, p, v, c, r in rows]
 
 
 def bias_report(fam: PowerFamily, prange: PrimeRange) -> BiasReport:
@@ -221,11 +244,13 @@ def bias_report(fam: PowerFamily, prange: PrimeRange) -> BiasReport:
     coefficient of the (p^2 - p) main part and c1 = -c2; the remainder
     (0 for h = 0 and odd h, p - 1 or p for even h >= 2) is carried
     separately so the stated decomposition is exact.  Only the closed form
-    is evaluated, so the scan runs in this process.
+    is evaluated, in one array pass over the primes (:func:`_closed_rows`)
+    that builds no per-prime context; the mean is the exact integer sum of
+    c1 over the rows divided by their count.
     """
-    rows = [r for r in scan(partial(_bias_row, fam), primes_in(prange)) if r is not None]
-    mean = sum(r.c1 for r in rows) / len(rows) if rows else None
-    return BiasReport(fam, prange.hi, tuple(rows), mean)
+    rows = tuple(row for row in _closed_rows(fam, primes_in(prange)) if row is not None)
+    mean = sum(row.c1 for row in rows) / len(rows) if rows else None
+    return BiasReport(fam, prange.hi, rows, mean)
 
 
 def michel_deviation(p_a2: int, p: int) -> float:

@@ -385,11 +385,46 @@ def test_second_moment_constant_exponent(capsys):
 def test_bias_report_bad_remainder_is_internal_failure(capsys, monkeypatch):
     import hyprank.second_moment as sm
 
-    # one full (p^2 - p) plus a remainder of p + 1, which no shape produces
-    monkeypatch.setattr(sm, "second_moment_closed", lambda fam, ctx: ctx.p * ctx.p + 1)
+    # one full (p^2 - p) plus a remainder of p + 1, which no shape produces,
+    # injected through the array form that the bias pass calls once
+    calls = []
+
+    def wrong(fam, p):
+        calls.append(p)
+        return p * p + 1
+
+    monkeypatch.setattr(sm, "second_moment_closed", wrong)
     code, _ = run(capsys, "second-moment", "--n", "3", "--h", "0", "--k", "1",
                   "--pmax", "20", "--bias")
     assert code == 4
+    assert len(calls) == 1 and calls[0].tolist() == [3, 5, 7, 11, 13, 17, 19]
+
+
+# sha256 of the --bias stdout, and the stderr, over the primes of
+# [2^32, 2^32 + 600], where p^2 passes int64 and the array pass takes Python
+# ints; pinned from the per-prime closed form that it replaced
+BIAS_PAST_2_32 = [
+    ("5", "2", "1", "csv", "3a02db0798656fdfad956eb5d3e6156dd717f62485984dfcd9dce7f57ec92ffd",
+     "mean_c1 = -0.8823529411764706 over 34 applicable primes\n"),
+    ("7", "3", "1", "csv", "c3edfee01562077d7066ef79cedb5f209f8b16aac88c42495be245292eab5afd",
+     "mean_c1 = -0.8235294117647058 over 34 applicable primes\n"),
+    ("9", "0", "3", "csv", "64af3e2d5abe42e96c2a694337bacf1a1839ae8d4b676459f120aac7a1fd9451",
+     "mean_c1 = 0.0 over 19 applicable primes\n"),
+    ("5", "2", "1", "json", "c15d898905a674b3685cdb21277c750b1ccbbc3430653dfca1e3d9eff1d050ff", ""),
+    ("7", "3", "1", "json", "4564e99f7d488d87aa4c9209412e30e96f4832d9b1547f5f20976d4c14ea9871", ""),
+    ("9", "0", "3", "json", "5c5dde34bff11655ed0f0e89076b568b4132d5db68504dae613c7f941afc8b92", ""),
+]
+
+
+@pytest.mark.parametrize("n, h, k, fmt, stdout_sha256, stderr", BIAS_PAST_2_32,
+                         ids=[f"{n}_{h}_{k}_{fmt}" for n, h, k, fmt, *_ in BIAS_PAST_2_32])
+def test_bias_output_past_two_to_the_32(capsys, n, h, k, fmt, stdout_sha256, stderr):
+    code = main(["second-moment", "--n", n, "--h", h, "--k", k, "--pmin", str(2**32),
+                 "--pmax", str(2**32 + 600), "--bias", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
+    assert captured.err == stderr
 
 
 @pytest.mark.parametrize("shift", [0.3, 1.0], ids=["off_integer", "nonzero_sum"])
@@ -687,7 +722,8 @@ def test_one_context_per_prime(capsys, monkeypatch):
         (["moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "2"], []),
         (["nagao", "--family", "builtin:linear_twist", "--f", F3, "--predicted"], []),
         (["second-moment", "--n", "5", "--h", "2", "--k", "1"], primes),
-        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--bias"], primes),
+        # the bias report is one array pass over the primes
+        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--bias"], []),
         (["sn-witness", "--f", "x^3 + x + 1"], []),
     ):
         built.clear()

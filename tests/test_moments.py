@@ -391,7 +391,7 @@ def test_scan_is_the_only_prime_driver():
             imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
             assert not imported & {"PrimeCtx", "primes_in"}
     # the first-moment blocks build none
-    assert builders == {"_power_sum", "_second_moment_row", "_bias_row"}
+    assert builders == {"_power_sum", "_second_moment_row"}
 
 
 def test_only_the_cli_imports_the_oracles():

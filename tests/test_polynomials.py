@@ -582,6 +582,123 @@ def test_batched_frobenius_across_block_boundaries(monkeypatch):
     assert [degree_patterns_mod(f, primes) for f in _builtin_fs()] == expected
 
 
+# ---------------------------------------------------------------------------
+# the split route: integer roots of f split off, the chain on the cofactor
+
+
+def _split_f(content, roots, mults, g):
+    """content * (x - r_1)^(m_1) ... (x - r_n)^(m_n) * g."""
+    f = IntPoly(g) * content
+    for r, m in zip(roots, mults):
+        f = f * IntPoly((-r, 1)) ** m
+    return f
+
+
+@st.composite
+def _split_polys(draw):
+    content = draw(st.integers(2, 105)) * draw(st.sampled_from([1, -1]))
+    roots = draw(st.lists(st.integers(-50, 50), min_size=0, max_size=5, unique=True))
+    mults = draw(st.lists(st.sampled_from([1, 2]), min_size=len(roots), max_size=len(roots)))
+    low = draw(st.lists(st.integers(-30, 30), min_size=0, max_size=3))
+    g = low + [draw(st.sampled_from([1, 2, 3, -5, 7, 11]))]
+    f = _split_f(content, roots, mults, g)
+    if f.degree < 1:
+        f = f * IntPoly((-7, 1))
+    return f
+
+
+_ODD_PRIMES_2000 = primes_in(PrimeRange(3, 2000))
+
+
+def _assert_split_route_matches_modpoly(f):
+    patterns = degree_patterns_mod(f, _ODD_PRIMES_2000)
+    counts = linear_factor_counts(f, _ODD_PRIMES_2000)
+    for p, pattern, n in zip(_ODD_PRIMES_2000, patterns, counts):
+        ctx = PrimeCtx(p)
+        assert pattern == degree_pattern_mod(f, ctx), (str(f), p)
+        assert n == (None if pattern is None else root_count_mod(f, ctx)), (str(f), p)
+
+
+# 3 divides the lead and 4 - 1, 17 divides g(4) = 17 and 2 divides g(1) = 2;
+# the double root 4 makes f ramified at every prime
+@pytest.mark.parametrize("content, roots, mults, g", [
+    (3, (1, 4), (1, 1), (1, 0, 1)),
+    (3, (1, 4), (1, 2), (1, 0, 1)),
+    (5, (-7, 3, 0), (1, 1, 1), (1,)),
+    (6, (2, -13), (1, 1), (1, 1, 1, 2)),
+    (15, (), (), (3, 0, 2, 1)),
+], ids=["lead_diff_value", "double_root", "fully_split", "cubic_cofactor", "no_root"])
+def test_split_route_matches_modpoly_examples(content, roots, mults, g):
+    _assert_split_route_matches_modpoly(_split_f(content, roots, mults, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_polys())
+def test_split_route_matches_modpoly_hypothesis(f):
+    # f = c * prod (x - r_i)^(m_i) * g with roots in [-50, 50], m_i in {1, 2},
+    # deg g <= 3 and content c > 1: at every odd prime up to 2000, where p
+    # divides the lead, a difference r_i - r_j or a value g(r_i) often,
+    # against the per-prime ModPoly references
+    _assert_split_route_matches_modpoly(f)
+
+
+def test_split_route_takes_no_chain_for_a_split_f(monkeypatch):
+    primes = primes_in(PrimeRange(3, 5000))
+    f = _split_f(6, (1, -2, 3, 5, -8), (1, 1, 1, 1, 1), (1,))
+    expected = [degree_patterns_mod(f, primes), linear_factor_counts(f, primes)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Frobenius chain ran on a split f")
+
+    monkeypatch.setattr(polynomials, "frobenius_gcd_degrees", refuse)
+    assert [degree_patterns_mod(f, primes), linear_factor_counts(f, primes)] == expected
+    # 3 divides the content (f mod 3 = 0), 7 and 13 a difference of roots
+    assert [expected[1][primes.index(p)] for p in (3, 7, 13, 17)] == [None, None, None, 5]
+    assert expected[1][-1] == 5 and expected[0][-1] == (1, 1, 1, 1, 1)
+
+
+def _fraction_resultant(a, b):
+    """Res(a, b) by Euclid over Q: Res(a, b) = (-1)^(deg a deg b)
+    lead(b)^(deg a - deg r) Res(b, r), r = a mod b, down to c^(deg a)."""
+    a = [Fraction(c) for c in a.coeffs]
+    b = [Fraction(c) for c in b.coeffs]
+    acc = Fraction(1)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            c, k = r[-1] / b[-1], len(r) - len(b)
+            for j, v in enumerate(b):
+                r[k + j] -= c * v
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            acc = -acc
+        acc *= b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return int(acc * b[-1] ** (len(a) - 1)) if b else 0
+
+
+def test_subresultant_matches_euclid_over_q():
+    rng = random.Random(2027)
+    for _ in range(300):
+        bits = rng.choice([3, 20, 90])
+        a, b = (IntPoly([rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 10))])
+                for _ in range(2))
+        if rng.random() < 0.3:  # a common factor, so that Res = 0
+            common = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(2, 3))])
+            a, b = a * common, b * common
+        if rng.random() < 0.3:  # contents
+            a, b = a * rng.randint(2, 40), b * rng.randint(-40, -2)
+        for u, v in ((a, b), (b, a), (a, a.derivative())):
+            assert polynomials._resultant(u, v) == _fraction_resultant(u, v), (str(u), str(v))
+    assert polynomials._resultant(IntPoly((3,)), IntPoly((1, 2, 1))) == 9
+    assert polynomials._resultant(IntPoly((1, 2, 1)), IntPoly((-3,))) == 9
+    assert polynomials._resultant(IntPoly((5,)), IntPoly((7,))) == 1
+    assert polynomials._resultant(IntPoly(()), IntPoly((1, 1))) == 0
+
+
 def _rank_mod(rows, p):
     """Rank mod p by plain Gaussian elimination with modular inverses."""
     rows, rank = [list(r) for r in rows], 0

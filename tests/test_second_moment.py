@@ -211,6 +211,51 @@ def test_bias_empty_applicable_set():
     assert report.mean_c1 is None
 
 
+def test_bias_array_pass_equals_brute_to_3000():
+    # the one array pass of bias_report against the class sums of _brute, for
+    # every odd n <= 9 and h, k < n, at every applicable prime up to 3000
+    primes = primes_in(PrimeRange(3, 3000))
+    ctxs = [PrimeCtx(p) for p in primes]
+    for n in (3, 5, 7, 9):
+        for h in range(n):
+            for k in range(n):
+                fam = PowerFamily(n, h, k)
+                report = bias_report(fam, PrimeRange(3, 3000))
+                rows = {row.p: row for row in report.rows}
+                assert list(rows) == [p for p in primes if gcd(gcd(k, n - h), p - 1) == 1]
+                for ctx in ctxs:
+                    row = rows.get(ctx.p)
+                    if row is None:
+                        assert second_moment_closed(fam, ctx) is None
+                        continue
+                    assert row.p_a2 == second_moment_brute(fam, ctx), (n, h, k, ctx.p)
+                    assert row.p_a2 == row.c2 * (ctx.p**2 - ctx.p) + row.remainder
+                    assert row.c1 == -row.c2
+                if rows:
+                    assert report.mean_c1 == sum(row.c1 for row in report.rows) / len(rows)
+
+
+# n p_max^2 < 2^63 exactly where p_max < 1753413056 for n = 3: the first
+# window stays in int64, the second and the one past 2^32 take Python ints
+@pytest.mark.parametrize("lo, hi", [(1753412500, 1753413050), (1753413060, 1753413700),
+                                    (2**32, 2**32 + 600)], ids=["int64", "edge", "past_2_32"])
+@pytest.mark.parametrize("shape", [(3, 0, 1), (5, 2, 1), (7, 3, 1), (9, 0, 3)])
+def test_bias_array_pass_matches_python_ints(lo, hi, shape):
+    fam = PowerFamily(*shape)
+    primes = primes_in(PrimeRange(lo, hi))
+    report = bias_report(fam, PrimeRange(lo, hi))
+    rows = {row.p: row for row in report.rows}
+    assert rows
+    for p in primes:
+        closed = second_moment_closed(fam, p)  # Python ints, one prime
+        row = rows.get(p)
+        assert (None if row is None else row.p_a2) == closed, p
+        if row is not None:
+            assert all(type(v) is int for v in (row.p, row.p_a2, row.c2, row.c1, row.remainder))
+            assert row.p_a2 == row.c2 * (p * p - p) + row.remainder
+    assert report.mean_c1 == sum(row.c1 for row in report.rows) / len(rows)
+
+
 def test_michel_deviation():
     assert michel_deviation(49, 7) == 0.0
     assert michel_deviation(0, 4) == -2.0
