@@ -1,8 +1,8 @@
 """The character-sum engines over the (t, x) grid and their vectorised helpers.
 
 Every exact trace and moment of a family is a sum of chi(F(x, t)) over the
-(t, x) grid.  ``moments._power_sums`` picks the kernel of each prime from
-the shape of F mod p; every trace row below is an int64 array of length p,
+(t, x) grid.  ``moments._power_sums`` picks one kernel for a whole scan from
+the shape of F over Z; every trace row below is an int64 array of length p,
 and :func:`power_total` takes sum_t a_t^r from it exactly.  The second
 moments of the power shapes x^n + x^h T^k need none of them:
 ``second_moment._brute`` sums one character sum per coset class of t, in O(p).
@@ -338,21 +338,6 @@ def prime_blocks(primes, limit: int | None = None) -> list[list[int]]:
     return blocks
 
 
-def quadratic_in_t(t_coeffs, primes) -> np.ndarray:
-    """Whether deg_T F <= 2 mod p at each of the primes, as a bool array.
-
-    ``t_coeffs[j]`` lists the integer coefficients, low to high in x and of
-    any size, of the coefficient of T^j of F; every one past T^2 must
-    vanish mod p.
-    """
-    ps = np.asarray(primes, dtype=np.int64)
-    keep = np.ones(len(ps), dtype=bool)
-    for coeffs in t_coeffs[3:]:
-        for c in coeffs:
-            keep &= residues(c, ps) == 0
-    return keep
-
-
 def first_sum_vec(t_coeffs, primes) -> list[int]:
     """sum_t a_t = -sum_x S_x at each prime, for F = c(x) + b(x) T + a(x) T^2.
 
@@ -625,8 +610,8 @@ def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int]:
     (slices of length p) of doubled rows of D.  Where a(x) = 0 the row of x
     is a window of chi, chi(b) chi(t + c / b), or the constant chi(c) where
     b = 0 too.  That covers every F of degree <= 2 in T, rank-one mod p or
-    not.  ``t_coeffs`` is laid out as for :func:`quadratic_in_t`
-    (ValueError unless deg_T F <= 2 mod every prime).
+    not.  ``t_coeffs`` is laid out as for :func:`_cells`, which refuses a
+    nonzero row past T^2 over Z.
 
     One pass over the cells of a block of primes (:func:`_cells`) evaluates
     a, b and c at every cell (:func:`_horner_cells`, each integer
@@ -661,16 +646,16 @@ def _cells(t_coeffs, primes):
     to end.
 
     The cells off_i .. off_i + p_i - 1 of every flat array hold
-    x = 0..p_i - 1 at the i-th prime.  ``t_coeffs`` is laid out as for
-    :func:`quadratic_in_t` (ValueError unless deg_T F <= 2 mod every prime;
-    a caller that has routed its primes by ``quadratic_in_t`` passes
-    ``t_coeffs[:3]``, which leaves nothing to check again).  Returns the
-    primes, their offsets, and each cell's offset, x and prime.
+    x = 0..p_i - 1 at the i-th prime.  ``t_coeffs[j]`` lists the integer
+    coefficients, low to high in x and of any size, of the coefficient of
+    T^j of F; a nonzero row past T^2 is refused (ValueError), whatever it
+    is mod the primes, so the kernels take an F of degree <= 2 in T over Z.
+    Returns the primes, their offsets, and each cell's offset, x and prime.
     """
     check_dense(max(primes))
-    ps = np.array(primes, dtype=np.int64)
-    if len(t_coeffs) > 3 and not quadratic_in_t(t_coeffs, ps).all():
+    if any(map(any, t_coeffs[3:])):
         raise ValueError("the quadratic-in-T kernels need deg_T F <= 2")
+    ps = np.array(primes, dtype=np.int64)
     offs = np.cumsum(ps) - ps
     base = _spread(offs, ps)  # the offset of each cell's prime
     xs = np.arange(sum(primes), dtype=np.int64) - base

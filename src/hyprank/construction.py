@@ -23,8 +23,12 @@ from fractions import Fraction
 from math import lcm
 
 from .curves import HyperFamily
-from .finite_field import InternalCheckError
+from .finite_field import InternalCheckError, is_prime
 from .polynomials import BiPoly, IntPoly, RatPoly, disc_t_quarter
+
+# Trial division bound of _odd_prime_factors: every |rho_i| < 2^31 gives
+# values below 2^32, whose cofactor past it is a prime.
+TRIAL_BOUND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,7 @@ def build_family(rd: RootData, label: str | None = None) -> ConstructionResult:
             raise InternalCheckError(f"section at x = {xi} does not lie on the family")
         points.append((xi, y))
 
-    bad = _non_generic_primes(rd, L, A)
+    bad = _non_generic_primes(rd)
     fam = HyperFamily(
         f"rank{4 * g + 2}_genus{g}" if label is None else label,
         g,
@@ -195,49 +199,40 @@ def build_family(rd: RootData, label: str | None = None) -> ConstructionResult:
     )
 
 
-def _non_generic_primes(rd: RootData, L: int, A: int) -> set[int]:
+def _non_generic_primes(rd: RootData) -> set[int]:
     """Odd primes where the first-moment law can fail for this family.
 
-    These divide the scaling data or some difference of squared roots; all
-    their prime factors already divide one of the small input integers, so
-    trial division by those candidates factors everything completely.
+    These divide L or A, or make two squared roots equal mod p.  Up to sign
+    A = 4 R_0 = 4 prod rho_i^2, and L divides a power of A, so they are the
+    odd primes that divide some rho_i, rho_i - rho_j or rho_i + rho_j, each
+    factored on its own (:func:`_odd_prime_factors`).
     """
-    candidates = {2}
-    smalls = [abs(r) for r in rd.rho]
-    squares = [r * r for r in rd.rho]
-    smalls += [abs(a - b) for i, a in enumerate(squares) for b in squares[:i]]
-    for m in smalls:
-        candidates |= set(_trial_factor(m))
-    residue = L * A
-    for q in sorted(candidates):
-        while residue % q == 0:
-            residue //= q
-    if residue != 1:
-        candidates |= set(_trial_factor(residue))
+    rho = rd.rho
+    values = [*rho, *(a + s * b for i, a in enumerate(rho) for b in rho[:i] for s in (1, -1))]
+    return set().union(*map(_odd_prime_factors, values))
+
+
+def _odd_prime_factors(m: int) -> set[int]:
+    """The odd prime factors of m != 0, by trial division below TRIAL_BOUND.
+
+    The cofactor left must be 1 or a prime: below 2^32 it is one, above
+    that ``is_prime`` must certify it, below 2^64; anything else is refused
+    (ValueError)."""
+    n = abs(m)
+    n >>= (n & -n).bit_length() - 1  # the factors 2
     out = set()
-    for q in candidates:
-        if q == 2:
-            continue
-        if L % q == 0 or A % q == 0:
-            out.add(q)
-            continue
-        if len({r * r % q for r in rd.rho}) != len(rd.rho):
-            out.add(q)
-    return out
-
-
-def _trial_factor(m: int) -> list[int]:
-    m = abs(m)
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
+    d = 3
+    while d * d <= n and d < TRIAL_BOUND:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d += 2
+    if n >= 1 << 32 and not (n < 1 << 64 and is_prime(n)):
+        raise ValueError(f"cannot factor {m}: its cofactor {n} has no prime factor below 2^16 "
+                         "and is no prime below 2^64")
+    if n > 1:
+        out.add(n)
     return out
 
 

@@ -138,9 +138,9 @@ def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
 def traces_from_rows(rows, ctx: PrimeCtx) -> np.ndarray:
     """Traces at t = 0..p-1, as an int64 array, from the T-coefficient rows
     of ``t_coeff_rows``: ``correlation_row`` where F is rank-one mod p, else
-    the dense ``trace_row_vec``.  ``moments._power_sums`` says which primes
-    of a scan take a row: those where deg_T F >= 3 mod p, or where F is
-    rank-one over Q.
+    the dense ``trace_row_vec``.  ``moments._power_sums`` says which scans
+    take a row: every prime of an F with deg_T F >= 3 over Z, and at r >= 2
+    of an F rank-one over Q.
     """
     row = _kernels.correlation_row(rows, ctx)
     return _kernels.trace_row_vec(rows, ctx) if row is None else row

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import (QUAD_CELLS, check_dense_range, first_sum_roots, first_sum_vec,
-                       power_total, prime_blocks, quadratic_in_t, quadratic_power_sums)
+                       power_total, prime_blocks, quadratic_power_sums)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (FROB_BLOCK, BiPoly, IntPoly, degree_patterns_mod,
@@ -248,17 +248,17 @@ def scan(task, items: list, jobs: int = 1) -> list:
 
 
 def _power_sum(fam: HyperFamily, r: int, p) -> int:
-    """p * A_r(p) from the trace row at p, for the primes the block kernels
-    leave; p is the prime, or its ``PrimeCtx`` where the caller has one.  A
-    private name, which a pool pickles by reference."""
+    """p * A_r(p) from the trace row at p, for the families the block
+    kernels do not take; p is the prime, or its ``PrimeCtx`` where the caller
+    has one.  A private name, which a pool pickles by reference."""
     ctx = PrimeCtx(p) if isinstance(p, int) else p
     return power_total(traces_from_rows(t_coeff_rows(fam.F, ctx), ctx), r)
 
 
 def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int]:
-    """p * A_r(p) at each prime of a block where deg_T F <= 2: ``first_sum_vec``
-    for r = 1, else ``quadratic_power_sums``.  A private module-level name,
-    which a pool pickles by reference."""
+    """p * A_r(p) at each prime of a block, for F of degree <= 2 in T over Z:
+    ``first_sum_vec`` for r = 1, else ``quadratic_power_sums``.  A private
+    module-level name, which a pool pickles by reference."""
     return first_sum_vec(t_coeffs, block) if r == 1 else quadratic_power_sums(t_coeffs, r, block)
 
 
@@ -266,18 +266,19 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
                 ctx: PrimeCtx | None = None) -> list[int]:
     """p * A_r(p) at each prime, exact: the one route of every moment.
 
-    At the primes where deg_T F <= 2 mod p, r = 1 first takes
-    ``first_sum_roots``, FROB_BLOCK primes at a time in this process: where
-    the weight a (or c, where a = 0 over Z) is a monomial alpha x^k, it
-    needs the roots of D = b^2 - 4ac mod p alone, at every prime that
+    The shape of F over Z picks one route for the whole scan, each giving
+    its list in the order of ``primes``.  Where deg_T F <= 2, r = 1 first
+    takes ``first_sum_roots``, FROB_BLOCK primes at a time in this process:
+    where the weight a (or c, where a = 0 over Z) is a monomial alpha x^k,
+    it needs the roots of D = b^2 - 4ac mod p alone, at every prime that
     divides neither alpha nor lead(D): O(d) a prime from the integer roots
     of D, split off once, and O(d^2 log p) for the Frobenius chain of the
-    cofactor they leave, where that is no constant.  The block kernels of
-    ``_block_sums`` take the rest, with no per-prime context:
-    ``first_sum_vec`` for r = 1, O(p) with the sums over t and x swapped,
-    and for r >= 2 ``quadratic_power_sums``, O(p^2) int8 copies, at every
-    such prime where F is not rank-one over Q (``_rank_one_in_t``).  Every
-    other prime takes its trace row, one prime at a time (``_power_sum``):
+    cofactor they leave, where that is no constant.  The primes it declines
+    take ``first_sum_vec``, O(p) with the sums over t and x swapped, in
+    blocks with no per-prime context, and go back in their places.  For
+    r >= 2 and F not rank-one over Q (``_rank_one_in_t``) every prime takes
+    the blocks of ``quadratic_power_sums``, O(p^2) int8 copies.  Every other
+    family takes one trace row per prime (``_power_sum``):
     ``traces_from_rows`` gives it in O(p log p) where F is rank-one mod p
     (``correlation_row``), else in O(p^2) in float64 blocks
     (``trace_row_vec``, deg_T F >= 3), and ``power_total`` sums its r-th
@@ -286,28 +287,24 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
     one only past its break-even work (``POOL_CELLS``, ``POOL_SQUARES`` and
     ``POOL_POINTS``), below which the pool costs more than it saves."""
     coeffs = fam.t_coeffs
+    if len(coeffs) <= 3 and r == 1:
+        sums = []
+        for lo in range(0, len(primes), FROB_BLOCK):
+            sums += first_sum_roots(coeffs, primes[lo : lo + FROB_BLOCK])
+        left = [p for p, s in zip(primes, sums) if s is None]
+        by_block = scan(partial(_block_sums, coeffs, 1), prime_blocks(left),
+                        jobs if sum(left) > POOL_CELLS else 1)
+        filled = itertools.chain.from_iterable(by_block)
+        return [next(filled) if s is None else s for s in sums]
     fft = _rank_one_in_t(coeffs)
-    quad = quadratic_in_t(coeffs, primes).tolist()
-    # at r >= 2 an F rank-one over Q takes the FFT, O(p log p), at every prime
-    blocked = [p for p, q in zip(primes, quad) if q and (r == 1 or not fft)]
-    sums = {}
-    if r == 1:
-        for lo in range(0, len(blocked), FROB_BLOCK):
-            block = blocked[lo : lo + FROB_BLOCK]
-            sums.update((p, s) for p, s in zip(block, first_sum_roots(coeffs[:3], block))
-                        if s is not None)
-        blocked = [p for p in blocked if p not in sums]
-        blocks, pool = prime_blocks(blocked), sum(blocked) > POOL_CELLS
-    else:
-        blocks, pool = prime_blocks(blocked, QUAD_CELLS), sum(p * p for p in blocked) > POOL_SQUARES
-    by_block = scan(partial(_block_sums, coeffs[:3], r), blocks, jobs if pool else 1)
-    sums.update(zip(blocked, itertools.chain.from_iterable(by_block)))
-    rest = [p for p in primes if p not in sums]
-    work = sum(FFT_POINTS * p * p.bit_length() if fft else p * p for p in rest)
-    rows = [p if ctx is None else ctx for p in rest]
-    sums.update(zip(rest, scan(partial(_power_sum, fam, r), rows,
-                               jobs if work > POOL_POINTS else 1)))
-    return [sums[p] for p in primes]
+    if len(coeffs) <= 3 and not fft:
+        # at r >= 2 an F rank-one over Q takes the FFT row, O(p log p), instead
+        by_block = scan(partial(_block_sums, coeffs, r), prime_blocks(primes, QUAD_CELLS),
+                        jobs if sum(p * p for p in primes) > POOL_SQUARES else 1)
+        return list(itertools.chain.from_iterable(by_block))
+    work = sum(FFT_POINTS * p * p.bit_length() if fft else p * p for p in primes)
+    return scan(partial(_power_sum, fam, r), primes if ctx is None else [ctx],
+                jobs if work > POOL_POINTS else 1)
 
 
 def _rank_one_in_t(t_coeffs) -> bool:

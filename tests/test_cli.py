@@ -209,6 +209,19 @@ def test_construct_genus_one_and_errors(capsys):
     assert code == 3
 
 
+def test_construct_with_a_root_too_large_to_factor_ends_fast(capsys):
+    # trial division stops at 2^16, and a cofactor past it must be a prime
+    # below 2^64, so a root near 10^16 ends at once, refused or not
+    roots = "1,2,3,4,5,10000000000000061"
+    for argv in (["construct", "--genus", "1", "--roots", roots],
+                 ["nagao", "--family", "builtin:big_rank", "--genus", "1", "--roots", roots,
+                  "--pmax", "100"]):
+        start = time.perf_counter()
+        code = main(argv)
+        assert code in (0, 2) and time.perf_counter() - start < 2, argv
+        capsys.readouterr()
+
+
 def test_construct_monic_flag(capsys):
     code, out = run(capsys, "construct", "--genus", "1", "--roots", "1..6", "--monic")
     assert code == 0

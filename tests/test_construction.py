@@ -174,6 +174,49 @@ def test_bad_primes_are_the_per_prime_genericity_rule():
         assert [p for p, v in zip(primes, law) if v is None] == sorted(rule & set(primes))
 
 
+def _full_factor(m: int) -> set[int]:
+    """The prime factors of m != 0 by trial division up to sqrt(m)."""
+    m, out, d = abs(m), set(), 2
+    while d * d <= m:
+        while m % d == 0:
+            out.add(d)
+            m //= d
+        d += 1
+    return out | ({m} if m > 1 else set())
+
+
+def test_bad_primes_against_full_factorization():
+    # the odd primes of L A and of every rho_i^2 - rho_j^2, fully factored,
+    # that divide L or A or make two squared roots equal mod p
+    rng = random.Random(28)
+    for genus in (1, 1, 2, 2, 3):
+        mags = rng.sample(range(1, 5000), 4 * genus + 2)
+        rd = RootData(genus, tuple(m if rng.random() < 0.5 else -m for m in mags))
+        cr = build_family(rd)
+        squares = [r * r for r in rd.rho]
+        values = [cr.L * cr.A, *(a - b for i, a in enumerate(squares) for b in squares[:i])]
+        candidates = set().union(*map(_full_factor, values)) - {2}
+        rule = {q for q in candidates if cr.L % q == 0 or cr.A % q == 0
+                or len({r % q for r in squares}) != len(squares)}
+        assert cr.family.bad_primes == rule, rd.rho
+
+
+def test_roots_below_two_to_the_31_are_never_refused():
+    # every rho_i +- rho_j is below 2^32, so what trial division to 2^16
+    # leaves of it is a prime
+    rng = random.Random(31)
+    for genus in (1, 2):
+        mags = rng.sample(range(2**30, 2**31), 4 * genus + 2)
+        rd = RootData(genus, tuple(m if rng.random() < 0.5 else -m for m in mags))
+        cr = build_family(rd)
+        squares = [r * r for r in rd.rho]
+        for q in cr.family.bad_primes:
+            assert q % 2 and (cr.A % q == 0 or len({r % q for r in squares}) != len(squares))
+        rule = {p for p in primes_in(PrimeRange(3, 3000))
+                if cr.A % p == 0 or len({r % p for r in squares}) != len(squares)}
+        assert {p for p in cr.family.bad_primes if p <= 3000} == rule, rd.rho
+
+
 def test_to_monic_model_shape():
     cr = build_family(RootData(2, tuple(range(1, 11))))
     Fm = to_monic_model(cr.F, 2)

@@ -178,7 +178,8 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
         (quad, 2, 101, []),
         (rank_one, 2, 101, [("dense", "rank_one")]),
         (cubic, 1, 101, [("dense", "cubic")]),
-        (drops, 1, 7, []),  # deg_T = 2 mod 7
+        # deg_T 3 over Z: the trace row, at 7 too, where deg_T = 2 mod p
+        (drops, 1, 7, [("dense", "drops")]),
         (drops, 1, 11, [("dense", "drops")]),
     ]:
         seen.clear()
@@ -235,8 +236,8 @@ def test_moment_invariant_under_parameter_shift():
 
 
 def test_first_moment_scans_route_each_prime_by_its_deg_t():
-    # deg_T = 2 mod 7 alone: 7 takes the block kernel, every other prime its
-    # trace row, and the merged series keeps the order of the primes
+    # deg_T 3 over Z, though 2 mod 7: every prime takes its trace row, 7
+    # included, and the series keeps the order of the primes
     drops = HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + T^2 + 1"))
     prange = PrimeRange(3, 40)
     primes = primes_in(prange)
@@ -286,10 +287,41 @@ def test_first_moment_scans_send_first_sum_vec_only_the_fallback_primes(monkeypa
     assert seen == primes  # the last family reaches first_sum_vec at every prime
 
 
+@pytest.mark.parametrize("text, declined", [
+    # alpha = 11 * 13 * 17 * 23: with blocks of 5, 11 and 13 close the first
+    # block, 17 opens the second, and 23 sits inside it
+    ("x^3 + 55913*T^2 + x*T + 1", [11, 13, 17, 23]),
+    # lead(D) = 9: the first prime of the first block alone
+    ("x^3 + 3*x^2*T + T^2 + 1", [3]),
+    # no monomial weight: every prime, every block whole
+    ("x^3 + (x^2 - 1)*T^2 + x*T + 1", None),
+    # a = 1 and lead(D) = -4: none
+    ("x^3 + T^2 + x + 1", []),
+])
+def test_first_moments_fill_declined_primes_back_across_frobenius_blocks(monkeypatch, text,
+                                                                         declined):
+    """With FROB_BLOCK = 5, the primes first_sum_roots declines fall inside
+    and across its blocks; first_sum_vec fills them back in prime order."""
+    fam = HyperFamily("fam", 1, parse_bipoly(text))
+    prange = PrimeRange(3, 200)
+    primes = primes_in(prange)
+    series = moment_series(fam, 1, prange)
+    estimate = nagao_sum(fam, prange)
+    seen = []
+    real = moments.first_sum_vec
+    monkeypatch.setattr(moments, "first_sum_vec", lambda t, block: seen.extend(block) or real(t, block))
+    monkeypatch.setattr(moments, "FROB_BLOCK", 5)
+    assert moment_series(fam, 1, prange) == series
+    assert seen == (primes if declined is None else declined)
+    assert nagao_sum(fam, prange) == estimate
+    want = [sum(trace_row(fam, PrimeCtx(p))) for p in primes]
+    assert [row.p_times_A for row in series.rows] == want
+
+
 def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
-    # drops is deg_T 3 at every prime but 7, where it is quadratic and not
-    # rank-one; rank7 is quadratic everywhere and rank-one mod 7 alone, which
-    # the blocks take as well
+    # drops is deg_T 3 over Z, so every prime takes its trace row, 7 too,
+    # where it is quadratic and not rank-one; rank7 is quadratic everywhere
+    # and rank-one mod 7 alone, which the blocks take as well
     drops = HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + x*T^2 + T + 1"))
     rank7 = HyperFamily("rank7", 1, parse_bipoly("x^3 + (x + 1)*T^2 + (x + 8)*T + 1"))
     prange = PrimeRange(3, 60)
@@ -298,7 +330,7 @@ def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
     row_power_sum = moments._power_sum
     monkeypatch.setattr(moments, "_power_sum",
                         lambda fam, r, p: rows.append(p) or row_power_sum(fam, r, p))
-    for fam, by_row in ((drops, [p for p in primes if p != 7]), (rank7, [])):
+    for fam, by_row in ((drops, primes), (rank7, [])):
         for r in (2, 3):
             want = [sum(a**r for a in trace_row(fam, PrimeCtx(p))) for p in primes]
             rows.clear()
@@ -321,7 +353,7 @@ def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
     make_linear_twist(F3),
     # deg_T 3 and not rank-one: the dense row
     HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1")),
-    # deg_T 3 but 2 mod 7, where it takes the blocks
+    # deg_T 3 over Z, though 2 mod 7: the dense row at every prime
     HyperFamily("drops", 1, parse_bipoly("x^3 + 7*x*T^3 + x*T^2 + T + 1")),
 ], ids=lambda fam: fam.label)
 def test_power_sum_series_and_trace_row_agree_to_200(fam):
