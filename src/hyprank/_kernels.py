@@ -31,19 +31,18 @@ moments of the power shapes x^n + x^h T^k need none of them:
   deg_T F >= 3.
 
 The two block kernels take no per-prime context: they work on a block of
-primes (:func:`prime_blocks`, of BLOCK_CELLS cells for r = 1 and QUAD_CELLS
-for r >= 2) at once, with the cells (p, x) of all its primes laid end to
-end in flat arrays (:func:`_cells`).  For r = 1 the only rows over all
-cells are D's and a's.  For r >= 2
-one pass over the cells completes every square, with one batched inverse,
-and each prime then runs only the windows core, :func:`_trace_windows`.
+primes (:func:`prime_blocks`, of BLOCK_CELLS cells) at once, with the cells
+(p, x) of all its primes laid end to end in flat arrays (:func:`_cells`).
+For r = 1 the only rows over all cells are D's and a's.  For r >= 2 one
+pass over the cells completes every square, with one batched inverse, and
+each prime then runs only the windows core, :func:`_trace_windows`.
 
-Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  The
-block kernels evaluate polynomials with integer coefficients by Horner's
-rule in int64 (:func:`_horner_cells`), reducing only where a step could
-pass 2^63, so a row of D = b^2 - 4ac, whose coefficients may have hundreds
-of bits, is exact at every cell; the law at the zeros of D takes a < p,
-and the products of the completed squares stay below 2p^2 < 2^53.  The
+Residues are int64 values in [0, p) with p < TABLE_LIMIT = 2^26.  Every
+kernel evaluates polynomials with integer coefficients by Horner's rule in
+int64 (:func:`_horner_cells`, also behind :func:`horner_vec`), reducing only
+where a step could pass 2^63, so a row of D = b^2 - 4ac, whose coefficients
+may have hundreds of bits, is exact at every cell; the law at the zeros of
+D takes a < p, and the products of the completed squares stay below 2p^2 < 2^53.  The
 quadratic kernels sum values of chi in int8 chunks of at most 127
 windows, then in int32, which is exact since |a_t| <= p < 2^31, and take
 sum_t a_t^r in int64 only where p max|a_t|^r < 2^63, else from the
@@ -70,8 +69,8 @@ import math
 
 import numpy as np
 
-from .finite_field import (TABLE_LIMIT, InternalCheckError, PrimeCtx, chi_tables, is_prime,
-                           quadratic_sums)
+from .finite_field import (TABLE_LIMIT, InternalCheckError, PrimeCtx, check_dense, chi_tables,
+                           is_prime, quadratic_sums)
 
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
@@ -80,15 +79,15 @@ CHUNK = 128
 # windows it sums in int8; odd, so its transposed copy does not thrash the cache.
 QUAD_BLOCK = 127
 
-# Cells (prime, x) per block of first_sum_vec: the block size that kept peak
-# memory where one context per prime had it (2^14 cells raised it).
-BLOCK_CELLS = 1 << 13
+# Cells (prime, x) per block of both block kernels.  At 2^13 the peak RSS of
+# moments --r 2 on big_rank (g = 2, to 1000) rose 0.17 MB over one context per
+# prime, at 2^12 0.06 MB; first_sum_vec to 2e4 took 0.61-0.64 s against
+# 0.61-0.62 s at 2^13, and its traced peak below 9000 fell from 0.44 to 0.36 MB.
+BLOCK_CELLS = 1 << 12
 
-# Cells per block of quadratic_power_sums, whose square completion holds
-# about twice the int64 arrays per cell: at 2^13 cells the peak RSS of
-# moments --r 2 on big_rank (g = 2, to 1000) rose 0.17 MB over one context
-# per prime, at 2^12 it stayed within 0.06 MB.
-QUAD_CELLS = 1 << 12
+# Primes per block of the Frobenius scans (moments._power_sums, polynomials._frobenius_scan),
+# read at call time: their arrays keep one size however long the scan.
+FROB_BLOCK = 1 << 11
 
 # Integer coefficients below this in absolute value enter _horner_cells as
 # they are, with no per-prime residue row: a block of many primes then skips
@@ -124,12 +123,6 @@ ROOT_BOUND = 1 << 16
 FROB_LIMIT = 1 << 31
 
 
-def check_dense(p: int) -> None:
-    """Refuse p >= TABLE_LIMIT before anything of length p is allocated."""
-    if p >= TABLE_LIMIT:
-        raise ValueError(f"p = {p} too large for the dense kernel (limit 2^26)")
-
-
 def check_dense_range(lo: int, hi: int, dropped=frozenset()) -> None:
     """``check_dense`` of the largest prime in [lo, hi] outside ``dropped``,
     before anything is sieved.  That prime is found by walking down from hi
@@ -147,13 +140,9 @@ def check_dense_range(lo: int, hi: int, dropped=frozenset()) -> None:
 
 
 def horner_vec(coeffs, xs: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate a coefficient list (low to high) at every entry of xs, mod p."""
-    if not coeffs:
-        return np.zeros(len(xs), dtype=np.int64)
-    acc = np.full(len(xs), coeffs[-1] % p, dtype=np.int64)
-    for c in reversed(coeffs[:-1]):
-        acc = (acc * xs + c % p) % p
-    return acc
+    """The polynomial of integer coefficients (low to high, any size) at each
+    residue of xs, mod p: :func:`_horner_cells` on the cells of one prime."""
+    return _horner_cells(_residue_rows(coeffs, np.array([p])), xs, [len(xs)], p, p)
 
 
 def powmod_vec(xs: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -320,17 +309,15 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray | None:
     return -K - C[w]
 
 
-def prime_blocks(primes, limit: int | None = None) -> list[list[int]]:
-    """The primes in runs of consecutive ones of at most ``limit`` cells
-    (BLOCK_CELLS by default).
+def prime_blocks(primes) -> list[list[int]]:
+    """The primes in runs of consecutive ones of at most BLOCK_CELLS cells.
 
-    A prime has p cells, one per x; a prime of more than ``limit`` cells
+    A prime has p cells, one per x; a prime of more than BLOCK_CELLS cells
     forms a block of its own.
     """
-    limit = BLOCK_CELLS if limit is None else limit
-    blocks, cells = [], limit
+    blocks, cells = [], BLOCK_CELLS
     for p in primes:
-        if cells + p > limit:
+        if cells + p > BLOCK_CELLS:
             blocks.append([])
             cells = 0
         blocks[-1].append(p)
@@ -353,13 +340,12 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
     with w = chi(a), or chi(c) where a = 0.
 
     One O(sum p) pass over the cells of a block of primes (:func:`_cells`)
-    evaluates D, formed once over Z (:func:`_discriminant`; b where a = 0
-    over Z, as D = b^2 has b's zeros), and a, whose characters the block's
-    tables give (``finite_field.chi_tables``); one ``np.add.reduceat``
-    counts the zeros of D per prime.  c is evaluated at the zeros where
-    a = 0 alone.  The scans send this kernel only the primes that
-    :func:`first_sum_roots` leaves, O(1) of them a family, and every prime
-    of a weight that is no monomial.
+    evaluates D, formed once over Z (:func:`_discriminant`), and a, whose
+    characters the block's tables give (``finite_field.chi_tables``); one
+    ``np.add.reduceat`` counts the zeros of D per prime.  c is evaluated at
+    the zeros where a = 0 alone.  The scans send this kernel only the
+    primes that :func:`first_sum_roots` leaves, O(1) of them a family, and
+    every prime of a weight that is no monomial.
 
     Exact in int64 for p < 2^26: a Horner row reduces before any step could
     pass 2^63 (:func:`_horner_cells`), so D's row holds D(x) mod p whatever
@@ -368,7 +354,7 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
     ps, offs, base, xs, mod = _cells(t_coeffs, primes)
     top = max(primes)
     c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
-    disc = _discriminant(c, b, a) if any(a) else b
+    disc = _discriminant(c, b, a)
     zero = _horner_cells(_residue_rows(disc, ps), xs, ps, mod, top) == 0
     counts = np.add.reduceat(zero, offs, dtype=np.int64)
     chi = chi_tables(primes)
@@ -444,7 +430,7 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
     :func:`first_sum_vec`.
     """
     c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
-    disc = _discriminant(c, b, a) if any(a) else b
+    disc = _discriminant(c, b, a)
     weight = a if any(a) else c
     powers = [i for i, v in enumerate(weight) if v]
     out = [None] * len(primes)
@@ -458,7 +444,6 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
         return out
     p = ps[on]
     chi_alpha = _integer_characters([alpha], p)[0]
-    disc = _primitive(tuple(disc))  # the same roots where p does not divide lead(D)
     z = residues(disc[0], p) == 0
     roots, g, keys = _split_roots(tuple(disc))
     live = np.array([residues(key, p) != 0 for key in keys], dtype=bool).reshape(len(keys), len(p))
@@ -485,19 +470,21 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
 @functools.lru_cache(maxsize=16)
 def _split_roots(f) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The distinct integer roots r_i of f, its cofactor g, and the keys K_i
-    of :func:`first_sum_roots`, for f a tuple of integers, primitive with a
-    positive lead.
+    of :func:`first_sum_roots`, for f a tuple of integers with a nonzero lead.
 
+    f is first divided by its content, which can be most of its bits (477 of
+    the 544 of big_rank's D at g = 2), and given a positive lead.  Then
     f = g (x - r_1)^(m_1) ... (x - r_n)^(m_n) with g in Z[x] free of integer
     roots, each root divided out with its multiplicity by exact synthetic
     division, and K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)), never 0.
     The roots are those of :func:`_integer_roots`, so where it finds none
-    g = f, which leaves the route as exact and only slower.  Cached, as the
-    scans ask once per FROB_BLOCK for the same D.  ``polynomials._split``
+    g = f, which leaves the route as exact and only slower.  Cached, as
+    the scans ask once per FROB_BLOCK for the same D.  ``polynomials._split``
     takes the same split of the f of the closed forms and ``sn-witness``.
     """
-    roots = _integer_roots(f)
-    g = list(f)
+    content = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    g = [v // content for v in f]
+    roots = _integer_roots(g)
     for r in roots:
         while True:
             quotient, rest = _divide_linear(g, r)
@@ -575,8 +562,11 @@ def _integer_characters(values, p: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _discriminant(c, b, a) -> list[int]:
     """The integer coefficients, low to high, of b^2 - 4ac, from those of c,
-    b and a as tuples; [] when it is 0.  Cached, as every block of a scan
+    b and a as trimmed tuples, or b itself where a = 0 over Z, as D = b^2
+    has the zeros of b; [] when it is 0.  Cached, as every block of a scan
     asks for the same one."""
+    if not any(a):
+        return list(b)
     out = [0] * max(2 * len(b), len(a) + len(c))
     for i, u in enumerate(b):
         for j, v in enumerate(b):
@@ -587,15 +577,6 @@ def _discriminant(c, b, a) -> list[int]:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-@functools.lru_cache(maxsize=16)
-def _primitive(f) -> list[int]:
-    """f divided by its content, with a positive lead; f a tuple of integers,
-    not all 0.  The content of a discriminant can be most of its bits: 477
-    of the 544 of big_rank's (g = 2)."""
-    g = functools.reduce(math.gcd, f)
-    return [v // g for v in f] if f[-1] > 0 else [-v // g for v in f]
 
 
 def quadratic_power_sums(t_coeffs, r: int, primes) -> list[int]:
@@ -897,8 +878,10 @@ def _square_root_counts(f, primes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prime_array(primes) -> np.ndarray:
-    """The primes as int64 below FROB_LIMIT, else as Python ints."""
-    return np.asarray(primes, dtype=np.int64 if np.max(primes) < FROB_LIMIT else object)
+    """The primes as int64 below FROB_LIMIT, else as Python ints: an array of
+    that dtype as it is, and a list converted once."""
+    top = primes.max() if isinstance(primes, np.ndarray) else max(primes)
+    return np.asarray(primes, dtype=np.int64 if top < FROB_LIMIT else object)
 
 
 def _residue_ring(f, primes):

@@ -195,13 +195,21 @@ def _prime_range(args) -> PrimeRange | None:
 
 def parse_roots(text: str) -> list[int]:
     """Accept `a..b` inclusive ranges or comma-separated integers."""
+    return list(_roots(text))
+
+
+def _roots(text: str):
+    """The roots of :func:`parse_roots`, `a..b` as a range, which ``RootData``
+    counts before it is built: a range of the wrong length costs nothing."""
     text = text.strip()
     if ".." in text and "," not in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty root range {text!r}")
-        return list(range(lo, hi + 1))
+        if hi - lo >= sys.maxsize:  # len() of the range would overflow
+            raise ValueError(f"root range {text!r} has more roots than a list can hold")
+        return range(lo, hi + 1)
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -227,7 +235,7 @@ def _resolve_family(args) -> HyperFamily:
         if kind == "big_rank":
             if args.genus is None or not args.roots:
                 raise ValueError("builtin:big_rank requires --genus and --roots")
-            rd = RootData(args.genus, tuple(parse_roots(args.roots)))
+            rd = RootData(args.genus, _roots(args.roots))
             return make_big_rank(build_family(rd), label=args.label)
         if kind.startswith("power:"):
             parts = kind[len("power:"):].split(",")
@@ -337,20 +345,25 @@ def cmd_nagao(args) -> int:
 def cmd_construct(args) -> int:
     if args.format != "json":
         raise RangeConfigError("construct output is JSON only")
-    rd = RootData(args.genus, tuple(parse_roots(args.roots)))
+    rd = RootData(args.genus, _roots(args.roots))
     cr = build_family(rd, label=args.label)
+    monic = to_monic_model(cr.F, rd.genus) if args.monic else None
+    limit = _digit_limit()
+    for what, values in (  # every computed integer the JSON prints, before any is formed
+            ("the family", [*cr.F.terms.values(), *cr.R, cr.A, cr.L, cr.scale,
+                            *cr.q.coeffs, *cr.h.coeffs, *cr.D.coeffs]),
+            ("--emit-points", [v for x, y in cr.points if args.emit_points for v in (x, *y.coeffs)]),
+            ("--monic", [] if monic is None else monic.terms.values())):
+        if limit and max(map(abs, values), default=0) >= 10**limit:
+            raise RangeConfigError(f"construct at genus {rd.genus}: {what} has an integer of more "
+                                   f"than the {limit} digits Python prints "
+                                   "(sys.get_int_max_str_digits())")
     obj = cr.to_json()
     if args.emit_points:
         obj["construction"]["points"] = [
             {"x": str(x), "y": [str(c) for c in y.coeffs]} for x, y in cr.points
         ]
-    if args.monic:
-        monic = to_monic_model(cr.F, rd.genus)
-        limit = _digit_limit()
-        if limit and max(map(abs, monic.terms.values())) >= 10**limit:
-            raise RangeConfigError(f"--monic at genus {rd.genus}: the monic model has a coefficient "
-                                   f"of more than the {limit} digits Python prints "
-                                   "(sys.get_int_max_str_digits())")
+    if monic is not None:
         obj["monic_F"] = monic.to_json()
     _emit(_dump(obj), args.out)
     return 0

@@ -39,12 +39,12 @@ class RootData:
     rho: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(int(r) for r in self.rho))
         g = self.genus
         if g < 1:
             raise ValueError("genus must be >= 1")
-        if len(self.rho) != 4 * g + 2:
+        if len(self.rho) != 4 * g + 2:  # before the tuple is built: a long range costs nothing
             raise ValueError(f"need exactly {4 * g + 2} roots, got {len(self.rho)}")
+        object.__setattr__(self, "rho", tuple(int(r) for r in self.rho))
         if any(r == 0 for r in self.rho):
             raise ValueError("roots must be nonzero")
         if len({r * r for r in self.rho}) != len(self.rho):

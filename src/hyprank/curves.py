@@ -15,8 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .finite_field import PrimeCtx
-from .polynomials import BiPoly, reduce_mod, squarefree_over_q
+from .finite_field import PrimeCtx, check_dense
+from .polynomials import BiPoly, json_int, reduce_mod, squarefree_over_q
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +82,7 @@ class HyperFamily:
         if not isinstance(obj, dict):
             raise ValueError(f"family JSON must be an object, not {type(obj).__name__}")
         try:
-            label, genus, F = str(obj["label"]), int(obj["genus"]), BiPoly.from_json(obj["F"])
+            label, genus, F = str(obj["label"]), json_int(obj["genus"]), BiPoly.from_json(obj["F"])
             bad_primes = obj.get("bad_primes", [])
             if any(type(p) is not int for p in bad_primes):  # a string yields strings
                 raise TypeError(f"bad_primes must be a list of integers, not {bad_primes!r}")
@@ -120,7 +120,7 @@ def t_coeff_rows(F: BiPoly, ctx: PrimeCtx) -> list[np.ndarray | None]:
     length p is allocated.
     """
     p = ctx.p
-    _kernels.check_dense(p)
+    check_dense(p)
     Fbar = reduce_mod(F, ctx)
     xs = np.arange(p, dtype=np.int64)
     rows = [None] * (max(Fbar.deg_t, 0) + 1)

@@ -27,6 +27,12 @@ _MR_SMALL_LIMIT = 4_759_123_141
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def check_dense(p: int) -> None:
+    """Refuse p >= TABLE_LIMIT before anything of length p is allocated."""
+    if p >= TABLE_LIMIT:
+        raise ValueError(f"p = {p} too large for the dense kernel (limit 2^26)")
+
+
 class InternalCheckError(AssertionError):
     """An identity the program guarantees failed to hold (a bug signal)."""
 
@@ -104,8 +110,7 @@ def chi_tables(primes: list[int]) -> np.ndarray:
     table of its own.
     """
     top = max(primes)
-    if top >= TABLE_LIMIT:
-        raise ValueError(f"residue table too large for p = {top}")
+    check_dense(top)
     if len(primes) == 1:
         chi = np.full(top, -1, dtype=np.int8)
         chi[0] = 0

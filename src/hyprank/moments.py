@@ -19,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (QUAD_CELLS, check_dense_range, first_sum_roots, first_sum_vec,
-                       power_total, prime_blocks, quadratic_power_sums)
+from . import _kernels
+from ._kernels import (check_dense_range, first_sum_roots, first_sum_vec, power_total,
+                       prime_blocks, quadratic_power_sums)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
-from .polynomials import (FROB_BLOCK, BiPoly, IntPoly, degree_patterns_mod,
-                          linear_factor_counts, squarefree_over_q)
+from .polynomials import (BiPoly, IntPoly, degree_patterns_mod, linear_factor_counts,
+                          squarefree_over_q)
 
 
 class NonGenericPrime(Exception):
@@ -288,9 +289,9 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
     ``POOL_POINTS``), below which the pool costs more than it saves."""
     coeffs = fam.t_coeffs
     if len(coeffs) <= 3 and r == 1:
-        sums = []
-        for lo in range(0, len(primes), FROB_BLOCK):
-            sums += first_sum_roots(coeffs, primes[lo : lo + FROB_BLOCK])
+        sums, step = [], _kernels.FROB_BLOCK
+        for lo in range(0, len(primes), step):
+            sums += first_sum_roots(coeffs, primes[lo : lo + step])
         left = [p for p, s in zip(primes, sums) if s is None]
         by_block = scan(partial(_block_sums, coeffs, 1), prime_blocks(left),
                         jobs if sum(left) > POOL_CELLS else 1)
@@ -299,7 +300,7 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
     fft = _rank_one_in_t(coeffs)
     if len(coeffs) <= 3 and not fft:
         # at r >= 2 an F rank-one over Q takes the FFT row, O(p log p), instead
-        by_block = scan(partial(_block_sums, coeffs, r), prime_blocks(primes, QUAD_CELLS),
+        by_block = scan(partial(_block_sums, coeffs, r), prime_blocks(primes),
                         jobs if sum(p * p for p in primes) > POOL_SQUARES else 1)
         return list(itertools.chain.from_iterable(by_block))
     work = sum(FFT_POINTS * p * p.bit_length() if fft else p * p for p in primes)

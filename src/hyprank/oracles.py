@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_dense, horner_vec, powmod_vec
+from ._kernels import horner_vec, powmod_vec
 from .finite_field import (
     PrimeCtx,
     PrimeRange,
+    check_dense,
     double_sum_S,
     power_pair_count,
     primes_in,

@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ._kernels import _primitive, _split_roots, frobenius_gcd_degrees, prime_array, residues
+from . import _kernels
+from ._kernels import _split_roots, frobenius_gcd_degrees, prime_array, residues
 from .finite_field import PrimeCtx
 
 
@@ -313,9 +314,17 @@ class BiPoly:
     @classmethod
     def from_json(cls, obj: dict) -> "BiPoly":
         try:
-            return cls({(int(i), int(j)): int(c) for c, i, j in obj["terms"]})
+            return cls({(json_int(i), json_int(j)): json_int(c) for c, i, j in obj["terms"]})
         except (KeyError, TypeError, ValueError) as exc:
             raise PolyParseError(f"bad polynomial JSON: {exc}") from None
+
+
+def json_int(value) -> int:
+    """An int or a decimal string read from JSON; a float or a boolean, which
+    int() would truncate or read as 0 or 1, raises TypeError naming it."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _power(base, e: int, one):
@@ -466,10 +475,6 @@ def degree_pattern_mod(f: IntPoly, ctx: PrimeCtx):
     return tuple(sorted(degrees))
 
 
-# Primes per frobenius_gcd_degrees call: its arrays keep one size however long the scan.
-FROB_BLOCK = 1 << 11
-
-
 def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
     """``degree_pattern_mod`` at every odd prime, from one batched Frobenius pass.
 
@@ -487,10 +492,7 @@ def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
     is None, and at a prime that divides lead(f) the pattern is that of the
     lift of f mod p (:func:`_frobenius_scan`).
     """
-    d = f.degree
-    if d < 1:
-        return [() if f.coeffs and f.coeffs[0] % p else None for p in primes]
-    return _frobenius_scan(f, primes, _cofactor_patterns, degree_patterns_mod)
+    return _frobenius_scan(f, primes, _cofactor_patterns)
 
 
 def linear_factor_counts(f: IntPoly, primes: list[int]) -> list:
@@ -508,40 +510,34 @@ def linear_factor_counts(f: IntPoly, primes: list[int]) -> list:
     Z.  At a prime that divides lead(f) it is the count of the lift of f
     mod p.
     """
-    if f.degree < 1:
-        return [0 if f.coeffs and f.coeffs[0] % p else None for p in primes]
-    return _frobenius_scan(f, primes, _cofactor_counts, linear_factor_counts)
+    return _frobenius_scan(f, primes, _cofactor_counts)
 
 
-def _frobenius_scan(f: IntPoly, primes: list[int], read, lift) -> list:
-    """One value per odd prime, FROB_BLOCK primes at a time, for deg f >= 1.
+def _frobenius_scan(f: IntPoly, primes: list[int], read) -> list:
+    """One value per odd prime, ``_kernels.FROB_BLOCK`` primes at a time.
 
-    ``read(k, g, ps)`` turns the split of f (:func:`_split`) into the
-    values at the primes ps of a block that do not divide lead(f), which
-    become None where p divides Res(f, f'); the value at a prime that
-    divides lead(f) (and so any prime that divides the content) is
-    ``lift(f mod p, [p])[0]``.  Both divisibility masks come from residues
-    of lead(f) and of the integer R of :func:`_split` over a block's primes
-    at once.
+    ``read(k, g, ps)`` turns the split of f (:func:`_split`; k = 0 and g = 1
+    for a constant) into the values at the array ps of a block's primes
+    that do not divide lead(f), which become None where p divides
+    Res(f, f'); at a prime that divides lead(f), and so any that divides
+    the content, the value is that of the lift of f mod p, and None for 0.
+    Both divisibility masks come from residues of lead(f) and of the
+    integer R of :func:`_split` over a block's primes at once.
     """
+    if f.is_zero:
+        return [None] * len(primes)
     k, g, ramified = _split(f.coeffs)
-    lead = f.lead
     out = []
     primes = iter(primes)
-    while block := list(islice(primes, FROB_BLOCK)):
+    while block := list(islice(primes, _kernels.FROB_BLOCK)):
         ps = prime_array(block)
-        live = residues(lead, ps) != 0
-        if live.all():
-            values = read(k, g, block)
-        else:
-            values = [None] * len(block)
-            on = np.flatnonzero(live).tolist()
-            if on:
-                for i, v in zip(on, read(k, g, [block[i] for i in on])):
-                    values[i] = v
-            for i in np.flatnonzero(~live).tolist():
-                p = block[i]
-                values[i] = lift(IntPoly([c % p for c in f.coeffs]), [p])[0]
+        live = residues(f.lead, ps) != 0
+        values = read(k, g, ps[live]) if live.any() else []
+        if not live.all():
+            got = iter(values)
+            values = [next(got) if on else
+                      _frobenius_scan(IntPoly([c % p for c in f.coeffs]), [p], read)[0]
+                      for p, on in zip(block, live.tolist())]
         for i in np.flatnonzero(live & (residues(ramified, ps) == 0)).tolist():
             values[i] = None
         out += values
@@ -550,10 +546,10 @@ def _frobenius_scan(f: IntPoly, primes: list[int], read, lift) -> list:
 
 @lru_cache(maxsize=16)
 def _split(f: tuple) -> tuple[int, tuple[int, ...], int]:
-    """(k, g, R) for the integer coefficients f of a polynomial of degree >= 1.
+    """(k, g, R) for the integer coefficients f of a nonzero polynomial.
 
-    ``_kernels._split_roots`` of the primitive part of f gives its k
-    distinct integer roots r_i, its cofactor g and the keys
+    ``_kernels._split_roots`` of f gives its k distinct integer roots r_i,
+    its cofactor g and the keys
     K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)).  At a prime p that does
     not divide lead(f), p divides Res(f, f') exactly where it divides R:
 
@@ -569,7 +565,7 @@ def _split(f: tuple) -> tuple[int, tuple[int, ...], int]:
     Cached, so a scan, or a closed form asked one prime at a time, splits
     f once.
     """
-    roots, g, keys = _split_roots(tuple(_primitive(f)))
+    roots, g, keys = _split_roots(f)
     k = len(roots)
     if len(f) != k + len(g):
         return k, g, 0
@@ -580,14 +576,14 @@ def _split(f: tuple) -> tuple[int, tuple[int, ...], int]:
     return k, g, ramified
 
 
-def _cofactor_counts(k: int, g: tuple, primes: list[int]) -> list[int]:
+def _cofactor_counts(k: int, g: tuple, primes: np.ndarray) -> list[int]:
     """L_f = k + D_1(g) at each prime, for :func:`linear_factor_counts`."""
     if len(g) == 1:
         return [k] * len(primes)
     return (frobenius_gcd_degrees(g, primes)[:, 0] + k).tolist()
 
 
-def _cofactor_patterns(k: int, g: tuple, primes: list[int]) -> list[tuple]:
+def _cofactor_patterns(k: int, g: tuple, primes: np.ndarray) -> list[tuple]:
     """The factor degrees of k linear factors times g mod p at each prime,
     for :func:`degree_patterns_mod`."""
     d = len(g) - 1

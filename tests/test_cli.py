@@ -297,6 +297,37 @@ def test_malformed_family_input_exits_2(tmp_path, capsys, family, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("family, message", [
+    ({"label": "float", "genus": 1.9,
+      "F": {"terms": [[1.5, 3, 0], ["1", 0.9, 2], [True, 1, 1]]}},
+     "bad family JSON: 1.9 is not an integer"),
+    ({"label": "x", "genus": True, "F": {"terms": [["1", 3, 0], ["1", 0, 1]]}},
+     "bad family JSON: True is not an integer"),
+    ({"label": "x", "genus": 1, "F": {"terms": [[1.5, 3, 0], ["1", 0, 1]]}},
+     "bad polynomial JSON: 1.5 is not an integer"),
+    ({"label": "x", "genus": 1, "F": {"terms": [["1", 3, 0], [True, 0, 1]]}},
+     "bad polynomial JSON: True is not an integer"),
+    ({"label": "x", "genus": 1, "F": {"terms": [["1", 3.0, 0], ["1", 0, 1]]}},
+     "bad polynomial JSON: 3.0 is not an integer"),
+    ({"label": "x", "genus": 1, "F": {"terms": [["1", 3, 0], ["1", 0, False]]}},
+     "bad polynomial JSON: False is not an integer"),
+], ids=["issue_file", "bool_genus", "float_coefficient", "bool_coefficient", "float_exponent",
+        "bool_exponent"])
+def test_family_json_refuses_floats_and_booleans(tmp_path, capsys, family, message):
+    # int() read 1.9 as 1 and true as 1, so such a file ran as another family
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(family))
+    code = main(["moments", "--family", str(path), "--r", "1", "--pmax", "20"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+    # integers, and coefficients as the decimal strings to_json writes, are read
+    family["genus"] = 1
+    family["F"] = {"terms": [["1", 3, 0], [1, 1, 1], ["-2", 0, 2]]}
+    path.write_text(json.dumps(family))
+    assert run(capsys, "moments", "--family", str(path), "--r", "1", "--pmax", "20")[0] == 0
+
+
 def test_family_file_skip_set(tmp_path, capsys):
     path = tmp_path / "fam.json"
     F = {"terms": [["1", 3, 0], ["1", 1, 0], ["1", 0, 1]]}
@@ -614,13 +645,13 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
         monkeypatch.setattr(moments, "POOL_POINTS", limit)
         code, out = run(capsys, *cubic, "--jobs", "100000")
         assert code == 0 and out == serial and seen == pools
-    # higher moments of F quadratic in T run in blocks of QUAD_CELLS cells,
+    # higher moments of F quadratic in T run in blocks of BLOCK_CELLS cells,
     # pooled past POOL_SQUARES (the sum of p^2)
     quad = ["moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "2",
             "--pmax", "60"]
     seen.clear()
     code, serial = run(capsys, *quad)
-    monkeypatch.setattr(moments, "QUAD_CELLS", 64)
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 64)
     for limit, pools in ((sum(p * p for p in primes), []), (sum(p * p for p in primes) - 1, [4])):
         monkeypatch.setattr(moments, "POOL_SQUARES", limit)
         code, out = run(capsys, *quad, "--jobs", "100000")
@@ -831,6 +862,52 @@ def test_sn_witness_cli(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: polynomial must have degree >= 1, got 5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--genus", "1"],
+    ["moments", "--family", "builtin:big_rank", "--genus", "1", "--pmax", "100"],
+])
+def test_root_range_of_the_wrong_length_is_refused_before_it_is_built(capsys, argv):
+    # the range was built before it was counted: about 100 MB for these 2 * 10^6 roots
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--roots", "1..2000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: need exactly 6 roots, got 2000000\n"
+    assert peak < 1 << 20, peak
+    # past sys.maxsize roots len() of the range overflowed into a traceback
+    code = main([*argv, "--roots", f"1..{10**20}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: root range '1..{10**20}' has more roots than a list can hold\n"
+
+
+def test_construct_refuses_integers_too_long_to_print(capsys):
+    # at genus 13 the family has integers past Python's default 4300 digits,
+    # which str() refused only once the JSON was being formed; genus 12 prints
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no digit limit before Python 3.10.7")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["construct", "--genus", "13", "--roots", "1..54"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("error: construct at genus 13: the family has an integer of more "
+                                "than the 4300 digits Python prints "
+                                "(sys.get_int_max_str_digits())\n")
+        code, out = run(capsys, "construct", "--genus", "12", "--roots", "1..50")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "04566b61bfc1dd6d1bb77d33e7bc678b81c37ed7ba9edea5c935391fe94596ab")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parse_roots():

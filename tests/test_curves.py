@@ -11,7 +11,6 @@ from hyprank import _kernels
 from hyprank._kernels import (
     BLOCK_CELLS,
     CHUNK,
-    QUAD_CELLS,
     _exact_in_float,
     _mirror_double,
     _reduce_near,
@@ -330,7 +329,7 @@ def test_quadratic_power_sums_match_rows_and_euler(genus, lower, lead_t, lead, s
     coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
     primes = ODD_PRIMES_TO_300
     sums = _power_sums_by_block(coeffs, r, cut_blocks(primes, cuts))
-    assert _power_sums_by_block(coeffs, r, prime_blocks(primes, QUAD_CELLS)) == sums
+    assert _power_sums_by_block(coeffs, r, prime_blocks(primes)) == sums
     assert _power_sums_by_block(coeffs, r, [[p] for p in primes]) == sums
     for p, total in zip(primes, sums):
         ctx = PrimeCtx(p)
@@ -340,11 +339,11 @@ def test_quadratic_power_sums_match_rows_and_euler(genus, lower, lead_t, lead, s
 
 
 def test_quadratic_power_sums_on_a_prime_past_block_cells():
-    # 8209, the first prime past BLOCK_CELLS = 2^13 > QUAD_CELLS, forms a block alone
+    # 8209, past BLOCK_CELLS = 2^12, forms a block alone
     F = parse_bipoly("x^5 - x + (x^2 - 1)*T^2 + 3*x^3*T + 5")
     coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)]
     p = 8209
-    assert prime_blocks([8191, p]) == prime_blocks([8191, p], QUAD_CELLS) == [[8191], [p]]
+    assert prime_blocks([8191, p]) == [[8191], [p]]
     ctx = PrimeCtx(p)
     row = trace_row_vec(t_coeff_rows(F, ctx), ctx).tolist()
     for r in (2, 3):
@@ -400,14 +399,13 @@ def test_word_mirror_equals_the_byte_copy(p):
 
 def test_prime_blocks_cut_at_block_cells():
     primes = primes_in(PrimeRange(3, 20000))
-    for limit, cells in ((None, BLOCK_CELLS), (QUAD_CELLS, QUAD_CELLS)):
-        blocks = prime_blocks(primes, limit)
-        assert [p for block in blocks for p in block] == primes
-        assert all(sum(b) <= cells or len(b) == 1 for b in blocks)
-        # no block would have room for the first prime of the next
-        assert all(sum(a) + b[0] > cells for a, b in zip(blocks, blocks[1:]))
-        assert len(blocks[0]) > 1 and blocks[-1] == [primes[-1]]
-        assert prime_blocks([], limit) == []
+    blocks = prime_blocks(primes)
+    assert [p for block in blocks for p in block] == primes
+    assert all(sum(b) <= BLOCK_CELLS or len(b) == 1 for b in blocks)
+    # no block would have room for the first prime of the next
+    assert all(sum(a) + b[0] > BLOCK_CELLS for a, b in zip(blocks, blocks[1:]))
+    assert len(blocks[0]) > 1 and blocks[-1] == [primes[-1]]
+    assert prime_blocks([]) == []
 
 
 def test_first_sum_vec_where_deg_t_drops_to_two():
@@ -534,7 +532,7 @@ def test_first_sum_roots_matches_first_sum_vec_and_dense(on_a, k, alpha, b, c, l
     lead(D)."""
     coeffs = monomial_weight_family(on_a, k, alpha, b, c, lead, zero_at_0)
     c, b, a = coeffs
-    disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a)) if a else b
+    disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
     primes = ODD_PRIMES_TO_1500
     got = _kernels.first_sum_roots(coeffs, primes)
     assert [s is None for s in got] == [_route_declines(a or c, disc, p) for p in primes]
@@ -573,7 +571,7 @@ def test_first_sum_roots_declines_exactly_the_fallback_primes_of_every_shape():
         coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)][:3]
         c, b, a = (coeffs + [[], []])[:3]
         got = _kernels.first_sum_roots(coeffs, ODD_PRIMES_TO_300)
-        disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a)) if a else b
+        disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
         assert [s is None for s in got] == [_route_declines(a or c, disc, p)
                                             for p in ODD_PRIMES_TO_300], text
 
@@ -627,8 +625,8 @@ def test_first_sum_roots_on_split_discriminants(roots, cofactor, k, alpha, on_a)
     the primes that divide alpha or lead(D)."""
     coeffs = _split_family(roots, cofactor, k, alpha, on_a)
     c, b, a = coeffs
-    disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a)) if a else b
-    found, g, _ = _kernels._split_roots(tuple(_kernels._primitive(tuple(disc))))
+    disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
+    found, g, _ = _kernels._split_roots(tuple(disc))
     assert list(found) == sorted(set(roots) | ({0} if on_a and k else set()))
     assert len(g) == len(cofactor)
     primes = ODD_PRIMES_TO_1500
@@ -682,6 +680,34 @@ def test_correlation_row_matches_dense_and_euler(c, g_roots, g_cofactor, w, p):
     ctx = PrimeCtx(p)
     corr, dense = correlation_row(rows, ctx).tolist(), trace_row_vec(rows, ctx).tolist()
     assert corr == dense == euler_trace_row(F, p)
+
+
+HORNER_COEFFS = [0, 1, -1, 1 << 200, -(1 << 200)]
+HORNER_COEFFS += [s * ((1 << e) + d) for e in (31, 63) for d in (1, -1) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 10007, 67108859])
+def test_horner_vec_matches_horner_in_python_ints(p):
+    """horner_vec, which reduces only where int64 could overflow, against
+    Horner's rule in Python ints mod p: degrees 0..12, coefficients at the
+    raw and int64 edges, on every residue of p, or on 10^4 residues of
+    67108859, the largest prime below 2^26."""
+    rng = np.random.default_rng(p)
+    xs = np.arange(p, dtype=np.int64)
+    if p > 1 << 14:
+        xs = np.concatenate(([0, 1, p - 1], rng.integers(0, p, 10**4 - 3)))
+    for d in range(13):
+        # one draw from the edges, and one list of a single edge value
+        for coeffs in (rng.choice(HORNER_COEFFS, d + 1).tolist(),
+                       [HORNER_COEFFS[d % len(HORNER_COEFFS)]] * (d + 1)):
+            want = []
+            for x in xs.tolist():
+                acc = 0
+                for c in reversed(coeffs):
+                    acc = (acc * x + c) % p
+                want.append(acc)
+            got = horner_vec(coeffs, xs, p)
+            assert got.dtype == np.int64 and got.tolist() == want, (p, coeffs)
 
 
 def test_trace_rows_are_int64_arrays_of_length_p():

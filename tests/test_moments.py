@@ -310,7 +310,7 @@ def test_first_moments_fill_declined_primes_back_across_frobenius_blocks(monkeyp
     seen = []
     real = moments.first_sum_vec
     monkeypatch.setattr(moments, "first_sum_vec", lambda t, block: seen.extend(block) or real(t, block))
-    monkeypatch.setattr(moments, "FROB_BLOCK", 5)
+    monkeypatch.setattr(_kernels, "FROB_BLOCK", 5)
     assert moment_series(fam, 1, prange) == series
     assert seen == (primes if declined is None else declined)
     assert nagao_sum(fam, prange) == estimate
@@ -341,7 +341,7 @@ def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
     # with every gate open, two real worker processes give the same series
     monkeypatch.setattr(moments, "POOL_SQUARES", 0)
     monkeypatch.setattr(moments, "POOL_POINTS", 0)
-    monkeypatch.setattr(moments, "QUAD_CELLS", 64)
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 64)
     for fam in (drops, rank7, _rank6()):
         assert moment_series(fam, 2, prange, jobs=2) == moment_series(fam, 2, prange), fam.label
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyprank import polynomials
+from hyprank import _kernels, polynomials
 from hyprank._kernels import FROB_LIMIT, _lazy_products, _mulmod, _rank
 from hyprank.construction import RootData, build_family
 from hyprank.finite_field import PrimeCtx, PrimeRange, is_prime, primes_in
@@ -578,7 +578,7 @@ def test_batched_frobenius_never_takes_the_per_prime_path(monkeypatch):
 def test_batched_frobenius_across_block_boundaries(monkeypatch):
     primes = primes_in(PrimeRange(3, 2000))
     expected = [degree_patterns_mod(f, primes) for f in _builtin_fs()]
-    monkeypatch.setattr(polynomials, "FROB_BLOCK", 5)
+    monkeypatch.setattr(_kernels, "FROB_BLOCK", 5)
     assert [degree_patterns_mod(f, primes) for f in _builtin_fs()] == expected
 
 
