@@ -11,7 +11,6 @@ from .construction import (
     InternalCheckError,
     RootData,
     build_family,
-    clear_denominators,
     expand_roots,
     solve_coefficients,
     to_monic_model,
@@ -50,9 +49,7 @@ from .polynomials import (
     IntPoly,
     ModPoly,
     PolyParseError,
-    RatPoly,
     degree_pattern_mod,
-    disc_t_quarter,
     mod_gcd,
     parse_bipoly,
     parse_int_poly,

@@ -476,16 +476,20 @@ def _split_roots(f) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     the 544 of big_rank's D at g = 2), and given a positive lead.  Then
     f = g (x - r_1)^(m_1) ... (x - r_n)^(m_n) with g in Z[x] free of integer
     roots, each root divided out with its multiplicity by exact synthetic
-    division, and K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)), never 0.
-    The roots are those of :func:`_integer_roots`, so where it finds none
-    g = f, which leaves the route as exact and only slower.  Cached, as
-    the scans ask once per FROB_BLOCK for the same D.  ``polynomials._split``
-    takes the same split of the f of the closed forms and ``sn-witness``.
+    division (the root 0 as the run of low zero coefficients), and
+    K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)), never 0.  The roots are
+    those of :func:`_integer_roots`, so where it finds none g = f, which
+    leaves the route as exact and only slower.  Cached, as the scans ask
+    once per FROB_BLOCK for the same D.  ``polynomials._split`` takes the
+    same split of the f of the closed forms and ``sn-witness``.
     """
     content = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
     g = [v // content for v in f]
     roots = _integer_roots(g)
     for r in roots:
+        if not r:  # x^m leaves as the run of m low zero coefficients
+            g = g[next(i for i, v in enumerate(g) if v):]
+            continue
         while True:
             quotient, rest = _divide_linear(g, r)
             if rest:
@@ -520,6 +524,8 @@ def _integer_roots(f) -> list[int]:
     bound = 0
     for j in range(1, d + 1):
         size, scale = abs(f[d - j]), lead if j < d else 2 * lead
+        if not size:  # t_j = 0, with no power formed
+            continue
         if half**j * scale < size:
             return []
         lo, hi = 0, half  # the least t in [0, half] with t^j scale >= size

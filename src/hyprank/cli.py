@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RangeConfigError as exc:
+    except (RangeConfigError, MemoryError) as exc:  # also arrays too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalCheckError as exc:

@@ -10,21 +10,21 @@ equals A * prod (x - rho_i^2).  Each prescribed root of D yields a section
 (x_i, y_i(T)) linear in T, and the first moment of the family is
 -p * A_1(p) = (4g+2) p at every generic prime.
 
-The coefficient system is solved recursively over Q with the canonical
-normalization A = 4 R_0 (so a_0 = 2 R_0), then denominators are cleared by
-the lcm L: q -> L q and h -> L^2 h, which rescales D by L^2 without moving
-its roots.
+The coefficient system has the canonical normalization A = 4 R_0 (so
+a_0 = 2 R_0) and a rational solution; it is solved in integers, and q and
+h are returned as L q and L^2 h with L the lcm of that solution's
+denominators, which rescales D by L^2 without moving its roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+from ._kernels import _discriminant
 from .curves import HyperFamily
 from .finite_field import InternalCheckError, is_prime
-from .polynomials import BiPoly, IntPoly, RatPoly, disc_t_quarter
+from .polynomials import BiPoly, IntPoly
 
 # Trial division bound of _odd_prime_factors: every |rho_i| < 2^31 gives
 # values below 2^32, whose cofactor past it is a prime.
@@ -56,11 +56,9 @@ class ConstructionResult:
     root_data: RootData
     R: tuple[int, ...]            # monic expansion coefficients, R[4g+2] = 1
     A: int                        # leading scalar 4 * R_0
-    q_rational: RatPoly
-    h_rational: RatPoly
-    q: IntPoly                    # L * q_rational
-    h: IntPoly                    # L^2 * h_rational
-    L: int
+    q: IntPoly                    # L * q, q the monic solution over Q
+    h: IntPoly                    # L^2 * h, h the solution over Q
+    L: int                        # lcm of the denominators of q and h over Q
     F: BiPoly
     D: IntPoly                    # q^2 + x^(2g+1) h = scale * prod(x - rho_i^2)
     scale: int                    # L^2 * A
@@ -95,8 +93,9 @@ def expand_roots(rd: RootData) -> list[int]:
     return list(IntPoly.from_roots([r * r for r in rd.rho]).coeffs)
 
 
-def solve_coefficients(R: list[int], genus: int) -> tuple[RatPoly, RatPoly, Fraction]:
-    """Solve the coefficient system for monic q and for h over Q.
+def solve_coefficients(R: list[int], genus: int) -> tuple[IntPoly, IntPoly, int]:
+    """Solve the coefficient system for monic q and for h, cleared to
+    integers: (L q, L^2 h, L) with L the lcm of their denominators over Q.
 
     With A = 4 R_0 and a_0 = 2 R_0, the low-order coefficient equations
 
@@ -110,9 +109,12 @@ def solve_coefficients(R: list[int], genus: int) -> tuple[RatPoly, RatPoly, Frac
 
     so with S = A^(2g-1), Q = S q has the integer coefficients S a_0, b_k
     A^(2g-k) and S, and H = S^2 h has H_(k-n) = R_k A S^2 - sum over i+j=k
-    of Q_i Q_j (n = 2g+1; H_n = (A - 1) S^2, the top equation).  The
-    identity q^2 + x^n h = A * prod(x - rho_i^2) is verified exactly on
-    these integer polynomials, as Q^2 + x^n H = S^2 A * prod.
+    of Q_i Q_j (n = 2g+1; H_n = (A - 1) S^2, the top equation).  In lowest
+    terms q_i = Q_i / S has the denominator S / gcd(Q_i, S) and h_j the
+    denominator S^2 / gcd(H_j, S^2); L is their lcm, and L q = Q L / S and
+    L^2 h = H L^2 / S^2 are exact divisions.  The identity
+    q^2 + x^n h = A * prod(x - rho_i^2) is verified exactly on the cleared
+    polynomials, as (L q)^2 + x^n L^2 h = L^2 A * prod.
     """
     n = 2 * genus + 1
     if len(R) != 4 * genus + 3 or R[-1] != 1:
@@ -124,23 +126,16 @@ def solve_coefficients(R: list[int], genus: int) -> tuple[RatPoly, RatPoly, Frac
     for k in range(1, n):
         b[k] = R[k] * A ** (k - 1) - sum(b[i] * b[k - i] for i in range(1, k))
     S = A ** (n - 2)
+    S2 = S * S
     Q = [A // 2 * S] + [b[k] * A ** (n - 1 - k) for k in range(1, n)] + [S]
-    H = [R[k] * A * S * S - sum(Q[i] * Q[k - i] for i in range(k - n, n + 1))
-         for k in range(n, 2 * n)] + [(A - 1) * S * S]
-    Qz, Hz = IntPoly(Q), IntPoly(H)
-    if Qz * Qz + Hz.shift(n) != IntPoly([S * S * A * r for r in R]):
+    H = [R[k] * A * S2 - sum(Q[i] * Q[k - i] for i in range(k - n, n + 1))
+         for k in range(n, 2 * n)] + [(A - 1) * S2]
+    L = lcm(*(S // gcd(c, S) for c in Q), *(S2 // gcd(c, S2) for c in H))
+    q = IntPoly([c * L // S for c in Q])
+    h = IntPoly([c * L * L // S2 for c in H])
+    if q * q + h.shift(n) != IntPoly([L * L * A * r for r in R]):
         raise InternalCheckError("coefficient solve failed its defining identity")
-    q = RatPoly([Fraction(c, S) for c in Q])
-    h = RatPoly([Fraction(c, S * S) for c in H])
-    return q, h, Fraction(A)
-
-
-def clear_denominators(q: RatPoly, h: RatPoly) -> tuple[IntPoly, IntPoly, int]:
-    """Rescale q by L and h by L^2 with L the lcm of all denominators."""
-    L = lcm(q.denominator_lcm(), h.denominator_lcm())
-    qz = (q * L).to_int_poly()
-    hz = (h * (L * L)).to_int_poly()
-    return qz, hz, L
+    return q, h, L
 
 
 def build_family(rd: RootData, label: str | None = None) -> ConstructionResult:
@@ -148,18 +143,18 @@ def build_family(rd: RootData, label: str | None = None) -> ConstructionResult:
     g = rd.genus
     n = 2 * g + 1
     R = expand_roots(rd)
-    q_rat, h_rat, A_frac = solve_coefficients(R, g)
-    A = int(A_frac)
-    qz, hz, L = clear_denominators(q_rat, h_rat)
+    qz, hz, L = solve_coefficients(R, g)
+    A = 4 * R[0]
 
     F = (
         BiPoly.term(1, n, 2)
         + BiPoly.from_x_poly(2 * qz, t_power=1)
         + BiPoly.from_x_poly(-hz)
     )
-    D = disc_t_quarter(F)
     scale = L * L * A
-    if D != scale * IntPoly(R):
+    D = scale * IntPoly(R)
+    # b^2 - 4ac of F's T-rows is 4 D, as b = 2q: the D that first_sum_roots splits
+    if IntPoly(_discriminant(*(F.t_coeff(j).coeffs for j in range(3)))) != 4 * D:
         raise InternalCheckError("discriminant does not match the prescribed roots")
 
     points = []
@@ -186,8 +181,6 @@ def build_family(rd: RootData, label: str | None = None) -> ConstructionResult:
         root_data=rd,
         R=tuple(R),
         A=A,
-        q_rational=q_rat,
-        h_rational=h_rat,
         q=qz,
         h=hz,
         L=L,

@@ -1,28 +1,25 @@
-"""Exact polynomial arithmetic over Z, Q, Z[x,T] and F_p.
+"""Exact polynomial arithmetic over Z, Z[x,T] and F_p.
 
-Four representations:
+Three representations:
 
 * :class:`IntPoly`  -- dense univariate with unbounded integer coefficients,
   index i holding the coefficient of x^i, trailing zeros trimmed.
-* :class:`RatPoly`  -- same layout over Fraction (always in lowest terms).
 * :class:`BiPoly`   -- sparse bivariate in (x, T): a map (i, j) -> c of the
   nonzero coefficients of x^i T^j.
 * :class:`ModPoly`  -- dense univariate with residues in [0, p).
 
-The three dense classes share their arithmetic through one base class.
+The two dense classes share their arithmetic through one base class.
 All values are immutable; operations return new objects.  The module also
 provides counting of distinct roots mod p, distinct-degree factorization
-patterns, the quarter discriminant in T of a quadratic-in-T bivariate
-polynomial, and a parser for the textual polynomial syntax used by the CLI
+patterns and a parser for the textual polynomial syntax used by the CLI
 (`62476467927496043633049600000000*x^5*T^2 - 385*x^9 + 1`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import islice
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 from typing import Iterable
 
 import numpy as np
@@ -43,17 +40,15 @@ def _trim(coeffs: list) -> tuple:
 
 
 class _DensePoly:
-    """Dense arithmetic shared by :class:`IntPoly`, :class:`RatPoly` and
-    :class:`ModPoly`.
+    """Dense arithmetic shared by :class:`IntPoly` and :class:`ModPoly`.
 
-    Operations accumulate raw coefficient values and hand them to
-    ``_wrap``, whose constructor normalises them once (``int``,
-    ``Fraction`` or reduction mod p) and trims trailing zeros.  ``_SCALARS``
-    lists the scalar types a polynomial may be multiplied by.
+    Operations accumulate raw integer coefficients and hand them to
+    ``_wrap``, whose constructor normalises them once (``int`` or reduction
+    mod p) and trims trailing zeros.  The only scalars a polynomial may be
+    multiplied by are ints.
     """
 
     __slots__ = ()
-    _SCALARS: tuple = (int,)
 
     def _wrap(self, coeffs):
         return type(self)(coeffs)
@@ -91,7 +86,7 @@ class _DensePoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, self._SCALARS):
+        if isinstance(other, int):
             return self._wrap([c * other for c in self.coeffs])
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -159,28 +154,6 @@ class IntPoly(_DensePoly):
 
     def __str__(self):
         return format_bipoly(BiPoly.from_x_poly(self))
-
-
-class RatPoly(_DensePoly):
-    """Univariate polynomial over Q; coefficients are Fractions in lowest terms."""
-
-    __slots__ = ("coeffs",)
-    _SCALARS = (int, Fraction)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        self.coeffs = _trim(cs)
-
-    def __repr__(self):
-        return f"RatPoly({[str(c) for c in self.coeffs]})"
-
-    def denominator_lcm(self) -> int:
-        return lcm(*(c.denominator for c in self.coeffs))
-
-    def to_int_poly(self) -> IntPoly:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError("polynomial has non-integral coefficients")
-        return IntPoly([int(c) for c in self.coeffs])
 
 
 # The prime of the squarefree certificate: 2^61 - 1, a Mersenne prime.
@@ -660,23 +633,6 @@ def _pseudo_remainder(a: list, b: list) -> list:
         unused -= 1
         rest = list(_trim(rest))
     return [v * lead**unused for v in rest] if unused else rest
-
-
-def disc_t_quarter(F: BiPoly) -> IntPoly:
-    """Quarter discriminant in T of F = a(x) T^2 + b(x) T + c(x).
-
-    Requires deg_T F = 2 and every coefficient of b(x) even; returns
-    (b/2)^2 - a*c as a polynomial in x.
-    """
-    if F.deg_t != 2:
-        raise ValueError("polynomial must have degree exactly 2 in T")
-    a = F.t_coeff(2)
-    b = F.t_coeff(1)
-    c = F.t_coeff(0)
-    if any(cf % 2 for cf in b.coeffs):
-        raise ValueError("coefficient of T must have all even coefficients")
-    half_b = IntPoly([cf // 2 for cf in b.coeffs])
-    return half_b * half_b - a * c
 
 
 # ---------------------------------------------------------------------------

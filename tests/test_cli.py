@@ -222,6 +222,31 @@ def test_construct_with_a_root_too_large_to_factor_ends_fast(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sn-witness", "--f", "x^3+x+1"],
+    ["nagao", "--family", "builtin:shift_square", "--f", F3, "--predicted"],
+    ["second-moment", "--n", "5", "--h", "1", "--k", "2", "--bias"],
+], ids=["sn-witness", "nagao --predicted", "second-moment --bias"])
+def test_scan_past_the_memory_exits_3(capsys, argv):
+    # the sieve window of 10^15 flags lies past any address space, so numpy
+    # refuses it at once with a MemoryError
+    code = main(argv + ["--pmax", str(10**15)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sparse_split_power_of_x_ends_fast(capsys):
+    # D = -4 x^d splits over Z, so no prime should cost more than O(1) once
+    # the root 0 is divided out
+    argv = ["nagao", "--family", "builtin:shift_square", "--pmax", "50", "--f"]
+    code, small = run(capsys, *argv, "x^2001")
+    assert code == 0 and small.splitlines()[1] == "50,0.0,0.0,14,"
+    start = time.perf_counter()
+    code, big = run(capsys, *argv, "x^20001")
+    assert (code, big) == (0, small) and time.perf_counter() - start < 5
+
+
 def test_construct_monic_flag(capsys):
     code, out = run(capsys, "construct", "--genus", "1", "--roots", "1..6", "--monic")
     assert code == 0
@@ -1060,6 +1085,14 @@ GOLDEN = [
     (("moments", "--family-expr", "x^3 + (x + 1)*T^2 + (x + 8)*T + 1", "--genus", "1",
       "--r", "3", "--pmax", "60"),
      "e42b00586e05920bcf01893ed8922f0dc998701526e687ba35d04412f6075ac4", 0, ""),
+    # these three were recorded while the construction still cleared the
+    # denominators of Fractions
+    (("construct", "--genus", "2", "--roots", "1..10", "--emit-points", "--monic"),
+     "7e63c37e3da04b2bc29f86abf1274fec14ca892fbd91fbbeb32ea1205f85e9d3", 0, ""),
+    (("construct", "--genus", "4", "--roots", "1..18", "--emit-points", "--monic"),
+     "b48cb4a5c3ecf9d63281f5da093abc0bb895d69c157ec4f1b2382071a64c6b7e", 0, ""),
+    (("construct", "--genus", "7", "--roots", "1..30", "--emit-points"),
+     "7ff625532ed78759e85147f292f64c92bfd3608f3aa4fdffd70c70f02d02f172", 0, ""),
 ]
 
 

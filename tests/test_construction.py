@@ -1,19 +1,19 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from hyprank.construction import (
     RootData,
     build_family,
-    clear_denominators,
     expand_roots,
     solve_coefficients,
     to_monic_model,
 )
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import NonGenericPrime, make_big_rank, power_sum, predict_first_moment
-from hyprank.polynomials import IntPoly, RatPoly, parse_bipoly
+from hyprank.polynomials import IntPoly, parse_bipoly
 
 PAPER_R = [
     13168189440000,
@@ -52,15 +52,16 @@ def test_expand_roots_matches_published_values():
 
 def test_solve_coefficients_normalization():
     R = expand_roots(RootData(2, tuple(range(1, 11))))
-    q, h, A = solve_coefficients(R, 2)
-    assert A == Fraction(4 * R[0]) == 52672757760000
-    assert q.coeffs[0] == Fraction(2 * R[0]) == 26336378880000
-    assert q.coeffs[1] == Fraction(R[1]) == -20407635072000  # a_1 = R_1 when A = 2 a_0
-    assert q.degree == 5 and q.coeffs[-1] == 1
-    assert h.degree == 5 and h.coeffs[-1] == A - 1
-    # defining identity, exact over Q
-    target = RatPoly([A * r for r in R])
-    assert q * q + h.shift(5) == target
+    q, h, L = solve_coefficients(R, 2)
+    A = 4 * R[0]
+    assert A == 52672757760000
+    assert L == 62476467927496043633049600000000
+    assert q.coeffs[0] == 2 * L * R[0] == L * 26336378880000
+    assert q.coeffs[1] == L * R[1] == L * -20407635072000  # a_1 = R_1 when A = 2 a_0
+    assert q.degree == 5 and q.coeffs[-1] == L
+    assert h.degree == 5 and h.coeffs[-1] == L * L * (A - 1)
+    # defining identity, exact over Z after clearing by L
+    assert q * q + h.shift(5) == IntPoly([L * L * A * r for r in R])
 
 
 def test_solve_rejects_bad_input():
@@ -68,14 +69,36 @@ def test_solve_rejects_bad_input():
         solve_coefficients([1, 2, 3], 1)
 
 
-def test_clear_denominators():
-    q = RatPoly([Fraction(1, 2), Fraction(1)])
-    h = RatPoly([Fraction(0)])
-    qz, hz, L = clear_denominators(q, h)
-    assert L == 2 and qz == IntPoly((1, 2)) and hz.is_zero
-    q2 = RatPoly([1, 2])
-    qz2, hz2, L2 = clear_denominators(q2, RatPoly([3]))
-    assert (qz2, L2) == (IntPoly((1, 2)), 1) and hz2 == IntPoly((3,))
+def _rational_solution(R, genus):
+    """The monic q and the h over Q of q^2 + x^n h = A prod(x - rho_i^2),
+    A = 4 R_0, by the recursion over Fractions: the reference for the
+    cleared integers of ``solve_coefficients``."""
+    n = 2 * genus + 1
+    A = 4 * R[0]
+    q = [Fraction(0)] * (n + 1)
+    q[0], q[n] = Fraction(2 * R[0]), Fraction(1)
+    for k in range(1, n):
+        q[k] = (A * R[k] - sum(q[i] * q[k - i] for i in range(1, k))) / (2 * q[0])
+    square = [sum(q[i] * q[k - i] for i in range(max(0, k - n), min(k, n) + 1))
+              for k in range(2 * n + 1)]
+    assert all(A * R[k] == square[k] for k in range(n))
+    return q, [A * R[k] - square[k] for k in range(n, 2 * n + 1)]
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_solve_coefficients_clears_the_rational_solution(genus):
+    """L is the lcm of the denominators of q and h over Q, and the solve
+    returns L q and L^2 h, on seeded signed root sets."""
+    rng = random.Random(genus)
+    for _ in range(6):
+        picks = rng.sample(range(1, 60), 4 * genus + 2)
+        rho = tuple(r if rng.random() < 0.5 else -r for r in picks)
+        R = expand_roots(RootData(genus, rho))
+        q_rat, h_rat = _rational_solution(R, genus)
+        q, h, L = solve_coefficients(R, genus)
+        assert L == lcm(*(c.denominator for c in q_rat + h_rat))
+        assert list(q.coeffs) == [L * c for c in q_rat]
+        assert list(h.coeffs) == [L * L * c for c in h_rat]
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])

@@ -651,6 +651,29 @@ def test_integer_roots_up_to_the_bound():
     assert _kernels._integer_roots((0, -1, 0, 0, 0, 1)) == [-1, 0, 1]
 
 
+@pytest.mark.parametrize("factors", [
+    [[0, 1]] * 7 + [[-2, 1]] * 2 + [[1, 0, 1]] + [[3]],
+    [[0, 1]] * 40 + [[1, 1], [-3, 1], [-5]],
+    [[0, 1]] + [[2, 1]] * 3,
+    [[0, 0, 0, 1], [-1, 0, 1], [4, 0, 0, 1]],
+], ids=["x^7 with a double root and content 3", "x^40, negative lead", "simple root 0",
+        "x^3 and a cofactor"])
+def test_split_roots_takes_a_multiple_root_zero_at_once(factors):
+    """The root 0 leaves _split_roots as its run of low zero coefficients,
+    and the split equals the one made one synthetic division at a time."""
+    f = tuple(math.prod((IntPoly(v) for v in factors), start=IntPoly.const(1)).coeffs)
+    content = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    g = [v // content for v in f]
+    roots = _kernels._integer_roots(g)
+    for r in roots:
+        while not _kernels._divide_linear(g, r)[1]:
+            g = _kernels._divide_linear(g, r)[0]
+    keys = [_kernels._divide_linear(g, r)[1] * math.prod(r - s for s in roots[:i])
+            for i, r in enumerate(roots)]
+    assert 0 in roots
+    assert _kernels._split_roots(f) == (tuple(roots), tuple(g), tuple(keys))
+
+
 COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**100), 2**100))
 
 

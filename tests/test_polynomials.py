@@ -20,11 +20,9 @@ from hyprank.polynomials import (
     IntPoly,
     ModPoly,
     PolyParseError,
-    RatPoly,
     _size_bounds,
     degree_pattern_mod,
     degree_patterns_mod,
-    disc_t_quarter,
     linear_factor_counts,
     mod_gcd,
     parse_bipoly,
@@ -48,9 +46,6 @@ def test_int_poly_basics():
     assert X.shift(2) == IntPoly((0, 0, 0, 1)) and IntPoly.zero().shift(3).is_zero
     with pytest.raises(TypeError):
         X * Fraction(1, 2)  # would truncate to an integer polynomial
-    with pytest.raises(TypeError):
-        X * RatPoly([1])
-    assert RatPoly([1, 1]) * Fraction(1, 2) == RatPoly([Fraction(1, 2), Fraction(1, 2)])
     m = ModPoly(7, (3, 5, 6))
     assert m.derivative() == ModPoly(7, (5, 5)) and -m == ModPoly(7, (4, 2, 1))
     assert m * m == reduce_mod(IntPoly((3, 5, 6)) ** 2, PrimeCtx(7))
@@ -68,15 +63,6 @@ def test_from_roots_vanishes_at_roots(roots):
     f = IntPoly.from_roots(roots)
     for r in roots:
         assert f.evaluate(r) == 0
-
-
-def test_rat_poly_lowest_terms():
-    f = RatPoly([Fraction(2, 4), Fraction(3, 6)])
-    assert f.coeffs == (Fraction(1, 2), Fraction(1, 2))
-    assert f.denominator_lcm() == 2
-    assert (f * 2).to_int_poly() == IntPoly((1, 1))
-    with pytest.raises(ValueError):
-        f.to_int_poly()
 
 
 def test_reduce_mod_examples():
@@ -193,15 +179,6 @@ def test_degree_pattern_sums_to_degree():
     assert degree_pattern_mod(split, PrimeCtx(31)) == (1, 1, 1, 1)
 
 
-def test_disc_t_quarter():
-    assert disc_t_quarter(parse_bipoly("x*T^2 + 2*T - 1")) == parse_int_poly("1 + x")
-    assert disc_t_quarter(parse_bipoly("x^3*T^2 + 2*x^3*T")) == parse_int_poly("x^6")
-    with pytest.raises(ValueError):
-        disc_t_quarter(parse_bipoly("x*T + 1"))
-    with pytest.raises(ValueError):
-        disc_t_quarter(parse_bipoly("x*T^2 + 3*T + 1"))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(min_value=-99, max_value=99), min_size=1, max_size=10),
@@ -212,7 +189,8 @@ def test_disc_t_quarter_identity(qc, hc, g):
     q, h = IntPoly(qc), IntPoly(hc)
     n = 2 * g + 1
     F = BiPoly.term(1, n, 2) + BiPoly.from_x_poly(2 * q, t_power=1) + BiPoly.from_x_poly(-h)
-    assert disc_t_quarter(F) == q * q + h.shift(n)
+    rows = (F.t_coeff(j).coeffs for j in range(3))  # c, b = 2q, a = x^n
+    assert IntPoly(_kernels._discriminant(*rows)) == 4 * (q * q + h.shift(n))
 
 
 def test_mod_gcd():
@@ -363,10 +341,9 @@ def test_parser_keeps_the_readme_polynomials():
 def test_dense_poly_equality_keys_on_type_coeffs_and_p():
     f = IntPoly((1, 2))
     assert f == IntPoly([1, 2, 0]) and hash(f) == hash(IntPoly([1, 2, 0]))
-    assert f != RatPoly((1, 2)) and f != ModPoly(7, (1, 2)) and f != (1, 2)
+    assert f != ModPoly(7, (1, 2)) and f != (1, 2)
     assert ModPoly(7, (1, 2)) == ModPoly(7, (8, 9)) != ModPoly(11, (1, 2))
-    assert len({f, RatPoly((1, 2)), ModPoly(7, (1, 2)), ModPoly(7, (8, 9)),
-                ModPoly(11, (1, 2))}) == 4
+    assert len({f, ModPoly(7, (1, 2)), ModPoly(7, (8, 9)), ModPoly(11, (1, 2))}) == 3
 
 
 def test_dense_poly_text():
