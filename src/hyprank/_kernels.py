@@ -395,7 +395,8 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
 
     and sum_t a_t = chi(alpha) (p, p - 1 or 0 by k) - p W, whose first term
     is 0 where a = 0.  With chi(0) = 0, N+ + N- = #R - z and
-    N+ - N- = sum_{s in R} chi(s), R the set of roots of D mod p.
+    N+ - N- = sum_{s in R} chi(s), R the set of roots of D mod p.  A prime
+    p <= deg g (g below) takes None too: O(p d) there beats g's O(d^3) chain.
 
     R comes from a split of D over Z, made once per D (:func:`_split_roots`).
     D is first divided by its content, which p does not divide, so R is
@@ -439,13 +440,14 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
     k = powers[0]
     alpha = weight[k]
     ps = prime_array(primes)
-    on = np.flatnonzero((residues(alpha, ps) != 0) & (residues(disc[-1], ps) != 0))
+    roots, g, keys = _split_roots(tuple(disc))
+    on = np.flatnonzero((residues(alpha, ps) != 0) & (residues(disc[-1], ps) != 0)
+                        & (ps >= len(g)))
     if not len(on):
         return out
     p = ps[on]
     chi_alpha = _integer_characters([alpha], p)[0]
     z = residues(disc[0], p) == 0
-    roots, g, keys = _split_roots(tuple(disc))
     live = np.array([residues(key, p) != 0 for key in keys], dtype=bool).reshape(len(keys), len(p))
     if k % 2 == 0:  # N+ + N- = #R - z
         count = live.sum(axis=0) - z
@@ -903,14 +905,16 @@ def _residue_ring(f, primes):
 def _x_power(e: np.ndarray, neg_m: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
     """x^e mod the monic x^d - neg_m(x), with one exponent e >= 0 a prime.
 
-    Square-and-multiply over the bits of max(e), with a per-prime mask for
-    the multiplication by x.
+    Square-and-multiply over the bits of max(e); x y (:func:`_times_x`) is
+    reduced into y only at the primes whose e has the bit set.
     """
     y = np.zeros_like(neg_m)
     y[0] = 1
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
         y = _mulmod(y, y, neg_m, p, k)
-        y = np.where((e >> bit) & 1 == 1, _times_x(y, neg_m, p), y)
+        z = y[-1] * neg_m
+        z[1:] += y[:-1]
+        np.remainder(z, p, out=y, where=(e >> bit) & 1 == 1)
     return y
 
 

@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -203,28 +204,10 @@ def _genus_from_degree(f: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 # series over prime ranges
 
-# Cells (the sum of p) up to which a first-moment scan runs serially at any
-# jobs.  On a 2-core host a pool of two cost about 55 ms (start, pickling,
-# shutdown) on top of half the serial time, so it breaks even where the
-# serial scan takes about 0.11 s, near 4e6 cells.  Brute nagao on
-# shift_square, pool of two against serial, medians of 5 fresh processes
-# each: slower at 3.0e6 cells (0.110 against 0.106 s, faster in 1 of 5),
-# even near 4.0e6 (0.118 against 0.126 s, 3 of 5), faster at 6.0e6 (4 of
-# 5) and 8.0e6 (0.148 against 0.206 s, 4 of 5).
-POOL_CELLS = 1 << 22
-
-# The same break-even, measured the same way, for the blocks of
-# quadratic_power_sums, in the sum of p^2 over their primes: a pool of two
-# was as fast as the serial scan at 1.1e7, faster at 2.6e7.
-POOL_SQUARES = 1 << 24
-
-# And for the scans that take one trace row per prime, in points of the
-# dense kernel: a prime costs p^2 on trace_row_vec, and about FFT_POINTS
-# p log2(p) on correlation_row near the break-even.  Measured: the dense
-# scan was slower pooled at 7.0e6 points, faster at 8.7e6; the FFT scan
-# broke even near 8e5 p log2(p).
-POOL_POINTS = 1 << 23
-FFT_POINTS = 10
+# Seconds of serial work after which a scan at jobs > 1 pools the rest: what
+# starting, feeding and stopping a pool of two cost on real tasks, about 50 ms
+# on a 2-core host (big_rank r = 2 to 1500: 0.15 s pooled, 0.21 s serial).
+POOL_START_S = 0.05
 
 
 def scan(task, items: list, jobs: int = 1) -> list:
@@ -233,19 +216,32 @@ def scan(task, items: list, jobs: int = 1) -> list:
     The one driver for character-sum scans.  The items are primes, each
     task building its one ``PrimeCtx`` where it runs, or blocks of primes
     (``prime_blocks``) for the quadratic-in-T block kernels, which build no
-    per-prime context.  It runs serially unless min(jobs, CPUs, #items) > 1,
-    in which case the items go to that many worker processes.  A pooled
-    ``task`` must pickle, so callers pass a private module-level function or
-    a partial of one, never a public name that may have been rebound.
+    per-prime context.  Where min(jobs, CPUs) <= 1 it reads no clock; else the
+    items run here in order until their summed wall time reaches
+    ``POOL_START_S`` with two or more left, which go to min(jobs, CPUs,
+    #left) worker processes: a scan cheaper than a pool starts none, and any
+    other costs at most about twice the better of serial and pooled.  A
+    pooled ``task`` must pickle, so callers pass a private module-level
+    function or a partial of one, never a public name that may have been
+    rebound.
     """
-    jobs = min(jobs, os.cpu_count() or 1, len(items))
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [task(item) for item in items]
+    out, spent = [], 0.0
+    for item in items:
+        start = perf_counter()
+        out.append(task(item))
+        spent += perf_counter() - start
+        if spent >= POOL_START_S and len(items) - len(out) >= 2:
+            break
+    rest = items[len(out):]
+    if not rest:
+        return out
     from concurrent.futures import ProcessPoolExecutor  # deferred: keeps `import hyprank` light
 
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, items, chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(rest))) as pool:
+        return out + list(pool.map(task, rest, chunksize=max(1, len(rest) // (4 * jobs))))
 
 
 def _power_sum(fam: HyperFamily, r: int, p) -> int:
@@ -284,28 +280,23 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
     (``correlation_row``), else in O(p^2) in float64 blocks
     (``trace_row_vec``, deg_T F >= 3), and ``power_total`` sums its r-th
     powers; ``ctx``, the context of the one prime of ``primes`` where the
-    caller has it, serves that row.  Each scan that may run in a pool starts
-    one only past its break-even work (``POOL_CELLS``, ``POOL_SQUARES`` and
-    ``POOL_POINTS``), below which the pool costs more than it saves."""
+    caller has it, serves that row.  The blocks and the rows go through
+    ``scan``, which starts a pool only once they have cost what one costs;
+    ``first_sum_roots`` runs in this process."""
     coeffs = fam.t_coeffs
     if len(coeffs) <= 3 and r == 1:
         sums, step = [], _kernels.FROB_BLOCK
         for lo in range(0, len(primes), step):
             sums += first_sum_roots(coeffs, primes[lo : lo + step])
         left = [p for p, s in zip(primes, sums) if s is None]
-        by_block = scan(partial(_block_sums, coeffs, 1), prime_blocks(left),
-                        jobs if sum(left) > POOL_CELLS else 1)
+        by_block = scan(partial(_block_sums, coeffs, 1), prime_blocks(left), jobs)
         filled = itertools.chain.from_iterable(by_block)
         return [next(filled) if s is None else s for s in sums]
-    fft = _rank_one_in_t(coeffs)
-    if len(coeffs) <= 3 and not fft:
+    if len(coeffs) <= 3 and not _rank_one_in_t(coeffs):
         # at r >= 2 an F rank-one over Q takes the FFT row, O(p log p), instead
-        by_block = scan(partial(_block_sums, coeffs, r), prime_blocks(primes),
-                        jobs if sum(p * p for p in primes) > POOL_SQUARES else 1)
+        by_block = scan(partial(_block_sums, coeffs, r), prime_blocks(primes), jobs)
         return list(itertools.chain.from_iterable(by_block))
-    work = sum(FFT_POINTS * p * p.bit_length() if fft else p * p for p in primes)
-    return scan(partial(_power_sum, fam, r), primes if ctx is None else [ctx],
-                jobs if work > POOL_POINTS else 1)
+    return scan(partial(_power_sum, fam, r), primes if ctx is None else [ctx], jobs)
 
 
 def _rank_one_in_t(t_coeffs) -> bool:

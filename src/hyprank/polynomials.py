@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from ._kernels import _split_roots, frobenius_gcd_degrees, prime_array, residues
+from ._kernels import _split_roots, frobenius_gcd_degrees, horner_vec, prime_array, residues
 from .finite_field import PrimeCtx
 
 
@@ -550,10 +550,18 @@ def _split(f: tuple) -> tuple[int, tuple[int, ...], int]:
 
 
 def _cofactor_counts(k: int, g: tuple, primes: np.ndarray) -> list[int]:
-    """L_f = k + D_1(g) at each prime, for :func:`linear_factor_counts`."""
+    """L_f = k + D_1(g) at each prime, for :func:`linear_factor_counts`; at
+    p <= deg g, D_1(g) counts the zeros of g at the p residues, O(p d), in
+    place of the O(d^3) rank of the Frobenius chain."""
     if len(g) == 1:
         return [k] * len(primes)
-    return (frobenius_gcd_degrees(g, primes)[:, 0] + k).tolist()
+    chain = primes >= len(g)
+    counts = np.full(len(primes), k, dtype=np.int64)
+    if chain.any():
+        counts[chain] += frobenius_gcd_degrees(g, primes[chain])[:, 0]
+    counts[~chain] += np.array([np.count_nonzero(horner_vec(g, np.arange(p), p) == 0)
+                                for p in primes[~chain].tolist()], dtype=np.int64)
+    return counts.tolist()
 
 
 def _cofactor_patterns(k: int, g: tuple, primes: np.ndarray) -> list[tuple]:

@@ -65,11 +65,6 @@ from .finite_field import (
 )
 from .moments import scan
 
-# Cells (the sum of p) up to which second_moment_scan runs serially at any
-# jobs: on a 2-core host its pool of two was slower to 1500 (2e5 cells), as
-# fast at 1.5e6 cells, and faster past that.
-POOL_CELLS = 1 << 20
-
 
 @dataclass(frozen=True)
 class PowerFamily:
@@ -203,12 +198,12 @@ def _second_moment_row(fam: PowerFamily, p: int) -> int:
 def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> list[tuple]:
     """(p, brute p*A_2, closed p*A_2, c2, c1) per prime, the last three None where
     the closed form does not apply; a range past the dense limit fails up front.
-    The class sums are O(p) a prime, like the first-moment blocks, so the scan
-    starts a pool only past their break-even, ``POOL_CELLS`` (the sum of p).
-    The closed column is one array pass in this process (:func:`_closed_rows`)."""
+    The brute column is one O(p) class sum a prime through ``scan``, which
+    starts a pool only once they have cost what one costs; the closed column is
+    one array pass in this process (:func:`_closed_rows`)."""
     check_dense_range(prange.lo, prange.hi, prange.skip)
     primes = primes_in(prange)
-    brute = scan(partial(_second_moment_row, fam), primes, jobs if sum(primes) > POOL_CELLS else 1)
+    brute = scan(partial(_second_moment_row, fam), primes, jobs)
     return [(p, b, None, None, None) if row is None else (p, b, row.p_a2, row.c2, row.c1)
             for p, b, row in zip(primes, brute, _closed_rows(fam, primes))]
 

@@ -604,11 +604,10 @@ def test_jobs_must_be_positive(capsys):
 
 def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
     import concurrent.futures
+    import math
 
     import hyprank._kernels as _kernels
     import hyprank.moments as moments
-    import hyprank.second_moment as second_moment
-    from hyprank.finite_field import PrimeRange, primes_in
 
     seen = []
 
@@ -627,81 +626,48 @@ def test_jobs_capped_without_starting_processes(capsys, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(moments.os, "cpu_count", lambda: 4)
-    # --r 2 on shift_square takes one FFT trace row per prime, pooled only
-    # past POOL_POINTS points: FFT_POINTS p log2(p) a prime
-    primes = primes_in(PrimeRange(3, 60))
-    argv = ["moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2", "--pmax", "60"]
-    code, serial = run(capsys, *argv)
-    assert code == 0 and seen == []
-    code, out = run(capsys, *argv, "--jobs", "100000")
-    assert code == 0 and out == serial and seen == []
-    work = sum(moments.FFT_POINTS * p * p.bit_length() for p in primes)
-    monkeypatch.setattr(moments, "POOL_POINTS", work - 1)
-    code, out = run(capsys, *argv, "--jobs", "100000")
-    assert code == 0 and out == serial
-    assert seen == [4]  # min(jobs, cpu_count, 16 primes)
-    monkeypatch.setattr(moments, "POOL_POINTS", 0)
-    code, _ = run(capsys, "moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2",
-                  "--pmin", "20", "--pmax", "30", "--jobs", "100000")
-    assert code == 0 and seen == [4, 2]  # only 23 and 29 in range
-    # a first moment whose weight a is no monomial runs in blocks of primes,
-    # pooled only past POOL_CELLS cells
+    # POOL_START_S = 0 hands the rest to a pool after the first item; math.inf never does
+    monkeypatch.setattr(moments, "POOL_START_S", 0)
+    fft = ["moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2", "--pmax", "60"]
     r1 = ["moments", "--family-expr", "x^3 + (x^2 - 1)*T^2 + x*T + 1", "--genus", "1",
           "--pmax", "60"]
-    seen.clear()
-    code, serial = run(capsys, *r1)
-    code, out = run(capsys, *r1, "--jobs", "100000")
-    assert code == 0 and out == serial and seen == []  # 438 cells: one block, no pool
-    monkeypatch.setattr(moments, "POOL_CELLS", 437)
+    for argv in (
+        r1,  # 438 cells: one block, which runs here
+        # closed-form scans run in this process
+        ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"],
+        ["sn-witness", "--f", "x^3 + x + 1", "--pmax", "60"],
+        ["nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60", "--predicted"],
+    ):
+        code, serial = run(capsys, *argv, "--jobs", "1")
+        code, out = run(capsys, *argv, "--jobs", "100000")
+        assert code == 0 and out == serial and seen == [], argv
+    # 23, 29, 31 and 37 in range: the first runs here, the pool takes three
+    code, _ = run(capsys, *fft, "--pmin", "20", "--pmax", "40", "--jobs", "100000")
+    assert code == 0 and seen == [3]
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", 64)
-    code, out = run(capsys, *r1, "--jobs", "100000")
-    assert code == 0 and out == serial and seen == [4]  # 10 blocks
-    code, out = run(capsys, *r1, "--jobs", "2")
-    assert code == 0 and out == serial and seen == [4, 2]
-    monkeypatch.setattr(moments, "POOL_CELLS", 438)
-    code, out = run(capsys, *r1, "--jobs", "100000")
-    assert code == 0 and out == serial and seen == [4, 2]
-    # a prime of deg_T F >= 3 that is not rank-one costs p^2 points
-    cubic = ["moments", "--family-expr", "x^3 + x*T^3 + T + 1", "--genus", "1", "--r", "2",
-             "--pmax", "60"]
-    seen.clear()
-    code, serial = run(capsys, *cubic)
-    for limit, pools in ((sum(p * p for p in primes), []), (sum(p * p for p in primes) - 1, [4])):
-        monkeypatch.setattr(moments, "POOL_POINTS", limit)
-        code, out = run(capsys, *cubic, "--jobs", "100000")
-        assert code == 0 and out == serial and seen == pools
-    # higher moments of F quadratic in T run in blocks of BLOCK_CELLS cells,
-    # pooled past POOL_SQUARES (the sum of p^2)
-    quad = ["moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "2",
-            "--pmax", "60"]
-    seen.clear()
-    code, serial = run(capsys, *quad)
-    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 64)
-    for limit, pools in ((sum(p * p for p in primes), []), (sum(p * p for p in primes) - 1, [4])):
-        monkeypatch.setattr(moments, "POOL_SQUARES", limit)
-        code, out = run(capsys, *quad, "--jobs", "100000")
-        assert code == 0 and out == serial and seen == pools
-    # second-moment's O(p) class sums are pooled only past POOL_CELLS cells
-    sm = ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"]
-    seen.clear()
-    code, serial = run(capsys, *sm)
-    for limit, pools in ((sum(primes), []), (sum(primes) - 1, [4])):
-        monkeypatch.setattr(second_moment, "POOL_CELLS", limit)
-        code, out = run(capsys, *sm, "--jobs", "100000")
-        assert code == 0 and out == serial and seen == pools
-    for argv, pools in (
-        (sm, [4]),
-        # closed-form scans run in this process: no pool
-        (["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60", "--bias"], []),
-        (["sn-witness", "--f", "x^3 + x + 1", "--pmax", "60"], []),
-        (["nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "60", "--predicted"], []),
+    for argv in (
+        fft,  # one FFT trace row per prime
+        r1,  # a first moment whose weight a is no monomial runs in blocks of primes
+        # a prime of deg_T F >= 3 that is not rank-one takes a dense trace row
+        ["moments", "--family-expr", "x^3 + x*T^3 + T + 1", "--genus", "1", "--r", "2",
+         "--pmax", "60"],
+        # higher moments of F quadratic in T run in blocks of BLOCK_CELLS cells
+        ["moments", "--family-expr", "x^3 + x*T^2 + T + 1", "--genus", "1", "--r", "2",
+         "--pmax", "60"],
+        # second-moment's O(p) class sums, one prime each
+        ["second-moment", "--n", "5", "--h", "2", "--k", "1", "--pmax", "60"],
     ):
         seen.clear()
-        code, serial = run(capsys, *argv, "--jobs", "1")
-        assert code == 0 and seen == []
+        monkeypatch.setattr(moments, "POOL_START_S", 0)
+        code, serial = run(capsys, *argv)
+        assert code == 0 and seen == [], argv
         code, out = run(capsys, *argv, "--jobs", "100000")
-        assert code == 0 and out == serial, argv
-        assert seen == pools, argv
+        assert code == 0 and out == serial and seen == [4], argv  # min(jobs, cpu_count, items)
+        code, out = run(capsys, *argv, "--jobs", "2")
+        assert code == 0 and out == serial and seen == [4, 2], argv
+        monkeypatch.setattr(moments, "POOL_START_S", math.inf)
+        code, out = run(capsys, *argv, "--jobs", "100000")
+        assert code == 0 and out == serial and seen == [4, 2], argv
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -476,9 +476,11 @@ ODD_PRIMES_TO_1500 = primes_in(PrimeRange(3, 1500))
 
 def _route_declines(weight, disc, p) -> bool:
     """Whether first_sum_roots leaves p to first_sum_vec: the weight is no
-    monomial alpha x^k over Z, or p divides alpha or lead(D)."""
+    monomial alpha x^k over Z, p divides alpha or lead(D), or p <= deg g,
+    g the cofactor of D's integer roots."""
     terms = [v for v in weight if v]
-    return len(terms) != 1 or terms[0] % p == 0 or not disc or disc[-1] % p == 0
+    return (len(terms) != 1 or terms[0] % p == 0 or not disc or disc[-1] % p == 0
+            or p < len(_kernels._split_roots(tuple(disc))[1]))
 
 
 # F = c + b T + a T^2 with a monomial weight: a = alpha x^k, or a = 0 and c = alpha x^k
@@ -529,7 +531,7 @@ def test_first_sum_roots_matches_first_sum_vec_and_dense(on_a, k, alpha, b, c, l
     """The root-count route at every odd prime <= 1500, 3 included, against
     first_sum_vec there and against the sum of the dense trace row at every
     odd prime <= 300; it declines exactly the primes that divide alpha or
-    lead(D)."""
+    lead(D), and those up to the degree of D's cofactor."""
     coeffs = monomial_weight_family(on_a, k, alpha, b, c, lead, zero_at_0)
     c, b, a = coeffs
     disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
@@ -564,8 +566,8 @@ def test_first_sum_roots_matches_dense_to_1500(text):
 
 def test_first_sum_roots_declines_exactly_the_fallback_primes_of_every_shape():
     """Every prime of a weight that is no monomial, and the primes that
-    divide alpha or lead(D) of one that is, on the shapes first_sum_vec is
-    tested on."""
+    divide alpha or lead(D), or are at most the degree of D's cofactor, of
+    one that is, on the shapes first_sum_vec is tested on."""
     for text in FIRST_SUM_SHAPES.values():
         F = parse_bipoly(text)
         coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)][:3]
@@ -622,7 +624,8 @@ def test_first_sum_roots_on_split_discriminants(roots, cofactor, k, alpha, on_a)
     """D with prescribed integer roots and cofactor: the split finds exactly
     the roots, and the route agrees with first_sum_vec, and with itself
     where nothing is split, at every odd prime <= 1500; it declines exactly
-    the primes that divide alpha or lead(D)."""
+    the primes that divide alpha or lead(D), and those up to deg g (deg D
+    where nothing is split)."""
     coeffs = _split_family(roots, cofactor, k, alpha, on_a)
     c, b, a = coeffs
     disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
@@ -634,7 +637,8 @@ def test_first_sum_roots_on_split_discriminants(roots, cofactor, k, alpha, on_a)
     assert [s is None for s in got] == [_route_declines(a or c, disc, p) for p in primes]
     want = _first_sums_by_block(coeffs, prime_blocks(primes))
     assert [s for s in got if s is not None] == [w for s, w in zip(got, want) if s is not None]
-    assert _first_sum_roots_unsplit(coeffs, primes) == got
+    unsplit = _first_sum_roots_unsplit(coeffs, primes)
+    assert unsplit == [None if p < len(disc) else s for p, s in zip(primes, got)]
 
 
 def test_integer_roots_up_to_the_bound():

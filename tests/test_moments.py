@@ -25,7 +25,7 @@ from hyprank.moments import (
     predict_first_moment,
     sn_witness,
 )
-from hyprank.polynomials import IntPoly, parse_bipoly, parse_int_poly
+from hyprank.polynomials import IntPoly, parse_bipoly, parse_int_poly, root_count_mod
 from support import x_power
 
 F7 = IntPoly.from_roots([1, 2, 3, 4, 5, 6, 7])
@@ -247,17 +247,35 @@ def test_first_moment_scans_route_each_prime_by_its_deg_t():
     assert [power_sum(drops, 1, PrimeCtx(p)) for p in primes] == want
 
 
+@pytest.mark.parametrize("f, pmax", [("x^501 + x", 50), ("x^31 + x", 200)])
+def test_small_primes_of_a_high_degree_cofactor_count_roots_by_evaluation(f, pmax):
+    """f = x (x^(d-1) + 1) leaves the cofactor g = x^(d-1) + 1 of D = -4 f,
+    so at p <= deg g both columns of the r = 1 series count roots at the p
+    residues, and past it the Frobenius chain does: each column is
+    (1 - L_f) p at every generic prime, L_f the per-prime root_count_mod,
+    and the brute column is the sum of the trace row at every prime."""
+    poly = parse_int_poly(f)
+    fam = make_shift_square(poly)
+    for row in moment_series(fam, 1, PrimeRange(3, pmax)).rows:
+        ctx = PrimeCtx(row.p)
+        assert row.p_times_A == sum(trace_row(fam, ctx)), row.p
+        if row.generic:
+            assert row.p_times_A == row.p_times_predicted == (1 - root_count_mod(poly, ctx)) * row.p
+
+
 def _first_sum_vec_primes(fam, primes) -> list[int]:
     """The primes a first-moment scan must leave to first_sum_vec: all of
     them where the weight (a, or c where a = 0 over Z) is no monomial
-    alpha x^k over Z, else those that divide alpha or lead(b^2 - 4ac)."""
+    alpha x^k over Z, else those that divide alpha or lead(D), D = b^2 - 4ac,
+    and those up to the degree of the cofactor of D's integer roots."""
     c, b, a = (fam.F.t_coeff(j) for j in range(3))
     weight = a if a.coeffs else c
     disc = b * b - a * c * 4 if a.coeffs else b
     terms = [v for v in weight.coeffs if v]
     if len(terms) != 1 or not disc.coeffs:
         return list(primes)
-    return [p for p in primes if terms[0] % p == 0 or disc.lead % p == 0]
+    cofactor = _kernels._split_roots(tuple(disc.coeffs))[1]
+    return [p for p in primes if terms[0] % p == 0 or disc.lead % p == 0 or p < len(cofactor)]
 
 
 def test_first_moment_scans_send_first_sum_vec_only_the_fallback_primes(monkeypatch):
@@ -289,14 +307,17 @@ def test_first_moment_scans_send_first_sum_vec_only_the_fallback_primes(monkeypa
 
 @pytest.mark.parametrize("text, declined", [
     # alpha = 11 * 13 * 17 * 23: with blocks of 5, 11 and 13 close the first
-    # block, 17 opens the second, and 23 sits inside it
-    ("x^3 + 55913*T^2 + x*T + 1", [11, 13, 17, 23]),
+    # block, 17 opens the second, and 23 sits inside it; D, a cubic with no
+    # integer root, leaves 3 too
+    ("x^3 + 55913*T^2 + x*T + 1", [3, 11, 13, 17, 23]),
     # lead(D) = 9: the first prime of the first block alone
     ("x^3 + 3*x^2*T + T^2 + 1", [3]),
     # no monomial weight: every prime, every block whole
     ("x^3 + (x^2 - 1)*T^2 + x*T + 1", None),
-    # a = 1 and lead(D) = -4: none
-    ("x^3 + T^2 + x + 1", []),
+    # a = 1 and lead(D) = -4: 3 alone, at most deg D, which has no integer root
+    ("x^3 + T^2 + x + 1", [3]),
+    # D = -4 (x - 1) x (x + 1) splits over Z: none
+    ("x^3 + T^2 - x", []),
 ])
 def test_first_moments_fill_declined_primes_back_across_frobenius_blocks(monkeypatch, text,
                                                                          declined):
@@ -338,12 +359,66 @@ def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
             assert rows == by_row, (fam.label, r)  # the others took the blocks
             assert [power_sum(fam, r, PrimeCtx(p)) for p in primes] == want
     monkeypatch.undo()
-    # with every gate open, two real worker processes give the same series
-    monkeypatch.setattr(moments, "POOL_SQUARES", 0)
-    monkeypatch.setattr(moments, "POOL_POINTS", 0)
+    # pooled after the first item, two real worker processes give the same series
+    monkeypatch.setattr(moments, "POOL_START_S", 0)
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", 64)
     for fam in (drops, rank7, _rank6()):
         assert moment_series(fam, 2, prange, jobs=2) == moment_series(fam, 2, prange), fam.label
+
+
+def test_scan_pools_the_rest_once_its_items_have_cost_a_pool(monkeypatch):
+    """On a fake clock, each item (value, seconds) costs its seconds."""
+    import concurrent.futures
+
+    now, pools = [0.0], []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            pools.append((self.workers, list(items)))
+            return map(fn, items)
+
+    def task(item):
+        now[0] += item[1]
+        return 10 * item[0]
+
+    def no_clock():
+        raise AssertionError("a serial scan reads no clock")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(moments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(moments, "POOL_START_S", 1.0)
+    monkeypatch.setattr(moments, "perf_counter", no_clock)
+    items = [(i, 0.5) for i in range(6)]
+    assert moments.scan(task, items, jobs=1) == [0, 10, 20, 30, 40, 50]
+    monkeypatch.setattr(moments.os, "cpu_count", lambda: 1)
+    assert moments.scan(task, items, jobs=8) == [0, 10, 20, 30, 40, 50]
+    monkeypatch.setattr(moments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(moments, "perf_counter", lambda: now[0])
+    # below the constant: no pool
+    assert moments.scan(task, [(i, 0.25) for i in range(3)], jobs=8) == [0, 10, 20]
+    assert pools == []
+    # at the constant, after two items: the other four in one pool of
+    # min(jobs, CPUs, items left) workers, and every result in item order
+    assert moments.scan(task, items, jobs=8) == [0, 10, 20, 30, 40, 50]
+    assert pools == [(3, items[2:])]
+    assert moments.scan(task, items[:5], jobs=2) == [0, 10, 20, 30, 40]
+    assert pools[1:] == [(2, items[2:5])]
+    assert moments.scan(task, [(0, 2.0), (1, 0.5), (2, 0.5)], jobs=8) == [0, 10, 20]
+    assert pools[2:] == [(2, [(1, 0.5), (2, 0.5)])]
+    # at the constant with one item left: that item runs here
+    pools.clear()
+    assert moments.scan(task, items[:3], jobs=8) == [0, 10, 20]
+    assert moments.scan(task, [], jobs=8) == []
+    assert pools == []
 
 
 @pytest.mark.parametrize("fam", [
