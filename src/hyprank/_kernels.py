@@ -10,12 +10,15 @@ moments of the power shapes x^n + x^h T^k need none of them:
 - :func:`first_sum_roots` gives the total over t (first moments) where
   the weight a, or c where a = 0, is a monomial alpha x^k: then the sum
   needs only the roots of D = b^2 - 4ac mod p, split into squares and
-  non-squares for odd k.  The integer roots of D are split off once
-  (:func:`_split_roots`) and give theirs in O(d) a prime, residues and
-  characters of integers; only a cofactor of degree >= 1 takes the
-  Frobenius gcd degrees, O(d^2 log p);
+  non-squares for odd k, at every prime that divides neither alpha nor
+  lead(D).  :func:`root_counts` counts them, the one root count of the
+  package, which the closed forms (``polynomials.linear_factor_counts``)
+  share: the integer roots of D are split off once (:func:`_split_roots`)
+  and give theirs in O(d) a prime, residues and characters of integers,
+  and a cofactor g of degree >= 1 takes the Frobenius gcd degrees,
+  O(d^2 log p), or its values at the p residues where p <= deg g;
 - :func:`first_sum_vec` gives the same total in O(p) at the primes the
-  root counts leave (p | alpha or p | lead(D)) and for any other weight:
+  root counts leave (p | alpha lead(D)) and for any other weight:
   with the sums over t and x swapped, the quadratic law makes the sum over
   t at x equal -chi(a(x)) wherever D is nonzero mod p, so one row of D
   finds the few cells where it is not;
@@ -51,15 +54,14 @@ sums its products in float64, as one BLAS product per block of t: with m
 nonzero rows and m (p - 1)^2 + p < 2^53 every value it forms is an integer
 below 2^53, so it is exact in any order of summation, and it refuses larger
 m and p (see :func:`trace_row_vec`).  The kernels that are not a character
-sum, :func:`frobenius_gcd_degrees` and the root counts of
-:func:`first_sum_roots`, work across many odd primes at once, on
-(d, #primes) residue arrays with the primes on the contiguous axis: in int64
-below FROB_LIMIT = 2^31, summing as many products before a reduction as
-2^63 allows, else in Python ints, reducing every product.  The split of D
-that precedes them is exact over Z and made once per D: Fujiwara's bound B
-on its roots in integers, D at every residue of one prime q > 2B, and each
-lifted zero checked in Python ints (:func:`_integer_roots`), with no BLAS
-or LAPACK call.
+sum, :func:`frobenius_gcd_degrees` and :func:`root_counts`, work across
+many odd primes at once, on (d, #primes) residue arrays with the primes on
+the contiguous axis: in int64 below FROB_LIMIT = 2^31, summing as many
+products before a reduction as 2^63 allows, else in Python ints, reducing
+every product.  The split of f that precedes them is exact over Z and made
+once per f: Fujiwara's bound B on its roots in integers, f at every residue
+of one prime q > 2B, and each lifted zero checked in Python ints
+(:func:`_integer_roots`), with no BLAS or LAPACK call.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ QUAD_BLOCK = 127
 # 0.61-0.62 s at 2^13, and its traced peak below 9000 fell from 0.44 to 0.36 MB.
 BLOCK_CELLS = 1 << 12
 
-# Primes per block of the Frobenius scans (moments._power_sums, polynomials._frobenius_scan),
+# Primes per block of the Frobenius scans (first_sum_roots, polynomials._frobenius_scan),
 # read at call time: their arrays keep one size however long the scan.
 FROB_BLOCK = 1 << 11
 
@@ -111,9 +113,9 @@ ROUND_TOL = 0.25
 # ints against 55 us in limbs, at 1024 primes 149 against 125 us.
 PY_RESIDUES = 32
 
-# Largest bound on the integer roots of D for which _integer_roots looks for
-# them: it evaluates D at every residue of a prime q > 2B, O(q d) array steps.
-# Above it D is not split, and every prime takes the Frobenius chain.
+# Largest bound on the integer roots of f for which _integer_roots looks for
+# them: it evaluates f at every residue of a prime q > 2B, O(q d) array steps.
+# Above it f is not split, and root_counts takes all of it as the cofactor.
 ROOT_BOUND = 1 << 16
 
 # Primes from which frobenius_gcd_degrees works in Python ints.  Below it a
@@ -379,15 +381,16 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
 
 def first_sum_roots(t_coeffs, primes) -> list[int | None]:
     """The sums of :func:`first_sum_vec` from the roots of D alone, or None
-    at the primes left to it.
+    at the primes left to it, FROB_BLOCK primes at a time.
 
     Where the weight of :func:`first_sum_vec` is a monomial alpha x^k over
     Z (a, or c where a = 0 over Z), W = sum_{D(x) = 0} w(x) needs only how
     many roots D has and which of them are squares.  At a prime that
-    divides neither alpha nor lead(D) (the others take None), write
-    z = [p | D(0)], and N+ and N- for the nonzero roots of D mod p that are
-    squares and that are not.  At x = 0 with k >= 1, a = 0 and D = b^2 = 0,
-    so w(0) = chi(c(0)); hence
+    divides neither alpha nor lead(D) (the others take None, as every prime
+    does where the weight is no monomial or D = 0), write z = [p | D(0)],
+    and N+ and N- for the nonzero roots of D mod p that are squares and
+    that are not.  At x = 0 with k >= 1, a = 0 and D = b^2 = 0, so
+    w(0) = chi(c(0)); hence
 
         W = chi(alpha) (z + N+ + N-)              for k = 0,
         W = z chi(c(0)) + chi(alpha) (N+ + N-)    for even k >= 2,
@@ -395,21 +398,58 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
 
     and sum_t a_t = chi(alpha) (p, p - 1 or 0 by k) - p W, whose first term
     is 0 where a = 0.  With chi(0) = 0, N+ + N- = #R - z and
-    N+ - N- = sum_{s in R} chi(s), R the set of roots of D mod p.  A prime
-    p <= deg g (g below) takes None too: O(p d) there beats g's O(d^3) chain.
+    N+ - N- = sum_{s in R} chi(s), R the set of roots of D mod p: both
+    from :func:`root_counts`.  The characters of alpha and c(0) come from
+    :func:`_integer_characters`.  ``t_coeffs`` holds the integer
+    coefficients of T^0, T^1, T^2, as for :func:`first_sum_vec`.
+    """
+    c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
+    disc = _discriminant(c, b, a)
+    weight = a if any(a) else c
+    powers = [i for i, v in enumerate(weight) if v]
+    if len(powers) != 1 or not disc:
+        return [None] * len(primes)
+    k = powers[0]
+    alpha = weight[k]
+    out = []
+    for lo in range(0, len(primes), FROB_BLOCK):
+        ps = prime_array(primes[lo : lo + FROB_BLOCK])
+        on = np.flatnonzero(residues(alpha * disc[-1], ps) != 0)
+        sums = [None] * len(ps)
+        if len(on):
+            p = ps[on]
+            chi_alpha = _integer_characters([alpha], p)[0]
+            z = residues(disc[0], p) == 0
+            count = root_counts(disc, p, signed=True) if k % 2 else root_counts(disc, p) - z
+            total = -p * chi_alpha * count
+            if z.any():  # w(0) = chi(alpha) for k = 0, else chi(c(0))
+                q = p[z]
+                total[z] -= q * (chi_alpha[z] if k == 0 else _integer_characters([c[0] if c else 0], q)[0])
+            if any(a):
+                total += chi_alpha * (p if k == 0 else p - 1 if k % 2 == 0 else 0)
+            for i, v in zip(on.tolist(), total.tolist()):
+                sums[i] = v
+        out += sums
+    return out
 
-    R comes from a split of D over Z, made once per D (:func:`_split_roots`).
-    D is first divided by its content, which p does not divide, so R is
-    unchanged; D is then primitive with a positive lead.  Dividing out each
+
+def root_counts(f, primes, signed: bool = False) -> np.ndarray:
+    """#R at each prime, R the set of distinct roots of f mod p, or with
+    ``signed`` sum_{s in R} chi(s); f lists integer coefficients, low to
+    high and of any size, whose lead none of the odd primes divides.
+
+    R comes from a split of f over Z, made once per f (:func:`_split_roots`).
+    f is first divided by its content, which p does not divide, so R is
+    unchanged; f is then primitive with a positive lead.  Dividing out each
     integer root r_i with its multiplicity m_i (by monic x - r_i, so within
-    Z[x]) gives D = g (x - r_1)^(m_1) ... (x - r_n)^(m_n), the r_i
-    distinct, g in Z[x] with no integer root and lead(g) = lead(D).  As p
-    does not divide lead(D), g mod p keeps its degree, and R = S u G with S
+    Z[x]) gives f = g (x - r_1)^(m_1) ... (x - r_n)^(m_n), the r_i
+    distinct, g in Z[x] with no integer root and lead(g) = lead(f).  As p
+    does not divide lead(f), g mod p keeps its degree, and R = S u G with S
     the residues of the r_i and G the roots of g mod p.  Let
 
         K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)),
 
-    a nonzero integer fixed by D.  p does not divide K_i exactly where
+    a nonzero integer fixed by f.  p does not divide K_i exactly where
     r_i mod p is no root of g and differs from every earlier r_j mod p, so
     the r_i with p not dividing K_i give each residue of S outside G once,
     and R is the disjoint union of those residues and G.  Hence, with G+
@@ -418,61 +458,38 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
         #R = #{i : p does not divide K_i} + #G,
         sum_{s in R} chi(s) = sum_{p does not divide K_i} chi(r_i) + G+ - G-.
 
-    #G is the column D_1 of :func:`frobenius_gcd_degrees` on g, and G+ and
-    G- come from :func:`_square_root_counts`; both hold whether or not g is
-    squarefree mod p, since x^p - x and x^((p - 1)/2) -+ 1 are.  Neither
-    runs where g is a constant, as it is wherever D splits over Z (big_rank,
-    and shift_square and linear_twist of an f with integer roots): then a
-    prime costs one residue of each K_i, and for odd k Euler's criterion on
-    the r_i that are no squares in Z (:func:`_integer_characters`), in
-    place of the O(d^2 log p + d^3) of the Frobenius chain and its ranks.
-    The characters of alpha and c(0) come from the same helper.
-    ``t_coeffs`` holds the integer coefficients of T^0, T^1, T^2, as for
-    :func:`first_sum_vec`.
+    At p > deg g, #G is the column D_1 of :func:`frobenius_gcd_degrees` on
+    g, and G+ and G- come from :func:`_square_root_counts`; both hold
+    whether or not g is squarefree mod p, since x^p - x and
+    x^((p - 1)/2) -+ 1 are.  At p <= deg g, G is read off g's values at
+    the p residues, O(p d) against the chain's O(d^3).  Neither runs where
+    g is a constant, as it is wherever f splits over Z (big_rank's D, and
+    the f of shift_square and linear_twist with integer roots): then a
+    prime costs one residue of each K_i, and signed, Euler's criterion on
+    the r_i that are no squares in Z (:func:`_integer_characters`).
     """
-    c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
-    disc = _discriminant(c, b, a)
-    weight = a if any(a) else c
-    powers = [i for i, v in enumerate(weight) if v]
-    out = [None] * len(primes)
-    if len(powers) != 1 or not disc:
-        return out
-    k = powers[0]
-    alpha = weight[k]
-    ps = prime_array(primes)
-    roots, g, keys = _split_roots(tuple(disc))
-    on = np.flatnonzero((residues(alpha, ps) != 0) & (residues(disc[-1], ps) != 0)
-                        & (ps >= len(g)))
-    if not len(on):
-        return out
-    p = ps[on]
-    chi_alpha = _integer_characters([alpha], p)[0]
-    z = residues(disc[0], p) == 0
+    roots, g, keys = _split_roots(tuple(f))
+    p = prime_array(primes)
     live = np.array([residues(key, p) != 0 for key in keys], dtype=bool).reshape(len(keys), len(p))
-    if k % 2 == 0:  # N+ + N- = #R - z
-        count = live.sum(axis=0) - z
-        if len(g) > 1:
-            count += frobenius_gcd_degrees(g, p)[:, 0]
-    else:  # N+ - N-, the sum of chi over R
-        count = (live * _integer_characters(roots, p)).sum(axis=0)
-        if len(g) > 1:
-            plus, minus = _square_root_counts(g, p)
-            count += plus - minus
-    total = -p * chi_alpha * count
-    if z.any():  # w(0) = chi(alpha) for k = 0, else chi(c(0))
-        q = p[z]
-        total[z] -= q * (chi_alpha[z] if k == 0 else _integer_characters([c[0] if c else 0], q)[0])
-    if any(a):
-        total += chi_alpha * (p if k == 0 else p - 1 if k % 2 == 0 else 0)
-    for i, v in zip(on.tolist(), total.tolist()):
-        out[i] = v
-    return out
+    count = (live * _integer_characters(roots, p) if signed else live).sum(axis=0)
+    if len(g) == 1:
+        return count
+    chain = p >= len(g)
+    if chain.any():
+        count[chain] += (np.subtract(*_square_root_counts(g, p[chain])) if signed
+                         else frobenius_gcd_degrees(g, p[chain])[:, 0])
+    for i in np.flatnonzero(~chain).tolist():
+        q = int(p[i])
+        xs = np.arange(q, dtype=np.int64)
+        zeros = xs[horner_vec(g, xs, q) == 0]
+        count[i] += int(_characters(zeros, np.full(len(zeros), q)).sum()) if signed else len(zeros)
+    return count
 
 
 @functools.lru_cache(maxsize=16)
 def _split_roots(f) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The distinct integer roots r_i of f, its cofactor g, and the keys K_i
-    of :func:`first_sum_roots`, for f a tuple of integers with a nonzero lead.
+    of :func:`root_counts`, for f a tuple of integers with a nonzero lead.
 
     f is first divided by its content, which can be most of its bits (477 of
     the 544 of big_rank's D at g = 2), and given a positive lead.  Then
@@ -481,9 +498,9 @@ def _split_roots(f) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     division (the root 0 as the run of low zero coefficients), and
     K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)), never 0.  The roots are
     those of :func:`_integer_roots`, so where it finds none g = f, which
-    leaves the route as exact and only slower.  Cached, as the scans ask
-    once per FROB_BLOCK for the same D.  ``polynomials._split`` takes the
-    same split of the f of the closed forms and ``sn-witness``.
+    leaves the root counts as exact and only slower.  Cached, as the scans
+    ask once per FROB_BLOCK for the same f, the D of the first moments or
+    the f of the closed forms and ``sn-witness``.
     """
     content = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
     g = [v // content for v in f]

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import (check_dense_range, first_sum_roots, first_sum_vec, power_total,
                        prime_blocks, quadratic_power_sums)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
@@ -265,16 +264,18 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
 
     The shape of F over Z picks one route for the whole scan, each giving
     its list in the order of ``primes``.  Where deg_T F <= 2, r = 1 first
-    takes ``first_sum_roots``, FROB_BLOCK primes at a time in this process:
-    where the weight a (or c, where a = 0 over Z) is a monomial alpha x^k,
-    it needs the roots of D = b^2 - 4ac mod p alone, at every prime that
-    divides neither alpha nor lead(D): O(d) a prime from the integer roots
-    of D, split off once, and O(d^2 log p) for the Frobenius chain of the
-    cofactor they leave, where that is no constant.  The primes it declines
-    take ``first_sum_vec``, O(p) with the sums over t and x swapped, in
-    blocks with no per-prime context, and go back in their places.  For
-    r >= 2 and F not rank-one over Q (``_rank_one_in_t``) every prime takes
-    the blocks of ``quadratic_power_sums``, O(p^2) int8 copies.  Every other
+    takes one call of ``first_sum_roots``, in this process: where the
+    weight a (or c, where a = 0 over Z) is a monomial alpha x^k, it needs
+    the roots of D = b^2 - 4ac mod p alone (``_kernels.root_counts``), at
+    every prime that does not divide alpha lead(D): O(d) a prime from the
+    integer roots of D, split off once, and for the cofactor they leave,
+    where that is no constant, O(d^2 log p) for its Frobenius chain, or
+    O(p d) for its values where p <= its degree.  The primes it declines,
+    known from the family alone, take ``first_sum_vec``, O(p) with the sums
+    over t and x swapped, in blocks with no per-prime context, and go back
+    in their places.  For r >= 2 and F not rank-one over Q
+    (``_rank_one_in_t``) every prime takes the blocks of
+    ``quadratic_power_sums``, O(p^2) int8 copies.  Every other
     family takes one trace row per prime (``_power_sum``):
     ``traces_from_rows`` gives it in O(p log p) where F is rank-one mod p
     (``correlation_row``), else in O(p^2) in float64 blocks
@@ -285,9 +286,7 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
     ``first_sum_roots`` runs in this process."""
     coeffs = fam.t_coeffs
     if len(coeffs) <= 3 and r == 1:
-        sums, step = [], _kernels.FROB_BLOCK
-        for lo in range(0, len(primes), step):
-            sums += first_sum_roots(coeffs, primes[lo : lo + step])
+        sums = first_sum_roots(coeffs, primes)
         left = [p for p, s in zip(primes, sums) if s is None]
         by_block = scan(partial(_block_sums, coeffs, 1), prime_blocks(left), jobs)
         filled = itertools.chain.from_iterable(by_block)

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from ._kernels import _split_roots, frobenius_gcd_degrees, horner_vec, prime_array, residues
+from ._kernels import _split_roots, frobenius_gcd_degrees, prime_array, residues, root_counts
 from .finite_field import PrimeCtx
 
 
@@ -451,10 +451,10 @@ def degree_pattern_mod(f: IntPoly, ctx: PrimeCtx):
 def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
     """``degree_pattern_mod`` at every odd prime, from one batched Frobenius pass.
 
-    f is split once over Z (:func:`_split`): k distinct integer roots and
-    a cofactor g.  At a prime that does not divide lead(f) the roots give k
-    linear factors, and the rest of the pattern is that of g mod p.  For a
-    squarefree g mod p with N_j irreducible factors of degree j,
+    f is split once over Z (``_kernels._split_roots``): k distinct integer
+    roots and a cofactor g.  At a prime that does not divide lead(f) the
+    roots give k linear factors, and the rest of the pattern is that of g
+    mod p.  For a squarefree g mod p with N_j irreducible factors of degree j,
 
         D_i = deg gcd(x^(p^i) - x, g mod p) = sum over j | i of j * N_j,
 
@@ -472,40 +472,34 @@ def linear_factor_counts(f: IntPoly, primes: list[int]) -> list:
     """``pat.count(1)`` of :func:`degree_patterns_mod` at every odd prime, with no pattern built.
 
     That is L_f, the number of distinct roots of f mod p, or None where f
-    mod p is not squarefree.  With f = c g (x - r_1) ... (x - r_k) split
-    over Z (:func:`_split`), at a prime that does not divide lead(f)
-
-        L_f = k + D_1(g),
-
-    D_1(g) = deg gcd(x^p - x, g mod p) the column D_1 of
-    ``_kernels.frobenius_gcd_degrees`` on the cofactor g, and 0 with no
-    Frobenius step where g is a constant, as for every f that splits over
-    Z.  At a prime that divides lead(f) it is the count of the lift of f
-    mod p.
+    mod p is not squarefree: ``_kernels.root_counts``, the root count of
+    the first-moment route too, of f at a prime that does not divide
+    lead(f), else of the lift of f mod p.  An f that splits over Z takes
+    no Frobenius step.
     """
-    return _frobenius_scan(f, primes, _cofactor_counts)
+    return _frobenius_scan(f, primes, lambda coeffs, ps: root_counts(coeffs, ps).tolist())
 
 
 def _frobenius_scan(f: IntPoly, primes: list[int], read) -> list:
     """One value per odd prime, ``_kernels.FROB_BLOCK`` primes at a time.
 
-    ``read(k, g, ps)`` turns the split of f (:func:`_split`; k = 0 and g = 1
-    for a constant) into the values at the array ps of a block's primes
-    that do not divide lead(f), which become None where p divides
-    Res(f, f'); at a prime that divides lead(f), and so any that divides
-    the content, the value is that of the lift of f mod p, and None for 0.
-    Both divisibility masks come from residues of lead(f) and of the
-    integer R of :func:`_split` over a block's primes at once.
+    ``read(coeffs, ps)`` turns the coefficients of the polynomial scanned
+    into the values at the array ps of a block's primes that do not divide
+    its lead, which become None where p divides Res(f, f'); at a prime that
+    divides lead(f), and so any that divides the content, the value is
+    that of the lift of f mod p, scanned as itself, and None for 0.  Both
+    divisibility masks come from residues of lead(f) and of the integer R
+    of :func:`_ramified_key` over a block's primes at once.
     """
     if f.is_zero:
         return [None] * len(primes)
-    k, g, ramified = _split(f.coeffs)
+    ramified = _ramified_key(f.coeffs)
     out = []
     primes = iter(primes)
     while block := list(islice(primes, _kernels.FROB_BLOCK)):
         ps = prime_array(block)
         live = residues(f.lead, ps) != 0
-        values = read(k, g, ps[live]) if live.any() else []
+        values = read(f.coeffs, ps[live]) if live.any() else []
         if not live.all():
             got = iter(values)
             values = [next(got) if on else
@@ -518,8 +512,8 @@ def _frobenius_scan(f: IntPoly, primes: list[int], read) -> list:
 
 
 @lru_cache(maxsize=16)
-def _split(f: tuple) -> tuple[int, tuple[int, ...], int]:
-    """(k, g, R) for the integer coefficients f of a nonzero polynomial.
+def _ramified_key(f: tuple) -> int:
+    """R for the integer coefficients f of a nonzero polynomial.
 
     ``_kernels._split_roots`` of f gives its k distinct integer roots r_i,
     its cofactor g and the keys
@@ -539,35 +533,21 @@ def _split(f: tuple) -> tuple[int, tuple[int, ...], int]:
     f once.
     """
     roots, g, keys = _split_roots(f)
-    k = len(roots)
-    if len(f) != k + len(g):
-        return k, g, 0
+    if len(f) != len(roots) + len(g):
+        return 0
     ramified = prod(keys)
     if len(g) > 1:
         cofactor = IntPoly(g)
         ramified *= _resultant(cofactor, cofactor.derivative())
-    return k, g, ramified
+    return ramified
 
 
-def _cofactor_counts(k: int, g: tuple, primes: np.ndarray) -> list[int]:
-    """L_f = k + D_1(g) at each prime, for :func:`linear_factor_counts`; at
-    p <= deg g, D_1(g) counts the zeros of g at the p residues, O(p d), in
-    place of the O(d^3) rank of the Frobenius chain."""
-    if len(g) == 1:
-        return [k] * len(primes)
-    chain = primes >= len(g)
-    counts = np.full(len(primes), k, dtype=np.int64)
-    if chain.any():
-        counts[chain] += frobenius_gcd_degrees(g, primes[chain])[:, 0]
-    counts[~chain] += np.array([np.count_nonzero(horner_vec(g, np.arange(p), p) == 0)
-                                for p in primes[~chain].tolist()], dtype=np.int64)
-    return counts.tolist()
-
-
-def _cofactor_patterns(k: int, g: tuple, primes: np.ndarray) -> list[tuple]:
-    """The factor degrees of k linear factors times g mod p at each prime,
-    for :func:`degree_patterns_mod`."""
-    d = len(g) - 1
+def _cofactor_patterns(f: tuple, primes: np.ndarray) -> list[tuple]:
+    """The factor degrees of f mod p at each prime, for
+    :func:`degree_patterns_mod`: one linear factor per integer root of f,
+    and those of its cofactor g."""
+    roots, g, _ = _split_roots(f)
+    k, d = len(roots), len(g) - 1
     if not d:
         return [(1,) * k] * len(primes)
     return _patterns(k, d, frobenius_gcd_degrees(g, primes, max(1, d // 2)))

@@ -476,11 +476,9 @@ ODD_PRIMES_TO_1500 = primes_in(PrimeRange(3, 1500))
 
 def _route_declines(weight, disc, p) -> bool:
     """Whether first_sum_roots leaves p to first_sum_vec: the weight is no
-    monomial alpha x^k over Z, p divides alpha or lead(D), or p <= deg g,
-    g the cofactor of D's integer roots."""
+    monomial alpha x^k over Z, D = 0, or p divides alpha or lead(D)."""
     terms = [v for v in weight if v]
-    return (len(terms) != 1 or terms[0] % p == 0 or not disc or disc[-1] % p == 0
-            or p < len(_kernels._split_roots(tuple(disc))[1]))
+    return len(terms) != 1 or terms[0] % p == 0 or not disc or disc[-1] % p == 0
 
 
 # F = c + b T + a T^2 with a monomial weight: a = alpha x^k, or a = 0 and c = alpha x^k
@@ -531,7 +529,7 @@ def test_first_sum_roots_matches_first_sum_vec_and_dense(on_a, k, alpha, b, c, l
     """The root-count route at every odd prime <= 1500, 3 included, against
     first_sum_vec there and against the sum of the dense trace row at every
     odd prime <= 300; it declines exactly the primes that divide alpha or
-    lead(D), and those up to the degree of D's cofactor."""
+    lead(D)."""
     coeffs = monomial_weight_family(on_a, k, alpha, b, c, lead, zero_at_0)
     c, b, a = coeffs
     disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
@@ -566,8 +564,8 @@ def test_first_sum_roots_matches_dense_to_1500(text):
 
 def test_first_sum_roots_declines_exactly_the_fallback_primes_of_every_shape():
     """Every prime of a weight that is no monomial, and the primes that
-    divide alpha or lead(D), or are at most the degree of D's cofactor, of
-    one that is, on the shapes first_sum_vec is tested on."""
+    divide alpha or lead(D) of one that is, on the shapes first_sum_vec is
+    tested on."""
     for text in FIRST_SUM_SHAPES.values():
         F = parse_bipoly(text)
         coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)][:3]
@@ -592,7 +590,8 @@ def _split_family(roots, cofactor, k, alpha, on_a) -> list[list[int]]:
 
 def _first_sum_roots_unsplit(coeffs, primes):
     """first_sum_roots with a root finder that finds nothing, so that every
-    D is all cofactor and every prime takes the Frobenius chain."""
+    D is all cofactor: every prime past deg D takes the Frobenius chain,
+    and every other one D's values at its residues."""
     find = _kernels._integer_roots
     _kernels._split_roots.cache_clear()
     _kernels._integer_roots = lambda f: []
@@ -624,8 +623,7 @@ def test_first_sum_roots_on_split_discriminants(roots, cofactor, k, alpha, on_a)
     """D with prescribed integer roots and cofactor: the split finds exactly
     the roots, and the route agrees with first_sum_vec, and with itself
     where nothing is split, at every odd prime <= 1500; it declines exactly
-    the primes that divide alpha or lead(D), and those up to deg g (deg D
-    where nothing is split)."""
+    the primes that divide alpha or lead(D)."""
     coeffs = _split_family(roots, cofactor, k, alpha, on_a)
     c, b, a = coeffs
     disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
@@ -638,7 +636,56 @@ def test_first_sum_roots_on_split_discriminants(roots, cofactor, k, alpha, on_a)
     want = _first_sums_by_block(coeffs, prime_blocks(primes))
     assert [s for s in got if s is not None] == [w for s, w in zip(got, want) if s is not None]
     unsplit = _first_sum_roots_unsplit(coeffs, primes)
-    assert unsplit == [None if p < len(disc) else s for p, s in zip(primes, got)]
+    assert unsplit == got
+
+
+def _roots_by_enumeration(f, p):
+    """The distinct zeros of f among the p residues, and the sum of their
+    characters by Euler's criterion."""
+    xs = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(f):
+        vals = (vals * xs + c % p) % p
+    zeros = np.flatnonzero(vals == 0).tolist()
+    return len(zeros), sum(1 if pow(z, p >> 1, p) == 1 else -1 for z in zeros if z)
+
+
+@st.composite
+def _root_count_polys(draw):
+    """content * prod (x - r)^m * g: roots in [-30, 30] with multiplicities
+    up to 3, the root 0 often, content of either sign, and a cofactor g of
+    degree 0 to 12 that is odd at 0 and at 1, so odd at every integer and
+    free of integer roots."""
+    d = draw(st.integers(0, 12))
+    g = draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d))
+    g += [draw(st.sampled_from([1, 2, -3, 5, 7]))]
+    g[0] |= 1
+    if d == 1:
+        g[1] *= 2
+    elif sum(g) % 2 == 0:
+        g[1] += 1
+    f = IntPoly(g) * (draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1])))
+    roots = draw(st.lists(st.one_of(st.just(0), st.integers(-30, 30)), max_size=5))
+    for r in roots:
+        f = f * IntPoly([-r, 1]) ** draw(st.integers(1, 3))
+    return f.coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_root_count_polys())
+# a root 0 of multiplicity 3, a double root, content 6 and a negative lead
+@example((-6 * IntPoly([0, 1]) ** 3 * IntPoly([-2, 1]) ** 2 * IntPoly([1, 0, 1])).coeffs)
+# a cofactor of degree 12 and no integer root: every prime <= 11 by evaluation
+@example((IntPoly([3, 1] + [0] * 10 + [1]) * IntPoly([5, 1])).coeffs)
+# a constant: no roots
+@example((-15,))
+def test_root_counts_match_enumeration(f):
+    """root_counts in both modes at every odd prime <= 300 that does not
+    divide lead(f), against the zeros of f among the p residues."""
+    primes = [p for p in ODD_PRIMES_TO_300 if f[-1] % p]
+    want = [_roots_by_enumeration(f, p) for p in primes]
+    assert _kernels.root_counts(f, primes).tolist() == [n for n, _ in want]
+    assert _kernels.root_counts(f, primes, signed=True).tolist() == [s for _, s in want]
 
 
 def test_integer_roots_up_to_the_bound():

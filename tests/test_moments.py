@@ -247,18 +247,32 @@ def test_first_moment_scans_route_each_prime_by_its_deg_t():
     assert [power_sum(drops, 1, PrimeCtx(p)) for p in primes] == want
 
 
-@pytest.mark.parametrize("f, pmax", [("x^501 + x", 50), ("x^31 + x", 200)])
+@pytest.mark.parametrize("f, pmax", [
+    ("x^501 + x", 50),
+    ("x^31 + x", 200),
+    # odd k: D = x^40 - 4 x^21 + 6 x^20 + 9 has no integer root and lead 1
+    ("x^21*T^2 + (x^20 + 3)*T + 1", 100),
+])
 def test_small_primes_of_a_high_degree_cofactor_count_roots_by_evaluation(f, pmax):
-    """f = x (x^(d-1) + 1) leaves the cofactor g = x^(d-1) + 1 of D = -4 f,
-    so at p <= deg g both columns of the r = 1 series count roots at the p
-    residues, and past it the Frobenius chain does: each column is
-    (1 - L_f) p at every generic prime, L_f the per-prime root_count_mod,
-    and the brute column is the sum of the trace row at every prime."""
-    poly = parse_int_poly(f)
-    fam = make_shift_square(poly)
-    for row in moment_series(fam, 1, PrimeRange(3, pmax)).rows:
+    """D's cofactor g (x^(d-1) + 1 for shift_square f = x (x^(d-1) + 1), D
+    itself for the odd-k family F = f) is of high degree, so at p <= deg g
+    the route counts roots at the p residues, and past it the Frobenius
+    chain does; alpha = 1 and lead(D) is -4 or 1, so it declines no odd
+    prime.  The route equals first_sum_vec and the sum of the dense trace
+    row at every prime, and for shift_square both columns of the r = 1
+    series are (1 - L_f) p at every generic prime, L_f the per-prime
+    root_count_mod."""
+    poly = None if "T" in f else parse_int_poly(f)
+    fam = HyperFamily("odd k", 10, parse_bipoly(f)) if poly is None else make_shift_square(poly)
+    primes = primes_in(PrimeRange(3, pmax))
+    route = _kernels.first_sum_roots(fam.t_coeffs, primes)
+    assert None not in route
+    assert route == _kernels.first_sum_vec(fam.t_coeffs, primes)
+    rows = moment_series(fam, 1, PrimeRange(3, pmax)).rows
+    for row, s in zip(rows, route, strict=True):
         ctx = PrimeCtx(row.p)
-        assert row.p_times_A == sum(trace_row(fam, ctx)), row.p
+        dense = int(_kernels.trace_row_vec(curves.t_coeff_rows(fam.F, ctx), ctx).sum())
+        assert row.p_times_A == s == dense, row.p
         if row.generic:
             assert row.p_times_A == row.p_times_predicted == (1 - root_count_mod(poly, ctx)) * row.p
 
@@ -266,16 +280,14 @@ def test_small_primes_of_a_high_degree_cofactor_count_roots_by_evaluation(f, pma
 def _first_sum_vec_primes(fam, primes) -> list[int]:
     """The primes a first-moment scan must leave to first_sum_vec: all of
     them where the weight (a, or c where a = 0 over Z) is no monomial
-    alpha x^k over Z, else those that divide alpha or lead(D), D = b^2 - 4ac,
-    and those up to the degree of the cofactor of D's integer roots."""
+    alpha x^k over Z, else those that divide alpha or lead(D), D = b^2 - 4ac."""
     c, b, a = (fam.F.t_coeff(j) for j in range(3))
     weight = a if a.coeffs else c
     disc = b * b - a * c * 4 if a.coeffs else b
     terms = [v for v in weight.coeffs if v]
     if len(terms) != 1 or not disc.coeffs:
         return list(primes)
-    cofactor = _kernels._split_roots(tuple(disc.coeffs))[1]
-    return [p for p in primes if terms[0] % p == 0 or disc.lead % p == 0 or p < len(cofactor)]
+    return [p for p in primes if terms[0] % p == 0 or disc.lead % p == 0]
 
 
 def test_first_moment_scans_send_first_sum_vec_only_the_fallback_primes(monkeypatch):
@@ -307,15 +319,15 @@ def test_first_moment_scans_send_first_sum_vec_only_the_fallback_primes(monkeypa
 
 @pytest.mark.parametrize("text, declined", [
     # alpha = 11 * 13 * 17 * 23: with blocks of 5, 11 and 13 close the first
-    # block, 17 opens the second, and 23 sits inside it; D, a cubic with no
-    # integer root, leaves 3 too
-    ("x^3 + 55913*T^2 + x*T + 1", [3, 11, 13, 17, 23]),
+    # block, 17 opens the second, and 23 sits inside it
+    ("x^3 + 55913*T^2 + x*T + 1", [11, 13, 17, 23]),
     # lead(D) = 9: the first prime of the first block alone
     ("x^3 + 3*x^2*T + T^2 + 1", [3]),
     # no monomial weight: every prime, every block whole
     ("x^3 + (x^2 - 1)*T^2 + x*T + 1", None),
-    # a = 1 and lead(D) = -4: 3 alone, at most deg D, which has no integer root
-    ("x^3 + T^2 + x + 1", [3]),
+    # a = 1 and lead(D) = -4: none, 3 included, at most deg D, which has no
+    # integer root
+    ("x^3 + T^2 + x + 1", []),
     # D = -4 (x - 1) x (x + 1) splits over Z: none
     ("x^3 + T^2 - x", []),
 ])
