@@ -87,8 +87,8 @@ QUAD_BLOCK = 127
 # 0.61-0.62 s at 2^13, and its traced peak below 9000 fell from 0.44 to 0.36 MB.
 BLOCK_CELLS = 1 << 12
 
-# Primes per block of the Frobenius scans (first_sum_roots, polynomials._frobenius_scan),
-# read at call time: their arrays keep one size however long the scan.
+# Primes per block of root_counts and frobenius_gcd_degrees (_by_block), read
+# at call time: their arrays keep one size however long the scan.
 FROB_BLOCK = 1 << 11
 
 # Integer coefficients below this in absolute value enter _horner_cells as
@@ -327,7 +327,7 @@ def prime_blocks(primes) -> list[list[int]]:
     return blocks
 
 
-def first_sum_vec(t_coeffs, primes) -> list[int]:
+def first_sum_vec(t_coeffs, primes) -> np.ndarray:
     """sum_t a_t = -sum_x S_x at each prime, for F = c(x) + b(x) T + a(x) T^2.
 
     The sums over t and x are swapped.  Where a != 0, completing the square
@@ -353,6 +353,8 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
     pass 2^63 (:func:`_horner_cells`), so D's row holds D(x) mod p whatever
     the size of its integer coefficients, and every total is below p^2.
     """
+    if not len(primes):
+        return np.zeros(0, dtype=np.int64)
     ps, offs, base, xs, mod = _cells(t_coeffs, primes)
     top = max(primes)
     c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
@@ -376,18 +378,19 @@ def first_sum_vec(t_coeffs, primes) -> list[int]:
     total = np.concatenate(([0], np.cumsum(jump)))
     ends = np.cumsum(counts)
     chi_a = np.add.reduceat(chi[a_row + base], offs, dtype=np.int64)
-    return (chi_a - total[ends] + total[ends - counts]).tolist()
+    return chi_a - total[ends] + total[ends - counts]
 
 
-def first_sum_roots(t_coeffs, primes) -> list[int | None]:
-    """The sums of :func:`first_sum_vec` from the roots of D alone, or None
-    at the primes left to it, FROB_BLOCK primes at a time.
+def first_sum_roots(t_coeffs, primes) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, answered): the sums of :func:`first_sum_vec` from the roots of
+    D alone, as an int64 array in the order of ``primes``, and the mask of
+    the primes it answers; the others hold 0, left to :func:`first_sum_vec`.
 
     Where the weight of :func:`first_sum_vec` is a monomial alpha x^k over
     Z (a, or c where a = 0 over Z), W = sum_{D(x) = 0} w(x) needs only how
     many roots D has and which of them are squares.  At a prime that
-    divides neither alpha nor lead(D) (the others take None, as every prime
-    does where the weight is no monomial or D = 0), write z = [p | D(0)],
+    divides neither alpha nor lead(D) (the others are left, as every prime
+    is where the weight is no monomial or D = 0), write z = [p | D(0)],
     and N+ and N- for the nonzero roots of D mod p that are squares and
     that are not.  At x = 0 with k >= 1, a = 0 and D = b^2 = 0, so
     w(0) = chi(c(0)); hence
@@ -401,42 +404,38 @@ def first_sum_roots(t_coeffs, primes) -> list[int | None]:
     N+ - N- = sum_{s in R} chi(s), R the set of roots of D mod p: both
     from :func:`root_counts`.  The characters of alpha and c(0) come from
     :func:`_integer_characters`.  ``t_coeffs`` holds the integer
-    coefficients of T^0, T^1, T^2, as for :func:`first_sum_vec`.
+    coefficients of T^0, T^1, T^2, as for :func:`first_sum_vec`.  Only
+    :func:`root_counts` takes the primes in blocks.
     """
     c, b, a = (tuple(t_coeffs[j]) if j < len(t_coeffs) else () for j in range(3))
     disc = _discriminant(c, b, a)
     weight = a if any(a) else c
     powers = [i for i, v in enumerate(weight) if v]
+    ps = prime_array(primes)
+    sums = np.zeros(len(ps), dtype=np.int64)
     if len(powers) != 1 or not disc:
-        return [None] * len(primes)
+        return sums, np.zeros(len(ps), dtype=bool)
     k = powers[0]
     alpha = weight[k]
-    out = []
-    for lo in range(0, len(primes), FROB_BLOCK):
-        ps = prime_array(primes[lo : lo + FROB_BLOCK])
-        on = np.flatnonzero(residues(alpha * disc[-1], ps) != 0)
-        sums = [None] * len(ps)
-        if len(on):
-            p = ps[on]
-            chi_alpha = _integer_characters([alpha], p)[0]
-            z = residues(disc[0], p) == 0
-            count = root_counts(disc, p, signed=True) if k % 2 else root_counts(disc, p) - z
-            total = -p * chi_alpha * count
-            if z.any():  # w(0) = chi(alpha) for k = 0, else chi(c(0))
-                q = p[z]
-                total[z] -= q * (chi_alpha[z] if k == 0 else _integer_characters([c[0] if c else 0], q)[0])
-            if any(a):
-                total += chi_alpha * (p if k == 0 else p - 1 if k % 2 == 0 else 0)
-            for i, v in zip(on.tolist(), total.tolist()):
-                sums[i] = v
-        out += sums
-    return out
+    answered = residues(alpha * disc[-1], ps) != 0
+    p = ps[answered]
+    chi_alpha = _integer_characters([alpha], p)[0]
+    z = residues(disc[0], p) == 0
+    count = root_counts(disc, p, signed=True) if k % 2 else root_counts(disc, p) - z
+    total = -p * chi_alpha * count
+    if z.any():  # w(0) = chi(alpha) for k = 0, else chi(c(0))
+        q = p[z]
+        total[z] -= q * (chi_alpha[z] if k == 0 else _integer_characters([c[0] if c else 0], q)[0])
+    if any(a):
+        total += chi_alpha * (p if k == 0 else p - 1 if k % 2 == 0 else 0)
+    sums[answered] = total
+    return sums, answered
 
 
 def root_counts(f, primes, signed: bool = False) -> np.ndarray:
     """#R at each prime, R the set of distinct roots of f mod p, or with
-    ``signed`` sum_{s in R} chi(s); f lists integer coefficients, low to
-    high and of any size, whose lead none of the odd primes divides.
+    ``signed`` sum_{s in R} chi(s), as an int64 array; f lists integer
+    coefficients, low to high and of any size, whose lead none of the primes divides.
 
     R comes from a split of f over Z, made once per f (:func:`_split_roots`).
     f is first divided by its content, which p does not divide, so R is
@@ -466,10 +465,14 @@ def root_counts(f, primes, signed: bool = False) -> np.ndarray:
     g is a constant, as it is wherever f splits over Z (big_rank's D, and
     the f of shift_square and linear_twist with integer roots): then a
     prime costs one residue of each K_i, and signed, Euler's criterion on
-    the r_i that are no squares in Z (:func:`_integer_characters`).
+    the r_i that are no squares in Z (:func:`_integer_characters`).  More
+    than FROB_BLOCK primes go by blocks (:func:`_by_block`), so the
+    (#keys, #primes) and (d, d, #primes) arrays stay one block wide.
     """
-    roots, g, keys = _split_roots(tuple(f))
     p = prime_array(primes)
+    if len(p) > FROB_BLOCK:
+        return _by_block(functools.partial(root_counts, f, signed=signed), p)
+    roots, g, keys = _split_roots(tuple(f))
     live = np.array([residues(key, p) != 0 for key in keys], dtype=bool).reshape(len(keys), len(p))
     count = (live * _integer_characters(roots, p) if signed else live).sum(axis=0)
     if len(g) == 1:
@@ -486,6 +489,11 @@ def root_counts(f, primes, signed: bool = False) -> np.ndarray:
     return count
 
 
+def _by_block(read, p: np.ndarray) -> np.ndarray:
+    """``read`` on each run of FROB_BLOCK primes of p (looked up at call time), joined in order."""
+    return np.concatenate([read(p[lo : lo + FROB_BLOCK]) for lo in range(0, len(p), FROB_BLOCK)])
+
+
 @functools.lru_cache(maxsize=16)
 def _split_roots(f) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The distinct integer roots r_i of f, its cofactor g, and the keys K_i
@@ -498,9 +506,9 @@ def _split_roots(f) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     division (the root 0 as the run of low zero coefficients), and
     K_i = g(r_i) (r_i - r_1) ... (r_i - r_(i-1)), never 0.  The roots are
     those of :func:`_integer_roots`, so where it finds none g = f, which
-    leaves the root counts as exact and only slower.  Cached, as the scans
-    ask once per FROB_BLOCK for the same f, the D of the first moments or
-    the f of the closed forms and ``sn-witness``.
+    leaves the root counts as exact and only slower.  Cached, as the same f
+    comes back: for the values and the key R (``polynomials._ramified_key``)
+    of the closed forms and ``sn-witness``, and at each prime of a caller.
     """
     content = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
     g = [v // content for v in f]
@@ -870,8 +878,13 @@ def frobenius_gcd_degrees(f, primes, depth: int = 1) -> np.ndarray:
     F_p[x]/(f-bar) (:func:`_gcd_degrees`).  Below FROB_LIMIT the rows are
     int64 and :func:`_mulmod` sums up to k = (2^63 - 1 - p_max) // (p_max - 1)^2
     products before it reduces; from FROB_LIMIT on they are Python ints,
-    and k = 1 reduces every product.
+    and k = 1 reduces every product.  More than FROB_BLOCK primes go by
+    blocks (:func:`_by_block`).
     """
+    if not len(primes):
+        return np.zeros((0, depth), dtype=np.int64)
+    if len(primes) > FROB_BLOCK:
+        return _by_block(functools.partial(frobenius_gcd_degrees, f, depth=depth), prime_array(primes))
     p, neg_m, k = _residue_ring(f, primes)
     one = np.zeros_like(neg_m)
     one[0] = 1
@@ -904,8 +917,8 @@ def _square_root_counts(f, primes) -> tuple[np.ndarray, np.ndarray]:
 
 def prime_array(primes) -> np.ndarray:
     """The primes as int64 below FROB_LIMIT, else as Python ints: an array of
-    that dtype as it is, and a list converted once."""
-    top = primes.max() if isinstance(primes, np.ndarray) else max(primes)
+    that dtype as it is, and a list converted once; int64 for no primes."""
+    top = primes.max(initial=0) if isinstance(primes, np.ndarray) else max(primes, default=0)
     return np.asarray(primes, dtype=np.int64 if top < FROB_LIMIT else object)
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import (check_dense_range, first_sum_roots, first_sum_vec, power_total,
-                       prime_blocks, quadratic_power_sums)
+                       prime_array, prime_blocks, quadratic_power_sums, residues)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (BiPoly, IntPoly, degree_patterns_mod, linear_factor_counts,
@@ -103,7 +103,7 @@ def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
     if r < 1:
         raise ValueError("moment order must be >= 1")
     fam.check_prime(ctx)
-    return _power_sums(fam, r, [ctx.p], 1, ctx)[0]
+    return int(_power_sums(fam, r, [ctx.p], 1, ctx)[0])
 
 
 def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
@@ -118,49 +118,51 @@ def predict_first_moment(fam: HyperFamily, ctx: PrimeCtx) -> int:
     family has none, and NonGenericPrime when its genericity conditions fail
     at p (callers scanning prime ranges should skip such primes).
     """
-    value = _closed_form(fam, [ctx.p])[0]
-    if value is None:
+    values, generic = _closed_form(fam, [ctx.p])
+    if not generic[0]:
         raise NonGenericPrime(f"the closed form of {fam.label!r} does not apply at p = {ctx.p}")
-    return value
+    return int(values[0])
 
 
-def _closed_form(fam: HyperFamily, primes: list[int]) -> list[Optional[int]]:
+def _closed_form(fam: HyperFamily, primes) -> tuple[np.ndarray, np.ndarray]:
     if fam.closed_form is None:
         raise ValueError(f"family {fam.label!r} has no closed-form predictor")
     return fam.closed_form(primes)
 
 
-def _shift_square_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
+def _shift_square_law(f: IntPoly, primes) -> tuple[np.ndarray, np.ndarray]:
     """y^2 = f(x) + T^2:  -p * A_1(p) = (L_f - 1) * p, L_f = #roots of f mod p.
 
-    Generic where f mod p is squarefree, i.e. where ``linear_factor_counts``
-    gives L_f rather than None.  With f split over Z into k distinct
+    Generic where f mod p is squarefree, the mask of
+    ``linear_factor_counts``.  With f split over Z into k distinct
     integer roots and a cofactor g, L_f = k + D_1(g), D_1(g) the number of
     roots of g mod p, at every prime that does not divide lead(f): a split
     f (g constant) takes no Frobenius step, and its Nagao limit is
     deg f - 1.
     """
-    return [None if n is None else (n - 1) * p for p, n in zip(primes, linear_factor_counts(f, primes))]
+    ps = prime_array(primes)
+    counts, squarefree = linear_factor_counts(f, ps)
+    return (counts - 1) * ps, squarefree
 
 
-def _linear_twist_law(f: IntPoly, primes: list[int]) -> list[Optional[int]]:
+def _linear_twist_law(f: IntPoly, primes) -> tuple[np.ndarray, np.ndarray]:
     """y^2 = f(x) * T + 1:  -p * A_1(p) = L_f * p, generic where f mod p is
     squarefree and p does not divide the leading coefficient.
 
     L_f = k + D_1(g) as for :func:`_shift_square_law`, so a split f takes
     no Frobenius step, and its Nagao limit is deg f.
     """
-    lead = f.lead
-    return [None if n is None or lead % p == 0 else n * p
-            for p, n in zip(primes, linear_factor_counts(f, primes))]
+    ps = prime_array(primes)
+    counts, squarefree = linear_factor_counts(f, ps)
+    return counts * ps, squarefree & (residues(f.lead, ps) != 0)
 
 
-def _big_rank_law(cr, primes: list[int]) -> list[Optional[int]]:
+def _big_rank_law(cr, primes) -> tuple[np.ndarray, np.ndarray]:
     """The quadratic-in-T rank construction:  -p * A_1(p) = (4g + 2) * p,
     generic away from the construction's bad primes (p | L, p | A, or two
     squared roots equal mod p)."""
-    bad = cr.family.bad_primes
-    return [None if p in bad else (4 * cr.genus + 2) * p for p in primes]
+    ps = prime_array(primes)
+    return (4 * cr.genus + 2) * ps, ~np.isin(ps, list(cr.family.bad_primes))
 
 
 def make_shift_square(f: IntPoly, label: str | None = None) -> HyperFamily:
@@ -258,25 +260,26 @@ def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int]:
     return first_sum_vec(t_coeffs, block) if r == 1 else quadratic_power_sums(t_coeffs, r, block)
 
 
-def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
-                ctx: PrimeCtx | None = None) -> list[int]:
+def _power_sums(fam: HyperFamily, r: int, primes, jobs: int,
+                ctx: PrimeCtx | None = None):
     """p * A_r(p) at each prime, exact: the one route of every moment.
 
     The shape of F over Z picks one route for the whole scan, each giving
-    its list in the order of ``primes``.  Where deg_T F <= 2, r = 1 first
-    takes one call of ``first_sum_roots``, in this process: where the
-    weight a (or c, where a = 0 over Z) is a monomial alpha x^k, it needs
-    the roots of D = b^2 - 4ac mod p alone (``_kernels.root_counts``), at
-    every prime that does not divide alpha lead(D): O(d) a prime from the
-    integer roots of D, split off once, and for the cofactor they leave,
-    where that is no constant, O(d^2 log p) for its Frobenius chain, or
-    O(p d) for its values where p <= its degree.  The primes it declines,
-    known from the family alone, take ``first_sum_vec``, O(p) with the sums
-    over t and x swapped, in blocks with no per-prime context, and go back
-    in their places.  For r >= 2 and F not rank-one over Q
-    (``_rank_one_in_t``) every prime takes the blocks of
-    ``quadratic_power_sums``, O(p^2) int8 copies.  Every other
-    family takes one trace row per prime (``_power_sum``):
+    its sums in the order of ``primes``: at r = 1 one int64 array, whatever
+    the route, and at r >= 2 a list of Python ints, as p A_r(p) may pass
+    2^63 there.  Where deg_T F <= 2, r = 1 first takes one call of
+    ``first_sum_roots``, in this process: where the weight a (or c, where
+    a = 0 over Z) is a monomial alpha x^k, it needs the roots of
+    D = b^2 - 4ac mod p alone (``_kernels.root_counts``), at every prime
+    that does not divide alpha lead(D): O(d) a prime from the integer roots
+    of D, split off once, and for the cofactor they leave, where that is no
+    constant, O(d^2 log p) for its Frobenius chain, or O(p d) for its values
+    where p <= its degree.  The primes it declines, known from the family
+    alone, take ``first_sum_vec``, O(p) with the sums over t and x swapped,
+    in blocks with no per-prime context, and fill the places its mask leaves.
+    For r >= 2 and F not rank-one over Q (``_rank_one_in_t``) every prime
+    takes the blocks of ``quadratic_power_sums``, O(p^2) int8 copies.  Every
+    other family takes one trace row per prime (``_power_sum``):
     ``traces_from_rows`` gives it in O(p log p) where F is rank-one mod p
     (``correlation_row``), else in O(p^2) in float64 blocks
     (``trace_row_vec``, deg_T F >= 3), and ``power_total`` sums its r-th
@@ -286,16 +289,17 @@ def _power_sums(fam: HyperFamily, r: int, primes: list[int], jobs: int,
     ``first_sum_roots`` runs in this process."""
     coeffs = fam.t_coeffs
     if len(coeffs) <= 3 and r == 1:
-        sums = first_sum_roots(coeffs, primes)
-        left = [p for p, s in zip(primes, sums) if s is None]
-        by_block = scan(partial(_block_sums, coeffs, 1), prime_blocks(left), jobs)
-        filled = itertools.chain.from_iterable(by_block)
-        return [next(filled) if s is None else s for s in sums]
+        sums, answered = first_sum_roots(coeffs, primes)
+        left = prime_array(primes)[~answered].tolist()
+        if left:
+            sums[~answered] = np.concatenate(scan(partial(_block_sums, coeffs, 1), prime_blocks(left), jobs))
+        return sums
     if len(coeffs) <= 3 and not _rank_one_in_t(coeffs):
         # at r >= 2 an F rank-one over Q takes the FFT row, O(p log p), instead
         by_block = scan(partial(_block_sums, coeffs, r), prime_blocks(primes), jobs)
         return list(itertools.chain.from_iterable(by_block))
-    return scan(partial(_power_sum, fam, r), primes if ctx is None else [ctx], jobs)
+    sums = scan(partial(_power_sum, fam, r), [ctx] if ctx else prime_array(primes).tolist(), jobs)
+    return np.array(sums, dtype=np.int64) if r == 1 else sums
 
 
 def _rank_one_in_t(t_coeffs) -> bool:
@@ -322,12 +326,13 @@ def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -
     """
     check_dense_range(prange.lo, prange.hi, prange.skip | fam.bad_primes)
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
-    sums = _power_sums(fam, r, primes, jobs)
+    sums = list(map(int, _power_sums(fam, r, primes, jobs)))
     if r != 1 or fam.closed_form is None:
         rows = [MomentRow(p, s, None, None) for p, s in zip(primes, sums)]
     else:
-        rows = [MomentRow(p, s, None if c is None else -c, c is not None)
-                for p, s, c in zip(primes, sums, fam.closed_form(primes))]
+        values, generic = fam.closed_form(primes)
+        rows = [MomentRow(p, s, -c if ok else None, ok)
+                for p, s, c, ok in zip(primes, sums, values.tolist(), generic.tolist())]
     return MomentSeries(fam.label, r, tuple(rows))
 
 
@@ -341,36 +346,32 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
     instead (ValueError for a family without one), which builds no per-prime
     context and ignores ``jobs``; primes where the closed form does not
     apply are skipped.  This skips the exact sum, which matters for large
-    cutoffs.
+    cutoffs.  One mask over the primes in range keeps those used: off the
+    skip set and the bad primes, and predicted, generic; the rest are ``skipped``.
     """
-    dropped = set(prange.skip | fam.bad_primes)
+    dropped = prange.skip | fam.bad_primes
     if not predicted:
         check_dense_range(prange.lo, prange.hi, dropped)
-    all_primes = primes_in(PrimeRange(prange.lo, prange.hi))
-    primes = [p for p in all_primes if p not in dropped]
+    primes = prime_array(primes_in(PrimeRange(prange.lo, prange.hi)))
+    keep = ~np.isin(primes, list(dropped))
     if predicted:
-        sums = _closed_form(fam, primes)
-        if None in sums:
-            dropped.update(p for p, s in zip(primes, sums) if s is None)
-            primes = [p for p, s in zip(primes, sums) if s is not None]
-            sums = [s for s in sums if s is not None]
+        values, generic = _closed_form(fam, primes[keep])
+        sums = values[generic]
+        keep[keep] = generic
     else:
-        sums = [-s for s in _power_sums(fam, 1, primes, jobs)]
+        sums = -_power_sums(fam, 1, primes[keep], jobs)
+    used = primes[keep]
     P = prange.hi
-    n = len(primes)
-    # s / p as Python rounds it, and math.log, from which np.log differs at some p
-    fv = np.fromiter(map(operator.truediv, sums, primes), float, n)
-    logs = np.fromiter(map(math.log, primes), float, n)
+    n = len(used)
+    # s / p rounds as Python's int / int, as |s| and p are below 2^53 in int64
+    # (object arrays divide Python ints); math.log, from which np.log differs at some p
+    fv = sums / used
+    logs = np.fromiter(map(math.log, used.tolist()), float, n)
     # np.cumsum adds in order, so its last entry is the sequential sum bit for bit
     theta = float(np.cumsum(fv * logs)[-1]) if n else 0.0
     pi_sum = float(np.cumsum(fv)[-1]) if n else 0.0
-    return NagaoEstimate(
-        P=P,
-        s_theta=theta / P if P > 0 else 0.0,
-        s_pi=pi_sum / n if n else 0.0,
-        n_primes=n,
-        skipped=tuple(p for p in all_primes if p in dropped),
-    )
+    return NagaoEstimate(P=P, s_theta=theta / P if P > 0 else 0.0, s_pi=pi_sum / n if n else 0.0,
+                         n_primes=n, skipped=tuple(primes[~keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +428,11 @@ def sn_witness(f: IntPoly, prange: PrimeRange) -> SnWitnessReport:
         "n_minus_1_cycle": tuple(sorted((1, n - 1))),
         "transposition": tuple(sorted([1] * (n - 2) + [2])),
     }
-    witnesses: dict[str, Optional[int]] = {k: None for k in targets}
-    census: dict = {}
     primes = primes_in(prange)
-    ramified = 0
-    for p, pattern in zip(primes, degree_patterns_mod(f, primes)):
-        if pattern is None:
-            ramified += 1
-            census["ramified"] = census.get("ramified", 0) + 1
-            continue
-        census[pattern] = census.get(pattern, 0) + 1
-        if sum(pattern) != n:
-            continue  # degree dropped mod p; not usable as a cycle type
-        for name, target in targets.items():
-            if witnesses[name] is None and pattern == target:
-                witnesses[name] = p
+    patterns = degree_patterns_mod(f, primes)
+    census = dict(Counter("ramified" if pattern is None else pattern for pattern in patterns))
+    # the first prime of each cycle type; a pattern whose degree dropped mod p matches none
+    witnesses = {name: next((p for p, pattern in zip(primes, patterns) if pattern == target), None)
+                 for name, target in targets.items()}
     found = n >= 3 and all(v is not None for v in witnesses.values())
-    return SnWitnessReport(n, found, witnesses, census, len(primes), ramified)
+    return SnWitnessReport(n, found, witnesses, census, len(primes), census.get("ramified", 0))

@@ -18,13 +18,11 @@ patterns and a parser for the textual polynomial syntax used by the CLI
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import islice
 from math import comb, gcd, prod
 from typing import Iterable
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import _split_roots, frobenius_gcd_degrees, prime_array, residues, root_counts
 from .finite_field import PrimeCtx
 
@@ -448,7 +446,7 @@ def degree_pattern_mod(f: IntPoly, ctx: PrimeCtx):
     return tuple(sorted(degrees))
 
 
-def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
+def degree_patterns_mod(f: IntPoly, primes) -> list:
     """``degree_pattern_mod`` at every odd prime, from one batched Frobenius pass.
 
     f is split once over Z (``_kernels._split_roots``): k distinct integer
@@ -465,50 +463,46 @@ def degree_patterns_mod(f: IntPoly, primes: list[int]) -> list:
     is None, and at a prime that divides lead(f) the pattern is that of the
     lift of f mod p (:func:`_frobenius_scan`).
     """
-    return _frobenius_scan(f, primes, _cofactor_patterns)
+    patterns, squarefree = _frobenius_scan(f, primes, _cofactor_patterns)
+    return np.where(squarefree, patterns, None).tolist()
 
 
-def linear_factor_counts(f: IntPoly, primes: list[int]) -> list:
+def linear_factor_counts(f: IntPoly, primes) -> tuple[np.ndarray, np.ndarray]:
     """``pat.count(1)`` of :func:`degree_patterns_mod` at every odd prime, with no pattern built.
 
-    That is L_f, the number of distinct roots of f mod p, or None where f
-    mod p is not squarefree: ``_kernels.root_counts``, the root count of
-    the first-moment route too, of f at a prime that does not divide
-    lead(f), else of the lift of f mod p.  An f that splits over Z takes
-    no Frobenius step.
+    That is L_f, the number of distinct roots of f mod p, as an int64 array,
+    with the mask of the primes where f mod p is squarefree (``pat`` is None
+    off it): ``_kernels.root_counts``, the root count of the first-moment
+    route too, of f at a prime that does not divide lead(f), else of the
+    lift of f mod p.  An f that splits over Z takes no Frobenius step.
     """
-    return _frobenius_scan(f, primes, lambda coeffs, ps: root_counts(coeffs, ps).tolist())
+    return _frobenius_scan(f, primes, root_counts)
 
 
-def _frobenius_scan(f: IntPoly, primes: list[int], read) -> list:
-    """One value per odd prime, ``_kernels.FROB_BLOCK`` primes at a time.
+def _frobenius_scan(f: IntPoly, primes, read) -> tuple[np.ndarray, np.ndarray]:
+    """One value per odd prime, and the mask of those where f mod p is squarefree.
 
     ``read(coeffs, ps)`` turns the coefficients of the polynomial scanned
-    into the values at the array ps of a block's primes that do not divide
-    its lead, which become None where p divides Res(f, f'); at a prime that
-    divides lead(f), and so any that divides the content, the value is
-    that of the lift of f mod p, scanned as itself, and None for 0.  Both
-    divisibility masks come from residues of lead(f) and of the integer R
-    of :func:`_ramified_key` over a block's primes at once.
+    into the array of its values at the array ps of all the primes that do
+    not divide its lead, off the mask where p divides Res(f, f'); at a
+    prime that divides lead(f), and so any that divides the content, the
+    value is that of the lift of f mod p, scanned as itself, and off the
+    mask for 0.  Both divisibility masks come from residues of lead(f) and
+    of the integer R of :func:`_ramified_key` over all the primes at once.
     """
+    ps = prime_array(primes)
     if f.is_zero:
-        return [None] * len(primes)
-    ramified = _ramified_key(f.coeffs)
-    out = []
-    primes = iter(primes)
-    while block := list(islice(primes, _kernels.FROB_BLOCK)):
-        ps = prime_array(block)
-        live = residues(f.lead, ps) != 0
-        values = read(f.coeffs, ps[live]) if live.any() else []
-        if not live.all():
-            got = iter(values)
-            values = [next(got) if on else
-                      _frobenius_scan(IntPoly([c % p for c in f.coeffs]), [p], read)[0]
-                      for p, on in zip(block, live.tolist())]
-        for i in np.flatnonzero(live & (residues(ramified, ps) == 0)).tolist():
-            values[i] = None
-        out += values
-    return out
+        return np.zeros(len(ps), dtype=np.int64), np.zeros(len(ps), dtype=bool)
+    live = residues(f.lead, ps) != 0
+    found = read(f.coeffs, ps[live])
+    values = np.zeros(len(ps), dtype=found.dtype)
+    values[live] = found
+    squarefree = live & (residues(_ramified_key(f.coeffs), ps) != 0)
+    for i in np.flatnonzero(~live).tolist():
+        q = ps[i : i + 1]
+        value, lifted = _frobenius_scan(IntPoly([c % int(q[0]) for c in f.coeffs]), q, read)
+        values[i], squarefree[i] = value[0], lifted[0]
+    return values, squarefree
 
 
 @lru_cache(maxsize=16)
@@ -542,18 +536,17 @@ def _ramified_key(f: tuple) -> int:
     return ramified
 
 
-def _cofactor_patterns(f: tuple, primes: np.ndarray) -> list[tuple]:
-    """The factor degrees of f mod p at each prime, for
-    :func:`degree_patterns_mod`: one linear factor per integer root of f,
-    and those of its cofactor g."""
+def _cofactor_patterns(f: tuple, primes: np.ndarray) -> np.ndarray:
+    """The factor degrees of f mod p at each prime as tuples in an object
+    array, for :func:`degree_patterns_mod`: one linear factor per integer
+    root of f, and those of its cofactor g."""
     roots, g, _ = _split_roots(f)
     k, d = len(roots), len(g) - 1
-    if not d:
-        return [(1,) * k] * len(primes)
-    return _patterns(k, d, frobenius_gcd_degrees(g, primes, max(1, d // 2)))
+    parts = frobenius_gcd_degrees(g, primes, max(1, d // 2)) if d else np.zeros((len(primes), 0), int)
+    return _patterns(k, d, parts)
 
 
-def _patterns(k: int, d: int, parts: np.ndarray) -> list[tuple]:
+def _patterns(k: int, d: int, parts: np.ndarray) -> np.ndarray:
     """The factor-degree tuples of k linear factors times a g of degree d,
     from rows of the gcd degrees D_1..D_(d/2) of g."""
     for j in range(2, d // 2 + 1):  # column j - 1 becomes j * N_j
@@ -563,7 +556,8 @@ def _patterns(k: int, d: int, parts: np.ndarray) -> list[tuple]:
     ones = [1] * k
     tuples = [tuple(ones + [j for j, v in enumerate(row, 1) for _ in range(v // j)]
                     + ([d - sum(row)] if sum(row) < d else [])) for row in rows.tolist()]
-    return [tuples[i] for i in inverse.reshape(-1).tolist()]
+    # a 1-D object array of tuples, which np.array would make 2-D
+    return np.fromiter(tuples, dtype=object, count=len(tuples))[inverse.reshape(-1)]
 
 
 def _resultant(a: IntPoly, b: IntPoly) -> int:

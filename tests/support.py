@@ -3,9 +3,17 @@ the library's reference functions."""
 
 from math import gcd, isqrt
 
+import numpy as np
+
 from hyprank.finite_field import PrimeCtx
 from hyprank.polynomials import IntPoly
 from hyprank.second_moment import PowerFamily, _brute
+
+
+def with_none(values, mask) -> list:
+    """The per-prime values of an array-and-mask stage as one list, with
+    None where the mask is False: the form the expected values are written in."""
+    return [v if ok else None for v, ok in zip(np.asarray(values).tolist(), np.asarray(mask).tolist())]
 
 
 def x_power(k: int, c: int = 1) -> IntPoly:

@@ -1085,8 +1085,9 @@ def test_golden_output(capsys, argv, stdout_sha256, exit_code, stderr):
 # one small run of each route of the CLI: the FFT row (shift_square at r = 2),
 # the windows (big_rank at r = 2), the root counts with odd k (brute nagao on
 # big_rank), the O(p) first moments of a weight that is no monomial, the
-# dense row (deg_T 3 at r = 2), the closed forms, the Frobenius degree
-# patterns, the power-shape class sums and the lemma oracles
+# dense row (deg_T 3 at r = 2), the closed forms (on more primes than one
+# FROB_BLOCK), the Frobenius degree patterns, the power-shape class sums and
+# the lemma oracles
 ROUTES = [
     ("moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2", "--pmax", "40"),
     ("moments", "--family", "builtin:big_rank", "--genus", "1", "--roots", "1..6",
@@ -1099,7 +1100,7 @@ ROUTES = [
     ("moments", "--family-expr", "(x + 2)*(x^2 + 1)*T + 2*x", "--genus", "1", "--pmax", "40"),
     ("moments", "--family-expr", "x^3 + x*T^3 + T + 1", "--genus", "1", "--r", "2",
      "--pmax", "40"),
-    ("nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "200", "--predicted"),
+    ("nagao", "--family", "builtin:shift_square", "--f", F3, "--pmax", "20000", "--predicted"),
     ("sn-witness", "--f", "x^5 - x - 1", "--pmax", "100"),
     ("second-moment", "--n", "5", "--h", "1", "--k", "2", "--pmax", "40"),
     ("verify-lemmas", "--pmax", "11"),

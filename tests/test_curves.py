@@ -29,7 +29,7 @@ from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import power_sum
 from hyprank.oracles import trace_of_poly
 from hyprank.polynomials import BiPoly, IntPoly, mod_gcd, parse_bipoly, reduce_mod
-from support import hasse_weil_bound
+from support import hasse_weil_bound, with_none
 
 
 def fam_of(text, genus, label="test", bad=()):
@@ -534,7 +534,7 @@ def test_first_sum_roots_matches_first_sum_vec_and_dense(on_a, k, alpha, b, c, l
     c, b, a = coeffs
     disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
     primes = ODD_PRIMES_TO_1500
-    got = _kernels.first_sum_roots(coeffs, primes)
+    got = with_none(*_kernels.first_sum_roots(coeffs, primes))
     assert [s is None for s in got] == [_route_declines(a or c, disc, p) for p in primes]
     want = _first_sums_by_block(coeffs, prime_blocks(primes))
     assert [s for s in got if s is not None] == [w for s, w in zip(got, want) if s is not None]
@@ -554,7 +554,7 @@ def test_first_sum_roots_matches_dense_to_1500(text):
     every odd prime <= 1500."""
     F = parse_bipoly(text)
     coeffs = [F.t_coeff(j).coeffs for j in range(3)]
-    got = _kernels.first_sum_roots(coeffs, ODD_PRIMES_TO_1500)
+    got = with_none(*_kernels.first_sum_roots(coeffs, ODD_PRIMES_TO_1500))
     assert sum(s is None for s in got) <= 1
     for p, s in zip(ODD_PRIMES_TO_1500, got):
         if s is not None:
@@ -570,7 +570,7 @@ def test_first_sum_roots_declines_exactly_the_fallback_primes_of_every_shape():
         F = parse_bipoly(text)
         coeffs = [F.t_coeff(j).coeffs for j in range(F.deg_t + 1)][:3]
         c, b, a = (coeffs + [[], []])[:3]
-        got = _kernels.first_sum_roots(coeffs, ODD_PRIMES_TO_300)
+        got = with_none(*_kernels.first_sum_roots(coeffs, ODD_PRIMES_TO_300))
         disc = _kernels._discriminant(tuple(c), tuple(b), tuple(a))
         assert [s is None for s in got] == [_route_declines(a or c, disc, p)
                                             for p in ODD_PRIMES_TO_300], text
@@ -631,11 +631,11 @@ def test_first_sum_roots_on_split_discriminants(roots, cofactor, k, alpha, on_a)
     assert list(found) == sorted(set(roots) | ({0} if on_a and k else set()))
     assert len(g) == len(cofactor)
     primes = ODD_PRIMES_TO_1500
-    got = _kernels.first_sum_roots(coeffs, primes)
+    got = with_none(*_kernels.first_sum_roots(coeffs, primes))
     assert [s is None for s in got] == [_route_declines(a or c, disc, p) for p in primes]
     want = _first_sums_by_block(coeffs, prime_blocks(primes))
     assert [s for s in got if s is not None] == [w for s, w in zip(got, want) if s is not None]
-    unsplit = _first_sum_roots_unsplit(coeffs, primes)
+    unsplit = with_none(*_first_sum_roots_unsplit(coeffs, primes))
     assert unsplit == got
 
 

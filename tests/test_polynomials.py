@@ -31,7 +31,7 @@ from hyprank.polynomials import (
     root_count_mod,
     squarefree_over_q,
 )
-from support import x_power
+from support import with_none, x_power
 
 X = IntPoly((0, 1))
 
@@ -501,12 +501,12 @@ def test_batched_frobenius_where_the_lazy_sums_shrink_below_d(d, fs):
         expected = [degree_pattern_mod(f, PrimeCtx(p)) for p in primes]
         assert degree_patterns_mod(f, below) == expected[: len(below)]
         assert degree_patterns_mod(f, primes) == expected
-        assert linear_factor_counts(f, primes) == [None if pat is None else pat.count(1)
-                                                   for pat in expected]
+        assert with_none(*linear_factor_counts(f, primes)) == [None if pat is None else pat.count(1)
+                                                               for pat in expected]
 
 
 def _assert_counts_match_per_prime(f, primes):
-    counts = linear_factor_counts(f, primes)
+    counts = with_none(*linear_factor_counts(f, primes))
     for p, n in zip(primes, counts):
         pattern = degree_pattern_mod(f, PrimeCtx(p))
         assert n == (None if pattern is None else pattern.count(1)), p
@@ -526,7 +526,7 @@ def test_linear_factor_counts_match_per_prime_hypothesis(f, larger):
     # patterns; the per-prime factorization on the primes up to 300, where
     # p | lead(f) and p | disc(f) are common, and on a sample of the rest
     primes = primes_in(PrimeRange(3, 10**4))
-    counts = linear_factor_counts(f, primes)
+    counts = with_none(*linear_factor_counts(f, primes))
     assert counts == [None if pat is None else pat.count(1) for pat in degree_patterns_mod(f, primes)]
     for p, n in zip(primes, counts):
         if n is not None:
@@ -589,7 +589,7 @@ _ODD_PRIMES_2000 = primes_in(PrimeRange(3, 2000))
 
 def _assert_split_route_matches_modpoly(f):
     patterns = degree_patterns_mod(f, _ODD_PRIMES_2000)
-    counts = linear_factor_counts(f, _ODD_PRIMES_2000)
+    counts = with_none(*linear_factor_counts(f, _ODD_PRIMES_2000))
     for p, pattern, n in zip(_ODD_PRIMES_2000, patterns, counts):
         ctx = PrimeCtx(p)
         assert pattern == degree_pattern_mod(f, ctx), (str(f), p)
@@ -622,13 +622,13 @@ def test_split_route_matches_modpoly_hypothesis(f):
 def test_split_route_takes_no_chain_for_a_split_f(monkeypatch):
     primes = primes_in(PrimeRange(3, 5000))
     f = _split_f(6, (1, -2, 3, 5, -8), (1, 1, 1, 1, 1), (1,))
-    expected = [degree_patterns_mod(f, primes), linear_factor_counts(f, primes)]
+    expected = [degree_patterns_mod(f, primes), with_none(*linear_factor_counts(f, primes))]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Frobenius chain ran on a split f")
 
     monkeypatch.setattr(polynomials, "frobenius_gcd_degrees", refuse)
-    assert [degree_patterns_mod(f, primes), linear_factor_counts(f, primes)] == expected
+    assert [degree_patterns_mod(f, primes), with_none(*linear_factor_counts(f, primes))] == expected
     # 3 divides the content (f mod 3 = 0), 7 and 13 a difference of roots
     assert [expected[1][primes.index(p)] for p in (3, 7, 13, 17)] == [None, None, None, 5]
     assert expected[1][-1] == 5 and expected[0][-1] == (1, 1, 1, 1, 1)
