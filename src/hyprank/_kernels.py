@@ -4,8 +4,9 @@ Every exact trace and moment of a family is a sum of chi(F(x, t)) over the
 (t, x) grid.  ``moments._power_sums`` picks one kernel for a whole scan from
 the shape of F over Z; every trace row below is an int64 array of length p,
 and :func:`power_total` takes sum_t a_t^r from it exactly.  The second
-moments of the power shapes x^n + x^h T^k need none of them:
-``second_moment._brute`` sums one character sum per coset class of t, in O(p).
+moments of the power shapes x^n + x^h T^k need no trace row: :func:`_brute`
+sums one character sum per coset class of t, in O(p), for ``second-moment``
+and for every r = 2 scan of that shape.
 
 - :func:`first_sum_roots` gives the total over t (first moments) where
   the weight a, or c where a = 0, is a monomial alpha x^k: then the sum
@@ -27,8 +28,8 @@ moments of the power shapes x^n + x^h T^k need none of them:
   moments of big_rank), by completing the square: each trace row is a
   signed sum of windows of the per-prime table chi(u^2 + d);
 - :func:`correlation_row` gives every trace in O(p log p), by FFT, when
-  F = c(x) + g(x) W(T) mod p (all power families, shift_square, ...); it
-  returns None for any other shape;
+  F = c(x) + g(x) W(T) mod p (shift_square, linear_twist, the power
+  families at r != 2, ...); it returns None for any other shape;
 - :func:`trace_row_vec` gives every trace in O(p^2) for any F.  It is the
   reference the others are tested against, and the path for
   deg_T F >= 3.
@@ -72,7 +73,7 @@ import math
 import numpy as np
 
 from .finite_field import (TABLE_LIMIT, InternalCheckError, PrimeCtx, check_dense, chi_tables,
-                           is_prime, quadratic_sums)
+                           is_prime, primitive_root, quadratic_sums)
 
 # Rows of t processed per block; keeps peak memory near 2 * CHUNK * p * 8 bytes.
 CHUNK = 128
@@ -309,6 +310,73 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray | None:
         raise InternalCheckError(f"FFT correlation at p = {p} does not sum to 0")
     w = horner_vec(lam, np.arange(p, dtype=np.int64), p)
     return -K - C[w]
+
+
+def _brute(n: int, h: int, k: int, ctx: PrimeCtx, include_t0: bool = True) -> int:
+    """Sum of squared traces of x^n + x^h T^k over t, from t = 1 unless include_t0.
+
+    Exact for any n odd, 0 <= h < n and k >= 0, in O(p log p) integer work
+    whatever the size of n, with no trace row.  Write a(w) = -sum_x
+    chi(x^n + x^h w), so the fiber at t has trace a(t^k), with 0^0 = 1.
+    Substituting x -> lam x for lam != 0, with n odd,
+
+        a(w) = chi(lam^n) a(lam^(h-n) w) = chi(lam) a(lam^(h-n) w),
+
+    so a(w)^2 depends only on the coset of w modulo the (n-h)-th powers,
+    which are the e-th powers with e = gcd(n - h, p - 1).  With
+    r = primitive_root(p) and t = r^s, t^k lies in the coset of index ks
+    mod e; as s runs over 0..p-2 that index runs over the multiples of
+    g = gcd(k, e), each (p - 1) g / e times, so
+
+        sum_{t != 0} a_t^2 = ((p - 1) g / e) sum_{i = 0, g, .. < e} a(r^i)^2.
+
+    The t = 0 fiber adds a(1)^2 for k = 0, where g = e leaves the one class
+    i = 0, and a(0)^2 = (sum_x chi(x))^2 = 0 otherwise.
+    :func:`_class_traces` gives all e / g values of a together in O(p).
+    """
+    p = ctx.p
+    e = math.gcd(n - h, p - 1)
+    g = math.gcd(k, e)
+    a = _class_traces(n, h, _class_points(p, e, g), ctx).tolist()
+    total = (p - 1) * g // e * sum(v * v for v in a)
+    return total + a[0] ** 2 if include_t0 and k == 0 else total
+
+
+def _class_points(p: int, e: int, g: int) -> np.ndarray:
+    """r^i mod p for i = 0, g, 2g, .. < e, r = primitive_root(p), by doubling."""
+    ws = np.ones(1, dtype=np.int64)
+    if e > g:
+        step = pow(primitive_root(p), g, p)
+        while len(ws) < e // g:
+            ws = np.concatenate((ws, ws * pow(step, len(ws), p) % p))
+    return ws[: e // g]
+
+
+def _class_traces(n: int, h: int, ws: np.ndarray, ctx: PrimeCtx) -> np.ndarray:
+    """a(w) = -sum_x chi(x^n + x^h w) at each nonzero w of ws, exact in int64.
+
+    x = 0 gives chi(w) for h = 0 and nothing otherwise; for x != 0,
+    chi(x^n + x^h w) = chi(x^h) chi(x^(n-h) + w), so
+
+        a(w) = -[h = 0] chi(w) - sum_u H(u) chi(u + w),
+
+    with H(u) = sum_{x != 0, x^(n-h) = u} chi(x)^h, the count of the x with
+    chi(x^h) = +1 less the count of those with -1 (one integer bincount of
+    2 u + [chi(x^h) = -1] holds both).  x^(n-h) = x^((n-h) mod (p-1)) for
+    x != 0.  H lives on the (p - 1) / e values of x^(n-h), so the sums cost
+    (p - 1) / e per w.
+    """
+    p = ctx.p
+    chi = ctx.chi
+    u = powmod_vec(np.arange(1, p, dtype=np.int64), (n - h) % (p - 1), p)
+    key = 2 * u
+    if h % 2:
+        key += chi[1:] < 0
+    counts = np.bincount(key, minlength=2 * p).reshape(p, 2)
+    H = counts[:, 0] - counts[:, 1]
+    us = np.flatnonzero(H)
+    a = -(np.concatenate((chi, chi))[ws[:, None] + us] @ H[us])
+    return a - chi[ws] if h == 0 else a
 
 
 def prime_blocks(primes) -> list[list[int]]:

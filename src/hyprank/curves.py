@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,11 +49,6 @@ class HyperFamily:
             )
         if not _generic_fiber_squarefree(self.F):
             raise ValueError("generic fiber of the family is not squarefree")
-
-    @cached_property
-    def t_coeffs(self) -> list[list[int]]:
-        """The integer coefficients, low to high in x, of each T^j of F."""
-        return [self.F.t_coeff(j).coeffs for j in range(self.F.deg_t + 1)]
 
     def with_closed_form(self, label: str, closed_form) -> "HyperFamily":
         """This family under another label and closed form, with no second
@@ -140,7 +134,7 @@ def traces_from_rows(rows, ctx: PrimeCtx) -> np.ndarray:
     of ``t_coeff_rows``: ``correlation_row`` where F is rank-one mod p, else
     the dense ``trace_row_vec``.  ``moments._power_sums`` says which scans
     take a row: every prime of an F with deg_T F >= 3 over Z, and at r >= 2
-    of an F rank-one over Q.
+    of an F rank-one over Q, save the power shapes at r = 2.
     """
     row = _kernels.correlation_row(rows, ctx)
     return _kernels.trace_row_vec(rows, ctx) if row is None else row

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (check_dense_range, first_sum_roots, first_sum_vec, power_total,
+from ._kernels import (_brute, check_dense_range, first_sum_roots, first_sum_vec, power_total,
                        prime_array, prime_blocks, quadratic_power_sums, residues)
 from .curves import HyperFamily, t_coeff_rows, traces_from_rows
 from .finite_field import PrimeCtx, PrimeRange, primes_in
@@ -98,12 +98,11 @@ class NagaoEstimate:
 
 def power_sum(fam: HyperFamily, r: int, ctx: PrimeCtx) -> int:
     """p * A_r(p) = sum of a_t^r over the full period, exact, by the route of
-    ``_power_sums`` at this one prime; a trace row takes ``ctx`` and its
-    table."""
+    ``_power_sums`` at this one prime."""
     if r < 1:
         raise ValueError("moment order must be >= 1")
     fam.check_prime(ctx)
-    return int(_power_sums(fam, r, [ctx.p], 1, ctx)[0])
+    return int(_power_sums(fam.F, r, [ctx.p], 1)[0])
 
 
 def moment(fam: HyperFamily, r: int, ctx: PrimeCtx) -> Fraction:
@@ -183,9 +182,13 @@ def make_linear_twist(f: IntPoly, label: str | None = None) -> HyperFamily:
 
 def make_power(n: int, h: int, k: int, label: str | None = None) -> HyperFamily:
     """y^2 = x^n + x^h T^k; only smooth shapes (h <= 1) form a valid family."""
-    F = BiPoly.term(1, n, 0) + BiPoly.term(1, h, k)
     label = f"power({n},{h},{k})" if label is None else label
-    return HyperFamily(label, (n - 1) // 2, F)
+    return HyperFamily(label, (n - 1) // 2, power_poly(n, h, k))
+
+
+def power_poly(n: int, h: int, k: int) -> BiPoly:
+    """x^n + x^h T^k, of ``make_power`` and of ``second-moment``'s shapes."""
+    return BiPoly.term(1, n, 0) + BiPoly.term(1, h, k)
 
 
 def make_big_rank(construction, label: str | None = None) -> HyperFamily:
@@ -245,12 +248,16 @@ def scan(task, items: list, jobs: int = 1) -> list:
         return out + list(pool.map(task, rest, chunksize=max(1, len(rest) // (4 * jobs))))
 
 
-def _power_sum(fam: HyperFamily, r: int, p) -> int:
-    """p * A_r(p) from the trace row at p, for the families the block
-    kernels do not take; p is the prime, or its ``PrimeCtx`` where the caller
-    has one.  A private name, which a pool pickles by reference."""
-    ctx = PrimeCtx(p) if isinstance(p, int) else p
-    return power_total(traces_from_rows(t_coeff_rows(fam.F, ctx), ctx), r)
+def _power_sum(F: BiPoly, r: int, p: int) -> int:
+    """p * A_r(p) from the trace row at p, for the F no other route takes.
+    A private name, which a pool pickles by reference."""
+    ctx = PrimeCtx(p)
+    return power_total(traces_from_rows(t_coeff_rows(F, ctx), ctx), r)
+
+
+def _class_sum(n: int, h: int, k: int, p: int) -> int:
+    """p * A_2(p) of x^n + x^h T^k by its classes of t; pickled by reference."""
+    return _brute(n, h, k, PrimeCtx(p))
 
 
 def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int]:
@@ -260,34 +267,35 @@ def _block_sums(t_coeffs, r: int, block: list[int]) -> list[int]:
     return first_sum_vec(t_coeffs, block) if r == 1 else quadratic_power_sums(t_coeffs, r, block)
 
 
-def _power_sums(fam: HyperFamily, r: int, primes, jobs: int,
-                ctx: PrimeCtx | None = None):
-    """p * A_r(p) at each prime, exact: the one route of every moment.
+def _power_sums(F: BiPoly, r: int, primes, jobs: int):
+    """p * A_r(p) of y^2 = F at each prime, exact: the one route of every moment.
 
     The shape of F over Z picks one route for the whole scan, each giving
     its sums in the order of ``primes``: at r = 1 one int64 array, whatever
     the route, and at r >= 2 a list of Python ints, as p A_r(p) may pass
-    2^63 there.  Where deg_T F <= 2, r = 1 first takes one call of
-    ``first_sum_roots``, in this process: where the weight a (or c, where
-    a = 0 over Z) is a monomial alpha x^k, it needs the roots of
-    D = b^2 - 4ac mod p alone (``_kernels.root_counts``), at every prime
-    that does not divide alpha lead(D): O(d) a prime from the integer roots
-    of D, split off once, and for the cofactor they leave, where that is no
-    constant, O(d^2 log p) for its Frobenius chain, or O(p d) for its values
-    where p <= its degree.  The primes it declines, known from the family
-    alone, take ``first_sum_vec``, O(p) with the sums over t and x swapped,
-    in blocks with no per-prime context, and fill the places its mask leaves.
-    For r >= 2 and F not rank-one over Q (``_rank_one_in_t``) every prime
-    takes the blocks of ``quadratic_power_sums``, O(p^2) int8 copies.  Every
-    other family takes one trace row per prime (``_power_sum``):
-    ``traces_from_rows`` gives it in O(p log p) where F is rank-one mod p
-    (``correlation_row``), else in O(p^2) in float64 blocks
-    (``trace_row_vec``, deg_T F >= 3), and ``power_total`` sums its r-th
-    powers; ``ctx``, the context of the one prime of ``primes`` where the
-    caller has it, serves that row.  The blocks and the rows go through
-    ``scan``, which starts a pool only once they have cost what one costs;
-    ``first_sum_roots`` runs in this process."""
-    coeffs = fam.t_coeffs
+    2^63 there.  At r = 2 the power shape x^n + x^h T^k (``_power_shape``),
+    singular h >= 2 too, takes one O(p) coset-class sum a prime
+    (``_kernels._brute``), with no trace row.  Where deg_T F <= 2, r = 1
+    first takes one call of ``first_sum_roots``, in this process: where the
+    weight a (or c, where a = 0 over Z) is a monomial alpha x^k, it needs
+    the roots of D = b^2 - 4ac mod p alone (``_kernels.root_counts``), at
+    every prime that does not divide alpha lead(D): O(d) a prime from the
+    integer roots of D, split off once, and for the cofactor they leave,
+    where that is no constant, O(d^2 log p) for its Frobenius chain, or
+    O(p d) for its values where p <= its degree.  The primes it declines,
+    known from the family alone, take ``first_sum_vec``, O(p) with the sums
+    over t and x swapped, in blocks with no per-prime context, and fill the
+    places its mask leaves.  For r >= 2 and F not rank-one over Q
+    (``_rank_one_in_t``) every prime takes the blocks of
+    ``quadratic_power_sums``, O(p^2) int8 copies.  Every other F takes one
+    trace row per prime (``_power_sum``): ``traces_from_rows`` gives it in
+    O(p log p) where F is rank-one mod p (``correlation_row``), else in
+    O(p^2) in float64 blocks (``trace_row_vec``, deg_T F >= 3), and
+    ``power_total`` sums its r-th powers.  The class sums, the blocks and
+    the rows go through ``scan``, which pools once they cost what a pool does."""
+    if r == 2 and (shape := _power_shape(F)):
+        return scan(partial(_class_sum, *shape), prime_array(primes).tolist(), jobs)
+    coeffs = F.t_coeffs
     if len(coeffs) <= 3 and r == 1:
         sums, answered = first_sum_roots(coeffs, primes)
         left = prime_array(primes)[~answered].tolist()
@@ -298,8 +306,15 @@ def _power_sums(fam: HyperFamily, r: int, primes, jobs: int,
         # at r >= 2 an F rank-one over Q takes the FFT row, O(p log p), instead
         by_block = scan(partial(_block_sums, coeffs, r), prime_blocks(primes), jobs)
         return list(itertools.chain.from_iterable(by_block))
-    sums = scan(partial(_power_sum, fam, r), [ctx] if ctx else prime_array(primes).tolist(), jobs)
+    sums = scan(partial(_power_sum, F, r), prime_array(primes).tolist(), jobs)
     return np.array(sums, dtype=np.int64) if r == 1 else sums
+
+
+def _power_shape(F: BiPoly) -> Optional[tuple[int, int, int]]:
+    """(n, h, k) where F = x^n + x^h T^k over Z, n odd and h < n; else None."""
+    n, ((h, k), c) = F.deg_x, min(F.terms.items(), default=((0, 0), 0))
+    ok = len(F.terms) == 2 and n % 2 and F.terms.get((n, 0)) == c == 1 and h < n
+    return (n, h, k) if ok else None
 
 
 def _rank_one_in_t(t_coeffs) -> bool:
@@ -326,7 +341,7 @@ def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -
     """
     check_dense_range(prange.lo, prange.hi, prange.skip | fam.bad_primes)
     primes = [p for p in primes_in(prange) if p not in fam.bad_primes]
-    sums = list(map(int, _power_sums(fam, r, primes, jobs)))
+    sums = list(map(int, _power_sums(fam.F, r, primes, jobs)))
     if r != 1 or fam.closed_form is None:
         rows = [MomentRow(p, s, None, None) for p, s in zip(primes, sums)]
     else:
@@ -359,7 +374,7 @@ def nagao_sum(fam: HyperFamily, prange: PrimeRange, jobs: int = 1,
         sums = values[generic]
         keep[keep] = generic
     else:
-        sums = -_power_sums(fam, 1, primes[keep], jobs)
+        sums = -_power_sums(fam.F, 1, primes[keep], jobs)
     used = primes[keep]
     P = prange.hi
     n = len(used)

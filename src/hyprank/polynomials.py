@@ -260,6 +260,11 @@ class BiPoly:
     def __pow__(self, e: int) -> "BiPoly":
         return _power(self, e, BiPoly.const(1))
 
+    @property
+    def t_coeffs(self) -> list[list[int]]:
+        """The integer coefficients, low to high in x, of each T^j, j = 0..deg_T."""
+        return [self.t_coeff(j).coeffs for j in range(self.deg_t + 1)]
+
     def t_coeff(self, j: int) -> IntPoly:
         """Coefficient of T^j as a polynomial in x."""
         terms = self.terms.items()

@@ -21,37 +21,20 @@ coefficient is the c_2 of the bias report, and the p-coefficient of that
 part, c_1 = -c_2, is the lower-order term whose prime average is the bias
 statistic.
 
-The brute column needs no trace row.  Write a(w) = -sum_x chi(x^n + x^h w),
-so the fiber at t has trace a(t^k), with 0^0 = 1.  Substituting x -> lam x
-for lam != 0, with n odd,
-
-    a(w) = chi(lam^n) a(lam^(h-n) w) = chi(lam) a(lam^(h-n) w),
-
-so a(w)^2 depends only on the coset of w modulo the (n-h)-th powers, which
-are the e-th powers with e = gcd(n - h, p - 1).  With r a primitive root
-and t = r^s, t^k = r^(ks) lies in the coset of index ks mod e; as s runs
-over 0..p-2 that index runs over the multiples of g = gcd(k, e), each
-(p - 1) g / e times, so for k >= 1
-
-    sum_{t != 0} a(t^k)^2 = ((p - 1) g / e) sum_{i = 0, g, 2g, .. < e} a(r^i)^2,
-
-and the t = 0 fiber adds a(0)^2 = (sum_x chi(x))^2 = 0.  For k = 0,
-g = gcd(0, e) = e leaves the one class i = 0, and the t = 0 fiber is the
-w = 1 fiber again.  Each a(r^i) is a sum over the histogram
-H(u) = sum_{x != 0, x^(n-h) = u} chi(x^h), which lives on the (p - 1) / e
-e-th powers, so all e / g of them together cost O(p).
+The brute column comes from ``moments._power_sums`` at r = 2, whose route
+for these shapes, singular h >= 2 too, is the coset-class sum
+``_kernels._brute``: O(p) a prime, with no trace row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 from typing import Optional
 
 import numpy as np
 
-from ._kernels import check_dense_range, powmod_vec
+from ._kernels import _brute, check_dense_range
 from .finite_field import (
     InternalCheckError,
     PrimeCtx,
@@ -61,9 +44,8 @@ from .finite_field import (
     double_sum_S,
     power_pair_count,
     primes_in,
-    primitive_root,
 )
-from .moments import scan
+from .moments import _power_sums, power_poly
 
 
 @dataclass(frozen=True)
@@ -105,64 +87,6 @@ def second_moment_brute(fam: PowerFamily, ctx: PrimeCtx) -> int:
     return _brute(fam.n, fam.h, fam.k, ctx, include_t0=True)
 
 
-def _brute(n: int, h: int, k: int, ctx: PrimeCtx, include_t0: bool = True) -> int:
-    """Sum of squared traces of x^n + x^h T^k over t, from t = 1 unless include_t0.
-
-    Exact for any n odd, 0 <= h < n and k >= 0, in O(p log p) integer work
-    whatever the size of n, with no trace row: the traces are direct
-    character sums, one per class of t, and a(t^k)^2 is the same on each
-    class (module docstring):
-
-        sum_{t != 0} a_t^2 = ((p - 1) g / e) sum_{i = 0, g, .. < e} a(r^i)^2
-
-    with e = gcd(n - h, p - 1), g = gcd(k, e) and r = primitive_root(p).
-    The t = 0 fiber adds a(1)^2 for k = 0 and a(0)^2 = 0 otherwise.
-    """
-    p = ctx.p
-    e = gcd(n - h, p - 1)
-    g = gcd(k, e)
-    a = _class_traces(n, h, _class_points(p, e, g), ctx).tolist()
-    total = (p - 1) * g // e * sum(v * v for v in a)
-    return total + a[0] ** 2 if include_t0 and k == 0 else total
-
-
-def _class_points(p: int, e: int, g: int) -> np.ndarray:
-    """r^i mod p for i = 0, g, 2g, .. < e, r = primitive_root(p), by doubling."""
-    ws = np.ones(1, dtype=np.int64)
-    if e > g:
-        step = pow(primitive_root(p), g, p)
-        while len(ws) < e // g:
-            ws = np.concatenate((ws, ws * pow(step, len(ws), p) % p))
-    return ws[: e // g]
-
-
-def _class_traces(n: int, h: int, ws: np.ndarray, ctx: PrimeCtx) -> np.ndarray:
-    """a(w) = -sum_x chi(x^n + x^h w) at each nonzero w of ws, exact in int64.
-
-    x = 0 gives chi(w) for h = 0 and nothing otherwise; for x != 0,
-    chi(x^n + x^h w) = chi(x^h) chi(x^(n-h) + w), so
-
-        a(w) = -[h = 0] chi(w) - sum_u H(u) chi(u + w),
-
-    with H(u) = sum_{x != 0, x^(n-h) = u} chi(x)^h, the count of the x with
-    chi(x^h) = +1 less the count of those with -1 (one integer bincount of
-    2 u + [chi(x^h) = -1] holds both).  x^(n-h) = x^((n-h) mod (p-1)) for
-    x != 0.  H lives on the (p - 1) / e values of x^(n-h), so the sums cost
-    (p - 1) / e per w.
-    """
-    p = ctx.p
-    chi = ctx.chi
-    u = powmod_vec(np.arange(1, p, dtype=np.int64), (n - h) % (p - 1), p)
-    key = 2 * u
-    if h % 2:
-        key += chi[1:] < 0
-    counts = np.bincount(key, minlength=2 * p).reshape(p, 2)
-    H = counts[:, 0] - counts[:, 1]
-    us = np.flatnonzero(H)
-    a = -(np.concatenate((chi, chi))[ws[:, None] + us] @ H[us])
-    return a - chi[ws] if h == 0 else a
-
-
 def second_moment_closed(fam: PowerFamily, p):
     """Closed-form p * A_2(p); None when gcd(k, n-h, p-1) != 1.
 
@@ -189,21 +113,15 @@ def _applies(fam: PowerFamily, p):
     return _gcd(p - 1, gcd(fam.k, fam.n - fam.h)) == 1
 
 
-def _second_moment_row(fam: PowerFamily, p: int) -> int:
-    """The brute p * A_2(p) at one prime, which builds its own PrimeCtx; a
-    private module-level name, which a pool pickles by reference."""
-    return second_moment_brute(fam, PrimeCtx(p))
-
-
 def second_moment_scan(fam: PowerFamily, prange: PrimeRange, jobs: int = 1) -> list[tuple]:
     """(p, brute p*A_2, closed p*A_2, c2, c1) per prime, the last three None where
     the closed form does not apply; a range past the dense limit fails up front.
-    The brute column is one O(p) class sum a prime through ``scan``, which
-    starts a pool only once they have cost what one costs; the closed column is
-    one array pass in this process (:func:`_closed_rows`)."""
+    The brute column is ``_power_sums`` at r = 2, one O(p) class sum a prime,
+    pooled by its rule; the closed column is one array pass in this process
+    (:func:`_closed_rows`)."""
     check_dense_range(prange.lo, prange.hi, prange.skip)
     primes = primes_in(prange)
-    brute = scan(partial(_second_moment_row, fam), primes, jobs)
+    brute = _power_sums(power_poly(fam.n, fam.h, fam.k), 2, primes, jobs)
     return [(p, b, None, None, None) if row is None else (p, b, row.p_a2, row.c2, row.c1)
             for p, b, row in zip(primes, brute, _closed_rows(fam, primes))]
 

@@ -501,14 +501,15 @@ def test_fft_rounding_guard_is_internal_failure(capsys, monkeypatch, shift):
     import numpy as np
 
     from hyprank.finite_field import InternalCheckError, PrimeCtx
-    from hyprank.moments import make_power, power_sum
+    from hyprank.moments import make_shift_square, power_sum
+    from hyprank.polynomials import parse_int_poly
 
-    # the power families' moment scan takes the FFT row; second-moment needs none
+    # shift_square at r = 2 takes the FFT row; the power shapes' class sums need none
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + shift)
     with pytest.raises(InternalCheckError):
-        power_sum(make_power(5, 0, 1), 2, PrimeCtx(101))
-    code = main(["moments", "--family", "builtin:power:5,0,1", "--r", "2", "--pmax", "20"])
+        power_sum(make_shift_square(parse_int_poly(F3)), 2, PrimeCtx(101))
+    code = main(["moments", "--family", "builtin:shift_square", "--f", F3, "--r", "2", "--pmax", "20"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""

@@ -1052,7 +1052,7 @@ def test_quadratic_row_at_larger_primes(p, disc):
 def test_quadratic_row_matches_euler_on_families(text, genus):
     fam = fam_of(text, genus)
     for p in (3, 5, 7, 11, 13, 31):
-        assert window_power_sums(fam.t_coeffs, p) == row_power_sums(euler_trace_row(fam.F, p)), p
+        assert window_power_sums(fam.F.t_coeffs, p) == row_power_sums(euler_trace_row(fam.F, p)), p
 
 
 def test_quadratic_row_sums_full_chunks_of_equal_windows():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hyprank import _kernels, curves, finite_field, moments
+from hyprank import _kernels, curves, moments
 from hyprank.construction import RootData, build_family
 from hyprank.curves import HyperFamily, trace_row
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
@@ -80,22 +80,20 @@ def test_make_big_rank_checks_the_family_once(monkeypatch):
     assert make_big_rank(cr, "named").label == "named" and fam.label == cr.family.label
 
 
-def test_power_sum_takes_the_callers_context_to_the_trace_row(monkeypatch):
-    # deg_T 3: every prime takes its trace row, at the caller's context and table
+def test_power_sum_builds_one_context_at_its_prime(monkeypatch):
+    # deg_T 3: every prime takes its trace row; power_sum passes the prime of
+    # the caller's context to the route of a scan, whose task builds its own
     fam = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
-    ctxs = [PrimeCtx(p) for p in (5, 101, 307)]
-    for ctx in ctxs:
-        ctx.chi
-    built, tables = [], []
-    real_ctx, real_tables = moments.PrimeCtx, finite_field.chi_tables
+    primes = (5, 101, 307)
+    built = []
+    real_ctx = moments.PrimeCtx
     monkeypatch.setattr(moments, "PrimeCtx", lambda p: built.append(p) or real_ctx(p))
-    monkeypatch.setattr(finite_field, "chi_tables", lambda ps: tables.append(ps) or real_tables(ps))
-    sums = [power_sum(fam, r, ctx) for ctx in ctxs for r in (1, 2)]
-    assert built == [] and tables == []
-    assert moment_series(fam, 1, PrimeRange(101, 101)).rows[0].value * 101 == sums[2]
-    assert built == [101] and len(tables) == 1  # a scan builds its own
+    sums = [power_sum(fam, r, PrimeCtx(p)) for p in primes for r in (1, 2)]
+    assert built == [5, 5, 101, 101, 307, 307] and all(type(p) is int for p in built)
+    series = [moment_series(fam, r, PrimeRange(p, p)).rows[0].p_times_A for p in primes for r in (1, 2)]
+    assert series == sums
     monkeypatch.undo()
-    assert sums == [sum(a**r for a in trace_row(fam, ctx)) for ctx in ctxs for r in (1, 2)]
+    assert sums == [sum(a**r for a in trace_row(fam, PrimeCtx(p))) for p in primes for r in (1, 2)]
 
 
 def test_predict_first_moment_examples():
@@ -270,9 +268,9 @@ def test_small_primes_of_a_high_degree_cofactor_count_roots_by_evaluation(f, pma
     poly = None if "T" in f else parse_int_poly(f)
     fam = HyperFamily("odd k", 10, parse_bipoly(f)) if poly is None else make_shift_square(poly)
     primes = primes_in(PrimeRange(3, pmax))
-    route = with_none(*_kernels.first_sum_roots(fam.t_coeffs, primes))
+    route = with_none(*_kernels.first_sum_roots(fam.F.t_coeffs, primes))
     assert None not in route
-    assert route == _kernels.first_sum_vec(fam.t_coeffs, primes).tolist()
+    assert route == _kernels.first_sum_vec(fam.F.t_coeffs, primes).tolist()
     rows = moment_series(fam, 1, PrimeRange(3, pmax)).rows
     for row, s in zip(rows, route, strict=True):
         ctx = PrimeCtx(row.p)
@@ -384,6 +382,50 @@ def test_higher_moment_scans_route_each_prime_by_its_shape(monkeypatch):
         assert moment_series(fam, 2, prange, jobs=2) == moment_series(fam, 2, prange), fam.label
 
 
+def test_power_shapes_take_the_class_sums_at_r_2(monkeypatch, capsys):
+    # x^n + x^h T^k with unit coefficients takes one coset-class sum a prime
+    # at r = 2 and no trace kernel; the class sums are checked against the FFT
+    # and dense rows in test_second_moment
+    import hashlib
+
+    from hyprank.cli import main
+
+    def kernel(rows, ctx):
+        raise AssertionError("trace kernel called")
+
+    for name in ("trace_row_vec", "correlation_row"):
+        monkeypatch.setattr(_kernels, name, kernel)
+    classes = []
+    class_sum = moments._brute
+    monkeypatch.setattr(moments, "_brute", lambda *args: classes.append(args[3].p) or class_sum(*args))
+    prange = PrimeRange(3, 400)
+    primes = primes_in(prange)
+    fams = [make_power(n, h, k) for n in (3, 5, 7) for h in (0, 1) for k in range(n)]
+    for fam in fams + [HyperFamily("x^5 + x*T^2", 2, parse_bipoly("x^5 + x*T^2"))]:
+        classes.clear()
+        assert [row.p for row in moment_series(fam, 2, prange).rows] == primes
+        assert classes == primes, fam.label
+    # pooled after the first prime, two worker processes give the same series
+    monkeypatch.setattr(moments, "POOL_START_S", 0)
+    assert moment_series(fams[-1], 2, prange, jobs=2) == moment_series(fams[-1], 2, prange)
+    monkeypatch.undo()
+    # a coefficient other than 1 keeps the FFT row, with the bytes recorded
+    # while every power shape still took it
+    rows = []
+    correlation_row = _kernels.correlation_row
+    monkeypatch.setattr(_kernels, "correlation_row", lambda *a: rows.append(a[1].p) or correlation_row(*a))
+    for expr, stdout_sha256 in (
+        ("x^5 + 3*x*T^2", "ef77c96f56f58d2497f452f584b97aad23e3f623cf04869dd4a85e078ef5568c"),
+        ("2*x^5 + x*T^2", "564cf71272f16f70171bb4526ea6b27976e009fa7e0372985720b7ba06c87066"),
+    ):
+        rows.clear()
+        code = main(["moments", "--r", "2", "--family-expr", expr, "--genus", "2", "--pmax", "400"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256, expr
+        assert rows == primes, expr
+
+
 def test_scan_pools_the_rest_once_its_items_have_cost_a_pool(monkeypatch):
     """On a fake clock, each item (value, seconds) costs its seconds."""
     import concurrent.futures
@@ -490,7 +532,8 @@ def _scan_tasks(tree) -> set:
 def test_scan_is_the_only_prime_driver():
     # outside moments.scan nothing starts a pool, outside the per-prime tasks
     # that scan runs (and the enumeration oracles) nothing builds a per-prime
-    # context, and the CLI never walks primes
+    # context, the CLI never walks primes, and second_moment leaves both to
+    # _power_sums
     src = Path(moments.__file__).parent
     builders = set()
     for path in sorted(src.glob("*.py")):
@@ -512,11 +555,13 @@ def test_scan_is_the_only_prime_driver():
                 if name == "PrimeCtx":
                     assert where in tasks, (path.name, node.lineno)
                     builders.add(where)
+                if path.name == "second_moment.py":
+                    assert name not in ("scan", "PrimeCtx"), node.lineno
         if path.name == "cli.py":
             imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
             assert not imported & {"PrimeCtx", "primes_in"}
     # the first-moment blocks build none
-    assert builders == {"_power_sum", "_second_moment_row"}
+    assert builders == {"_power_sum", "_class_sum"}
 
 
 def test_only_the_cli_imports_the_oracles():
@@ -600,8 +645,8 @@ def test_first_moment_stages_take_no_primes():
     cr = build_family(RootData(1, (1, 2, 3, 4, 5, 6)))
     families = [make_shift_square(f), make_linear_twist(f), make_big_rank(cr)]
     for fam in families:
-        parts = [*_kernels.first_sum_roots(fam.t_coeffs, []), *fam.closed_form([]),
-                 *linear_factor_counts(f, []), moments._power_sums(fam, 1, [], 1)]
+        parts = [*_kernels.first_sum_roots(fam.F.t_coeffs, []), *fam.closed_form([]),
+                 *linear_factor_counts(f, []), moments._power_sums(fam.F, 1, [], 1)]
         assert [(type(v), v.size) for v in parts] == [(np.ndarray, 0)] * len(parts), fam.label
     assert degree_patterns_mod(f, []) == []
     bad = sorted(p for p in cr.family.bad_primes if p < 20)
