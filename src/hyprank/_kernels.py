@@ -57,9 +57,11 @@ below 2^53, so it is exact in any order of summation, and it refuses larger
 m and p (see :func:`trace_row_vec`).  The kernels that are not a character
 sum, :func:`frobenius_gcd_degrees` and :func:`root_counts`, work across
 many odd primes at once, on (d, #primes) residue arrays with the primes on
-the contiguous axis: in int64 below FROB_LIMIT = 2^31, summing as many
-products before a reduction as 2^63 allows, else in Python ints, reducing
-every product.  The split of f that precedes them is exact over Z and made
+the contiguous axis: x^p by square-and-multiply, each gcd degree by one
+fraction-free Euclid and the chain x^(p^i) by the Frobenius matrix, all
+in int64 below FROB_LIMIT = 2^31, summing as many products before a
+reduction as 2^63 allows, else in Python ints, reducing every product.
+The split of f that precedes them is exact over Z and made
 once per f: Fujiwara's bound B on its roots in integers, f at every residue
 of one prime q > 2B, and each lifted zero checked in Python ints
 (:func:`_integer_roots`), with no BLAS or LAPACK call.
@@ -529,13 +531,13 @@ def root_counts(f, primes, signed: bool = False) -> np.ndarray:
     g, and G+ and G- come from :func:`_square_root_counts`; both hold
     whether or not g is squarefree mod p, since x^p - x and
     x^((p - 1)/2) -+ 1 are.  At p <= deg g, G is read off g's values at
-    the p residues, O(p d) against the chain's O(d^3).  Neither runs where
+    the p residues, O(p d) against the chain's O(d^2 log p).  Neither runs where
     g is a constant, as it is wherever f splits over Z (big_rank's D, and
     the f of shift_square and linear_twist with integer roots): then a
     prime costs one residue of each K_i, and signed, Euler's criterion on
     the r_i that are no squares in Z (:func:`_integer_characters`).  More
     than FROB_BLOCK primes go by blocks (:func:`_by_block`), so the
-    (#keys, #primes) and (d, d, #primes) arrays stay one block wide.
+    (#keys, #primes) arrays stay one block wide.
     """
     p = prime_array(primes)
     if len(p) > FROB_BLOCK:
@@ -941,26 +943,37 @@ def frobenius_gcd_degrees(f, primes, depth: int = 1) -> np.ndarray:
     polynomial of degree d >= 1 whose lead no prime divides; every prime is
     odd.  The residues mod f-bar, the monic f mod p, are coefficient-major
     (d, #primes) arrays, so every array operation runs along the primes:
-    x^p by :func:`_x_power`, and x^(p^i) as x^(p^(i-1)) composed with x^p.
-    D_i is the kernel dimension of the multiplication by h = x^(p^i) - x on
-    F_p[x]/(f-bar) (:func:`_gcd_degrees`).  Below FROB_LIMIT the rows are
-    int64 and :func:`_mulmod` sums up to k = (2^63 - 1 - p_max) // (p_max - 1)^2
-    products before it reduces; from FROB_LIMIT on they are Python ints,
-    and k = 1 reduces every product.  More than FROB_BLOCK primes go by
-    blocks (:func:`_by_block`).
+    x^p by :func:`_x_power`, and each D_i by one Euclid (:func:`_gcd_degrees`).
+    At depth > 1 the Frobenius matrix Q, whose column j is x^(p j) mod
+    f-bar, is built once from x^p by d - 2 products (:func:`_mulmod`); as
+    y -> y^p is linear over F_p, x^(p^i) = Q x^(p^(i-1)) (Berlekamp, Bell
+    Syst. Tech. J. 46, 1967), O(d^2) a step.  Q holds d^2 residues a prime.
+    Below FROB_LIMIT the rows are int64 and every sum of products takes up
+    to k = (2^63 - 1 - p_max) // (p_max - 1)^2 of them before it reduces;
+    from FROB_LIMIT on they are Python ints, and k = 1 reduces every
+    product.  More than FROB_BLOCK primes go by blocks (:func:`_by_block`).
     """
     if not len(primes):
         return np.zeros((0, depth), dtype=np.int64)
     if len(primes) > FROB_BLOCK:
         return _by_block(functools.partial(frobenius_gcd_degrees, f, depth=depth), prime_array(primes))
     p, neg_m, k = _residue_ring(f, primes)
-    one = np.zeros_like(neg_m)
-    one[0] = 1
-    x = _times_x(one, neg_m, p)  # x mod f-bar, also for d = 1
-    xp = _x_power(p, neg_m, p, k)
+    x = _x_power(np.ones_like(p), neg_m, p, k)  # x mod f-bar, also for d = 1
+    y = _x_power(p, neg_m, p, k)
+    if depth > 1:  # the columns x^(p j), j < d, of Q
+        q = [np.zeros_like(y), y][: len(y)]
+        q[0][0] = 1
+        for _ in range(len(y) - 2):
+            q.append(_mulmod(q[-1], y, neg_m, p, k))
     out = np.empty((len(p), depth), dtype=np.int64)
     for i in range(depth):
-        y = _compose(y, xp, neg_m, p, k) if i else xp
+        if i:  # y^p = sum_j y_j q_j, reduced as in _mulmod
+            z = np.zeros_like(y)
+            for j, col in enumerate(q):
+                if j and j % k == 0:
+                    z %= p
+                z += col * y[j]
+            y = z % p
         out[:, i] = _gcd_degrees((y - x) % p, neg_m, p)
     return out
 
@@ -971,9 +984,8 @@ def _square_root_counts(f, primes) -> tuple[np.ndarray, np.ndarray]:
 
     A nonzero root r is a square exactly where r^((p - 1)/2) = 1, so
     N+- = deg gcd(f mod p, h -+ 1) with h = x^((p - 1)/2) mod f-bar
-    (:func:`_x_power`).  Both are kernel dimensions (:func:`_gcd_degrees`),
-    ranked one after the other, so the rank holds one (d, d, #primes)
-    matrix at a time.
+    (:func:`_x_power`): two Euclid degrees (:func:`_gcd_degrees`) on
+    (d + 1, #primes) arrays.
     """
     p, neg_m, k = _residue_ring(f, primes)
     h = _x_power(p >> 1, neg_m, p, k)
@@ -1003,8 +1015,8 @@ def _residue_ring(f, primes):
 def _x_power(e: np.ndarray, neg_m: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
     """x^e mod the monic x^d - neg_m(x), with one exponent e >= 0 a prime.
 
-    Square-and-multiply over the bits of max(e); x y (:func:`_times_x`) is
-    reduced into y only at the primes whose e has the bit set.
+    Square-and-multiply over the bits of max(e); x y = y_(d-1) neg_m(x) +
+    (y shifted up) is reduced into y only at the primes whose e has the bit set.
     """
     y = np.zeros_like(neg_m)
     y[0] = 1
@@ -1019,16 +1031,34 @@ def _x_power(e: np.ndarray, neg_m: np.ndarray, p: np.ndarray, k: int) -> np.ndar
 def _gcd_degrees(h: np.ndarray, neg_m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """deg gcd(h, f-bar) at each prime, f-bar = x^d - neg_m(x), for (d, #primes) residues h.
 
-    That is the kernel dimension of the multiplication by h on
-    F_p[x]/(f-bar): d minus the rank of the matrix of rows h x^j, which
-    come from :func:`_times_x`.
+    Fraction-free Euclid on (d + 1, #primes) arrays stored from the top
+    coefficient down, with a formal degree per prime: a starts as h at
+    degree d - 1 and b as f-bar, and lead(b) stays nonzero.  Each step
+    forms c = lead(b) a - lead(a) b, whose rows are aligned at the top, so
+    that x^|deg a - deg b| needs no shift, and drops its top, which
+    cancels: where deg a >= deg b, or lead(a) = 0, c is a reduced; else
+    it is -(b reduced by a), and b takes a's place.  Every step keeps
+    gcd(a, b) up to a unit, with no inverse, and lowers deg a + deg b by
+    one, so there are at most 2d - 1 of them: deg gcd is deg b once a is
+    empty or b a constant.  The rows past every live degree are zero and
+    are cut off.
     """
-    d = len(h)
-    mult = np.empty((d, *h.shape), dtype=h.dtype)
-    mult[0] = h
-    for j in range(1, d):
-        mult[j] = _times_x(mult[j - 1], neg_m, p)
-    return d - _rank(mult, p)
+    d, n = h.shape
+    a = np.zeros((d + 1, n), dtype=h.dtype)
+    a[:d] = h[::-1]
+    b = np.concatenate((np.ones_like(a[:1]), -neg_m[::-1] % p))
+    da, db = np.full(n, d - 1), np.full(n, d)
+    while (live := (da >= 0) & (db > 0)).any():
+        rows = int(np.maximum(da, db)[live].max()) + 1
+        a, b = a[:rows], b[:rows]
+        swap = live & (a[0] != 0) & (da < db)
+        c = b[0] * a - a[0] * b
+        c %= p
+        b = np.where(swap, a, b)
+        c[:-1] = c[1:]
+        c[-1] = 0
+        a, da, db = c, np.where(swap, db, da) - 1, np.where(swap, da, db)
+    return db
 
 
 def _lazy_products(pmax: int) -> int:
@@ -1038,47 +1068,6 @@ def _lazy_products(pmax: int) -> int:
     (k >= 2 below FROB_LIMIT); 1 where there is none, for the Python ints.
     """
     return max(1, ((1 << 63) - 1 - pmax) // (pmax - 1) ** 2)
-
-
-def _rank(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rank of each (d, d) residue matrix a[:, :, k] mod p[k]; overwrites a.
-
-    Fraction-free elimination by columns c: each prime's pivot is its first
-    unused row nonzero at c, and every other unused row r becomes
-    pivot_c * r - r_c * pivot, with no inverse.  Column c and the pivot
-    row are reduced mod p before they are used, and the other columns only
-    once the next step could pass 2^63 (``bound`` holds the largest
-    absolute value an entry may have): below p = 2^10 that is every fifth
-    column.  Python-int matrices are reduced at every step.  The rows above
-    the first unused row of every prime are left alone: no step reads them
-    again.
-    """
-    d, ks = len(a), np.arange(a.shape[2])
-    free = np.ones((d, len(ks)), dtype=bool)  # rows not yet taken as a pivot
-    top = int(p.max()) - 1
-    room = (1 << 63) - 1 if a.dtype == np.int64 else 0
-    bound = top
-    for c in range(d):
-        lo = int(free.argmax(axis=0).min())  # rows above lo are pivots at every prime
-        col = a[lo:, c]
-        if bound > top:
-            col %= p
-        nonzero = (col != 0) & free[lo:]
-        found = nonzero.any(axis=0)
-        r = nonzero.argmax(axis=0) + lo
-        free[r, ks] &= ~found
-        cleared = (free[lo:] & found)[:, None]
-        rest = a[lo:, c + 1 :]
-        if (bound + top) * top > room:
-            rest %= p
-            bound = top
-        pivot = a[r, c + 1 :, ks].T
-        if bound > top:
-            pivot %= p
-        rest *= np.where(cleared, a[r, c, ks], 1)
-        rest -= np.where(cleared, col[:, None], 0) * pivot
-        bound = (bound + top) * top
-    return d - free.sum(axis=0)
 
 
 def residues(c: int, p: np.ndarray) -> np.ndarray:
@@ -1150,21 +1139,3 @@ def _mulmod(a: np.ndarray, b: np.ndarray, neg_m: np.ndarray, p: np.ndarray, k: i
         prod[c - d : c] += prod[c] % p * neg_m
         load += 1
     return prod[:d] % p
-
-
-def _times_x(y: np.ndarray, neg_m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x * y mod the monic x^d - neg_m(x); one product per coefficient, then one reduction."""
-    z = y[-1] * neg_m
-    z[1:] += y[:-1]
-    z %= p
-    return z
-
-
-def _compose(g: np.ndarray, h: np.ndarray, neg_m: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
-    """g(h) mod the monic x^d - neg_m(x), by Horner's rule."""
-    acc = np.zeros_like(g)
-    acc[0] = g[-1]
-    for c in range(len(g) - 2, -1, -1):
-        acc = _mulmod(acc, h, neg_m, p, k)
-        acc[0] = (acc[0] + g[c]) % p
-    return acc

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprank import _kernels, polynomials
-from hyprank._kernels import FROB_LIMIT, _lazy_products, _mulmod, _rank
+from hyprank._kernels import FROB_LIMIT, _gcd_degrees, _lazy_products, _mulmod, root_counts
 from hyprank.construction import RootData, build_family
 from hyprank.finite_field import PrimeCtx, PrimeRange, is_prime, primes_in
 from hyprank.polynomials import (
@@ -25,6 +25,7 @@ from hyprank.polynomials import (
     degree_patterns_mod,
     linear_factor_counts,
     mod_gcd,
+    mod_pow,
     parse_bipoly,
     parse_int_poly,
     reduce_mod,
@@ -469,6 +470,86 @@ def test_batched_frobenius_across_the_exactness_bound():
         _assert_batch_matches_per_prime(f, _straddling_primes())
 
 
+# degree 10 to 40: k integer roots in [-6, 6], repeated wherever k > 13, times a
+# cofactor with coefficients of up to 100 bits and a lead that 3, 5 or 7 may divide
+@st.composite
+def _high_degree_polys(draw):
+    d = draw(st.integers(10, 40))
+    roots = draw(st.lists(st.integers(-6, 6), max_size=min(d, 16)))
+    lead = draw(_LEAD) * draw(st.one_of(st.just(1), st.integers(-(2**100), 2**100).filter(bool)))
+    low = draw(st.lists(_COEFF, min_size=d - len(roots), max_size=d - len(roots)))
+    return IntPoly.from_roots(roots) * IntPoly(low + [lead])
+
+
+def _signed_roots(f: IntPoly, p: int) -> tuple[int, int]:
+    """(#R, sum over R of (s/p)), R the distinct roots of f mod p: by
+    enumeration where p <= 300, else by gcds with x^((p - 1)/2) -+ 1."""
+    if p <= 300:
+        cs = [c % p for c in f.coeffs]
+        roots = [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(cs)) % p == 0]
+        signs = [pow(x, (p - 1) // 2, p) for x in roots]
+        return len(roots), sum(1 if s == 1 else -1 for s in signs if s)
+    fbar = ModPoly(p, f.coeffs).monic()
+    half = mod_pow(ModPoly(p, (0, 1)), (p - 1) // 2, fbar)
+    plus, minus = (mod_gcd(fbar, half - ModPoly(p, (c,))).degree for c in (1, -1))
+    return plus + minus + (f.coeffs[0] % p == 0), plus - minus
+
+
+def _assert_engine_matches_references(f, primes):
+    expected = [degree_pattern_mod(f, PrimeCtx(p)) for p in primes]
+    assert degree_patterns_mod(f, primes) == expected
+    assert with_none(*linear_factor_counts(f, primes)) == [None if pat is None else pat.count(1)
+                                                           for pat in expected]
+    live = [p for p in primes if f.lead % p]
+    counts = [_signed_roots(f, p) for p in live]
+    assert root_counts(f.coeffs, live).tolist() == [n for n, _ in counts]
+    assert root_counts(f.coeffs, live, signed=True).tolist() == [s for _, s in counts]
+
+
+@settings(max_examples=8, deadline=None)
+@given(_high_degree_polys())
+def test_engine_matches_references_at_high_degree_hypothesis(f):
+    # every odd prime up to 300, where p | lead(f), p | disc(f) and p <= deg f are common
+    _assert_engine_matches_references(f, primes_in(PrimeRange(3, 300)))
+
+
+def test_engine_matches_references_at_high_degree_across_the_exactness_bound():
+    # the lead's factor 2^31 - 1 is one of the primes: there the lift of f mod p is scanned
+    rng = random.Random(31)
+    f = IntPoly.from_roots([3, 3, -5, 2**40]) * IntPoly(
+        [rng.randint(-(2**100), 2**100) for _ in range(26)] + [2**31 - 1])
+    assert f.degree == 30
+    _assert_engine_matches_references(f, _straddling_primes())
+
+
+def _assert_stickelberger(f: IntPoly, primes):
+    """(-1)^(d - r) = (disc f / p) at every odd prime dividing neither lead(f)
+    nor disc(f), r the number of irreducible factors of f mod p (Stickelberger)."""
+    d = f.degree
+    disc = (-1) ** (d * (d - 1) // 2) * polynomials._resultant(f, f.derivative()) // f.lead
+    assert disc
+    checked = 0
+    for p, pattern in zip(primes, degree_patterns_mod(f, primes)):
+        if f.lead % p and disc % p and pattern is not None:
+            chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+            assert (-1) ** (d - len(pattern)) == chi, (str(f), p, pattern)
+            checked += 1
+    assert checked > len(primes) // 2
+
+
+def test_degree_patterns_keep_stickelbergers_parity():
+    # a check that shares no code with the engine: the resultant by
+    # subresultants over Z and Euler's criterion in Python ints
+    primes = primes_in(PrimeRange(3, 2 * 10**4))
+    rng = random.Random(1967)
+    fs = [parse_int_poly("x^3 + x + 1")]
+    for d in range(3, 13):
+        fs.append(IntPoly([rng.randint(-50, 50) for _ in range(d)] + [rng.choice([1, 2, 3, -7])]))
+    for f in fs:
+        _assert_stickelberger(f, primes)
+    _assert_stickelberger(parse_int_poly("x^41 + x + 1"), primes_in(PrimeRange(3, 2000)))
+
+
 def test_batched_frobenius_above_two_to_the_sixty_one():
     # is_prime over a short window: primes_in would first sieve up to sqrt(hi)
     primes = [n for n in range(2**61 - 300, 2**61 + 300) if is_prime(n)]
@@ -676,39 +757,31 @@ def test_subresultant_matches_euclid_over_q():
     assert polynomials._resultant(IntPoly(()), IntPoly((1, 1))) == 0
 
 
-def _rank_mod(rows, p):
-    """Rank mod p by plain Gaussian elimination with modular inverses."""
-    rows, rank = [list(r) for r in rows], 0
-    for c in range(len(rows)):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        for i in range(rank + 1, len(rows)):
-            k = rows[i][c] * inv % p
-            rows[i] = [(a - k * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 @pytest.mark.parametrize("p", [10007, 2**31 - 1, 2**31 + 11], ids=["1e4", "below_2^31", "above_2^31"])
-def test_rank_kernel_matches_gaussian_elimination(p):
+def test_gcd_degrees_match_mod_gcd(p):
+    # one column per case at one prime: a seeded monic f-bar with h = 0, 1,
+    # every coefficient p - 1 and random h; and f-bar = (x - r_1)...(x - r_d)
+    # with h a unit times (x - r_1)...(x - r_k), k < d, so that every gcd
+    # degree 0..d occurs
     rng = random.Random(p)
-    for d in range(1, 10):
-        def low_rank(k):  # a d x k times a k x d product has rank <= k
-            b = [[rng.randrange(p) for _ in range(k)] for _ in range(d)]
-            c = [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
-            return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*c)] for row in b]
-
-        mats = [[[0] * d for _ in range(d)], [[int(i == j) for j in range(d)] for i in range(d)],
-                [[p - 1] * d for _ in range(d)]]
-        mats += [[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(3)]
-        mats += [low_rank(k) for k in range(1, d)]
-        dtype = np.int64 if p < FROB_LIMIT else object
-        a = np.ascontiguousarray(np.moveaxis(np.array(mats, dtype=dtype), 0, -1))
-        got = _rank(a, np.full(len(mats), p, dtype=dtype)).tolist()
-        assert got == [_rank_mod(m, p) for m in mats], d
+    dtype = np.int64 if p < FROB_LIMIT else object
+    for d in [*range(1, 10), 40]:
+        fbar = [rng.randrange(p) for _ in range(d)] + [1]
+        cases = [(fbar, [0] * d), (fbar, [1] + [0] * (d - 1)), (fbar, [p - 1] * d)]
+        cases += [(fbar, [rng.randrange(p) for _ in range(d)]) for _ in range(3)]
+        linear = [ModPoly(p, (-r, 1)) for r in rng.sample(range(p), d)]
+        split, part = ModPoly(p, (1,)), ModPoly(p, (rng.randrange(1, p),))
+        for factor in linear:
+            split = split * factor
+        for factor in linear:
+            cases.append((split.coeffs, list(part.coeffs) + [0] * (d - len(part.coeffs))))
+            part = part * factor
+        neg_m, h = (np.array([[-c % p for c in f[:-1]] for f, _ in cases], dtype=dtype).T,
+                    np.array([h for _, h in cases], dtype=dtype).T)
+        got = _gcd_degrees(h, neg_m, np.full(len(cases), p, dtype=dtype)).tolist()
+        want = [mod_gcd(ModPoly(p, f), ModPoly(p, h)).degree for f, h in cases]
+        assert got == want, d
+        assert sorted(got[6:]) == list(range(d)) and got[0] == d
 
 
 def _mulmod_reference(a, b, neg_m, p):
