@@ -27,12 +27,13 @@ and for every r = 2 scan of that shape.
   for any F at most quadratic in T, rank-one mod p or not (the r >= 2
   moments of big_rank), by completing the square: each trace row is a
   signed sum of windows of the per-prime table chi(u^2 + d);
-- :func:`correlation_row` gives every trace in O(p log p), by FFT, when
-  F = c(x) + g(x) W(T) mod p (shift_square, linear_twist, the power
-  families at r != 2, ...); it returns None for any other shape;
+- :func:`correlation_row` gives every trace in O(p log p), by FFT, for
+  F = c(x) + g(x) W(T) over Z (shift_square, linear_twist, the power
+  families at r != 2, ...): that split, ``curves.rank_one_split``, made
+  once per F, picks the kernel of every trace row;
 - :func:`trace_row_vec` gives every trace in O(p^2) for any F.  It is the
-  reference the others are tested against, and the path for
-  deg_T F >= 3.
+  reference the others are tested against, and the path for every F with
+  no split and deg_T F >= 3.
 
 The two block kernels take no per-prime context: they work on a block of
 primes (:func:`prime_blocks`, of BLOCK_CELLS cells) at once, with the cells
@@ -250,13 +251,14 @@ def trace_row_vec(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray | None:
-    """The traces of :func:`trace_row_vec` in O(p log p), or None.
+def correlation_row(c, g, w, ctx: PrimeCtx) -> np.ndarray:
+    """The traces of :func:`trace_row_vec` in O(p log p), for F = c(x) + g(x) W(T).
 
-    Applies when every row j >= 1 is lambda_j times one row g mod p, that is
-    F = c(x) + g(x) W(T) with W(T) = sum_j lambda_j T^j (including the case
-    with no such row, where every a_t is the same).  Then, with
-    K = sum_{g(x)=0} chi(c(x)) and, over the x with g(x) != 0,
+    ``c`` and ``g`` are int64 rows of values mod p at every x (``c`` None
+    where c vanishes mod p; g, primitive, never does), and ``w`` the integer
+    coefficients, low to high, of W(T) = sum_{j >= 1} w_j T^j, as
+    ``curves.rank_one_split`` gives them.
+    With K = sum_{g(x)=0} chi(c(x)) and, over the x with g(x) != 0,
 
         H(v) = sum_{c(x)/g(x) = v} chi(g(x)),   C(w) = sum_v H(v) chi(v + w),
 
@@ -267,32 +269,13 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray | None:
     integers of size at most p: the float result is rounded, and
     InternalCheckError is raised unless it lies within ROUND_TOL of an
     integer everywhere and the rounded C sums to 0 (sum_w chi(v + w) = 0).
-
-    The rows are laid out as for :func:`trace_row_vec`.  The proportionality
-    test is exact in int64 (lambda_j * g < p^2 < 2^52).
     """
     p = ctx.p
     chi = ctx.chi
-    terms = _nonzero_terms(t_coeff_rows)
-    c = terms[0][1] if terms and terms[0][0] == 0 else np.zeros(p, dtype=np.int64)
-    g = None
-    lam = [0] * len(t_coeff_rows)
-    for j, row in terms:
-        if j == 0:
-            continue
-        if g is None:
-            nz = np.flatnonzero(row)
-            if not len(nz):
-                continue  # a nonzero polynomial can vanish at every x, e.g. x^p - x
-            g, x0 = row, int(nz[0])
-            g0_inv = pow(int(g[x0]), p - 2, p)
-        lam[j] = int(row[x0]) * g0_inv % p
-        if np.any((row - lam[j] * g) % p):
-            return None
-    if g is None:
-        return np.full(p, -int(chi[c].sum(dtype=np.int64)), dtype=np.int64)
+    _nonzero_terms([c, *(g if wj % p else None for wj in w[1:])])  # the rows of trace_row_vec
     from numpy.fft import irfft, rfft  # deferred: keeps `import hyprank` light
 
+    c = np.zeros(p, dtype=np.int64) if c is None else c
     on = g != 0
     K = int(chi[c[~on]].sum(dtype=np.int64))
     gs = g[on]
@@ -310,8 +293,7 @@ def correlation_row(t_coeff_rows, ctx: PrimeCtx) -> np.ndarray | None:
     C = rounded.astype(np.int64)
     if int(C.sum()) != 0:
         raise InternalCheckError(f"FFT correlation at p = {p} does not sum to 0")
-    w = horner_vec(lam, np.arange(p, dtype=np.int64), p)
-    return -K - C[w]
+    return -K - C[horner_vec(w, np.arange(p, dtype=np.int64), p)]
 
 
 def _brute(n: int, h: int, k: int, ctx: PrimeCtx, include_t0: bool = True) -> int:
@@ -541,7 +523,7 @@ def root_counts(f, primes, signed: bool = False) -> np.ndarray:
     """
     p = prime_array(primes)
     if len(p) > FROB_BLOCK:
-        return _by_block(functools.partial(root_counts, f, signed=signed), p)
+        return _by_block(functools.partial(root_counts, f, signed=signed), p, FROB_BLOCK)
     roots, g, keys = _split_roots(tuple(f))
     live = np.array([residues(key, p) != 0 for key in keys], dtype=bool).reshape(len(keys), len(p))
     count = (live * _integer_characters(roots, p) if signed else live).sum(axis=0)
@@ -559,9 +541,9 @@ def root_counts(f, primes, signed: bool = False) -> np.ndarray:
     return count
 
 
-def _by_block(read, p: np.ndarray) -> np.ndarray:
-    """``read`` on each run of FROB_BLOCK primes of p (looked up at call time), joined in order."""
-    return np.concatenate([read(p[lo : lo + FROB_BLOCK]) for lo in range(0, len(p), FROB_BLOCK)])
+def _by_block(read, p: np.ndarray, size: int) -> np.ndarray:
+    """``read`` on each run of ``size`` primes of p, joined in order."""
+    return np.concatenate([read(p[lo : lo + size]) for lo in range(0, len(p), size)])
 
 
 @functools.lru_cache(maxsize=16)
@@ -947,16 +929,19 @@ def frobenius_gcd_degrees(f, primes, depth: int = 1) -> np.ndarray:
     At depth > 1 the Frobenius matrix Q, whose column j is x^(p j) mod
     f-bar, is built once from x^p by d - 2 products (:func:`_mulmod`); as
     y -> y^p is linear over F_p, x^(p^i) = Q x^(p^(i-1)) (Berlekamp, Bell
-    Syst. Tech. J. 46, 1967), O(d^2) a step.  Q holds d^2 residues a prime.
-    Below FROB_LIMIT the rows are int64 and every sum of products takes up
-    to k = (2^63 - 1 - p_max) // (p_max - 1)^2 of them before it reduces;
-    from FROB_LIMIT on they are Python ints, and k = 1 reduces every
-    product.  More than FROB_BLOCK primes go by blocks (:func:`_by_block`).
+    Syst. Tech. J. 46, 1967), O(d^2) a step.  Q holds d^2 residues a prime,
+    so a block of :func:`_by_block` then takes at most FROB_BLOCK^2 // d^2
+    primes, not FROB_BLOCK, and Q at most FROB_BLOCK^2 residues for
+    d <= FROB_BLOCK.  Below FROB_LIMIT the rows are int64 and every sum of
+    products takes up to k = (2^63 - 1 - p_max) // (p_max - 1)^2 of them
+    before it reduces; from FROB_LIMIT on they are Python ints, and k = 1
+    reduces every product.
     """
     if not len(primes):
         return np.zeros((0, depth), dtype=np.int64)
-    if len(primes) > FROB_BLOCK:
-        return _by_block(functools.partial(frobenius_gcd_degrees, f, depth=depth), prime_array(primes))
+    size = FROB_BLOCK if depth == 1 else max(1, min(FROB_BLOCK, FROB_BLOCK**2 // (len(f) - 1) ** 2))
+    if len(primes) > size:
+        return _by_block(functools.partial(frobenius_gcd_degrees, f, depth=depth), prime_array(primes), size)
     p, neg_m, k = _residue_ring(f, primes)
     x = _x_power(np.ones_like(p), neg_m, p, k)  # x mod f-bar, also for d = 1
     y = _x_power(p, neg_m, p, k)

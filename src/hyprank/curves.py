@@ -8,6 +8,8 @@ Legendre sum of F(x, t) over x.
 from __future__ import annotations
 
 import copy
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .finite_field import PrimeCtx, check_dense
-from .polynomials import BiPoly, json_int, reduce_mod, squarefree_over_q
+from .polynomials import BiPoly, IntPoly, json_int, reduce_mod, squarefree_over_q
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +125,40 @@ def t_coeff_rows(F: BiPoly, ctx: PrimeCtx) -> list[np.ndarray | None]:
     return rows
 
 
+@functools.lru_cache(maxsize=16)
+def rank_one_split(F: BiPoly) -> Optional[tuple[IntPoly, IntPoly, IntPoly]]:
+    """(c, g, W) with F = c(x) + g(x) W(T) over Z, or None where there is none.
+
+    g is primitive with a positive lead and W = sum_{j >= 1} w_j T^j, whose
+    w_j are integers by Gauss's lemma.  None when two rows of T^j, j >= 1,
+    are not proportional; an F free of T gives g = 1 and W = 0.  The split,
+    made once per F and process, picks the trace kernel at every prime
+    (:func:`traces`) and, with deg_T F, the route of ``moments._power_sums``.
+    """
+    c, rows = F.t_coeff(0), [F.t_coeff(j) for j in range(1, F.deg_t + 1)]
+    first = next((row for row in rows if not row.is_zero), IntPoly.const(1))
+    unit = math.gcd(*first.coeffs) * (1 if first.lead > 0 else -1)
+    g = IntPoly([v // unit for v in first.coeffs])
+    w = [0] + [row.lead // g.lead if row.coeffs else 0 for row in rows]
+    return (c, g, IntPoly(w)) if all(row == g * wj for row, wj in zip(rows, w[1:])) else None
+
+
+def traces(F: BiPoly, ctx: PrimeCtx) -> np.ndarray:
+    """Traces of y^2 = F at t = 0..p-1, as an int64 array, exact: by
+    ``correlation_row``, O(p log p), where F splits over Z
+    (:func:`rank_one_split`), else by the dense ``trace_row_vec``, O(p^2)."""
+    split = rank_one_split(F)
+    if split is None:
+        return _kernels.trace_row_vec(t_coeff_rows(F, ctx), ctx)
+    c, g, W = split
+    p = ctx.p
+    check_dense(p)
+    xs = np.arange(p, dtype=np.int64)
+    c_row = _kernels.horner_vec(c.coeffs, xs, p) if any(v % p for v in c.coeffs) else None
+    return _kernels.correlation_row(c_row, _kernels.horner_vec(g.coeffs, xs, p), W.coeffs, ctx)
+
+
 def trace_row(fam: HyperFamily, ctx: PrimeCtx) -> list[int]:
     """Traces of every specialization t = 0..p-1 at one prime."""
     fam.check_prime(ctx)
-    return traces_from_rows(t_coeff_rows(fam.F, ctx), ctx).tolist()
-
-
-def traces_from_rows(rows, ctx: PrimeCtx) -> np.ndarray:
-    """Traces at t = 0..p-1, as an int64 array, from the T-coefficient rows
-    of ``t_coeff_rows``: ``correlation_row`` where F is rank-one mod p, else
-    the dense ``trace_row_vec``.  ``moments._power_sums`` says which scans
-    take a row: every prime of an F with deg_T F >= 3 over Z, and at r >= 2
-    of an F rank-one over Q, save the power shapes at r = 2.
-    """
-    row = _kernels.correlation_row(rows, ctx)
-    return _kernels.trace_row_vec(rows, ctx) if row is None else row
+    return traces(fam.F, ctx).tolist()

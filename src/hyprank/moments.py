@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels import (_brute, check_dense_range, first_sum_roots, first_sum_vec, power_total,
                        prime_array, prime_blocks, quadratic_power_sums, residues)
-from .curves import HyperFamily, t_coeff_rows, traces_from_rows
+from .curves import HyperFamily, rank_one_split, traces
 from .finite_field import PrimeCtx, PrimeRange, primes_in
 from .polynomials import (BiPoly, IntPoly, degree_patterns_mod, linear_factor_counts,
                           squarefree_over_q)
@@ -251,8 +251,7 @@ def scan(task, items: list, jobs: int = 1) -> list:
 def _power_sum(F: BiPoly, r: int, p: int) -> int:
     """p * A_r(p) from the trace row at p, for the F no other route takes.
     A private name, which a pool pickles by reference."""
-    ctx = PrimeCtx(p)
-    return power_total(traces_from_rows(t_coeff_rows(F, ctx), ctx), r)
+    return power_total(traces(F, PrimeCtx(p)), r)
 
 
 def _class_sum(n: int, h: int, k: int, p: int) -> int:
@@ -285,12 +284,12 @@ def _power_sums(F: BiPoly, r: int, primes, jobs: int):
     O(p d) for its values where p <= its degree.  The primes it declines,
     known from the family alone, take ``first_sum_vec``, O(p) with the sums
     over t and x swapped, in blocks with no per-prime context, and fill the
-    places its mask leaves.  For r >= 2 and F not rank-one over Q
-    (``_rank_one_in_t``) every prime takes the blocks of
-    ``quadratic_power_sums``, O(p^2) int8 copies.  Every other F takes one
-    trace row per prime (``_power_sum``): ``traces_from_rows`` gives it in
-    O(p log p) where F is rank-one mod p (``correlation_row``), else in
-    O(p^2) in float64 blocks (``trace_row_vec``, deg_T F >= 3), and
+    places its mask leaves.  Every other scan is routed by the split
+    F = c(x) + g(x) W(T) over Z (``curves.rank_one_split``): where
+    deg_T F <= 2 and F has none, every prime takes the blocks of
+    ``quadratic_power_sums``, O(p^2) int8 copies; else one trace row a
+    prime (``_power_sum``), by ``correlation_row`` in O(p log p) where F
+    splits and by ``trace_row_vec`` in O(p^2) where it does not, and
     ``power_total`` sums its r-th powers.  The class sums, the blocks and
     the rows go through ``scan``, which pools once they cost what a pool does."""
     if r == 2 and (shape := _power_shape(F)):
@@ -302,8 +301,7 @@ def _power_sums(F: BiPoly, r: int, primes, jobs: int):
         if left:
             sums[~answered] = np.concatenate(scan(partial(_block_sums, coeffs, 1), prime_blocks(left), jobs))
         return sums
-    if len(coeffs) <= 3 and not _rank_one_in_t(coeffs):
-        # at r >= 2 an F rank-one over Q takes the FFT row, O(p log p), instead
+    if len(coeffs) <= 3 and rank_one_split(F) is None:
         by_block = scan(partial(_block_sums, coeffs, r), prime_blocks(primes), jobs)
         return list(itertools.chain.from_iterable(by_block))
     sums = scan(partial(_power_sum, F, r), prime_array(primes).tolist(), jobs)
@@ -315,18 +313,6 @@ def _power_shape(F: BiPoly) -> Optional[tuple[int, int, int]]:
     n, ((h, k), c) = F.deg_x, min(F.terms.items(), default=((0, 0), 0))
     ok = len(F.terms) == 2 and n % 2 and F.terms.get((n, 0)) == c == 1 and h < n
     return (n, h, k) if ok else None
-
-
-def _rank_one_in_t(t_coeffs) -> bool:
-    """Whether every coefficient of T^j, j >= 1, is a rational multiple of one
-    polynomial g(x), so that ``correlation_row`` takes F at every prime."""
-    rows = [c for c in t_coeffs[1:] if any(c)]
-    if not rows:
-        return True
-    g = rows[0]
-    k = next(i for i, v in enumerate(g) if v)
-    return all(len(row) == len(g) and all(v * g[k] == w * row[k] for v, w in zip(row, g))
-               for row in rows[1:])
 
 
 def moment_series(fam: HyperFamily, r: int, prange: PrimeRange, jobs: int = 1) -> MomentSeries:

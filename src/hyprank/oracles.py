@@ -29,7 +29,8 @@ def trace_of_poly(fx: IntPoly, ctx: PrimeCtx) -> int:
 
     The per-fiber reference that the trace-row kernels are tested against;
     it holds for every fiber, singular ones and fibers whose reduction drops
-    degree included.  Scans take whole rows from ``curves.traces_from_rows`` instead.
+    degree included.  Scans take whole rows from ``curves.traces`` instead, whose
+    kernel the split of F over Z picks (``curves.rank_one_split``).
     """
     p = ctx.p
     check_dense(p)

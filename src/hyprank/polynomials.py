@@ -227,6 +227,9 @@ class BiPoly:
     def __eq__(self, other):
         return isinstance(other, BiPoly) and other.terms == self.terms
 
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
     def __repr__(self):
         return f"BiPoly({format_bipoly(self)!r})"
 

@@ -407,7 +407,7 @@ def test_second_moment_csv_and_bias(capsys):
 def test_second_moment_huge_n_runs_at_once(capsys, h, k):
     # x^n was once evaluated by Horner over an n-long coefficient list at every
     # prime: --n 2000001 --h 0 --k 1 --pmax 20 took 51 s and 78 MB
-    from hyprank.curves import t_coeff_rows, traces_from_rows
+    from hyprank.curves import traces
     from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
     from hyprank.polynomials import BiPoly
 
@@ -427,7 +427,7 @@ def test_second_moment_huge_n_runs_at_once(capsys, h, k):
         p = int(p)
         ctx = PrimeCtx(p)
         F = BiPoly.term(1, reduced(n, p), 0) + BiPoly.term(1, reduced(h, p), reduced(k, p))
-        assert int(brute) == sum(a * a for a in traces_from_rows(t_coeff_rows(F, ctx), ctx)), p
+        assert int(brute) == sum(a * a for a in traces(F, ctx)), p
         assert app == "0" or closed == brute, p
 
 

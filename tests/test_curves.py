@@ -24,7 +24,7 @@ from hyprank._kernels import (
     quadratic_power_sums,
     trace_row_vec,
 )
-from hyprank.curves import HyperFamily, t_coeff_rows, trace_row, traces_from_rows
+from hyprank.curves import HyperFamily, rank_one_split, t_coeff_rows, trace_row, traces
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import power_sum
 from hyprank.oracles import trace_of_poly
@@ -749,11 +749,14 @@ def test_correlation_row_matches_dense_and_euler(c, g_roots, g_cofactor, w, p):
     for j, wj in enumerate(w):
         F = F + BiPoly.from_x_poly(g * wj, t_power=j)
     xs = np.arange(p, dtype=np.int64)
-    rows = [horner_vec((c + g * w[0]).coeffs, xs, p)]
+    c0 = c + g * w[0]
+    rows = [horner_vec(c0.coeffs, xs, p)]
     rows += [None if wj % p == 0 else horner_vec((g * wj).coeffs, xs, p) for wj in w[1:]]
     ctx = PrimeCtx(p)
-    corr, dense = correlation_row(rows, ctx).tolist(), trace_row_vec(rows, ctx).tolist()
-    assert corr == dense == euler_trace_row(F, p)
+    c_row = horner_vec(c0.coeffs, xs, p) if any(v % p for v in c0.coeffs) else None
+    corr = correlation_row(c_row, horner_vec(g.coeffs, xs, p), [0, *w[1:]], ctx).tolist()
+    dense = trace_row_vec(rows, ctx).tolist()
+    assert corr == dense == traces(F, ctx).tolist() == euler_trace_row(F, p)
 
 
 HORNER_COEFFS = [0, 1, -1, 1 << 200, -(1 << 200)]
@@ -784,30 +787,104 @@ def test_horner_vec_matches_horner_in_python_ints(p):
             assert got.dtype == np.int64 and got.tolist() == want, (p, coeffs)
 
 
+def split_rows(F: BiPoly, ctx: PrimeCtx):
+    """The arguments of correlation_row from the split of F over Z, or None."""
+    split = rank_one_split(F)
+    if split is None:
+        return None
+    c, g, W = split
+    xs = np.arange(ctx.p, dtype=np.int64)
+    c_row = horner_vec(c.coeffs, xs, ctx.p) if any(v % ctx.p for v in c.coeffs) else None
+    return c_row, horner_vec(g.coeffs, xs, ctx.p), W.coeffs
+
+
+def proportional(rows) -> bool:
+    """Whether the nonzero coefficient lists are pairwise proportional: every
+    2 x 2 minor of each pair vanishes."""
+    rows = [r for r in rows if any(r)]
+    n = max(map(len, rows), default=0)
+    rows = [r + [0] * (n - len(r)) for r in rows]
+    return all(r[k] * s[m] == r[m] * s[k] for r in rows for s in rows for k in range(n) for m in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=st.lists(st.integers(-9, 9), max_size=4),
+    h=st.lists(st.integers(-6, 6), min_size=1, max_size=3).filter(any),
+    content=st.integers(1, 12),
+    a=st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+    bump=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.lists(st.integers(-2, 2), max_size=3))),
+)
+@example(c=[1, 0, 0, 1], h=[1, 1], content=1, a=[2, 0, 3], bump=None)  # (2x + 2) T + (3x + 3) T^3
+@example(c=[1], h=[0, -3], content=4, a=[0, -2, 0, 3], bump=None)  # content, negative lead, a zero row
+@example(c=[], h=[1], content=1, a=[0], bump=None)  # F = 0
+@example(c=[1, 0, 0, 1], h=[1, 1], content=1, a=[2, 0, 3], bump=(2, [0, 1]))  # not proportional
+def test_rank_one_split_is_exact_over_z(c, h, content, a, bump):
+    """Rows of T^1..T^len(a) are a_j * content * h, one of them bumped by a
+    polynomial that may break the proportionality: the split rebuilds F over
+    Z exactly where the rows are proportional, and its FFT row equals the
+    dense row at every odd prime <= 300."""
+    rows = [IntPoly(h) * (aj * content) for aj in a]
+    if bump is not None:
+        i = bump[0] % len(rows)
+        rows[i] = rows[i] + IntPoly(bump[1])
+    F = BiPoly.from_x_poly(IntPoly(c))
+    for j, row in enumerate(rows, 1):
+        F = F + BiPoly.from_x_poly(row, t_power=j)
+    split = rank_one_split(F)
+    assert (split is None) == (not proportional([list(row.coeffs) for row in rows]))
+    if split is not None:
+        c0, g, W = split
+        assert math.gcd(*g.coeffs) == 1 and g.lead > 0 and W.coeffs[:1] in ((), (0,))
+        rebuilt = BiPoly.from_x_poly(c0)
+        for j, wj in enumerate(W.coeffs):
+            rebuilt = rebuilt + BiPoly.from_x_poly(g * wj, t_power=j)
+        assert rebuilt == F
+    for p in ODD_PRIMES_TO_300:
+        ctx = PrimeCtx(p)
+        dense = trace_row_vec(t_coeff_rows(F, ctx), ctx).tolist()
+        assert traces(F, ctx).tolist() == dense, p
+        if split is not None:
+            assert correlation_row(*split_rows(F, ctx), ctx).tolist() == dense, p
+
+
 def test_trace_rows_are_int64_arrays_of_length_p():
-    """Every row kernel and traces_from_rows return an int64 array of length
-    p, the constant rows (no nonzero row, no T, a T-row zero at every x)
-    included, and all of them the same traces."""
+    """Every row kernel and traces return an int64 array of length p, the
+    constant rows (no nonzero row, no T, a T-row zero at every x) included,
+    and all of them the same traces."""
     for p in (3, 7, 101):
         ctx = PrimeCtx(p)
         c = horner_vec([1, 1, 0, 1], np.arange(p, dtype=np.int64), p)  # x^3 + x + 1
-        cases = [[None, None, None], [c], [c, np.zeros(p, dtype=np.int64)]]
-        cases += [t_coeff_rows(parse_bipoly(text), ctx) for text in (
-            "x^3 + x*T^2 + T + 1", "x^3 + x*T + 1", "x^3 + x*T^3 + T + 1")]
-        for rows in cases:
+        ones, zero = np.ones(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+        cases = [([None, None, None], (None, ones, ())), ([c], (c, ones, ())),
+                 ([c, zero], (c, zero, (0, 1)))]
+        cases = [(rows, [correlation_row(*split, ctx)]) for rows, split in cases]
+        for text in ("x^3 + x*T^2 + T + 1", "x^3 + x*T + 1", "x^3 + x*T^3 + T + 1"):
+            F = parse_bipoly(text)
+            split = split_rows(F, ctx)
+            others = [traces(F, ctx)] + ([] if split is None else [correlation_row(*split, ctx)])
+            cases.append((t_coeff_rows(F, ctx), others))
+        for rows, others in cases:
             dense = trace_row_vec(rows, ctx)
-            kernels = [dense, traces_from_rows(rows, ctx)]
-            kernels += [row for row in [correlation_row(rows, ctx)] if row is not None]
-            for row in kernels:
+            for row in [dense, *others]:
                 assert type(row) is np.ndarray and row.dtype == np.int64, (p, len(rows))
                 assert row.shape == (p,) and np.array_equal(row, dense), (p, len(rows))
 
 
-def test_correlation_row_declines_rows_that_are_not_proportional():
-    for text in ("x^3 + x*T^2 + T + 1", "x^3 + x*T^3 + T + 1"):
+def test_correlation_row_declines_rows_that_are_not_proportional(monkeypatch):
+    # rows that are not proportional over Z have no split, so every prime takes
+    # the dense kernel, 3 too, where x^3 T^3 + x T + 1 is rank-one as a function
+    calls = []
+    real = _kernels.correlation_row
+    monkeypatch.setattr(_kernels, "correlation_row", lambda *a: calls.append(a[-1].p) or real(*a))
+    for text in ("x^3 + x*T^2 + T + 1", "x^3 + x*T^3 + T + 1", "x^3*T^3 + x*T + 1"):
         fam = fam_of(text, 1)
-        ctx = PrimeCtx(101)
-        assert correlation_row(t_coeff_rows(fam.F, ctx), ctx) is None
+        assert rank_one_split(fam.F) is None
+        for p in (3, 5, 101):
+            ctx = PrimeCtx(p)
+            assert trace_row(fam, ctx) == trace_row_vec(t_coeff_rows(fam.F, ctx), ctx).tolist()
+            assert trace_row(fam, ctx) == euler_trace_row(fam.F, p), (text, p)
+    assert calls == []
 
 
 def test_first_sum_vec_refuses_cubic_rows():
@@ -822,6 +899,19 @@ def test_trace_row_refuses_many_rows():
     fam = HyperFamily("wide", 1, F)
     with pytest.raises(ValueError, match="2049 nonzero T-coefficient rows"):
         trace_row(fam, PrimeCtx(5))
+
+
+def test_both_trace_kernels_count_the_rows_mod_p():
+    # F = 5x^3 + T + ... + T^2047 splits over Z, and c = 5x^3 vanishes mod 5:
+    # 2047 nonzero rows there, which both kernels take, and 2048 at 7, which
+    # both refuse
+    F = BiPoly({(3, 0): 5, **{(0, j): 1 for j in range(1, 2048)}})
+    fam = HyperFamily("wide", 1, F)
+    ctx = PrimeCtx(5)
+    assert trace_row(fam, ctx) == trace_row_vec(t_coeff_rows(F, ctx), ctx).tolist()
+    for kernel in (lambda ctx: trace_row(fam, ctx), lambda ctx: trace_row_vec(t_coeff_rows(F, ctx), ctx)):
+        with pytest.raises(ValueError, match="2048 nonzero T-coefficient rows"):
+            kernel(PrimeCtx(7))
 
 
 def test_dense_paths_fail_fast_above_table_limit():
@@ -959,19 +1049,18 @@ def test_dense_kernel_at_maximal_entries(m, p):
     def mask(j):
         return np.where((xs * (j + 2) + j) % 3 == 0, p - 1, 0).astype(np.int64)
 
+    w = (0,) + (1,) * (m - 1)  # W = T + ... + T^(m-1)
     cases = {
-        "all p - 1": ([top] * m, True),
-        "one mask for T^j, j >= 1": ([mask(0)] + [mask(1)] * (m - 1), True),
-        "a mask per row": ([mask(j) for j in range(m)], False),
+        "all p - 1": ([top] * m, (top, top, w)),
+        "one mask for T^j, j >= 1": ([mask(0)] + [mask(1)] * (m - 1), (mask(0), mask(1), w)),
+        "a mask per row": ([mask(j) for j in range(m)], None),
     }
     ctx = PrimeCtx(p)
-    for name, (rows, rank_one) in cases.items():
+    for name, (rows, split) in cases.items():
         dense = trace_row_vec(rows, ctx).tolist()
-        corr = correlation_row(rows, ctx)
+        rank_one = split is not None
         if rank_one:
-            assert corr is not None, name
-        if corr is not None:
-            assert dense == corr.tolist(), name
+            assert dense == correlation_row(*split, ctx).tolist(), name
         if m <= 3:
             # first_sum_vec takes coefficients: those of degree < p that give each row
             coeffs = [interpolate_mod_p(row, p) for row in rows]

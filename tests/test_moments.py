@@ -165,12 +165,13 @@ def test_swapped_first_sum_equals_dense_sum(p):
 
 def test_power_sum_picks_kernel_from_shape(monkeypatch):
     seen = []
-    dense, rows = moments.traces_from_rows, moments.t_coeff_rows
-    # traces_from_rows sees only the rows; fam is the loop's current family
-    monkeypatch.setattr(moments, "traces_from_rows",
-                        lambda r, ctx: seen.append(("dense", fam.label)) or dense(r, ctx))
-    monkeypatch.setattr(moments, "t_coeff_rows",
-                        lambda F, ctx: seen.append(("rows",)) or rows(F, ctx))
+
+    def spy(name, tag):  # the kernels see only rows; fam is the loop's current family
+        real = getattr(_kernels, name)
+        return lambda *a: seen.append((tag, fam.label)) or real(*a)
+
+    monkeypatch.setattr(_kernels, "trace_row_vec", spy("trace_row_vec", "dense"))
+    monkeypatch.setattr(_kernels, "correlation_row", spy("correlation_row", "fft"))
     quad = HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1"))
     rank_one = HyperFamily("rank_one", 1, parse_bipoly("x^3 + x*T^2 + x*T + 1"))
     cubic = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
@@ -179,7 +180,7 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
         (quad, 1, 101, []),
         # deg_T <= 2 and not rank-one: the block route on this one prime
         (quad, 2, 101, []),
-        (rank_one, 2, 101, [("dense", "rank_one")]),
+        (rank_one, 2, 101, [("fft", "rank_one")]),
         (cubic, 1, 101, [("dense", "cubic")]),
         # deg_T 3 over Z: the trace row, at 7 too, where deg_T = 2 mod p
         (drops, 1, 7, [("dense", "drops")]),
@@ -188,7 +189,7 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
         seen.clear()
         ctx = PrimeCtx(p)
         value = power_sum(fam, r, ctx)
-        assert [s for s in seen if s[0] == "dense"] == want, (fam.label, r, p)
+        assert seen == want, (fam.label, r, p)
         assert value == sum(a**r for a in trace_row(fam, ctx))
     seen.clear()
     with pytest.raises(ValueError, match="moment order must be >= 1"):
@@ -197,9 +198,9 @@ def test_power_sum_picks_kernel_from_shape(monkeypatch):
 
 
 def test_quadratic_rows_never_take_the_dense_kernel(monkeypatch):
-    # the higher moments of deg_T F <= 2 families that are not rank-one over
-    # Q take the blocks at every prime, rank-one mod p (mod7, at 7) or not;
-    # rows of degree 3 in T still reach the float64 dense kernel
+    # the higher moments of deg_T F <= 2 families with no split over Z take
+    # the blocks at every prime, rank-one mod p (mod7, at 7) or not; rows of
+    # degree 3 in T reach the float64 dense kernel with no split, else the FFT
     rank6 = make_big_rank(build_family(RootData(1, tuple(range(1, 7)))))
     quad = HyperFamily("quad", 1, parse_bipoly("x^3 + x*T^2 + T + 1"))
     mod7 = HyperFamily("mod7", 1, parse_bipoly("x^3 + (x + 1)*T^2 + (x + 8)*T + 1"))
@@ -213,7 +214,7 @@ def test_quadratic_rows_never_take_the_dense_kernel(monkeypatch):
 
     def spy(name):
         real = getattr(_kernels, name)
-        return lambda rows, ctx: calls.append((name, len(rows))) or real(rows, ctx)
+        return lambda *a: calls.append((name, a[-1].p)) or real(*a)
 
     for name in ("trace_row_vec", "correlation_row"):
         monkeypatch.setattr(_kernels, name, spy(name))
@@ -225,8 +226,10 @@ def test_quadratic_rows_never_take_the_dense_kernel(monkeypatch):
             assert [row.value * row.p for row in series.rows] == values, (fam.label, r)
     assert calls == []
     cubic = HyperFamily("cubic", 1, parse_bipoly("x^3 + x*T^3 + T + 1"))
-    power_sum(cubic, 2, PrimeCtx(101))
-    assert calls == [("correlation_row", 4), ("trace_row_vec", 4)]
+    split = HyperFamily("split", 1, parse_bipoly("x^3 + (x + 1)*T^3 + (2*x + 2)*T + 1"))
+    for fam in (cubic, split):
+        assert power_sum(fam, 2, PrimeCtx(101)) == sum(a * a for a in trace_row(fam, PrimeCtx(101)))
+    assert calls == [("trace_row_vec", 101)] * 2 + [("correlation_row", 101)] * 2
 
 
 def test_moment_invariant_under_parameter_shift():
@@ -390,7 +393,7 @@ def test_power_shapes_take_the_class_sums_at_r_2(monkeypatch, capsys):
 
     from hyprank.cli import main
 
-    def kernel(rows, ctx):
+    def kernel(*args):
         raise AssertionError("trace kernel called")
 
     for name in ("trace_row_vec", "correlation_row"):
@@ -413,7 +416,7 @@ def test_power_shapes_take_the_class_sums_at_r_2(monkeypatch, capsys):
     # while every power shape still took it
     rows = []
     correlation_row = _kernels.correlation_row
-    monkeypatch.setattr(_kernels, "correlation_row", lambda *a: rows.append(a[1].p) or correlation_row(*a))
+    monkeypatch.setattr(_kernels, "correlation_row", lambda *a: rows.append(a[-1].p) or correlation_row(*a))
     for expr, stdout_sha256 in (
         ("x^5 + 3*x*T^2", "ef77c96f56f58d2497f452f584b97aad23e3f623cf04869dd4a85e078ef5568c"),
         ("2*x^5 + x*T^2", "564cf71272f16f70171bb4526ea6b27976e009fa7e0372985720b7ba06c87066"),

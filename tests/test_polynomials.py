@@ -640,6 +640,24 @@ def test_batched_frobenius_across_block_boundaries(monkeypatch):
     assert [degree_patterns_mod(f, primes) for f in _builtin_fs()] == expected
 
 
+def test_frobenius_matrix_blocks_shrink_with_the_degree(monkeypatch):
+    # at depth > 1 a block takes at most FROB_BLOCK^2 // d^2 primes, so with
+    # FROB_BLOCK = 40 the degree-10 f runs 16 primes a block, splitting Q
+    # mid-range, while its depth-1 root counts keep blocks of 40
+    f = parse_int_poly("x^10 + 3*x^3 + x + 1")
+    primes = primes_in(PrimeRange(3, 600))
+    expected = degree_patterns_mod(f, primes), root_counts(f.coeffs, primes)
+    blocks = []
+    ring = _kernels._residue_ring
+    monkeypatch.setattr(_kernels, "_residue_ring", lambda g, ps: blocks.append(len(ps)) or ring(g, ps))
+    monkeypatch.setattr(_kernels, "FROB_BLOCK", 40)
+    assert degree_patterns_mod(f, primes) == expected[0]
+    assert blocks == [16] * (len(primes) // 16) + [len(primes) % 16]
+    blocks.clear()
+    assert np.array_equal(root_counts(f.coeffs, primes), expected[1])
+    assert blocks == [37, 40, 28]  # 3, 5 and 7 are at most deg f: they take its values
+
+
 # ---------------------------------------------------------------------------
 # the split route: integer roots of f split off, the chain on the cofactor
 

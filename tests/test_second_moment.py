@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprank import _kernels
-from hyprank.curves import t_coeff_rows, traces_from_rows
+from hyprank.curves import t_coeff_rows, traces
 from hyprank.finite_field import PrimeCtx, PrimeRange, primes_in
 from hyprank.moments import make_power, power_sum
 from hyprank.oracles import trace_of_poly
@@ -127,7 +127,7 @@ def test_brute_equals_power_sum_of_the_family_on_smooth_shapes():
 def test_scan_never_takes_the_dense_kernel(monkeypatch):
     # the brute column sums over coset classes of t, so no power shape,
     # singular (h >= 2) and constant (k = 0) ones too, builds a trace row
-    def kernel(rows, ctx):
+    def kernel(*args):
         raise AssertionError("trace kernel called")
 
     for name in ("trace_row_vec", "correlation_row"):
@@ -312,7 +312,7 @@ def test_class_sums_equal_fft_rows_to_300(n):
         ctx = PrimeCtx(p)
         for h in range(n):
             for k in range(n):
-                row = traces_from_rows(t_coeff_rows(power_poly(n, h, k), ctx), ctx).tolist()
+                row = traces(power_poly(n, h, k), ctx).tolist()
                 full, tail = row_sums(row)
                 assert (_brute(n, h, k, ctx), _brute(n, h, k, ctx, include_t0=False)) == (
                     full, tail), (n, h, k, p)
@@ -342,5 +342,5 @@ def test_class_sums_equal_dense_rows_and_fiber_sums_to_50():
 def test_class_sums_equal_fft_rows_hypothesis(n, h, k, p, include_t0):
     h, k = h % n, k % n
     ctx = PrimeCtx(p)
-    full, tail = row_sums(traces_from_rows(t_coeff_rows(power_poly(n, h, k), ctx), ctx).tolist())
+    full, tail = row_sums(traces(power_poly(n, h, k), ctx).tolist())
     assert _brute(n, h, k, ctx, include_t0) == (full if include_t0 else tail)
